@@ -8,7 +8,7 @@ every closed-form energy/spectrum/symmetry identity against brute-force
 matrix computation.
 """
 
-from .errors import ConsistencyError, ConvergenceError, ResourceLimitError, ValidationError
+from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .fock import (
     anticommutator_check,
     apply_annihilate,
@@ -28,7 +28,6 @@ from .gapsolve import (
     new_gap_residual,
     solve_gap,
     solve_new_gap,
-    theta_from_delta,
 )
 from .hamiltonian import OperatorBundle, build_G, build_GB, build_H, build_HM, build_Hprime
 from .model import (

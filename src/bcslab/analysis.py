@@ -18,8 +18,8 @@ from .errors import ResourceLimitError, ValidationError
 from .fock import (
     DENSE_MODE_CAP,
     adjoint,
-    anticommutator,
     anticommutator_check,
+    car_deviation,
     commutator,
     conjugate_series,
     expectation,
@@ -55,6 +55,7 @@ from .states import (
     fermi_vacuum,
     normalized_psi,
     pair_coefficients,
+    quartet_sum,
     quasi_ops,
 )
 
@@ -134,8 +135,8 @@ def condensation_energy(mt: ModeTable, gap: GapTable) -> float:
     return float(-0.5 * np.sum(terms))
 
 
-def hm_spectrum_check(hm, mt: ModeTable, gap: GapTable, ebcs: float) -> float:
-    """Max deviation between dense sigma(H_M) and the quasiparticle multiset.
+def hm_spectrum_check(hm, mt: ModeTable, gap: GapTable, ebcs: float) -> tuple:
+    """(max deviation, ascending dense spectrum) of sigma(H_M) against the quasiparticle multiset.
 
     Formula side: { sum_k E_k (N_k,up + N_k,dn) + E_BCS } over all
     occupation patterns.  Dense diagonalization caps at M <= 5.
@@ -151,7 +152,7 @@ def hm_spectrum_check(hm, mt: ModeTable, gap: GapTable, ebcs: float) -> float:
     for j in range(mt.n_orbitals):
         formula += orb_energy[j] * ((idx >> j) & 1)
     dense = np.linalg.eigvalsh(hm.toarray())
-    return float(np.max(np.abs(np.sort(formula) - dense)))
+    return float(np.max(np.abs(np.sort(formula) - dense))), dense
 
 
 def delta_E_formula(mt: ModeTable, kernel: Kernel, angles: AngleTable, overlap: float) -> float:
@@ -196,20 +197,9 @@ def hprime_bcs_expansion(
     m = mt.n_modes
     s2 = angles.sin_t**2
     c2 = angles.cos_t**2
-    cre_up = [adjoint(quasi.up[i]) for i in range(m)]
-    cre_dn_neg = [adjoint(quasi.dn[mt.pair[i]]) for i in range(m)]
-    out = np.zeros(mt.dim, dtype=np.complex128)
-    for k in range(m):
-        for kp in range(m):
-            u = kernel.u[k, kp]
-            if u == 0.0 or k == kp:
-                continue
-            w = cre_dn_neg[kp] @ psi_b
-            w = cre_up[kp] @ w
-            w = cre_dn_neg[k] @ w
-            w = cre_up[k] @ w
-            out -= u * s2[k] * c2[kp] * w
-    return out
+    terms = ((k, kp, -(kernel.u[k, kp] * s2[k] * c2[kp]))
+             for k in range(m) for kp in range(m) if k != kp)
+    return quartet_sum(mt, quasi, terms, psi_b)
 
 
 def ssb_witness(mt: ModeTable, state: np.ndarray, i: int, g=None, b=None) -> complex:
@@ -249,21 +239,33 @@ def corollary_new_selfconsistency(
 # the full verification pass
 
 
-def _physical_scalars(mt, kernel, init, damping, tol, max_iter):
-    """Order-independent scalars of an instance, for the permutation check."""
-    sol = solve_gap(mt, kernel, init=init, damping=damping, tol=tol, max_iter=max_iter)
-    w = 0.5 * sol.theta.sin2t
-    corr = correction_state(
-        mt, kernel, sol.theta, quasi_ops(mt, sol.theta, verify=False), bcs_state(mt, sol.theta)
+def _certificate(name, residual, tol, sol) -> CheckResult:
+    """Gap-equation residual certificate; a trivial solution is noted as the reason."""
+    cert = float(np.max(np.abs(residual)))
+    reason = "trivial solution" if sol.trivial else ""
+    return CheckResult(name, 0.0, cert, cert, tol, bool(cert <= tol), reason=reason)
+
+
+def _ssb_deviation(mt, bundle, state) -> float:
+    """max_k |(state, [G, B_k] state) + 2 (state, B_k state)|."""
+    return max(
+        (
+            abs(ssb_witness(mt, state, i, g=bundle.G, b=bundle.B[i])
+                + 2.0 * expectation(state, bundle.B[i], state))
+            for i in range(mt.n_modes)
+        ),
+        default=0.0,
     )
-    new_sol = solve_new_gap(mt, kernel, init=init, damping=damping, tol=tol, max_iter=max_iter)
-    return {
-        "ebcs": ebcs_formula(mt, sol.theta, w),
-        "condensation": condensation_energy(mt, sol.delta),
-        "delta_e": delta_E_formula(mt, kernel, sol.theta, corr.overlap),
-        "delta_sorted": np.sort(sol.delta.delta),
-        "new_delta_sorted": np.sort(new_sol.delta.delta),
-    }
+
+
+def _physical_scalars(mt, kernel, sol, new_sol, corr) -> np.ndarray:
+    """Order-independent scalars of a solved instance, for the permutation check."""
+    scalars = [
+        ebcs_formula(mt, sol.theta, 0.5 * sol.theta.sin2t),
+        condensation_energy(mt, sol.delta),
+        delta_E_formula(mt, kernel, sol.theta, corr.overlap),
+    ]
+    return np.concatenate((scalars, np.sort(sol.delta.delta), np.sort(new_sol.delta.delta)))
 
 
 def run_verification(
@@ -313,14 +315,7 @@ def run_verification(
 
     # --- classic gap equation and states ------------------------------------
     sol = solve_gap(mt, kernel, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
-    cert = float(np.max(np.abs(gap_residual(mt, kernel, sol.delta))))
-    report.add(
-        CheckResult(
-            "gap_solution_classic", 0.0, cert, cert, tol,
-            bool(cert <= tol),
-            reason="trivial solution" if sol.trivial else "",
-        )
-    )
+    report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, sol.delta), tol, sol))
     angles = sol.theta
 
     psi_b = bcs_state(mt, angles)
@@ -335,15 +330,7 @@ def run_verification(
     )
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
-    dev = max(
-        (
-            abs(ssb_witness(mt, psi_b, i, g=bundle.G, b=bundle.B[i])
-                + 2.0 * expectation(psi_b, bundle.B[i], psi_b))
-            for i in range(m)
-        ),
-        default=0.0,
-    )
-    report.add(_deviation("ssb_witness_commutator", dev, TOL_EXPECT))
+    report.add(_deviation("ssb_witness_commutator", _ssb_deviation(mt, bundle, psi_b), TOL_EXPECT))
 
     gb = build_GB(mt, angles)
     dev = 0.0
@@ -370,18 +357,9 @@ def run_verification(
         dev = max(dev, op_norm_inf(lhs - rhs))
     report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
 
-    quasi = quasi_ops(mt, angles, verify=False)
+    quasi = quasi_ops(mt, angles)
     gammas = quasi.all_ops()
-    dev = 0.0
-    ident = identity_op(mt.dim)
-    for a in range(len(gammas)):
-        for b in range(len(gammas)):
-            mixed = anticommutator(gammas[a], adjoint(gammas[b]))
-            if a == b:
-                mixed = mixed - ident
-            dev = max(dev, op_norm_inf(mixed))
-            dev = max(dev, op_norm_inf(anticommutator(gammas[a], gammas[b])))
-    report.add(_deviation("gamma_car", dev, TOL_TIGHT))
+    report.add(_deviation("gamma_car", car_deviation(gammas), TOL_TIGHT))
 
     dev = max((float(np.linalg.norm(g @ psi_b)) for g in gammas), default=0.0)
     report.add(_deviation("gamma_annihilates_bcs", dev, TOL_IDENTITY))
@@ -398,6 +376,7 @@ def run_verification(
 
     # --- mean-field splitting -----------------------------------------------
     hm = build_HM(mt, sol.delta, w_dense)
+    ident = identity_op(mt.dim)
     fluct = None
     for kp in range(m):
         bdag = adjoint(bundle.B[kp] - w_dense[kp] * ident)
@@ -426,9 +405,9 @@ def run_verification(
     )
 
     if dense_ok:
-        report.add(_deviation("hm_spectrum_multiset", hm_spectrum_check(hm, mt, sol.delta, ebcs), TOL_LOOSE))
-        ground = float(np.linalg.eigvalsh(hm.toarray())[0])
-        report.add(_compare("hm_ground_equals_ebcs", ebcs, ground, TOL_LOOSE))
+        dev, spectrum = hm_spectrum_check(hm, mt, sol.delta, ebcs)
+        report.add(_deviation("hm_spectrum_multiset", dev, TOL_LOOSE))
+        report.add(_compare("hm_ground_equals_ebcs", ebcs, float(spectrum[0]), TOL_LOOSE))
     else:
         report.add(_skip("hm_spectrum_multiset", f"M={m} above dense cap"))
         report.add(_skip("hm_ground_equals_ebcs", f"M={m} above dense cap"))
@@ -493,14 +472,7 @@ def run_verification(
 
     # --- corrected gap equation ------------------------------------------------
     new_sol = solve_new_gap(mt, kernel, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
-    cert = float(np.max(np.abs(new_gap_residual(mt, kernel, new_sol.delta))))
-    report.add(
-        CheckResult(
-            "gap_solution_new", 0.0, cert, cert, tol,
-            bool(cert <= tol),
-            reason="trivial solution" if new_sol.trivial else "",
-        )
-    )
+    report.add(_certificate("gap_solution_new", new_gap_residual(mt, kernel, new_sol.delta), tol, new_sol))
 
     plain = solve_new_gap(
         mt, kernel, init=init, damping=damping, tol=tol_solve, max_iter=max_iter,
@@ -516,18 +488,9 @@ def run_verification(
 
     angles_t = new_sol.theta
     psi_bt = bcs_state(mt, angles_t)
-    quasi_t = quasi_ops(mt, angles_t, verify=False)
-
+    quasi_t = quasi_ops(mt, angles_t)
     gammas_t = quasi_t.all_ops()
-    dev = 0.0
-    for a in range(len(gammas_t)):
-        for b in range(len(gammas_t)):
-            mixed = anticommutator(gammas_t[a], adjoint(gammas_t[b]))
-            if a == b:
-                mixed = mixed - ident
-            dev = max(dev, op_norm_inf(mixed))
-            dev = max(dev, op_norm_inf(anticommutator(gammas_t[a], gammas_t[b])))
-    report.add(_deviation("gamma_tilde_car", dev, TOL_TIGHT))
+    report.add(_deviation("gamma_tilde_car", car_deviation(gammas_t), TOL_TIGHT))
     dev = max((float(np.linalg.norm(g @ psi_bt)) for g in gammas_t), default=0.0)
     report.add(_deviation("gamma_tilde_annihilates_bcs", dev, TOL_IDENTITY))
 
@@ -545,34 +508,24 @@ def run_verification(
     hm_t = build_HM(mt, new_sol.delta, w_t)
     ebcs_t = ebcs_formula(mt, angles_t, w_t)
     if dense_ok:
-        report.add(_deviation("new_spectrum_multiset", hm_spectrum_check(hm_t, mt, new_sol.delta, ebcs_t), TOL_LOOSE))
+        dev, _ = hm_spectrum_check(hm_t, mt, new_sol.delta, ebcs_t)
+        report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
     else:
         report.add(_skip("new_spectrum_multiset", f"M={m} above dense cap"))
 
-    dev = max(
-        (
-            abs(ssb_witness(mt, psi_t, i, g=bundle.G, b=bundle.B[i])
-                + 2.0 * expectation(psi_t, bundle.B[i], psi_t))
-            for i in range(m)
-        ),
-        default=0.0,
-    )
-    report.add(_deviation("ssb_witness_corrected_state", dev, TOL_EXPECT))
+    report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(mt, bundle, psi_t), TOL_EXPECT))
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     mt_p, kernel_p = permuted_instance(mt, kernel, perm)
-    base = _physical_scalars(mt, kernel, init, damping, tol_solve, max_iter)
-    moved = _physical_scalars(mt_p, kernel_p, init, damping, tol_solve, max_iter)
-    dev = max(
-        abs(base["ebcs"] - moved["ebcs"]),
-        abs(base["condensation"] - moved["condensation"]),
-        abs(base["delta_e"] - moved["delta_e"]),
-        float(np.max(np.abs(base["delta_sorted"] - moved["delta_sorted"]))),
-        float(np.max(np.abs(base["new_delta_sorted"] - moved["new_delta_sorted"]))),
-    )
-    report.add(_deviation("ordering_invariance", dev, TOL_IDENTITY))
+    sol_p = solve_gap(mt_p, kernel_p, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
+    psi_bp = bcs_state(mt_p, sol_p.theta)
+    corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_ops(mt_p, sol_p.theta), psi_bp)
+    new_sol_p = solve_new_gap(mt_p, kernel_p, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
+    base = _physical_scalars(mt, kernel, sol, new_sol, corr)
+    moved = _physical_scalars(mt_p, kernel_p, sol_p, new_sol_p, corr_p)
+    report.add(_deviation("ordering_invariance", float(np.max(np.abs(base - moved))), TOL_IDENTITY))
 
     report.metadata = {
         "n_modes": m,

@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+FORMATS = ("json", "csv")
 
 
 @dataclass
@@ -60,8 +61,33 @@ class RunConfig:
     max_iter: int = 10000
     checks: object = "all"
     out_dir: str | None = None
-    formats: tuple = ("json", "csv")
+    formats: tuple = FORMATS
     seed: int = 0
+
+
+def _number(value, name: str, kind=float):
+    """`value` converted by `kind`, or a config error naming the field when it is not numeric."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numeric, got {value!r}") from None
+
+
+def _formats(names) -> tuple:
+    if not isinstance(names, (list, tuple)):
+        raise ValidationError(f"output formats must be a list, got {names!r}")
+    for fmt in names:
+        if fmt not in FORMATS:
+            raise ValidationError(f"unknown output format {fmt!r}")
+    return tuple(names)
+
+
+def _check_solver(cfg: RunConfig) -> RunConfig:
+    if not cfg.tol > 0:
+        raise ValidationError("solver.tol must be positive")
+    if cfg.max_iter < 1:
+        raise ValidationError(f"solver.max_iter must be at least 1, got {cfg.max_iter}")
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -79,21 +105,22 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(lattice, dict):
         raise ValidationError("config needs a 'lattice' object")
     physics = raw.get("physics", {})
-    mu = float(physics.get("mu", 0.0))
-    hbar = float(physics.get("hbar", 1.0))
-    mass = float(physics.get("m", 0.5))
+    mu = _number(physics.get("mu", 0.0), "physics.mu")
+    hbar = _number(physics.get("hbar", 1.0), "physics.hbar")
+    mass = _number(physics.get("m", 0.5), "physics.m")
 
     has_ball = "L" in lattice and "kmax" in lattice
     has_modes = "modes" in lattice
     if has_ball == has_modes:
         raise ValidationError("lattice must specify exactly one of {L,kmax} or {modes}")
     if has_ball:
-        mt = build_lambda(float(lattice["L"]), float(lattice["kmax"]), mu=mu, hbar=hbar, mass=mass)
+        L, kmax = _number(lattice["L"], "lattice.L"), _number(lattice["kmax"], "lattice.kmax")
+        mt = build_lambda(L, kmax, mu=mu, hbar=hbar, mass=mass)
     else:
         mt = explicit_modes(
             [tuple(k) for k in lattice["modes"]],
             xi_override=lattice.get("xi"),
-            L=float(lattice.get("L", 2.0 * math.pi)),
+            L=_number(lattice.get("L", 2.0 * math.pi), "lattice.L"),
             mu=mu,
             hbar=hbar,
             mass=mass,
@@ -107,14 +134,15 @@ def load_config(path: str) -> RunConfig:
     if has_matrix == has_sep:
         raise ValidationError("kernel must specify exactly one of {matrix} or {separable}")
     if has_matrix:
-        kernel = Kernel(u=np.asarray(kspec["matrix"], dtype=np.float64))
+        u = _number(kspec["matrix"], "kernel.matrix", lambda v: np.asarray(v, dtype=np.float64))
+        kernel = Kernel(u=u)
     else:
         sep = kspec["separable"]
         shell = None
         if "shell" in sep:
-            lo, hi = float(sep["shell"][0]), float(sep["shell"][1])
+            lo, hi = (_number(x, "kernel.separable.shell") for x in sep["shell"][:2])
             shell = lambda knorm: lo <= knorm <= hi  # noqa: E731
-        kernel = separable_kernel(mt, float(sep["g"]), shell=shell)
+        kernel = separable_kernel(mt, _number(sep["g"], "kernel.separable.g"), shell=shell)
     # reject a bad kernel before any matrix is built
     violations = validate_kernel(kernel, mt)
     if violations:
@@ -124,29 +152,27 @@ def load_config(path: str) -> RunConfig:
     equation = solver.get("equation", "classic")
     if equation not in ("classic", "new"):
         raise ValidationError(f"solver.equation must be 'classic' or 'new', got {equation!r}")
-    tol = float(solver.get("tol", 1e-10))
-    if tol <= 0:
-        raise ValidationError("solver.tol must be positive")
+    checks = raw.get("checks", "all")
+    if checks not in ("all", None) and not (
+        isinstance(checks, list) and all(isinstance(c, str) for c in checks)
+    ):
+        raise ValidationError(f"checks must be \"all\" or a list of check names, got {checks!r}")
 
     output = raw.get("output", {})
-    formats = tuple(output.get("formats", ("json", "csv")))
-    for fmt in formats:
-        if fmt not in ("json", "csv"):
-            raise ValidationError(f"unknown output format {fmt!r}")
-
-    return RunConfig(
+    cfg = RunConfig(
         mt=mt,
         kernel=kernel,
         equation=equation,
-        init=float(solver.get("init", 1.0)),
-        damping=float(solver.get("damping", 0.5)),
-        tol=tol,
-        max_iter=int(solver.get("max_iter", 10000)),
-        checks=raw.get("checks", "all"),
+        init=_number(solver.get("init", 1.0), "solver.init"),
+        damping=_number(solver.get("damping", 0.5), "solver.damping"),
+        tol=_number(solver.get("tol", 1e-10), "solver.tol"),
+        max_iter=_number(solver.get("max_iter", 10000), "solver.max_iter", int),
+        checks=checks,
         out_dir=output.get("dir"),
-        formats=formats,
-        seed=int(raw.get("seed", 0)),
+        formats=_formats(output.get("formats", FORMATS)),
+        seed=_number(raw.get("seed", 0), "seed", int),
     )
+    return _check_solver(cfg)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -161,12 +187,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
     if getattr(args, "format", None) is not None:
-        formats = tuple(args.format.split(","))
-        for fmt in formats:
-            if fmt not in ("json", "csv"):
-                raise ValidationError(f"unknown output format {fmt!r}")
-        cfg.formats = formats
-    return cfg
+        cfg.formats = _formats(args.format.split(","))
+    return _check_solver(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +320,7 @@ def _states_for(cfg: RunConfig, sol: GapSolution):
     """Reference state, pair expectations w and corrected state for a solution."""
     bundle = OperatorBundle(cfg.mt, cfg.kernel)
     psi_ref = bcs_state(cfg.mt, sol.theta)
-    quasi = quasi_ops(cfg.mt, sol.theta, verify=False)
+    quasi = quasi_ops(cfg.mt, sol.theta)
     corr = correction_state(cfg.mt, cfg.kernel, sol.theta, quasi, psi_ref)
     psi = normalized_psi(psi_ref, corr)
     witness = psi if sol.equation == "new" else psi_ref
@@ -315,9 +337,8 @@ def _cmd_spectrum(args) -> int:
     bundle, psi_ref, corr, psi, w = _states_for(cfg, sol)
     hm = build_HM(cfg.mt, sol.delta, w)
     ebcs = ebcs_formula(cfg.mt, sol.theta, w)
-    dev = hm_spectrum_check(hm, cfg.mt, sol.delta, ebcs)
-    ground = float(np.linalg.eigvalsh(hm.toarray())[0])
-    print(f"equation={sol.equation}  E_BCS={ebcs:.12f}  ground={ground:.12f}")
+    dev, spectrum = hm_spectrum_check(hm, cfg.mt, sol.delta, ebcs)
+    print(f"equation={sol.equation}  E_BCS={ebcs:.12f}  ground={spectrum[0]:.12f}")
     print(f"spectrum multiset deviation = {dev:.3e} (tolerance 1e-09)")
     return EXIT_OK if dev <= 1e-9 else EXIT_CHECK_FAILURES
 

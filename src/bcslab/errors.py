@@ -15,7 +15,3 @@ class ResourceLimitError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative routine hit its hard iteration ceiling."""
-
-
-class ConsistencyError(RuntimeError):
-    """Two internal routes to the same quantity disagree beyond tolerance."""

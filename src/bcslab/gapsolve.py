@@ -132,15 +132,6 @@ class GapSolution:
     degenerate_modes: tuple = ()
 
 
-def theta_from_delta(mt: ModeTable, gap: GapTable) -> AngleTable:
-    """Angles from a gap table: sin 2theta = Delta/E, cos 2theta = xi/E."""
-    return AngleTable.from_delta(mt, gap)
-
-
-def quasiparticle_energy(mt: ModeTable, gap: GapTable) -> np.ndarray:
-    return np.hypot(mt.xi, gap.delta)
-
-
 def _ratio(xi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Delta/E with the 0/0 mode (xi = Delta = 0) sent to 0."""
     energy = np.hypot(xi, delta)

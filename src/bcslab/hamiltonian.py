@@ -54,17 +54,24 @@ def build_G(mt: ModeTable) -> csr_array:
     return csr_array(total)
 
 
+def kinetic_term(mt: ModeTable) -> csr_array:
+    """sum_{k,s} xi_k C*_{ks} C_{ks}."""
+    m = mt.n_modes
+    t = csr_array((mt.dim, mt.dim), dtype=np.complex128)
+    for i in range(m):
+        for j in (mt.orb_up(i), mt.orb_dn(i)):
+            c = ladder_matrix(j, m)
+            t = t + mt.xi[i] * (adjoint(c) @ c)
+    return t
+
+
 def build_H(mt: ModeTable, kernel: Kernel) -> csr_array:
     """H = sum_{k,s} xi_k C*_{ks} C_{ks} + sum_{k,k'} U_{k,k'} B*_{k'} B_k."""
     violations = validate_kernel(kernel, mt)
     if violations:
         raise ValidationError("; ".join(violations))
     m = mt.n_modes
-    h = csr_array((mt.dim, mt.dim), dtype=np.complex128)
-    for i in range(m):
-        for j in (mt.orb_up(i), mt.orb_dn(i)):
-            c = ladder_matrix(j, m)
-            h = h + mt.xi[i] * (adjoint(c) @ c)
+    h = kinetic_term(mt)
     pairs = [pair_annihilator(mt, i) for i in range(m)]
     for kp in range(m):
         bdag = adjoint(pairs[kp])
@@ -98,13 +105,8 @@ def build_HM(mt: ModeTable, gap: GapTable, w: np.ndarray) -> csr_array:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (mt.n_modes,):
         raise ValidationError(f"expectation table has {w.size} entries for {mt.n_modes} modes")
-    m = mt.n_modes
-    hm = csr_array((mt.dim, mt.dim), dtype=np.complex128)
-    for i in range(m):
-        for j in (mt.orb_up(i), mt.orb_dn(i)):
-            c = ladder_matrix(j, m)
-            hm = hm + mt.xi[i] * (adjoint(c) @ c)
-    for i in range(m):
+    hm = kinetic_term(mt)
+    for i in range(mt.n_modes):
         if gap.delta[i] != 0.0:
             hm = hm - gap.delta[i] * pair_exchange(mt, i)
     offset = float(np.dot(gap.delta, w))

@@ -1,9 +1,11 @@
 """Reference states and quasiparticle operators.
 
 Builds the filled-sea vacuum, the paired product state (two independent
-routes: the explicit product and exp(i G_B)|0>), the rotated quasiparticle
-operators gamma, the four-quasiparticle correction vector Phi, and the
-normalized corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)).
+routes: the explicit product and exp(i G_B)|0>), the closed-form rotated
+quasiparticle operators gamma, the four-quasiparticle correction vector Phi,
+and the normalized corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)).
+`quartet_sum` applies the gamma* four-strings for Phi, its literal
+double-sum oracle and the H' Psi_B expansion.
 
 The same constructions serve the classic and corrected gap equations: feed
 them an angle table from whichever gap table is in play.
@@ -16,22 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import ConsistencyError, ValidationError
-from .fock import (
-    DENSE_MODE_CAP,
-    adjoint,
-    apply_create,
-    conjugate_series,
-    evolve_state,
-    ladder_matrix,
-    op_norm_inf,
-    vacuum_state,
-)
+from .errors import ValidationError
+from .fock import adjoint, apply_create, evolve_state, ladder_matrix, vacuum_state
 from .gapsolve import AngleTable, EPS_GUARD
 from .hamiltonian import build_GB, pair_annihilator
 from .model import Kernel, ModeTable
-
-GAMMA_CROSSCHECK_TOL = 1e-9
 
 
 def fermi_vacuum(mt: ModeTable) -> np.ndarray:
@@ -94,14 +85,11 @@ class QuasiOps:
         return out
 
 
-def quasi_ops(mt: ModeTable, angles: AngleTable, verify: bool | None = None) -> QuasiOps:
+def quasi_ops(mt: ModeTable, angles: AngleTable) -> QuasiOps:
     """Quasiparticle operators from the closed-form rotation
 
         gamma_{k,up} = cos theta_k C_{k,up} - sin theta_k C*_{-k,dn}
         gamma_{k,dn} = sin theta_k C*_{-k,up} + cos theta_k C_{k,dn}
-
-    and, for small instances (or verify=True), cross-checked against the
-    conjugation exp(i G_B) C exp(-i G_B) via the commutator series.
     """
     angles.validate(mt)
     m = mt.n_modes
@@ -115,23 +103,27 @@ def quasi_ops(mt: ModeTable, angles: AngleTable, verify: bool | None = None) -> 
         ann_dn = ladder_matrix(mt.orb_dn(i), m)
         cre_up_partner = adjoint(ladder_matrix(mt.orb_up(mt.pair[i]), m))
         dn.append(csr_array(s * cre_up_partner + c * ann_dn))
-    ops = QuasiOps(up=up, dn=dn)
-    if verify is None:
-        verify = m <= DENSE_MODE_CAP
-    if verify:
-        gb = build_GB(mt, angles)
-        for i in range(m):
-            for closed, j in ((ops.up[i], mt.orb_up(i)), (ops.dn[i], mt.orb_dn(i))):
-                rotated = conjugate_series(
-                    ladder_matrix(j, m), gb, alpha=-1.0, tol=GAMMA_CROSSCHECK_TOL / 100.0
-                )
-                dev = op_norm_inf(closed - rotated)
-                if dev > GAMMA_CROSSCHECK_TOL:
-                    raise ConsistencyError(
-                        f"quasiparticle operator for orbital {j} deviates from the "
-                        f"conjugation route by {dev:.3e}"
-                    )
-    return ops
+    return QuasiOps(up=up, dn=dn)
+
+
+def quartet_sum(mt: ModeTable, quasi: QuasiOps, terms, psi: np.ndarray) -> np.ndarray:
+    """sum over (p, p', c) in `terms` of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
+
+    Terms with c = 0 are skipped; the rest accumulate in the order given.
+    """
+    cre_up = [adjoint(op) for op in quasi.up]
+    # gamma*_{-p,dn} is the adjoint of the dn operator attached to mode -p
+    cre_dn_neg = [adjoint(quasi.dn[mt.pair[i]]) for i in range(mt.n_modes)]
+    out = np.zeros(mt.dim, dtype=np.complex128)
+    for p, pp, c in terms:
+        if c == 0.0:
+            continue
+        w = cre_dn_neg[pp] @ psi
+        w = cre_up[pp] @ w
+        w = cre_dn_neg[p] @ w
+        w = cre_up[p] @ w
+        out += c * w
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,20 +162,8 @@ def correction_state(
     """
     coeffs = pair_coefficients(mt, kernel, angles)
     m = mt.n_modes
-    phi = np.zeros(mt.dim, dtype=np.complex128)
-    cre_up = [adjoint(quasi.up[i]) for i in range(m)]
-    # gamma*_{-p,dn} is the adjoint of the dn operator attached to mode -p
-    cre_dn_neg = [adjoint(quasi.dn[mt.pair[i]]) for i in range(m)]
-    for p in range(m):
-        for pp in range(p + 1, m):
-            c = coeffs[p, pp]
-            if c == 0.0:
-                continue
-            w = cre_dn_neg[pp] @ psi_ref
-            w = cre_up[pp] @ w
-            w = cre_dn_neg[p] @ w
-            w = cre_up[p] @ w
-            phi += c * w
+    pairs = ((p, pp, coeffs[p, pp]) for p in range(m) for pp in range(p + 1, m))
+    phi = quartet_sum(mt, quasi, pairs, psi_ref)
     overlap = float(np.vdot(phi, phi).real)
     return CorrectionState(phi=phi, overlap=overlap, coeffs=coeffs)
 
@@ -198,20 +178,8 @@ def correction_state_literal(
     """Literal ordered double sum with the 1/2 prefactor; oracle for the pair-collapsed form."""
     coeffs = pair_coefficients(mt, kernel, angles)
     m = mt.n_modes
-    cre_up = [adjoint(quasi.up[i]) for i in range(m)]
-    cre_dn_neg = [adjoint(quasi.dn[mt.pair[i]]) for i in range(m)]
-    phi = np.zeros(mt.dim, dtype=np.complex128)
-    for p in range(m):
-        for pp in range(m):
-            c = coeffs[p, pp]
-            if c == 0.0:
-                continue
-            w = cre_dn_neg[pp] @ psi_ref
-            w = cre_up[pp] @ w
-            w = cre_dn_neg[p] @ w
-            w = cre_up[p] @ w
-            phi += 0.5 * c * w
-    return phi
+    terms = ((p, pp, 0.5 * coeffs[p, pp]) for p in range(m) for pp in range(m))
+    return quartet_sum(mt, quasi, terms, psi_ref)
 
 
 def normalized_psi(psi_ref: np.ndarray, correction: CorrectionState) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +181,37 @@ def test_verify_checks_filter(tmp_path, capsys):
     payload["checks"] = ["no_such_check"]
     cfg = write_config(tmp_path, "unknown.json", payload)
     assert main(["verify", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize(
+    "fields, env, named",
+    [
+        ({"lattice": {"L": "abc", "kmax": 1.0}}, {}, "'abc'"),
+        ({"solver": {"max_iter": -5}}, {}, "-5"),
+        ({"checks": "car_relations"}, {}, "'car_relations'"),
+        ({"output": {"formats": "json"}}, {}, "'json'"),
+        ({}, {"BCSLAB_DIM_CAP": "x"}, "'x'"),
+    ],
+)
+def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
+    for name, setting in env.items():
+        monkeypatch.setenv(name, setting)
+    cfg = write_config(tmp_path, "malformed.json", {**PAIR_CONFIG, **fields})
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("instance", ["pair", "three_mode"])
+def test_verify_matches_golden_report(instance, tmp_path, capsys):
+    """Reports stay byte-identical to the committed ones for existing configs."""
+    golden = GOLDEN / instance
+    assert main(["verify", "--config", str(golden / "config.json"), "--out", str(tmp_path)]) == 0
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_report_command(pair_config, tmp_path, capsys):

@@ -8,6 +8,7 @@ from bcslab.fock import (
     apply_annihilate,
     apply_create,
     basis_state,
+    car_deviation,
     commutator,
     conjugate_series,
     evolve_state,
@@ -110,6 +111,17 @@ def test_mode_cap_enforced(monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_car_exact(m):
     assert anticommutator_check(m) == 0.0
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_car_deviation_detects_one_flipped_sign(j):
+    # {a*, a*} is the adjoint of {a, a}; the families that remain still see one wrong sign
+    ann = [ladder_matrix(i, 2) for i in range(4)]
+    assert car_deviation(ann) == 0.0
+    broken = ann[j].copy()
+    broken.data[0] = -broken.data[0]
+    ann[j] = broken
+    assert car_deviation(ann) > 0.0
 
 
 def test_vacuum_annihilation_and_top_state():

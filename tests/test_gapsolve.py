@@ -13,14 +13,13 @@ from bcslab.gapsolve import (
     new_gap_residual,
     solve_gap,
     solve_new_gap,
-    theta_from_delta,
 )
 from bcslab.model import Kernel, explicit_modes, separable_kernel
 
 
 def test_theta_three_four_five(two_mode):
     mt, _ = two_mode
-    angles = theta_from_delta(mt, GapTable(delta=np.array([1.2, 1.2])))
+    angles = AngleTable.from_delta(mt, GapTable(delta=np.array([1.2, 1.2])))
     assert np.allclose(angles.sin2t, 0.6, atol=1e-15)
     assert np.allclose(angles.cos2t, 0.8, atol=1e-15)
     assert np.allclose(angles.energy, 2.0, atol=1e-15)
@@ -31,13 +30,13 @@ def test_theta_three_four_five(two_mode):
 
 def test_theta_gapless_conventions():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[-1.0, -1.0])
-    angles = theta_from_delta(mt, GapTable(delta=np.zeros(2)))
+    angles = AngleTable.from_delta(mt, GapTable(delta=np.zeros(2)))
     assert np.all(angles.theta == 0.5 * math.pi)
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1.0, 1.0])
-    angles = theta_from_delta(mt, GapTable(delta=np.zeros(2)))
+    angles = AngleTable.from_delta(mt, GapTable(delta=np.zeros(2)))
     assert np.all(angles.theta == 0.0)
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[0.0, 0.0])
-    angles = theta_from_delta(mt, GapTable(delta=np.zeros(2)))
+    angles = AngleTable.from_delta(mt, GapTable(delta=np.zeros(2)))
     assert np.all(angles.theta == 0.5 * math.pi)
     assert np.all(angles.cos2t == -1.0)
 
@@ -48,7 +47,7 @@ def test_theta_ratio_invariant_random():
     for _ in range(10):
         d = rng.uniform(0.0, 3.0, size=2)
         gap = GapTable(delta=np.array([d[0], d[1], d[1]]))
-        angles = theta_from_delta(mt, gap)
+        angles = AngleTable.from_delta(mt, gap)
         energy = np.hypot(mt.xi, gap.delta)
         assert np.allclose(angles.sin2t * energy, gap.delta, atol=1e-14)
         assert np.allclose(angles.cos2t * energy, mt.xi, atol=1e-14)
