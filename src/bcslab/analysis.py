@@ -288,7 +288,7 @@ def run_verification(
     # several identities hold exactly only at a gap-equation solution, with
     # deviations proportional to the solver residual; solving tighter than the
     # certified tolerance keeps that amplification far below the check bars
-    tol_solve = min(tol, 1e-12)
+    solver = {"init": init, "damping": damping, "tol": min(tol, 1e-12), "max_iter": max_iter}
 
     violations = validate_kernel(kernel, mt)
     report.add(_deviation("kernel_constraints", float(len(violations)), 0.0))
@@ -314,7 +314,7 @@ def run_verification(
     report.add(_deviation("number_phase_covariance_h", dev_h, TOL_LOOSE))
 
     # --- classic gap equation and states ------------------------------------
-    sol = solve_gap(mt, kernel, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
+    sol = solve_gap(mt, kernel, **solver)
     report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, sol.delta), tol, sol))
     angles = sol.theta
 
@@ -471,13 +471,10 @@ def run_verification(
     report.add(_deviation("corrected_pair_expectation", dev, TOL_IDENTITY))
 
     # --- corrected gap equation ------------------------------------------------
-    new_sol = solve_new_gap(mt, kernel, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
+    new_sol = solve_new_gap(mt, kernel, **solver)
     report.add(_certificate("gap_solution_new", new_gap_residual(mt, kernel, new_sol.delta), tol, new_sol))
 
-    plain = solve_new_gap(
-        mt, kernel, init=init, damping=damping, tol=tol_solve, max_iter=max_iter,
-        include_correction=False,
-    )
+    plain = solve_new_gap(mt, kernel, **solver, include_correction=False)
     report.add(
         _deviation(
             "new_gap_reduction",
@@ -519,10 +516,10 @@ def run_verification(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     mt_p, kernel_p = permuted_instance(mt, kernel, perm)
-    sol_p = solve_gap(mt_p, kernel_p, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
+    sol_p = solve_gap(mt_p, kernel_p, **solver)
     psi_bp = bcs_state(mt_p, sol_p.theta)
     corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_ops(mt_p, sol_p.theta), psi_bp)
-    new_sol_p = solve_new_gap(mt_p, kernel_p, init=init, damping=damping, tol=tol_solve, max_iter=max_iter)
+    new_sol_p = solve_new_gap(mt_p, kernel_p, **solver)
     base = _physical_scalars(mt, kernel, sol, new_sol, corr)
     moved = _physical_scalars(mt_p, kernel_p, sol_p, new_sol_p, corr_p)
     report.add(_deviation("ordering_invariance", float(np.max(np.abs(base - moved))), TOL_IDENTITY))
@@ -532,7 +529,7 @@ def run_verification(
         "modes": [list(n) for n in mt.nvecs],
         "xi": mt.xi.tolist(),
         "kernel": kernel.u.tolist(),
-        "solver": {"init": init, "damping": damping, "tol": tol, "max_iter": max_iter},
+        "solver": {**solver, "tol": tol},
         "seed": seed,
         "classic": {
             "delta": sol.delta.delta.tolist(),

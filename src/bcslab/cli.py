@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .fock import expectation
-from .gapsolve import GapSolution, solve_gap, solve_new_gap
+from .gapsolve import GapSolution, check_solver, solve_gap, solve_new_gap
 from .hamiltonian import OperatorBundle, build_HM
 from .model import (
     Kernel,
@@ -64,13 +64,52 @@ class RunConfig:
     formats: tuple = FORMATS
     seed: int = 0
 
+    @property
+    def solver(self) -> dict:
+        """The solver settings, as keyword arguments of the gap solvers."""
+        return {"init": self.init, "damping": self.damping, "tol": self.tol, "max_iter": self.max_iter}
+
 
 def _number(value, name: str, kind=float):
-    """`value` converted by `kind`, or a config error naming the field when it is not numeric."""
+    """`value` as `kind` if it is a finite JSON number, else a config error naming the field.
+
+    Booleans, strings, NaN and infinities are rejected; an int field takes integral values only.
+    """
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be numeric, got {value!r}") from None
+        ok = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (kind is float or value == int(value))
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValidationError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(values, name: str, length=None, kind=float) -> list:
+    """A JSON list of numbers (of `length` entries when given), each checked by `_number`."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        size = "" if length is None else f"{length} "
+        raise ValidationError(f"{name} must be a list of {size}numbers, got {values!r}")
+    return [_number(v, name, kind) for v in values]
+
+
+def _rows(value, name: str, width=None, kind=float) -> list:
+    """A JSON list of rows of `width` numbers each (as many as there are rows when None)."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of rows, got {value!r}")
+    return [_numbers(r, name, len(value) if width is None else width, kind) for r in value]
+
+
+def _section(raw: dict, key: str, name: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be an object, got {value!r}")
+    return value
 
 
 def _formats(names) -> tuple:
@@ -80,14 +119,6 @@ def _formats(names) -> tuple:
         if fmt not in FORMATS:
             raise ValidationError(f"unknown output format {fmt!r}")
     return tuple(names)
-
-
-def _check_solver(cfg: RunConfig) -> RunConfig:
-    if not cfg.tol > 0:
-        raise ValidationError("solver.tol must be positive")
-    if cfg.max_iter < 1:
-        raise ValidationError(f"solver.max_iter must be at least 1, got {cfg.max_iter}")
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -104,7 +135,7 @@ def load_config(path: str) -> RunConfig:
     lattice = raw.get("lattice")
     if not isinstance(lattice, dict):
         raise ValidationError("config needs a 'lattice' object")
-    physics = raw.get("physics", {})
+    physics = _section(raw, "physics", "physics")
     mu = _number(physics.get("mu", 0.0), "physics.mu")
     hbar = _number(physics.get("hbar", 1.0), "physics.hbar")
     mass = _number(physics.get("m", 0.5), "physics.m")
@@ -117,9 +148,10 @@ def load_config(path: str) -> RunConfig:
         L, kmax = _number(lattice["L"], "lattice.L"), _number(lattice["kmax"], "lattice.kmax")
         mt = build_lambda(L, kmax, mu=mu, hbar=hbar, mass=mass)
     else:
+        xi = lattice.get("xi")
         mt = explicit_modes(
-            [tuple(k) for k in lattice["modes"]],
-            xi_override=lattice.get("xi"),
+            _rows(lattice["modes"], "lattice.modes", 3, int),
+            xi_override=None if xi is None else _numbers(xi, "lattice.xi"),
             L=_number(lattice.get("L", 2.0 * math.pi), "lattice.L"),
             mu=mu,
             hbar=hbar,
@@ -134,21 +166,20 @@ def load_config(path: str) -> RunConfig:
     if has_matrix == has_sep:
         raise ValidationError("kernel must specify exactly one of {matrix} or {separable}")
     if has_matrix:
-        u = _number(kspec["matrix"], "kernel.matrix", lambda v: np.asarray(v, dtype=np.float64))
-        kernel = Kernel(u=u)
+        kernel = Kernel(u=np.array(_rows(kspec["matrix"], "kernel.matrix")))
     else:
-        sep = kspec["separable"]
+        sep = _section(kspec, "separable", "kernel.separable")
         shell = None
         if "shell" in sep:
-            lo, hi = (_number(x, "kernel.separable.shell") for x in sep["shell"][:2])
+            lo, hi = _numbers(sep["shell"], "kernel.separable.shell", 2)
             shell = lambda knorm: lo <= knorm <= hi  # noqa: E731
-        kernel = separable_kernel(mt, _number(sep["g"], "kernel.separable.g"), shell=shell)
+        kernel = separable_kernel(mt, _number(sep.get("g"), "kernel.separable.g"), shell=shell)
     # reject a bad kernel before any matrix is built
     violations = validate_kernel(kernel, mt)
     if violations:
         raise ValidationError("kernel constraint violations: " + "; ".join(violations))
 
-    solver = raw.get("solver", {})
+    solver = _section(raw, "solver", "solver")
     equation = solver.get("equation", "classic")
     if equation not in ("classic", "new"):
         raise ValidationError(f"solver.equation must be 'classic' or 'new', got {equation!r}")
@@ -158,7 +189,10 @@ def load_config(path: str) -> RunConfig:
     ):
         raise ValidationError(f"checks must be \"all\" or a list of check names, got {checks!r}")
 
-    output = raw.get("output", {})
+    output = _section(raw, "output", "output")
+    out_dir = output.get("dir")
+    if not isinstance(out_dir, (str, type(None))):
+        raise ValidationError(f"output.dir must be a path string, got {out_dir!r}")
     cfg = RunConfig(
         mt=mt,
         kernel=kernel,
@@ -168,11 +202,12 @@ def load_config(path: str) -> RunConfig:
         tol=_number(solver.get("tol", 1e-10), "solver.tol"),
         max_iter=_number(solver.get("max_iter", 10000), "solver.max_iter", int),
         checks=checks,
-        out_dir=output.get("dir"),
+        out_dir=out_dir,
         formats=_formats(output.get("formats", FORMATS)),
         seed=_number(raw.get("seed", 0), "seed", int),
     )
-    return _check_solver(cfg)
+    check_solver(**cfg.solver)
+    return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -188,7 +223,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg.out_dir = args.out
     if getattr(args, "format", None) is not None:
         cfg.formats = _formats(args.format.split(","))
-    return _check_solver(cfg)
+    check_solver(**cfg.solver)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +307,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _solve(cfg: RunConfig, equation: str) -> GapSolution:
-    if equation == "new":
-        return solve_new_gap(
-            cfg.mt, cfg.kernel, init=cfg.init, damping=cfg.damping, tol=cfg.tol, max_iter=cfg.max_iter
-        )
-    return solve_gap(
-        cfg.mt, cfg.kernel, init=cfg.init, damping=cfg.damping, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    return (solve_new_gap if equation == "new" else solve_gap)(cfg.mt, cfg.kernel, **cfg.solver)
 
 
 def _print_solution(mt: ModeTable, sol: GapSolution) -> None:
@@ -387,15 +417,7 @@ def _filter_checks(report: VerificationReport, wanted) -> VerificationReport:
 
 def _cmd_verify(args, include_solutions: bool = False) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = run_verification(
-        cfg.mt,
-        cfg.kernel,
-        init=cfg.init,
-        damping=cfg.damping,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        seed=cfg.seed,
-    )
+    report = run_verification(cfg.mt, cfg.kernel, **cfg.solver, seed=cfg.seed)
     report = _filter_checks(report, cfg.checks)
     if include_solutions:
         for equation in ("classic", "new"):

@@ -1,27 +1,33 @@
 """Self-consistent solution of the pairing gap equations.
 
-Two equations are supported on the same damped fixed-point driver:
+Both equations have the form Delta_k = -1/2 sum_k' U_{k,k'} w_k' and differ
+only in the weights w:
 
-  classic:    Delta_k = -1/2 sum_k' U_{k,k'} Delta_k' / E_k'
-  corrected:  Delta_k = -1/2 sum_k' U_{k,k'} (Delta_k'/E_k') (1 - 4 D_k'/(D+2))
+  classic:    w_k' = Delta_k' / E_k'
+  corrected:  w_k' = (Delta_k' / E_k') (1 - 4 D_k'/(D+2))
 
 with E_k = sqrt(xi_k^2 + Delta_k^2) and the correction weights
 
   D_k' = 1/4 sum_p U_{k',p}^2 / (E_k' + E_p)^2 (1 - xi_k' xi_p / (E_k' E_p))^2,
   D = sum_k' D_k'.
 
-The iteration keeps Delta >= 0 and constant on {k,-k} orbits, and every
-returned solution carries an independently re-evaluated residual.
+`_weights` is the one place each w is written; the iteration and the
+residuals `gap_residual` / `new_gap_residual` share it.  `_solve` is the one
+damped fixed-point driver behind `solve_gap` and `solve_new_gap`, and
+`check_solver` the one check of its settings.  The iteration keeps Delta >= 0
+and constant on {k,-k} orbits, raises ConvergenceError on a non-finite
+iterate, and every returned solution carries a residual re-evaluated at the
+returned gap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .model import Kernel, ModeTable
 
 EPS_GUARD = np.finfo(np.float64).eps
@@ -138,10 +144,28 @@ def _ratio(xi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.divide(delta, energy, out=np.zeros_like(delta), where=energy > 0)
 
 
+def _dk_table(mt: ModeTable, kernel: Kernel, delta: np.ndarray) -> tuple:
+    energy = np.hypot(mt.xi, delta)
+    guarded = np.maximum(energy, EPS_GUARD)
+    cos2 = mt.xi / guarded
+    shape = (1.0 - np.outer(cos2, cos2)) ** 2
+    denom = (guarded[:, None] + guarded[None, :]) ** 2
+    dk = 0.25 * (kernel.u**2 * shape / denom).sum(axis=1)
+    return dk, float(dk.sum())
+
+
+def _weights(mt: ModeTable, kernel: Kernel, delta: np.ndarray, corrected: bool) -> np.ndarray:
+    """Weights w of Delta = -1/2 U w: Delta/E, times 1 - 4 D_k/(D+2) when `corrected`."""
+    weighted = _ratio(mt.xi, delta)
+    if corrected:
+        weighted = weighted * correction_factor(*_dk_table(mt, kernel, delta))
+    return weighted
+
+
 def gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """r_k = Delta_k + 1/2 sum_k' U_{k,k'} Delta_k'/E_k'; zero at a solution."""
     gap.validate(mt)
-    return gap.delta + 0.5 * kernel.u @ _ratio(mt.xi, gap.delta)
+    return gap.delta + 0.5 * kernel.u @ _weights(mt, kernel, gap.delta, False)
 
 
 def dk_weights(mt: ModeTable, kernel: Kernel, gap: GapTable) -> tuple:
@@ -152,13 +176,7 @@ def dk_weights(mt: ModeTable, kernel: Kernel, gap: GapTable) -> tuple:
     is the limit value unless the kernel couples the mode.
     """
     gap.validate(mt)
-    energy = np.hypot(mt.xi, gap.delta)
-    guarded = np.maximum(energy, EPS_GUARD)
-    cos2 = mt.xi / guarded
-    shape = (1.0 - np.outer(cos2, cos2)) ** 2
-    denom = (guarded[:, None] + guarded[None, :]) ** 2
-    dk = 0.25 * (kernel.u**2 * shape / denom).sum(axis=1)
-    return dk, float(dk.sum())
+    return _dk_table(mt, kernel, gap.delta)
 
 
 def correction_factor(dk: np.ndarray, dsum: float) -> np.ndarray:
@@ -169,19 +187,25 @@ def correction_factor(dk: np.ndarray, dsum: float) -> np.ndarray:
 def new_gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """Residual of the corrected gap equation, with D recomputed from `gap`."""
     gap.validate(mt)
-    dk, dsum = dk_weights(mt, kernel, gap)
-    weighted = _ratio(mt.xi, gap.delta) * correction_factor(dk, dsum)
-    return gap.delta + 0.5 * kernel.u @ weighted
+    return gap.delta + 0.5 * kernel.u @ _weights(mt, kernel, gap.delta, True)
 
 
-def _fixed_point(mt, kernel, rhs, init, damping, tol, max_iter):
-    """Damped iteration Delta <- (1-l) Delta + l rhs(Delta), clamped and symmetrized."""
-    if init <= 0:
-        raise ValidationError("init must be positive (zero starts at the trivial fixed point)")
+def check_solver(init, damping, tol, max_iter) -> None:
+    """Raise ValidationError unless the solver settings lie in their valid domain."""
+    if not 0.0 < init < math.inf:  # zero starts at the trivial fixed point
+        raise ValidationError(f"solver.init must be positive and finite, got {init!r}")
     if not 0.0 < damping <= 1.0:
-        raise ValidationError("damping must lie in (0, 1]")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+        raise ValidationError(f"solver.damping must lie in (0, 1], got {damping!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"solver.tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValidationError(f"solver.max_iter must be at least 1, got {max_iter!r}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate raises ConvergenceError
+def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
+    """Damped iteration Delta <- (1-l) Delta + l rhs(Delta), clamped and symmetrized."""
+    check_solver(init, damping, tol, max_iter)
     row_mag = np.abs(kernel.u).sum(axis=1)
     delta = np.where(row_mag > 0, float(init), 0.0)
     clamped = False
@@ -190,8 +214,10 @@ def _fixed_point(mt, kernel, rhs, init, damping, tol, max_iter):
     converged = False
     trivial_stop = False
     for iterations in range(max_iter + 1):
-        proposal = rhs(delta)
+        proposal = -0.5 * kernel.u @ _weights(mt, kernel, delta, corrected)
         residual = float(np.max(np.abs(delta - proposal))) if delta.size else 0.0
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"gap iterate became non-finite at iteration {iterations}")
         if residual <= tol:
             converged = True
             break
@@ -207,7 +233,23 @@ def _fixed_point(mt, kernel, rhs, init, damping, tol, max_iter):
             clamped = True
             delta = np.maximum(delta, 0.0)
         delta = 0.5 * (delta + delta[mt.pair])
-    return delta, iterations, converged, trivial_stop, clamped
+    gap = GapTable(delta=delta)
+    residual = (new_gap_residual if corrected else gap_residual)(mt, kernel, gap)
+    residual_inf = float(np.max(np.abs(residual)))
+    if not math.isfinite(residual_inf):
+        raise ConvergenceError("gap iterate became non-finite in the last update")
+    converged = converged or residual_inf <= tol
+    return GapSolution(
+        equation="new" if corrected else "classic",
+        delta=gap,
+        theta=AngleTable.from_delta(mt, gap),
+        residual_inf=residual_inf,
+        iterations=iterations,
+        converged=converged,
+        trivial=trivial_stop or (converged and float(np.max(np.abs(delta))) <= 100.0 * tol),
+        clamped=clamped,
+        degenerate_modes=tuple(np.flatnonzero(np.hypot(mt.xi, delta) == 0).tolist()),
+    )
 
 
 def solve_gap(
@@ -221,27 +263,10 @@ def solve_gap(
     """Solve the classic gap equation by damped fixed-point iteration.
 
     An all-zero collapse is reported as the trivial solution rather than a
-    failure; non-convergence returns the best iterate with converged=False.
+    failure; non-convergence returns the best iterate with converged=False;
+    a non-finite iterate raises ConvergenceError.
     """
-    ratio_rhs = lambda d: -0.5 * kernel.u @ _ratio(mt.xi, d)  # noqa: E731
-    delta, iterations, converged, trivial_stop, clamped = _fixed_point(
-        mt, kernel, ratio_rhs, init, damping, tol, max_iter
-    )
-    gap = GapTable(delta=delta)
-    residual_inf = float(np.max(np.abs(gap_residual(mt, kernel, gap))))
-    converged = converged or residual_inf <= tol
-    trivial = trivial_stop or (converged and float(np.max(np.abs(delta))) <= 100.0 * tol)
-    return GapSolution(
-        equation="classic",
-        delta=gap,
-        theta=AngleTable.from_delta(mt, gap),
-        residual_inf=residual_inf,
-        iterations=iterations,
-        converged=converged,
-        trivial=trivial,
-        clamped=clamped,
-        degenerate_modes=tuple(np.flatnonzero(np.hypot(mt.xi, delta) == 0).tolist()),
-    )
+    return _solve(mt, kernel, False, init, damping, tol, max_iter)
 
 
 def solve_new_gap(
@@ -258,39 +283,12 @@ def solve_new_gap(
     `include_correction=False` pins the correction factor at 1, reproducing
     the classic equation on the same code path (cross-check hook).
     """
-
-    def rhs(d):
-        weighted = _ratio(mt.xi, d)
-        if include_correction:
-            dk, dsum = dk_weights(mt, kernel, GapTable(delta=d))
-            weighted = weighted * correction_factor(dk, dsum)
-        return -0.5 * kernel.u @ weighted
-
-    delta, iterations, converged, trivial_stop, clamped = _fixed_point(
-        mt, kernel, rhs, init, damping, tol, max_iter
-    )
-    gap = GapTable(delta=delta)
-    if include_correction:
-        residual = new_gap_residual(mt, kernel, gap)
-    else:
-        residual = gap_residual(mt, kernel, gap)
-    residual_inf = float(np.max(np.abs(residual)))
-    converged = converged or residual_inf <= tol
-    trivial = trivial_stop or (converged and float(np.max(np.abs(delta))) <= 100.0 * tol)
-    dk, dsum = dk_weights(mt, kernel, gap)
-    factor = correction_factor(dk, dsum)
-    return GapSolution(
-        equation="new" if include_correction else "classic",
-        delta=gap,
-        theta=AngleTable.from_delta(mt, gap),
-        residual_inf=residual_inf,
-        iterations=iterations,
-        converged=converged,
-        trivial=trivial,
+    sol = _solve(mt, kernel, include_correction, init, damping, tol, max_iter)
+    dk, dsum = dk_weights(mt, kernel, sol.delta)
+    return replace(
+        sol,
         dk=dk,
         dsum=dsum,
         max_factor_dev=float(np.max(4.0 * dk / (dsum + 2.0))) if dk.size else 0.0,
-        clamped=clamped,
-        nonpositive_factor=tuple(np.flatnonzero(factor <= 0).tolist()),
-        degenerate_modes=tuple(np.flatnonzero(np.hypot(mt.xi, delta) == 0).tolist()),
+        nonpositive_factor=tuple(np.flatnonzero(correction_factor(dk, dsum) <= 0).tolist()),
     )

@@ -158,16 +158,19 @@ def explicit_modes(
 
 
 def validate_kernel(kernel: Kernel, mt: ModeTable) -> list:
-    """Check the four structural constraints on U; returns violation messages.
+    """Check the structural constraints on U; returns violation messages.
 
-    Constraints (exact comparisons, no tolerance): U_{k,k'} <= 0, symmetry
-    U_{k',k} = U_{k,k'}, parity U_{-k,-k'} = U_{k,k'}, zero diagonal.
+    Constraints (exact comparisons, no tolerance): finite entries,
+    U_{k,k'} <= 0, symmetry U_{k',k} = U_{k,k'}, parity U_{-k,-k'} = U_{k,k'},
+    zero diagonal.
     """
     u = kernel.u
     m = mt.n_modes
     violations = []
     if u.shape != (m, m):
         return [f"kernel shape {u.shape} does not match mode count {m}"]
+    if not np.all(np.isfinite(u)):
+        return ["kernel entries must be finite"]
     for i in range(m):
         if u[i, i] != 0.0:
             violations.append(f"nonzero diagonal at k={mt.nvecs[i]}: {u[i, i]}")

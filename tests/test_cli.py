@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bcslab.analysis import CheckResult, VerificationReport
 from bcslab.cli import emit_report, load_config, main
@@ -191,6 +196,23 @@ def test_verify_checks_filter(tmp_path, capsys):
         ({"checks": "car_relations"}, {}, "'car_relations'"),
         ({"output": {"formats": "json"}}, {}, "'json'"),
         ({}, {"BCSLAB_DIM_CAP": "x"}, "'x'"),
+        ({"physics": "x"}, {}, "physics"),
+        ({"solver": []}, {}, "solver"),
+        ({"output": 7}, {}, "output"),
+        ({"kernel": {"separable": "x"}}, {}, "kernel.separable"),
+        ({"lattice": {"modes": "ab"}}, {}, "lattice.modes"),
+        ({"lattice": {"modes": 5}}, {}, "lattice.modes"),
+        ({"lattice": {"modes": [[1, 0], [-1, 0]]}}, {}, "lattice.modes"),
+        ({"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "xi": ["a", "a"]}}, {}, "lattice.xi"),
+        ({"kernel": {"separable": {"shell": [0.5, 1.5]}}}, {}, "kernel.separable.g"),
+        ({"kernel": {"separable": {"g": 4.0, "shell": [0.5]}}}, {}, "kernel.separable.shell"),
+        ({"physics": {"mu": True}}, {}, "physics.mu"),
+        ({"seed": False}, {}, "seed"),
+        ({"solver": {"tol": math.nan}}, {}, "solver.tol"),
+        ({"physics": {"hbar": math.inf}}, {}, "physics.hbar"),
+        ({"kernel": {"matrix": [[0, -math.inf], [-math.inf, 0]]}}, {}, "kernel.matrix"),
+        ({"solver": {"max_iter": 2.5}}, {}, "solver.max_iter"),
+        ({"output": {"dir": ["out"]}}, {}, "output.dir"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
@@ -200,6 +222,64 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, 
     assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+# every numeric field and section of the pair config, present or optional
+CONFIG_FIELDS = [
+    ("lattice",), ("kernel",), ("physics",), ("solver",), ("output",), ("seed",),
+    ("lattice", "modes"), ("lattice", "xi"), ("lattice", "L"), ("kernel", "matrix"),
+    ("physics", "mu"), ("physics", "hbar"), ("physics", "m"),
+    ("solver", "init"), ("solver", "damping"), ("solver", "tol"), ("solver", "max_iter"),
+]
+
+
+def _is_numeric(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+MALFORMED_VALUES = st.one_of(
+    st.text(max_size=6).filter(lambda t: not _is_numeric(t)),
+    st.lists(
+        st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.none(), max_size=2)),
+        max_size=3,
+    ),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.none(),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field=st.sampled_from(CONFIG_FIELDS), value=MALFORMED_VALUES)
+def test_malformed_field_is_config_error(tmp_path_factory, field, value):
+    """A non-number in a numeric field, or a non-object section, exits 2 and raises nothing."""
+    # an object is a valid optional section, and null leaves xi to the formula
+    assume(not (isinstance(value, dict) and field in {("physics",), ("solver",), ("output",)}))
+    assume(not (value is None and field == ("lattice", "xi")))
+    payload = json.loads(json.dumps(PAIR_CONFIG))
+    parent = payload
+    for key in field[:-1]:
+        parent = parent.setdefault(key, {})
+    parent[field[-1]] = value
+    path = tmp_path_factory.mktemp("malformed") / "config.json"
+    path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--config", str(path)])
+    assert code == 2
+    assert err.getvalue().startswith("config error:")
+
+
+def test_nonfinite_iterate_exits_as_convergence_error(tmp_path, capsys):
+    # U^2 overflows in D_k, so the corrected iterate turns NaN on the first step
+    payload = {**PAIR_CONFIG, "kernel": {"matrix": [[0, -1e200], [-1e200, 0]]}}
+    cfg = write_config(tmp_path, "huge.json", payload)
+    assert main(["solve-new-gap", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource/convergence error:") and "non-finite" in err
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcslab.errors import ValidationError
+from bcslab.errors import ConvergenceError, ValidationError
 from bcslab.gapsolve import (
     AngleTable,
     GapTable,
@@ -131,6 +131,28 @@ def test_solver_option_validation(two_mode):
         solve_gap(mt, kernel, damping=1.5)
     with pytest.raises(ValidationError):
         solve_gap(mt, kernel, tol=-1.0)
+    for bad in (
+        {"init": math.inf}, {"damping": math.nan}, {"tol": math.nan}, {"tol": math.inf},
+        {"max_iter": 0}, {"max_iter": -5},
+    ):
+        for solve in (solve_gap, solve_new_gap):
+            with pytest.raises(ValidationError):
+                solve(mt, kernel, **bad)
+
+
+def test_nonfinite_iterate_raises_convergence_error(two_mode):
+    mt, _ = two_mode
+    huge = Kernel(u=np.array([[0.0, -1e200], [-1e200, 0.0]]))  # U^2 overflows in D_k
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        solve_new_gap(mt, huge)
+
+
+def test_solution_residual_matches_public_residual(three_mode):
+    mt, kernel = three_mode
+    sol = solve_gap(mt, kernel)
+    assert sol.residual_inf == np.max(np.abs(gap_residual(mt, kernel, sol.delta)))
+    nsol = solve_new_gap(mt, kernel)
+    assert nsol.residual_inf == np.max(np.abs(new_gap_residual(mt, kernel, nsol.delta)))
 
 
 def test_solution_symmetric_exactly(three_mode):

@@ -126,6 +126,13 @@ def test_kernel_violations_reported(two_mode):
     assert any("shape" in v for v in validate_kernel(Kernel(u=np.zeros((3, 3))), mt))
 
 
+def test_kernel_nonfinite_entries_reported(two_mode):
+    mt, _ = two_mode
+    for value in (-np.inf, np.nan):
+        violations = validate_kernel(Kernel(u=[[0.0, value], [value, 0.0]]), mt)
+        assert any("finite" in v for v in violations)
+
+
 def test_kernel_parity_violation():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)])
     u = np.array([[0.0, -1.0, -2.0], [-1.0, 0.0, -3.0], [-2.0, -3.0, 0.0]])
