@@ -4,7 +4,13 @@ Every scalar produced by a formula here is paired with an independent
 matrix-side evaluation (dense eigendecomposition, explicit state vectors,
 sparse operator application); no check compares a formula to itself.
 `run_verification` bundles all checks for one instance into a deterministic
-report.
+report. It builds each operator, state and expectation once and shares it
+between the checks that read it: the ladder matrices, the pair tables
+(state, B_k state) of Psi_B, Psi and Psi~, the commutators [G, B_k] and the
+dense H-energies. The dense checks are skipped above `DENSE_MODE_CAP`, and
+the (Phi, Phi) = D/2 checks are skipped when D diverges. The report also
+holds the two gap solutions it verified (`solutions`), which the report
+files leave out.
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ class CheckResult:
 class VerificationReport:
     checks: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    # the verified GapSolutions by equation ("classic", "new"); not written to report files
+    solutions: dict = field(default_factory=dict, repr=False)
 
     def add(self, result: CheckResult) -> None:
         self.checks.append(result)
@@ -202,13 +210,9 @@ def hprime_bcs_expansion(
     return quartet_sum(mt, quasi, terms, psi_b)
 
 
-def ssb_witness(mt: ModeTable, state: np.ndarray, i: int, g=None, b=None) -> complex:
+def ssb_witness(mt: ModeTable, state: np.ndarray, i: int) -> complex:
     """(state, [G, B_k] state): a nonzero value certifies broken number symmetry."""
-    if g is None:
-        g = build_G(mt)
-    if b is None:
-        b = pair_annihilator(mt, i)
-    return expectation(state, commutator(g, b), state)
+    return expectation(state, commutator(build_G(mt), pair_annihilator(mt, i)), state)
 
 
 def corollary_new_selfconsistency(
@@ -246,16 +250,29 @@ def _certificate(name, residual, tol, sol) -> CheckResult:
     return CheckResult(name, 0.0, cert, cert, tol, bool(cert <= tol), reason=reason)
 
 
-def _ssb_deviation(mt, bundle, state) -> float:
-    """max_k |(state, [G, B_k] state) + 2 (state, B_k state)|."""
+def _ssb_deviation(state, charge_pairs, pairs) -> float:
+    """max_k |(state, [G, B_k] state) + 2 (state, B_k state)|, given [G, B_k] and the pair table."""
     return max(
-        (
-            abs(ssb_witness(mt, state, i, g=bundle.G, b=bundle.B[i])
-                + 2.0 * expectation(state, bundle.B[i], state))
-            for i in range(mt.n_modes)
-        ),
+        (abs(expectation(state, cp, state) + 2.0 * p) for cp, p in zip(charge_pairs, pairs)),
         default=0.0,
     )
+
+
+def _gamma_checks(report, prefix, quasi, psi_ref) -> None:
+    """CAR of the quasiparticle annihilators, and that each annihilates the paired state."""
+    gammas = quasi.all_ops()
+    report.add(_deviation(f"{prefix}_car", car_deviation(gammas), TOL_TIGHT))
+    dev = max((float(np.linalg.norm(g @ psi_ref)) for g in gammas), default=0.0)
+    report.add(_deviation(f"{prefix}_annihilates_bcs", dev, TOL_IDENTITY))
+
+
+def _overlap_check(name, kernel, sol, overlap, dsum) -> CheckResult:
+    """(Phi, Phi) = D/2, skipped when D diverges because the kernel couples two modes with E = 0."""
+    degenerate = list(sol.degenerate_modes)
+    coupled = [k for k in degenerate if np.any(kernel.u[k, degenerate] != 0.0)]
+    if coupled:
+        return _skip(name, f"D undefined: E=0 at kernel-coupled modes {coupled}")
+    return _compare(name, overlap, 0.5 * dsum, TOL_IDENTITY)
 
 
 def _physical_scalars(mt, kernel, sol, new_sol, corr) -> np.ndarray:
@@ -284,7 +301,7 @@ def run_verification(
     """
     report = VerificationReport()
     m = mt.n_modes
-    dense_ok = m <= DENSE_MODE_CAP
+    dense_skip = f"M={m} above dense cap" if m > DENSE_MODE_CAP else ""
     # several identities hold exactly only at a gap-equation solution, with
     # deviations proportional to the solver residual; solving tighter than the
     # certified tolerance keeps that amplification far below the check bars
@@ -299,14 +316,15 @@ def run_verification(
     report.add(_deviation("car_relations", anticommutator_check(m), 0.0))
 
     bundle = OperatorBundle(mt, kernel)
+    ident = identity_op(mt.dim)
+    ladders = [ladder_matrix(j, m) for j in range(mt.n_orbitals)]
     report.add(_deviation("charge_commutes_with_h", op_norm_inf(commutator(bundle.G, bundle.H)), TOL_TIGHT))
 
     dev_c = 0.0
     dev_h = 0.0
     for alpha in (0.3, 1.0, math.pi):
         phase = np.exp(1j * alpha)
-        for j in range(mt.n_orbitals):
-            c_op = ladder_matrix(j, m)
+        for c_op in ladders:
             rotated = conjugate_series(c_op, bundle.G, alpha, tol=1e-12)
             dev_c = max(dev_c, op_norm_inf(rotated - phase * c_op))
         dev_h = max(dev_h, op_norm_inf(conjugate_series(bundle.H, bundle.G, alpha, tol=1e-12) - bundle.H))
@@ -323,25 +341,20 @@ def run_verification(
     report.add(_deviation("bcs_product_vs_exponential", float(np.linalg.norm(psi_b - psi_b_exp)), TOL_IDENTITY))
     psi_f = fermi_vacuum(mt)
 
-    w_dense = np.array([expectation(psi_b, bundle.B[i], psi_b).real for i in range(m)])
-    dev = max(
-        (abs(expectation(psi_b, bundle.B[i], psi_b) - 0.5 * angles.sin2t[i]) for i in range(m)),
-        default=0.0,
-    )
+    pairs_b = [expectation(psi_b, b, psi_b) for b in bundle.B]
+    w_dense = np.array([p.real for p in pairs_b])
+    dev = max((abs(p - 0.5 * s) for p, s in zip(pairs_b, angles.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
-    report.add(_deviation("ssb_witness_commutator", _ssb_deviation(mt, bundle, psi_b), TOL_EXPECT))
+    charge_pairs = [commutator(bundle.G, b) for b in bundle.B]
+    report.add(_deviation("ssb_witness_commutator", _ssb_deviation(psi_b, charge_pairs, pairs_b), TOL_EXPECT))
 
     gb = build_GB(mt, angles)
     dev = 0.0
     for i in range(m):
         dev = max(dev, op_norm_inf(commutator(bundle.h[i], 1j * gb) - 2.0 * angles.theta[i] * bundle.v[i]))
         dev = max(
-            dev,
-            op_norm_inf(
-                commutator(bundle.v[i], 1j * gb)
-                + 2.0 * angles.theta[i] * (bundle.h[i] - identity_op(mt.dim))
-            ),
+            dev, op_norm_inf(commutator(bundle.v[i], 1j * gb) + 2.0 * angles.theta[i] * (bundle.h[i] - ident))
         )
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
 
@@ -352,69 +365,62 @@ def run_verification(
         rhs = (
             (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
             + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
-            + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * identity_op(mt.dim)
+            + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * ident
         )
         dev = max(dev, op_norm_inf(lhs - rhs))
     report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
 
     quasi = quasi_ops(mt, angles)
-    gammas = quasi.all_ops()
-    report.add(_deviation("gamma_car", car_deviation(gammas), TOL_TIGHT))
+    _gamma_checks(report, "gamma", quasi, psi_b)
 
-    dev = max((float(np.linalg.norm(g @ psi_b)) for g in gammas), default=0.0)
-    report.add(_deviation("gamma_annihilates_bcs", dev, TOL_IDENTITY))
-
-    if dense_ok:
+    if dense_skip:
+        report.add(_skip("gamma_closed_form_vs_conjugation", dense_skip))
+    else:
         dev = 0.0
         for i in range(m):
             for closed, j in ((quasi.up[i], mt.orb_up(i)), (quasi.dn[i], mt.orb_dn(i))):
-                rotated = conjugate_series(ladder_matrix(j, m), gb, -1.0, tol=1e-11)
+                rotated = conjugate_series(ladders[j], gb, -1.0, tol=1e-11)
                 dev = max(dev, op_norm_inf(closed - rotated))
         report.add(_deviation("gamma_closed_form_vs_conjugation", dev, TOL_LOOSE))
-    else:
-        report.add(_skip("gamma_closed_form_vs_conjugation", f"M={m} above dense cap"))
 
     # --- mean-field splitting -----------------------------------------------
     hm = build_HM(mt, sol.delta, w_dense)
-    ident = identity_op(mt.dim)
-    fluct = None
+    fluct = 0.0 * ident
     for kp in range(m):
         bdag = adjoint(bundle.B[kp] - w_dense[kp] * ident)
         for k in range(m):
             u = kernel.u[k, kp]
             if u == 0.0:
                 continue
-            term = u * (bdag @ (bundle.B[k] - w_dense[k] * ident))
-            fluct = term if fluct is None else fluct + term
-    if fluct is None:
-        fluct = 0.0 * ident
+            fluct = fluct + u * (bdag @ (bundle.B[k] - w_dense[k] * ident))
     report.add(_deviation("hm_splitting", op_norm_inf(bundle.H - hm - fluct), TOL_IDENTITY))
+    # neither is read again; the corrected-state checks below set the peak memory
+    del ladders, fluct
 
     hprime = build_Hprime(mt, kernel, angles)
     report.add(_deviation("hprime_definition", op_norm_inf(hprime - (bundle.H - hm)), TOL_IDENTITY))
 
     # --- energies ------------------------------------------------------------
+    e_f = expectation(psi_f, bundle.H, psi_f).real
+    e_b = expectation(psi_b, bundle.H, psi_b).real
     ebcs = ebcs_formula(mt, angles, w_dense)
     report.add(_compare("ebcs_formula_vs_dense_hm", ebcs, expectation(psi_b, hm, psi_b).real, TOL_IDENTITY))
     if sol.converged:
-        report.add(_compare("ebcs_formula_vs_dense_h", ebcs, expectation(psi_b, bundle.H, psi_b).real, TOL_IDENTITY))
+        report.add(_compare("ebcs_formula_vs_dense_h", ebcs, e_b, TOL_IDENTITY))
     else:
         report.add(_skip("ebcs_formula_vs_dense_h", "needs a gap-equation solution"))
-    report.add(
-        _compare("fermi_vacuum_energy", free_fermi_energy(mt), expectation(psi_f, bundle.H, psi_f).real, TOL_IDENTITY)
-    )
+    report.add(_compare("fermi_vacuum_energy", free_fermi_energy(mt), e_f, TOL_IDENTITY))
 
-    if dense_ok:
+    if dense_skip:
+        report.add(_skip("hm_spectrum_multiset", dense_skip))
+        report.add(_skip("hm_ground_equals_ebcs", dense_skip))
+    else:
         dev, spectrum = hm_spectrum_check(hm, mt, sol.delta, ebcs)
         report.add(_deviation("hm_spectrum_multiset", dev, TOL_LOOSE))
         report.add(_compare("hm_ground_equals_ebcs", ebcs, float(spectrum[0]), TOL_LOOSE))
-    else:
-        report.add(_skip("hm_spectrum_multiset", f"M={m} above dense cap"))
-        report.add(_skip("hm_ground_equals_ebcs", f"M={m} above dense cap"))
 
     if sol.converged:
-        dense_diff = (expectation(psi_b, bundle.H, psi_b) - expectation(psi_f, bundle.H, psi_f)).real
-        report.add(_compare("condensation_energy", condensation_energy(mt, sol.delta), dense_diff, TOL_IDENTITY))
+        report.add(_compare("condensation_energy", condensation_energy(mt, sol.delta), e_b - e_f, TOL_IDENTITY))
     else:
         report.add(_skip("condensation_energy", "needs a gap-equation solution"))
 
@@ -424,16 +430,17 @@ def run_verification(
     report.add(_deviation("bcs_phi_orthogonal", abs(np.vdot(psi_b, corr.phi)), TOL_TIGHT))
 
     dk, dsum = dk_weights(mt, kernel, sol.delta)
-    report.add(_compare("phi_overlap_equals_half_dsum", corr.overlap, 0.5 * dsum, TOL_IDENTITY))
+    report.add(_overlap_check("phi_overlap_equals_half_dsum", kernel, sol, corr.overlap, dsum))
 
-    report.add(_deviation("hprime_on_bcs_vanishes", abs(expectation(psi_b, hprime, psi_b)), TOL_IDENTITY))
+    hprime_psi_b = hprime @ psi_b
+    report.add(_deviation("hprime_on_bcs_vanishes", abs(np.vdot(psi_b, hprime_psi_b)), TOL_IDENTITY))
     expansion = hprime_bcs_expansion(mt, kernel, angles, quasi, psi_b)
-    report.add(_deviation("hprime_bcs_expansion", float(np.linalg.norm(hprime @ psi_b - expansion)), TOL_IDENTITY))
+    report.add(_deviation("hprime_bcs_expansion", float(np.linalg.norm(hprime_psi_b - expansion)), TOL_IDENTITY))
     report.add(
         _compare(
             "phi_hprime_bcs_formula",
             phi_hprime_coupling_formula(mt, kernel, angles),
-            np.vdot(corr.phi, hprime @ psi_b).real,
+            np.vdot(corr.phi, hprime_psi_b).real,
             TOL_LOOSE,
         )
     )
@@ -446,26 +453,20 @@ def run_verification(
         )
     )
 
+    e_psi = expectation(psi, bundle.H, psi).real
     denergy = delta_E_formula(mt, kernel, angles, corr.overlap)
-    dense_diff = (expectation(psi, bundle.H, psi) - expectation(psi_b, bundle.H, psi_b)).real
-    report.add(_compare("delta_e_formula_vs_dense", denergy, dense_diff, TOL_LOOSE))
+    report.add(_compare("delta_e_formula_vs_dense", denergy, e_psi - e_b, TOL_LOOSE))
 
     offdiag = np.any(kernel.u != 0.0)
     if sol.converged and not sol.trivial and offdiag:
-        e_psi = expectation(psi, bundle.H, psi).real
-        e_bcs = expectation(psi_b, bundle.H, psi_b).real
-        e_f = expectation(psi_f, bundle.H, psi_f).real
-        ordered = (e_psi < e_bcs - STRICT_MARGIN) and (e_bcs < e_f - STRICT_MARGIN)
+        ordered = (e_psi < e_b - STRICT_MARGIN) and (e_b < e_f - STRICT_MARGIN)
         report.add(CheckResult("energy_ordering_chain", e_psi, e_f, e_f - e_psi, STRICT_MARGIN, bool(ordered)))
     else:
         report.add(_skip("energy_ordering_chain", "needs a nontrivial gap and nonzero coupling"))
 
     shrink = correction_factor(dk, dsum)
     dev = max(
-        (
-            abs(expectation(psi, bundle.B[i], psi) - 0.5 * angles.sin2t[i] * shrink[i])
-            for i in range(m)
-        ),
+        (abs(expectation(psi, b, psi) - 0.5 * s * f) for b, s, f in zip(bundle.B, angles.sin2t, shrink)),
         default=0.0,
     )
     report.add(_deviation("corrected_pair_expectation", dev, TOL_IDENTITY))
@@ -486,14 +487,11 @@ def run_verification(
     angles_t = new_sol.theta
     psi_bt = bcs_state(mt, angles_t)
     quasi_t = quasi_ops(mt, angles_t)
-    gammas_t = quasi_t.all_ops()
-    report.add(_deviation("gamma_tilde_car", car_deviation(gammas_t), TOL_TIGHT))
-    dev = max((float(np.linalg.norm(g @ psi_bt)) for g in gammas_t), default=0.0)
-    report.add(_deviation("gamma_tilde_annihilates_bcs", dev, TOL_IDENTITY))
+    _gamma_checks(report, "gamma_tilde", quasi_t, psi_bt)
 
     corr_t = correction_state(mt, kernel, angles_t, quasi_t, psi_bt)
     psi_t = normalized_psi(psi_bt, corr_t)
-    report.add(_compare("new_overlap_identity", corr_t.overlap, 0.5 * new_sol.dsum, TOL_IDENTITY))
+    report.add(_overlap_check("new_overlap_identity", kernel, new_sol, corr_t.overlap, new_sol.dsum))
 
     if new_sol.converged:
         dev = corollary_new_selfconsistency(mt, kernel, new_sol, psi_t, b_ops=bundle.B)
@@ -501,16 +499,16 @@ def run_verification(
     else:
         report.add(_skip("corollary_new_selfconsistency", "corrected equation did not converge"))
 
-    w_t = np.array([expectation(psi_t, bundle.B[i], psi_t).real for i in range(m)])
-    hm_t = build_HM(mt, new_sol.delta, w_t)
-    ebcs_t = ebcs_formula(mt, angles_t, w_t)
-    if dense_ok:
-        dev, _ = hm_spectrum_check(hm_t, mt, new_sol.delta, ebcs_t)
-        report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
+    pairs_t = [expectation(psi_t, b, psi_t) for b in bundle.B]
+    if dense_skip:
+        report.add(_skip("new_spectrum_multiset", dense_skip))
     else:
-        report.add(_skip("new_spectrum_multiset", f"M={m} above dense cap"))
+        w_t = np.array([p.real for p in pairs_t])
+        ebcs_t = ebcs_formula(mt, angles_t, w_t)
+        dev, _ = hm_spectrum_check(build_HM(mt, new_sol.delta, w_t), mt, new_sol.delta, ebcs_t)
+        report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
-    report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(mt, bundle, psi_t), TOL_EXPECT))
+    report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, pairs_t), TOL_EXPECT))
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)
@@ -524,6 +522,7 @@ def run_verification(
     moved = _physical_scalars(mt_p, kernel_p, sol_p, new_sol_p, corr_p)
     report.add(_deviation("ordering_invariance", float(np.max(np.abs(base - moved))), TOL_IDENTITY))
 
+    report.solutions = {"classic": sol, "new": new_sol}
     report.metadata = {
         "n_modes": m,
         "modes": [list(n) for n in mt.nvecs],

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -409,10 +409,7 @@ def _filter_checks(report: VerificationReport, wanted) -> VerificationReport:
     unknown = names - {c.name for c in report.checks}
     if unknown:
         raise ValidationError(f"unknown check names: {sorted(unknown)}")
-    filtered = VerificationReport(
-        checks=[c for c in report.checks if c.name in names], metadata=report.metadata
-    )
-    return filtered
+    return replace(report, checks=[c for c in report.checks if c.name in names])
 
 
 def _cmd_verify(args, include_solutions: bool = False) -> int:
@@ -420,8 +417,7 @@ def _cmd_verify(args, include_solutions: bool = False) -> int:
     report = run_verification(cfg.mt, cfg.kernel, **cfg.solver, seed=cfg.seed)
     report = _filter_checks(report, cfg.checks)
     if include_solutions:
-        for equation in ("classic", "new"):
-            sol = _solve(cfg, equation)
+        for equation, sol in report.solutions.items():
             print(f"--- {equation} gap equation ---")
             _print_solution(cfg.mt, sol)
         print("--- verification ---")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .fock import check_mode_count, space_dim
+from .errors import ResourceLimitError, ValidationError
+from .fock import check_mode_count, mode_cap, space_dim
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +90,14 @@ def _pair_map(nvecs) -> np.ndarray:
     return pair
 
 
+def _check_scales(L: float, mass: float) -> None:
+    """The box size and the mass divide xi = hbar^2 |k|^2 / (2m) - mu, so both must be positive."""
+    if not L > 0:
+        raise ValidationError(f"box size L must be positive, got {L!r}")
+    if not mass > 0:
+        raise ValidationError(f"mass m must be positive, got {mass!r}")
+
+
 def build_lambda(
     L: float,
     kmax: float,
@@ -102,10 +110,23 @@ def build_lambda(
     The shell test carries a 1e-8 relative slack so that truncated-decimal
     box sizes (e.g. L = 6.2831853 for 2*pi) keep their boundary shells.
     """
-    if L <= 0 or kmax <= 0:
-        raise ValidationError("L and kmax must be positive")
+    _check_scales(L, mass)
+    if not kmax > 0:
+        raise ValidationError(f"kmax must be positive, got {kmax!r}")
     kcut = kmax * (1.0 + 1e-8)
-    nmax = int(math.floor(kcut * L / TWO_PI))
+    reach = kcut * L / TWO_PI
+    cap = mode_cap()
+    if not math.isfinite(reach):
+        raise ResourceLimitError(f"L={L} and kmax={kmax} overflow the mode count, beyond the cap M<={cap}")
+    nmax = math.floor(reach)
+    # the ball holds the cube |n_i| <= nmax/sqrt(3); a box whose cube alone
+    # passes the cap is rejected before its (2 nmax + 1)^3 triples are enumerated
+    at_least = (2 * math.floor(nmax / math.sqrt(3)) + 1) ** 3
+    if at_least > cap:
+        raise ResourceLimitError(
+            f"L={L} and kmax={kmax} give M>={at_least} modes, beyond the cap M<={cap} "
+            "(set BCSLAB_DIM_CAP to override)"
+        )
     scale = TWO_PI / L
     nvecs = []
     for n1 in range(-nmax, nmax + 1):
@@ -135,6 +156,7 @@ def explicit_modes(
     The list must be closed under negation; an xi override, if given, must
     be constant on each {k, -k} orbit.
     """
+    _check_scales(L, mass)
     nvecs = tuple(tuple(int(c) for c in k) for k in ks)
     if len(set(nvecs)) != len(nvecs):
         raise ValidationError("duplicate wave vectors in mode list")

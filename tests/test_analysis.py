@@ -336,3 +336,15 @@ def test_run_verification_self_paired_only():
     mt = explicit_modes([(0, 0, 0)], mu=1.0)
     report = run_verification(mt, Kernel(u=np.zeros((1, 1))))
     assert report.all_passed
+
+
+def test_run_verification_skips_d_checks_when_d_undefined():
+    """xi = 0 with U = -4: the corrected equation collapses onto two coupled E = 0 modes."""
+    mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[0.0, 0.0])
+    report = run_verification(mt, Kernel(u=np.array([[0.0, -4.0], [-4.0, 0.0]])))
+    assert report.metadata["new"]["trivial"] and report.metadata["new"]["dsum"] > 1e30
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["new_overlap_identity"].skipped
+    assert by_name["new_overlap_identity"].reason == "D undefined: E=0 at kernel-coupled modes [0, 1]"
+    assert not by_name["phi_overlap_equals_half_dsum"].skipped  # the classic gap is nonzero
+    assert report.all_passed

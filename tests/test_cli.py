@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bcslab
+from bcslab import gapsolve
 from bcslab.analysis import CheckResult, VerificationReport
 from bcslab.cli import emit_report, load_config, main
 from bcslab.errors import ValidationError
@@ -213,6 +219,9 @@ def test_verify_checks_filter(tmp_path, capsys):
         ({"kernel": {"matrix": [[0, -math.inf], [-math.inf, 0]]}}, {}, "kernel.matrix"),
         ({"solver": {"max_iter": 2.5}}, {}, "solver.max_iter"),
         ({"output": {"dir": ["out"]}}, {}, "output.dir"),
+        ({"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "L": 0}}, {}, "box size L"),
+        ({"physics": {"m": 0}}, {}, "mass m"),
+        ({"lattice": {"L": 6.283185307179586, "kmax": 1.0}, "physics": {"m": -0.5}}, {}, "mass m"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
@@ -285,7 +294,7 @@ def test_nonfinite_iterate_exits_as_convergence_error(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("instance", ["pair", "three_mode"])
+@pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode"])
 def test_verify_matches_golden_report(instance, tmp_path, capsys):
     """Reports stay byte-identical to the committed ones for existing configs."""
     golden = GOLDEN / instance
@@ -300,6 +309,39 @@ def test_report_command(pair_config, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "classic gap equation" in out
     assert "verification" in out
+
+
+def test_report_solves_each_gap_equation_once(pair_config, monkeypatch, capsys):
+    """report prints the solutions the verification solved; it does not solve them again."""
+    solves = []
+    solve = gapsolve._solve
+    monkeypatch.setattr(gapsolve, "_solve", lambda *args: solves.append(args) or solve(*args))
+    assert main(["report", "--config", pair_config]) == 0
+    assert len(solves) == 5  # classic, corrected, correction pinned at 1, and the permuted pair
+
+
+def test_report_prints_the_iterations_of_its_report(tmp_path, capsys):
+    # tol = 1e-10 here, looser than the 1e-12 the verification solves at
+    config = GOLDEN / "three_mode" / "config.json"
+    assert main(["report", "--config", str(config), "--out", str(tmp_path)]) == 0
+    printed = re.findall(r"^equation=(\w+) .* iterations=(\d+) ", capsys.readouterr().out, re.M)
+    metadata = json.loads((tmp_path / "report.json").read_text())["metadata"]
+    assert printed == [(eq, str(metadata[eq]["iterations"])) for eq in ("classic", "new")]
+
+
+def test_lattice_too_large_for_the_cap_exits_promptly(tmp_path):
+    """(2 nmax + 1)^3 ~ 3e16 triples at L = 1e6: the box must be rejected before enumerating them."""
+    cfg = write_config(tmp_path, "big.json", {**PAIR_CONFIG, "lattice": {"L": 1e6, "kmax": 1.0}})
+    src = Path(bcslab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcslab", "lattice", "--config", cfg],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource/convergence error:") and "M>=" in proc.stderr
 
 
 def test_verify_deterministic_output(pair_config, tmp_path):

@@ -63,6 +63,20 @@ def test_ball_exceeding_cap_reports_m(monkeypatch):
         build_lambda(TWO_PI, 1.5)
 
 
+@pytest.mark.parametrize(
+    "L, kmax, cap, stated",
+    [
+        (TWO_PI, 2.0, "26", "M>=27 modes"),  # brute_ball_count(4.0) is 33
+        (1e6, 1.0, "7", "M>=6206679133609375 modes"),  # ~3e16 triples to enumerate
+        (1e200, 1e200, "7", "overflow the mode count"),
+    ],
+)
+def test_ball_beyond_cap_rejected_before_enumeration(monkeypatch, L, kmax, cap, stated):
+    monkeypatch.setenv("BCSLAB_DIM_CAP", cap)
+    with pytest.raises(ResourceLimitError, match=f"{stated}, beyond the cap M<={cap}"):
+        build_lambda(L, kmax)
+
+
 def test_xi_formula_and_parity():
     mt = build_lambda(TWO_PI, 1.0, mu=0.3)
     for i in range(mt.n_modes):
