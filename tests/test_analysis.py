@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from bcslab.analysis import (
+    TOL_LOOSE,
     condensation_energy,
     corollary_new_selfconsistency,
     delta_E_formula,
@@ -15,7 +17,7 @@ from bcslab.analysis import (
     ssb_witness,
 )
 from bcslab.errors import ResourceLimitError, ValidationError
-from bcslab.fock import expectation, vacuum_state
+from bcslab.fock import adjoint, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
 from bcslab.hamiltonian import build_H, build_HM, build_Hprime, pair_annihilator
 from bcslab.model import Kernel, explicit_modes, separable_kernel
@@ -86,6 +88,76 @@ def test_hm_spectrum_resource_cap():
     )
     with pytest.raises(ResourceLimitError):
         hm_spectrum_check(None, mt, GapTable(delta=np.zeros(7)), 0.0)
+
+
+SECTOR_INSTANCES = {
+    "pair": [(1, 0, 0), (-1, 0, 0)],
+    "three_mode": [(0, 0, 0), (1, 0, 0), (-1, 0, 0)],
+    "e1_e2": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+}
+
+
+def random_hm(modes, rng, variant):
+    """H_M at a random gap table with Delta(-k) = Delta(k), and its E_BCS.
+
+    The classic variant takes w = sin(2 theta)/2 of Psi_B; the corrected one
+    takes w from an arbitrary state, here random.
+    """
+    mt = explicit_modes(modes, mu=0.5)
+    delta = rng.uniform(0.2, 1.8, size=mt.n_modes)
+    gap = GapTable(delta=0.5 * (delta + delta[mt.pair]))
+    angles = AngleTable.from_delta(mt, gap)
+    w = 0.5 * angles.sin2t if variant == "classic" else rng.uniform(-0.5, 0.5, size=mt.n_modes)
+    return mt, gap, build_HM(mt, gap, w), ebcs_formula(mt, angles, w)
+
+
+@pytest.mark.parametrize("variant", ["classic", "corrected"])
+@pytest.mark.parametrize("name", sorted(SECTOR_INSTANCES))
+def test_hm_sector_spectrum_matches_dense_oracle(name, variant):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        mt, gap, hm, ebcs = random_hm(SECTOR_INSTANCES[name], rng, variant)
+        dev, spectrum = hm_spectrum_check(hm, mt, gap, ebcs)
+        oracle = np.linalg.eigvalsh(hm.toarray())
+        assert spectrum.shape == (mt.dim,)
+        assert np.max(np.abs(spectrum - oracle)) <= 1e-12
+        assert dev <= 1e-9
+
+
+def test_hm_spectrum_detects_sector_leak():
+    rng = np.random.default_rng(3)
+    mt, gap, hm, ebcs = random_hm(SECTOR_INSTANCES["pair"], rng, "classic")
+    # orbital (k0, up) pairs with (-k0, dn); orbital (k1, up) sits in the other pair sector
+    a = ladder_matrix(mt.orb_up(0), mt.n_modes)
+    b = ladder_matrix(mt.orb_up(1), mt.n_modes)
+    eps = 1e-6
+    leaky = csr_array(hm + eps * (adjoint(a) @ b + adjoint(b) @ a))
+    assert hm_spectrum_check(hm, mt, gap, ebcs)[0] <= 1e-12
+    dev, _ = hm_spectrum_check(leaky, mt, gap, ebcs)
+    assert dev >= eps > TOL_LOOSE  # the spectrum check fails
+
+
+def test_hm_spectrum_reads_both_triangles():
+    rng = np.random.default_rng(4)
+    mt, gap, hm, ebcs = random_hm(SECTOR_INSTANCES["pair"], rng, "classic")
+    # the vacuum and the filled state share the sector d = (0, 0); H_M moves one pair, so
+    # their entry is zero and an entry placed above the diagonal only is not selfadjoint
+    eps = 1e-6
+    upper = csr_array(([eps], ([0], [mt.dim - 1])), shape=hm.shape)
+    dev, _ = hm_spectrum_check(csr_array(hm + upper), mt, gap, ebcs)
+    assert dev >= eps > TOL_LOOSE
+
+
+def test_hm_spectrum_block_size_stays_within_sector(monkeypatch):
+    rng = np.random.default_rng(5)
+    modes = [(0, 0, 0)] + SECTOR_INSTANCES["e1_e2"]
+    mt, gap, hm, ebcs = random_hm(modes, rng, "classic")
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    dev, spectrum = hm_spectrum_check(hm, mt, gap, ebcs)
+    assert dev <= 1e-9 and spectrum.shape == (1024,)
+    assert shapes and max(s[-1] for s in shapes) <= 2**mt.n_modes
 
 
 def test_condensation_energy_values(two_mode):
