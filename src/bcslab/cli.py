@@ -2,7 +2,8 @@
 
 Subcommands: lattice, solve-gap, solve-new-gap, spectrum, energy, verify,
 report.  Exit codes: 0 success / all checks pass, 1 check failures,
-2 usage or config errors, 3 resource or convergence errors.
+2 usage or config errors, 3 resource or convergence errors (for verify and
+report also a gap solve that did not converge).
 
 Configs are JSON; see README for the schema.  Human-readable tables go to
 stdout, diagnostics to stderr, machine-readable reports to --out.
@@ -429,8 +430,12 @@ def _cmd_verify(args, include_solutions: bool = False) -> int:
             print(f"wrote {path}")
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)
-        return EXIT_CHECK_FAILURES
-    return EXIT_OK
+    unsolved = [equation for equation, sol in report.solutions.items() if not sol.converged]
+    for equation in unsolved:
+        print(f"{equation} gap equation did not converge", file=sys.stderr)
+    if unsolved:
+        return EXIT_RESOURCE
+    return EXIT_CHECK_FAILURES if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,7 +69,6 @@ class AngleTable:
     cos_t: np.ndarray
     sin2t: np.ndarray
     cos2t: np.ndarray
-    xi: np.ndarray
     energy: np.ndarray | None = None
     delta: np.ndarray | None = None
 
@@ -89,7 +88,7 @@ class AngleTable:
         sin_t = np.sqrt(np.clip((1.0 - cos2t) / 2.0, 0.0, 1.0))
         return cls(
             theta=theta, sin_t=sin_t, cos_t=cos_t, sin2t=sin2t, cos2t=cos2t,
-            xi=xi, energy=energy, delta=delta,
+            energy=energy, delta=delta,
         )
 
     @classmethod
@@ -109,7 +108,6 @@ class AngleTable:
             cos_t=np.cos(theta),
             sin2t=np.sin(2.0 * theta),
             cos2t=np.cos(2.0 * theta),
-            xi=mt.xi,
         )
 
     def validate(self, mt: ModeTable) -> None:

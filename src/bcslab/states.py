@@ -63,10 +63,9 @@ def bcs_state(mt: ModeTable, angles: AngleTable) -> np.ndarray:
     return v
 
 
-def bcs_state_exponential(mt: ModeTable, angles: AngleTable, tol: float = 1e-12) -> np.ndarray:
+def bcs_state_exponential(mt: ModeTable, angles: AngleTable) -> np.ndarray:
     """Same state through exp(i G_B)|0>; independent route for cross-checks."""
-    gb = build_GB(mt, angles)
-    return evolve_state(gb, vacuum_state(mt.n_modes), tol=tol)
+    return evolve_state(build_GB(mt, angles), vacuum_state(mt.n_modes))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from bcslab.analysis import (
     run_verification,
     ssb_witness,
 )
-from bcslab.errors import ResourceLimitError, ValidationError
+from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
 from bcslab.hamiltonian import build_H, build_HM, build_Hprime, pair_annihilator
@@ -80,14 +80,6 @@ def test_hm_spectrum_free_limit():
     ebcs = ebcs_formula(mt, angles, np.zeros(3))
     dev, _ = hm_spectrum_check(hm, mt, gap, ebcs)
     assert dev <= 1e-12
-
-
-def test_hm_spectrum_resource_cap():
-    mt = explicit_modes(
-        [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    )
-    with pytest.raises(ResourceLimitError):
-        hm_spectrum_check(None, mt, GapTable(delta=np.zeros(7)), 0.0)
 
 
 SECTOR_INSTANCES = {
@@ -388,6 +380,16 @@ def test_run_verification_zero_interaction(two_mode):
     skipped = {c.name: c.reason for c in report.checks if c.skipped}
     assert "energy_ordering_chain" in skipped
     assert all(reason for reason in skipped.values())
+
+
+def test_new_gap_reduction_reads_the_classic_solution(two_mode):
+    """An unconverged classic gap fails the reduction check instead of being compared with itself."""
+    mt, kernel = two_mode
+    report = run_verification(mt, kernel, damping=1.0, tol=1e-12, max_iter=3)
+    by_name = {c.name: c for c in report.checks}
+    assert not by_name["gap_solution_classic"].passed
+    assert not by_name["new_gap_reduction"].passed
+    assert by_name["new_gap_reduction"].deviation > 1e-3
 
 
 def test_run_verification_rejects_bad_kernel(two_mode):

@@ -147,6 +147,23 @@ def test_spectrum_command(pair_config, capsys):
     assert main(["spectrum", "--config", pair_config, "--equation", "new"]) == 0
 
 
+def test_spectrum_command_on_the_seven_mode_lattice(tmp_path, capsys):
+    """The sector route diagonalizes H_M at every M up to the mode cap."""
+    cfg = write_config(
+        tmp_path,
+        "m7.json",
+        {
+            "lattice": {"L": 6.283185307179586, "kmax": 1.0},
+            "physics": {"mu": 1.0},
+            "kernel": {"separable": {"g": 2.0, "shell": [0.5, 1.5]}},
+        },
+    )
+    for equation in ("classic", "new"):
+        assert main(["spectrum", "--config", cfg, "--equation", equation]) == 0
+        dev = re.search(r"deviation = (\S+)", capsys.readouterr().out).group(1)
+        assert float(dev) <= 1e-9
+
+
 def test_energy_command(pair_config, capsys):
     assert main(["energy", "--config", pair_config]) == 0
     out = capsys.readouterr().out
@@ -291,6 +308,25 @@ def test_nonfinite_iterate_exits_as_convergence_error(tmp_path, capsys):
     assert err.startswith("resource/convergence error:") and "non-finite" in err
 
 
+def test_unconverged_gap_solve_exits_as_convergence_error(tmp_path, capsys):
+    # the correction factor is <= 0 on both modes: the corrected iteration never settles
+    payload = {
+        "lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "xi": [0.2711921194798909] * 2},
+        "kernel": {"matrix": [[0, -3.1152392532996203], [-3.1152392532996203, 0]]},
+    }
+    cfg = write_config(tmp_path, "unsettled.json", payload)
+    assert main(["solve-new-gap", "--config", cfg]) == 3
+    capsys.readouterr()
+    for command in ("verify", "report"):
+        out_dir = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert "gap_solution_new" in captured.out
+        assert "new gap equation did not converge" in captured.err
+        assert "classic gap equation did not converge" not in captured.err
+        assert (out_dir / "report.json").is_file() and (out_dir / "report.csv").is_file()
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -317,7 +353,7 @@ def test_report_solves_each_gap_equation_once(pair_config, monkeypatch, capsys):
     solve = gapsolve._solve
     monkeypatch.setattr(gapsolve, "_solve", lambda *args: solves.append(args) or solve(*args))
     assert main(["report", "--config", pair_config]) == 0
-    assert len(solves) == 5  # classic, corrected, correction pinned at 1, and the permuted pair
+    assert len(solves) == 4  # classic, corrected, and the permuted pair
 
 
 def test_report_prints_the_iterations_of_its_report(tmp_path, capsys):
