@@ -351,8 +351,10 @@ def run_verification(
     """Run every identity check for one instance, in a fixed documented order.
 
     Check failures are recorded in the report, never raised; infrastructure
-    errors (bad kernel, dimension cap) abort with context.
+    errors (bad kernel or seed, dimension cap) abort with context.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     report = VerificationReport()
     m = mt.n_modes
     dense_skip = f"M={m} above dense cap" if m > DENSE_MODE_CAP else ""

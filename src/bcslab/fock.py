@@ -126,8 +126,8 @@ def op_norm_inf(a) -> float:
     return float(abs(a).sum(axis=1).max())
 
 
-def is_selfadjoint(a, tol: float = SELFADJOINT_TOL) -> bool:
-    return op_norm_inf(a - adjoint(a)) <= tol
+def is_selfadjoint(a) -> bool:
+    return op_norm_inf(a - adjoint(a)) <= SELFADJOINT_TOL
 
 
 def car_deviation(ann: list) -> float:

@@ -274,14 +274,9 @@ def solve_new_gap(
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    include_correction: bool = True,
 ) -> GapSolution:
-    """Solve the corrected gap equation; D_k, D are refreshed from each iterate.
-
-    `include_correction=False` pins the correction factor at 1, reproducing
-    the classic equation on the same code path (cross-check hook).
-    """
-    sol = _solve(mt, kernel, include_correction, init, damping, tol, max_iter)
+    """Solve the corrected gap equation; D_k, D are refreshed from each iterate."""
+    sol = _solve(mt, kernel, True, init, damping, tol, max_iter)
     dk, dsum = dk_weights(mt, kernel, sol.delta)
     return replace(
         sol,

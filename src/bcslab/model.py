@@ -1,15 +1,17 @@
 """Momentum lattice, single-particle energies and the pairing kernel.
 
-Wave vectors are integer triples n scaled by 2*pi/L.  The mode list is
-closed under negation; `pair` maps each mode index to the index of its
-negative.  Single-particle energies default to xi_k = hbar^2 |k|^2/(2m) - mu
-with hbar = 1 and 2m = 1, i.e. xi = |k|^2 - mu in desk units.
+Wave vectors are integer triples n scaled by 2*pi/L.  `ModeTable` itself
+enforces the lattice rule, whichever factory built the table: distinct
+triples, at most the mode cap, closed under negation, xi finite and even
+in k.  `pair` maps each mode index to the index of its negative.
+Single-particle energies default to xi_k = hbar^2 |k|^2/(2m) - mu with
+hbar = 1 and 2m = 1, i.e. xi = |k|^2 - mu in desk units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,16 +23,37 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True, eq=False)
 class ModeTable:
-    """Ordered set of wave vectors with energies and the k <-> -k involution."""
+    """Ordered set of wave vectors with energies and the k <-> -k involution.
+
+    Construction raises ValidationError for a table that breaks the lattice
+    rule and ResourceLimitError beyond the mode cap; `pair` is derived.
+    """
 
     nvecs: tuple  # integer triples; physical k = (2*pi/L) * n
     xi: np.ndarray
-    pair: np.ndarray  # pair[i] = index of -k_i
     L: float = TWO_PI
-    mu: float = 0.0
-    hbar: float = 1.0
-    mass: float = 0.5  # electron mass m; 2m defaults to 1
-    kmax: float | None = None
+    pair: np.ndarray = field(init=False)  # pair[i] = index of -k_i
+
+    def __post_init__(self):
+        nvecs = tuple(self.nvecs)
+        for n in nvecs:
+            if not (isinstance(n, tuple) and len(n) == 3 and all(isinstance(c, int) for c in n)):
+                raise ValidationError(f"wave vectors must be integer triples, got {n!r}")
+        if len(set(nvecs)) != len(nvecs):
+            raise ValidationError("duplicate wave vectors in mode list")
+        check_mode_count(len(nvecs))
+        pair = _pair_map(nvecs)
+        xi = np.array(self.xi, dtype=np.float64)
+        if xi.shape != (len(nvecs),):
+            raise ValidationError(f"xi has {xi.size} entries for {len(nvecs)} modes")
+        for i, j in enumerate(pair):
+            if not (math.isfinite(xi[i]) and xi[i] == xi[j]):
+                raise ValidationError(
+                    f"xi must be finite and even in k: xi(k)={xi[i]}, xi(-k)={xi[j]} at k={nvecs[i]}"
+                )
+        object.__setattr__(self, "nvecs", nvecs)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "pair", pair)
 
     @property
     def n_modes(self) -> int:
@@ -72,10 +95,14 @@ class Kernel:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
 
 
-def _xi_formula(nvecs, L: float, mu: float, hbar: float, mass: float) -> np.ndarray:
+def _xi_formula(nvecs, L: float, mu: float, hbar: float, mass: float) -> list:
+    """hbar^2 |k|^2/(2m) - mu per triple, in Python floats.
+
+    An overflow gives inf or nan without a numpy warning, and `ModeTable`
+    rejects it.
+    """
     s = TWO_PI / L
-    k2 = np.array([(n[0] ** 2 + n[1] ** 2 + n[2] ** 2) * s * s for n in nvecs])
-    return hbar * hbar * k2 / (2.0 * mass) - mu
+    return [hbar * hbar * (sum(c * c for c in n) * s * s) / (2.0 * mass) - mu for n in nvecs]
 
 
 def _pair_map(nvecs) -> np.ndarray:
@@ -135,12 +162,7 @@ def build_lambda(
                 if scale * math.sqrt(n1 * n1 + n2 * n2 + n3 * n3) <= kcut:
                     nvecs.append((n1, n2, n3))
     nvecs.sort()
-    check_mode_count(len(nvecs))
-    nvecs = tuple(nvecs)
-    xi = _xi_formula(nvecs, L, mu, hbar, mass)
-    return ModeTable(
-        nvecs=nvecs, xi=xi, pair=_pair_map(nvecs), L=L, mu=mu, hbar=hbar, mass=mass, kmax=kmax
-    )
+    return ModeTable(nvecs=tuple(nvecs), xi=_xi_formula(nvecs, L, mu, hbar, mass), L=L)
 
 
 def explicit_modes(
@@ -153,30 +175,13 @@ def explicit_modes(
 ) -> ModeTable:
     """Mode table from a hand-picked list of integer triples.
 
-    The list must be closed under negation; an xi override, if given, must
-    be constant on each {k, -k} orbit.
+    An xi override replaces the formula; `ModeTable` checks both the list
+    and the energies.
     """
     _check_scales(L, mass)
     nvecs = tuple(tuple(int(c) for c in k) for k in ks)
-    if len(set(nvecs)) != len(nvecs):
-        raise ValidationError("duplicate wave vectors in mode list")
-    check_mode_count(len(nvecs))
-    pair = _pair_map(nvecs)
-    if xi_override is not None:
-        xi = np.asarray(xi_override, dtype=np.float64)
-        if xi.shape != (len(nvecs),):
-            raise ValidationError(
-                f"xi override has {xi.size} entries for {len(nvecs)} modes"
-            )
-        for i in range(len(nvecs)):
-            if xi[i] != xi[pair[i]]:
-                raise ValidationError(
-                    f"xi override breaks xi(-k) = xi(k) at k={nvecs[i]}: "
-                    f"{xi[i]} vs {xi[pair[i]]}"
-                )
-    else:
-        xi = _xi_formula(nvecs, L, mu, hbar, mass)
-    return ModeTable(nvecs=nvecs, xi=xi, pair=pair, L=L, mu=mu, hbar=hbar, mass=mass)
+    xi = _xi_formula(nvecs, L, mu, hbar, mass) if xi_override is None else xi_override
+    return ModeTable(nvecs=nvecs, xi=xi, L=L)
 
 
 def validate_kernel(kernel: Kernel, mt: ModeTable) -> list:
@@ -252,17 +257,6 @@ def permuted_instance(mt: ModeTable, kernel: Kernel, perm) -> tuple:
     m = mt.n_modes
     if sorted(perm.tolist()) != list(range(m)):
         raise ValidationError("perm must be a permutation of range(M)")
-    nvecs = tuple(mt.nvecs[p] for p in perm)
-    xi = mt.xi[perm]
-    mt2 = ModeTable(
-        nvecs=nvecs,
-        xi=xi,
-        pair=_pair_map(nvecs),
-        L=mt.L,
-        mu=mt.mu,
-        hbar=mt.hbar,
-        mass=mt.mass,
-        kmax=mt.kmax,
-    )
+    mt2 = ModeTable(nvecs=tuple(mt.nvecs[p] for p in perm), xi=mt.xi[perm], L=mt.L)
     u2 = kernel.u[np.ix_(perm, perm)]
     return mt2, Kernel(u=u2)

@@ -239,6 +239,7 @@ def test_verify_checks_filter(tmp_path, capsys):
         ({"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "L": 0}}, {}, "box size L"),
         ({"physics": {"m": 0}}, {}, "mass m"),
         ({"lattice": {"L": 6.283185307179586, "kmax": 1.0}, "physics": {"m": -0.5}}, {}, "mass m"),
+        ({"seed": -1}, {}, "seed must be a nonnegative integer"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
@@ -248,6 +249,30 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, 
     assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_negative_seed_override_is_config_error(pair_config, capsys, command):
+    assert main([command, "--config", pair_config, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "solve-gap"])
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "L": 1e-300}},
+        {"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]]}, "physics": {"hbar": 1e200}},
+        {"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]]}, "physics": {"m": 1e-320}},
+    ],
+)
+def test_overflowing_xi_is_config_error(tmp_path, capsys, command, fields):
+    """Finite L, m or hbar whose xi = hbar^2 |k|^2/(2m) - mu overflows exits 2 before any solve."""
+    cfg = write_config(tmp_path, "overflow.json", {**PAIR_CONFIG, **fields})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "xi must be finite" in err
 
 
 # every numeric field and section of the pair config, present or optional

@@ -216,12 +216,20 @@ def test_solve_new_gap_zero_kernel(two_mode):
     assert nsol.trivial and np.all(nsol.delta.delta == 0)
 
 
-def test_new_reduces_to_classic_without_correction(two_mode):
-    mt, kernel = two_mode
-    tol = 1e-12
-    classic = solve_gap(mt, kernel, damping=1.0, tol=tol)
-    plain = solve_new_gap(mt, kernel, damping=1.0, tol=tol, include_correction=False)
-    assert np.max(np.abs(plain.delta.delta - classic.delta.delta)) <= 10 * tol
+def test_new_residual_is_classic_plus_correction(three_mode):
+    # the corrected equation is the classic one plus exactly its correction term:
+    # new - classic = -1/2 U (Delta/E * 4 D_k/(D+2)) at any gap table
+    mt, kernel = three_mode
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        origin, shell = rng.uniform(0.0, 3.0, size=2)
+        gap = GapTable(delta=[origin, shell, shell])
+        dk, dsum = dk_weights(mt, kernel, gap)
+        ratio = gap.delta / np.hypot(mt.xi, gap.delta)
+        term = -0.5 * kernel.u @ (ratio * 4.0 * dk / (dsum + 2.0))
+        diff = new_gap_residual(mt, kernel, gap) - gap_residual(mt, kernel, gap)
+        assert np.max(np.abs(term)) > 1e-3
+        assert np.max(np.abs(diff - term)) <= 1e-12
 
 
 def test_scaling_consistency(two_mode):

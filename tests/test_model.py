@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcslab.errors import ResourceLimitError, ValidationError
 from bcslab.model import (
     Kernel,
+    ModeTable,
     build_lambda,
     dense_matrix_kernel,
     explicit_modes,
@@ -207,3 +211,52 @@ def test_permuted_instance_consistency(three_mode):
             assert kernel2.u[i, j] == kernel.u[perm[i], perm[j]]
     with pytest.raises(ValidationError):
         permuted_instance(mt, kernel, [0, 0, 1])
+
+
+# one triple of each {n, -n} orbit: the first nonzero coordinate is positive
+HALF_SPACE = [n for n in itertools.product(range(-2, 3), repeat=3) if n > (0, 0, 0)]
+ENERGIES = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def lattices(draw):
+    """A shuffled mode list closed under negation, with finite xi even in k."""
+    reps = draw(st.lists(st.sampled_from(HALF_SPACE), min_size=1, max_size=3, unique=True))
+    modes = []
+    for n in reps:
+        e = draw(ENERGIES)
+        modes += [(n, e), (tuple(-c for c in n), e)]
+    if draw(st.booleans()):
+        modes.append(((0, 0, 0), draw(ENERGIES)))
+    modes = draw(st.permutations(modes))
+    return [n for n, _ in modes], [e for _, e in modes]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lattice=lattices(), data=st.data())
+def test_mode_table_enforces_the_lattice_rule(lattice, data):
+    nvecs, xi = lattice
+    mt = ModeTable(nvecs=tuple(nvecs), xi=xi)
+    m = mt.n_modes
+    assert np.array_equal(mt.xi, xi)
+    for i in range(m):
+        assert mt.pair[mt.pair[i]] == i
+        assert mt.nvecs[mt.pair[i]] == tuple(-c for c in nvecs[i])
+
+    i = data.draw(st.sampled_from([j for j in range(m) if nvecs[j] != (0, 0, 0)]), label="mode")
+    keep = [j for j in range(m) if j != mt.pair[i]]
+    uneven = list(xi)
+    uneven[i] = float(np.nextafter(xi[i], math.inf))
+    nonfinite = list(xi)
+    nonfinite[data.draw(st.integers(0, m - 1), label="nonfinite")] = data.draw(
+        st.sampled_from([math.inf, -math.inf, math.nan])
+    )
+    broken = [
+        ([nvecs[j] for j in keep], [xi[j] for j in keep]),  # a partner dropped
+        (nvecs + [nvecs[i]], xi + [xi[i]]),  # a vector duplicated
+        (nvecs, uneven),  # xi(-k) != xi(k) by one ulp
+        (nvecs, nonfinite),
+    ]
+    for bad_nvecs, bad_xi in broken:
+        with pytest.raises(ValidationError):
+            ModeTable(nvecs=tuple(bad_nvecs), xi=bad_xi)
