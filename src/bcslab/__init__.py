@@ -40,7 +40,6 @@ from .model import (
 )
 from .states import (
     CorrectionState,
-    QuasiOps,
     bcs_state,
     bcs_state_exponential,
     correction_state,

@@ -55,6 +55,12 @@ class GapTable:
             raise ValidationError("gap table must satisfy Delta(-k) = Delta(k)")
 
 
+def _ratio(xi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Delta/E with the 0/0 mode (xi = Delta = 0) sent to 0."""
+    energy = np.hypot(xi, delta)
+    return np.divide(delta, energy, out=np.zeros_like(delta), where=energy > 0)
+
+
 @dataclass(frozen=True, eq=False)
 class AngleTable:
     """Pairing angles theta_k in [0, pi/2] with cached trigonometry.
@@ -79,7 +85,7 @@ class AngleTable:
         delta = gap.delta
         energy = np.hypot(xi, delta)
         pos = energy > 0
-        sin2t = np.divide(delta, energy, out=np.zeros_like(delta), where=pos)
+        sin2t = _ratio(xi, delta)
         cos2t = np.divide(xi, energy, out=-np.ones_like(xi), where=pos)
         theta = 0.5 * np.arctan2(delta, xi)
         theta[~pos] = 0.5 * math.pi  # xi = Delta = 0 convention
@@ -136,12 +142,7 @@ class GapSolution:
     degenerate_modes: tuple = ()
 
 
-def _ratio(xi: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Delta/E with the 0/0 mode (xi = Delta = 0) sent to 0."""
-    energy = np.hypot(xi, delta)
-    return np.divide(delta, energy, out=np.zeros_like(delta), where=energy > 0)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite D reaches the ConvergenceError of _solve
 def _dk_table(mt: ModeTable, kernel: Kernel, delta: np.ndarray) -> tuple:
     energy = np.hypot(mt.xi, delta)
     guarded = np.maximum(energy, EPS_GUARD)

@@ -146,8 +146,6 @@ class OperatorBundle:
     """Cached matrices for one instance: H, G and the per-mode B_k, h_k, v_k."""
 
     def __init__(self, mt: ModeTable, kernel: Kernel):
-        self.mt = mt
-        self.kernel = kernel
         self.H = build_H(mt, kernel)
         self.G = build_G(mt)
         self.B = [pair_annihilator(mt, i) for i in range(mt.n_modes)]

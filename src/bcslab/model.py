@@ -2,8 +2,9 @@
 
 Wave vectors are integer triples n scaled by 2*pi/L.  `ModeTable` itself
 enforces the lattice rule, whichever factory built the table: distinct
-triples, at most the mode cap, closed under negation, xi finite and even
-in k.  `pair` maps each mode index to the index of its negative.
+triples, at most the mode cap, closed under negation, a finite box size
+L > 0, xi finite and even in k.  `pair` maps each mode index to the index
+of its negative.
 Single-particle energies default to xi_k = hbar^2 |k|^2/(2m) - mu with
 hbar = 1 and 2m = 1, i.e. xi = |k|^2 - mu in desk units.
 """
@@ -42,6 +43,8 @@ class ModeTable:
         if len(set(nvecs)) != len(nvecs):
             raise ValidationError("duplicate wave vectors in mode list")
         check_mode_count(len(nvecs))
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValidationError(f"box size L must be positive and finite, got {self.L!r}")
         pair = _pair_map(nvecs)
         xi = np.array(self.xi, dtype=np.float64)
         if xi.shape != (len(nvecs),):
@@ -236,15 +239,6 @@ def separable_kernel(mt: ModeTable, g: float, shell=None) -> Kernel:
     u = -g * np.outer(w, w)
     np.fill_diagonal(u, 0.0)
     return Kernel(u=u)
-
-
-def dense_matrix_kernel(mt: ModeTable, matrix) -> Kernel:
-    """Kernel from an explicit matrix, validated against the mode table."""
-    kernel = Kernel(u=np.asarray(matrix, dtype=np.float64))
-    violations = validate_kernel(kernel, mt)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    return kernel
 
 
 def permuted_instance(mt: ModeTable, kernel: Kernel, perm) -> tuple:

@@ -1,11 +1,12 @@
 """Reference states and quasiparticle operators.
 
-Builds the filled-sea vacuum, the paired product state (two independent
-routes: the explicit product and exp(i G_B)|0>), the closed-form rotated
-quasiparticle operators gamma, the four-quasiparticle correction vector Phi,
-and the normalized corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)).
-`quartet_sum` applies the gamma* four-strings for Phi, its literal
-double-sum oracle and the H' Psi_B expansion.
+Builds the paired product state (two independent routes: the explicit
+product and exp(i G_B)|0>), the filled Fermi sea as its Delta = 0 case, the
+closed-form rotated quasiparticle operators gamma, the four-quasiparticle
+correction vector Phi, and the normalized corrected state
+(Psi_ref + Phi)/sqrt(1 + (Phi,Phi)).  `quartet_sum` applies the gamma*
+four-strings for Phi, its literal double-sum oracle and the H' Psi_B
+expansion.
 
 The same constructions serve the classic and corrected gap equations: feed
 them an angle table from whichever gap table is in play.
@@ -19,34 +20,10 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .fock import adjoint, apply_create, evolve_state, ladder_matrix, vacuum_state
-from .gapsolve import AngleTable, EPS_GUARD
+from .fock import adjoint, evolve_state, ladder_matrix, vacuum_state
+from .gapsolve import AngleTable, EPS_GUARD, GapTable
 from .hamiltonian import build_GB, pair_annihilator
 from .model import Kernel, ModeTable
-
-
-def fermi_vacuum(mt: ModeTable) -> np.ndarray:
-    """Normal state: every mode with xi_k <= 0 contributes C*_{k,up} C*_{-k,dn}.
-
-    Creators are applied in canonical mode order (rightmost factor first),
-    so the sign bookkeeping is exact.
-    """
-    string = []  # creator orbitals, leftmost factor first
-    for i in range(mt.n_modes):
-        if mt.xi[i] <= 0:
-            string.append(mt.orb_up(i))
-            string.append(mt.orb_dn(mt.pair[i]))
-    bits = 0
-    sign = 1
-    for j in reversed(string):
-        res = apply_create(j, bits, mt.n_orbitals)
-        if res is None:  # self-paired modes never collide; distinct orbitals
-            raise ValidationError(f"orbital {j} doubly created while filling the Fermi sea")
-        s, bits = res
-        sign *= s
-    v = np.zeros(mt.dim, dtype=np.complex128)
-    v[bits] = float(sign)
-    return v
 
 
 def bcs_state(mt: ModeTable, angles: AngleTable) -> np.ndarray:
@@ -68,51 +45,43 @@ def bcs_state_exponential(mt: ModeTable, angles: AngleTable) -> np.ndarray:
     return evolve_state(build_GB(mt, angles), vacuum_state(mt.n_modes))
 
 
-@dataclass(frozen=True, eq=False)
-class QuasiOps:
-    """Rotated quasiparticle annihilators per mode: up[i], dn[i] for (k_i, spin)."""
+def fermi_vacuum(mt: ModeTable) -> np.ndarray:
+    """Normal state: the paired product state at Delta = 0.
 
-    up: list
-    dn: list
-
-    def all_ops(self) -> list:
-        """All 2M annihilators in spin-orbital order (up_0, dn_0, up_1, ...)."""
-        out = []
-        for u, d in zip(self.up, self.dn):
-            out.append(u)
-            out.append(d)
-        return out
+    A mode with xi_k <= 0 gets cos theta = 0 and sin theta = 1 exactly
+    (xi = 0 through the E = 0 convention), so it contributes
+    C*_{k,up} C*_{-k,dn}; every other mode stays empty.
+    """
+    return bcs_state(mt, AngleTable.from_delta(mt, GapTable(np.zeros(mt.n_modes))))
 
 
-def quasi_ops(mt: ModeTable, angles: AngleTable) -> QuasiOps:
-    """Quasiparticle operators from the closed-form rotation
+def quasi_ops(mt: ModeTable, angles: AngleTable) -> list:
+    """Quasiparticle annihilators in spin-orbital order: quasi[j] is the rotated C_j,
 
         gamma_{k,up} = cos theta_k C_{k,up} - sin theta_k C*_{-k,dn}
         gamma_{k,dn} = sin theta_k C*_{-k,up} + cos theta_k C_{k,dn}
     """
     angles.validate(mt)
     m = mt.n_modes
-    up = []
-    dn = []
+    quasi = []
     for i in range(m):
         c, s = angles.cos_t[i], angles.sin_t[i]
         ann_up = ladder_matrix(mt.orb_up(i), m)
         cre_dn_partner = adjoint(ladder_matrix(mt.orb_dn(mt.pair[i]), m))
-        up.append(csr_array(c * ann_up - s * cre_dn_partner))
+        quasi.append(csr_array(c * ann_up - s * cre_dn_partner))
         ann_dn = ladder_matrix(mt.orb_dn(i), m)
         cre_up_partner = adjoint(ladder_matrix(mt.orb_up(mt.pair[i]), m))
-        dn.append(csr_array(s * cre_up_partner + c * ann_dn))
-    return QuasiOps(up=up, dn=dn)
+        quasi.append(csr_array(s * cre_up_partner + c * ann_dn))
+    return quasi
 
 
-def quartet_sum(mt: ModeTable, quasi: QuasiOps, terms, psi: np.ndarray) -> np.ndarray:
+def quartet_sum(mt: ModeTable, quasi: list, terms, psi: np.ndarray) -> np.ndarray:
     """sum over (p, p', c) in `terms` of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
 
     Terms with c = 0 are skipped; the rest accumulate in the order given.
     """
-    cre_up = [adjoint(op) for op in quasi.up]
-    # gamma*_{-p,dn} is the adjoint of the dn operator attached to mode -p
-    cre_dn_neg = [adjoint(quasi.dn[mt.pair[i]]) for i in range(mt.n_modes)]
+    cre_up = [adjoint(quasi[mt.orb_up(i)]) for i in range(mt.n_modes)]
+    cre_dn_neg = [adjoint(quasi[mt.orb_dn(mt.pair[i])]) for i in range(mt.n_modes)]
     out = np.zeros(mt.dim, dtype=np.complex128)
     for p, pp, c in terms:
         if c == 0.0:
@@ -151,7 +120,7 @@ def correction_state(
     mt: ModeTable,
     kernel: Kernel,
     angles: AngleTable,
-    quasi: QuasiOps,
+    quasi: list,
     psi_ref: np.ndarray,
 ) -> CorrectionState:
     """Phi = 1/2 sum_{p,p'} c_{p,p'} gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} Psi_ref.
@@ -171,7 +140,7 @@ def correction_state_literal(
     mt: ModeTable,
     kernel: Kernel,
     angles: AngleTable,
-    quasi: QuasiOps,
+    quasi: list,
     psi_ref: np.ndarray,
 ) -> np.ndarray:
     """Literal ordered double sum with the 1/2 prefactor; oracle for the pair-collapsed form."""

@@ -333,6 +333,18 @@ def test_nonfinite_iterate_exits_as_convergence_error(tmp_path, capsys):
     assert err.startswith("resource/convergence error:") and "non-finite" in err
 
 
+def test_verify_overflowing_dk_exits_without_warning(tmp_path, capsys):
+    # U^2 overflows in D_k at the classic solution; pytest turns a numpy RuntimeWarning into an error
+    payload = {
+        "lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "xi": [1e300, 1e300]},
+        "kernel": {"matrix": [[0, -1e300], [-1e300, 0]]},
+    }
+    cfg = write_config(tmp_path, "overflow_dk.json", payload)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource/convergence error:") and "non-finite" in err
+
+
 def test_unconverged_gap_solve_exits_as_convergence_error(tmp_path, capsys):
     # the correction factor is <= 0 on both modes: the corrected iteration never settles
     payload = {

@@ -11,7 +11,6 @@ from bcslab.model import (
     Kernel,
     ModeTable,
     build_lambda,
-    dense_matrix_kernel,
     explicit_modes,
     permuted_instance,
     separable_kernel,
@@ -125,6 +124,12 @@ def test_explicit_override_must_be_even():
         explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1.0])
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
+def test_mode_table_rejects_bad_box_size(L):
+    with pytest.raises(ValidationError, match="box size"):
+        ModeTable(nvecs=((0, 0, 0),), xi=[0.0], L=L)
+
+
 def test_kernel_valid_pair_instance(two_mode):
     mt, kernel = two_mode
     assert validate_kernel(kernel, mt) == []
@@ -188,14 +193,6 @@ def test_separable_randomized_always_valid():
         assert validate_kernel(k, mt) == []
     with pytest.raises(ValidationError):
         separable_kernel(mt, -1.0)
-
-
-def test_dense_matrix_kernel_validates():
-    mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1.6, 1.6])
-    k = dense_matrix_kernel(mt, [[0.0, -4.0], [-4.0, 0.0]])
-    assert validate_kernel(k, mt) == []
-    with pytest.raises(ValidationError):
-        dense_matrix_kernel(mt, [[0.0, 4.0], [4.0, 0.0]])
 
 
 def test_permuted_instance_consistency(three_mode):

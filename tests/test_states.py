@@ -43,11 +43,13 @@ def test_fermi_vacuum_self_paired_fills_both_spins():
 
 
 def test_fermi_vacuum_negative_pair_fills_all_four():
-    mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[-0.5, -0.5])
-    psi_f = fermi_vacuum(mt)
-    assert abs(psi_f[0b1111]) == 1.0
-    assert np.linalg.norm(psi_f) == 1.0
-    assert expectation(psi_f, build_G(mt), psi_f) == 4.0 + 0j
+    # xi = 0 fills its pair through the E = 0 convention (theta = pi/2)
+    for xi in ([-0.5, -0.5], [0.0, 0.0]):
+        mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=xi)
+        psi_f = fermi_vacuum(mt)
+        assert abs(psi_f[0b1111]) == 1.0
+        assert np.linalg.norm(psi_f) == 1.0
+        assert expectation(psi_f, build_G(mt), psi_f) == 4.0 + 0j
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +65,11 @@ def test_bcs_state_zero_angles_is_vacuum(two_mode):
 
 def test_bcs_state_gapless_limit_is_fermi_vacuum():
     # mixed-sign xi: filled modes get theta = pi/2, empty ones theta = 0
-    mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)
-    angles = angles_of(mt, np.zeros(3))
-    assert np.linalg.norm(bcs_state(mt, angles) - fermi_vacuum(mt)) <= 1e-14
+    mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)  # xi = [-0.5, 0.5, 0.5]
+    expected = np.zeros(mt.dim, dtype=complex)
+    expected[0b000011] = 1.0  # both spin-orbitals of k = 0, sign +1
+    assert np.array_equal(bcs_state(mt, angles_of(mt, np.zeros(3))), expected)
+    assert np.array_equal(fermi_vacuum(mt), expected)
 
 
 def test_bcs_pair_expectation(two_mode):
@@ -105,8 +109,8 @@ def test_quasi_ops_zero_angle_are_bare(two_mode):
     mt, _ = two_mode
     q = quasi_ops(mt, angles_of(mt, [0.0, 0.0]))
     for i in range(2):
-        assert op_norm_inf(q.up[i] - ladder_matrix(mt.orb_up(i), 2)) == 0.0
-        assert op_norm_inf(q.dn[i] - ladder_matrix(mt.orb_dn(i), 2)) == 0.0
+        assert op_norm_inf(q[mt.orb_up(i)] - ladder_matrix(mt.orb_up(i), 2)) == 0.0
+        assert op_norm_inf(q[mt.orb_dn(i)] - ladder_matrix(mt.orb_dn(i), 2)) == 0.0
 
 
 def test_quasi_ops_half_pi_is_particle_hole():
@@ -114,20 +118,20 @@ def test_quasi_ops_half_pi_is_particle_hole():
     q = quasi_ops(mt, angles_of(mt, [0.0, 0.0]))  # theta = pi/2 from xi < 0
     for i in range(2):
         cre_dn_partner = adjoint(ladder_matrix(mt.orb_dn(mt.pair[i]), 2))
-        assert op_norm_inf(q.up[i] + cre_dn_partner) == 0.0
+        assert op_norm_inf(q[mt.orb_up(i)] + cre_dn_partner) == 0.0
 
 
 def test_quasi_ops_annihilate_bcs(two_mode):
     mt, _ = two_mode
     angles = angles_of(mt, [1.2, 1.2])
     psi_b = bcs_state(mt, angles)
-    for g in quasi_ops(mt, angles).all_ops():
+    for g in quasi_ops(mt, angles):
         assert np.linalg.norm(g @ psi_b) <= 1e-10
 
 
 def test_quasi_ops_car(two_mode):
     mt, _ = two_mode
-    gammas = quasi_ops(mt, angles_of(mt, [1.2, 1.2])).all_ops()
+    gammas = quasi_ops(mt, angles_of(mt, [1.2, 1.2]))
     from bcslab.fock import anticommutator, identity_op
 
     ident = identity_op(mt.dim)
@@ -150,10 +154,11 @@ def test_quasi_inverse_relations(two_mode):
         c, s = angles.cos_t[i], angles.sin_t[i]
         bare_up = ladder_matrix(mt.orb_up(i), 2)
         bare_dn_partner = ladder_matrix(mt.orb_dn(mt.pair[i]), 2)
-        gamma_dn_partner = q.dn[mt.pair[i]]
-        assert op_norm_inf(bare_up - (c * q.up[i] + s * adjoint(gamma_dn_partner))) <= 1e-14
+        gamma_up = q[mt.orb_up(i)]
+        gamma_dn_partner = q[mt.orb_dn(mt.pair[i])]
+        assert op_norm_inf(bare_up - (c * gamma_up + s * adjoint(gamma_dn_partner))) <= 1e-14
         assert op_norm_inf(
-            bare_dn_partner - (-s * adjoint(q.up[i]) + c * gamma_dn_partner)
+            bare_dn_partner - (-s * adjoint(gamma_up) + c * gamma_dn_partner)
         ) <= 1e-14
 
 
@@ -162,7 +167,7 @@ def test_quasi_ops_self_paired_mode():
     angles = angles_of(mt, [0.9])
     q = quasi_ops(mt, angles)
     psi_b = bcs_state(mt, angles)
-    for g in q.all_ops():
+    for g in q:
         assert np.linalg.norm(g @ psi_b) <= 1e-12
 
 
