@@ -157,13 +157,31 @@ def anticommutator_check(n_modes: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exponential conjugation (nested-commutator series) and state evolution
-# (scaled Taylor polynomial)
+# exponential conjugation (exact entry-wise phases for a diagonal generator,
+# the nested-commutator series otherwise) and state evolution (scaled
+# Taylor polynomial)
 
 CONJUGATE_MAX_TERMS = 200
 # degree of the Taylor polynomial of exp(iB/s) with ||B/s|| <= 1: the
 # remainder sum_{n>18} 1/n! ~ 9e-18 lies below double precision
 EVOLVE_DEGREE = 18
+
+
+def diagonal_conjugate(a, g, alpha: float) -> csr_array:
+    """exp(-i*alpha*G) A exp(i*alpha*G) for the diagonal G = diag(g), exactly.
+
+    `g` is the real diagonal of G.  Entry (r, c) of A picks up the phase
+    exp(-i*alpha*(g_r - g_c)); no series is summed and nothing is
+    truncated.  Whether the matrix G really is diag(g) is the caller's to
+    check.
+    """
+    out = csr_array(a, dtype=np.complex128, copy=True)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (out.shape[0],) or out.shape[0] != out.shape[1]:
+        raise ValueError(f"dimension mismatch: operator {out.shape}, diagonal {g.shape}")
+    rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
+    out.data *= np.exp(-1j * alpha * (g[rows] - g[out.indices]))
+    return out
 
 
 def conjugate_series(a, b, alpha: float, tol: float = 1e-12) -> csr_array:

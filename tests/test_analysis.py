@@ -16,6 +16,7 @@ from bcslab.analysis import (
     run_verification,
     ssb_witness,
 )
+from bcslab import hamiltonian
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
@@ -127,6 +128,26 @@ def test_hm_spectrum_detects_sector_leak():
     assert hm_spectrum_check(hm, mt, gap, ebcs)[0] <= 1e-12
     dev, _ = hm_spectrum_check(leaky, mt, gap, ebcs)
     assert dev >= eps > TOL_LOOSE  # the spectrum check fails
+
+
+@pytest.mark.parametrize("planted", ["off_diagonal", "non_real_diagonal"])
+def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
+    """A G that is not a real diagonal fails both covariance checks instead of being read as one."""
+    mt, kernel = two_mode
+    eps = 1e-6
+    # vacuum <-> orbital 0 filled, kept selfadjoint; or a complex number on one diagonal entry
+    rows, cols, vals = ([0, 1], [1, 0], [eps, eps]) if planted == "off_diagonal" else ([1], [1], [1j * eps])
+    build_g = hamiltonian.build_G
+    monkeypatch.setattr(
+        hamiltonian,
+        "build_G",
+        lambda mt: csr_array(build_g(mt) + csr_array((vals, (rows, cols)), shape=(mt.dim, mt.dim))),
+    )
+    report = run_verification(mt, kernel, seed=3)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("number_phase_covariance_c", "number_phase_covariance_h"):
+        assert by_name[name].deviation >= eps > TOL_LOOSE
+        assert not by_name[name].passed
 
 
 def test_hm_spectrum_reads_both_triangles():

@@ -367,7 +367,7 @@ def test_unconverged_gap_solve_exits_as_convergence_error(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode"])
+@pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode"])
 def test_verify_matches_golden_report(instance, tmp_path, capsys):
     """Reports stay byte-identical to the committed ones for existing configs."""
     golden = GOLDEN / instance

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse import diags_array
 
 from bcslab.errors import ResourceLimitError
 from bcslab.fock import (
@@ -11,6 +14,7 @@ from bcslab.fock import (
     car_deviation,
     commutator,
     conjugate_series,
+    diagonal_conjugate,
     evolve_state,
     expectation,
     identity_op,
@@ -19,6 +23,7 @@ from bcslab.fock import (
     space_dim,
     vacuum_state,
 )
+from bcslab.hamiltonian import build_G, build_H
 
 from conftest import dense_conjugation, dense_evolution, random_selfadjoint, random_sparse
 
@@ -206,6 +211,37 @@ def test_conjugate_series_agrees_with_evolved_states():
     lhs = conjugate_series(a, b, alpha, tol=1e-12) @ v
     rhs = evolve_state(-alpha * b, a @ evolve_state(alpha * b, v))
     assert np.linalg.norm(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
+def test_diagonal_conjugate_matches_series_by_number_operator(instance, request):
+    mt, kernel = request.getfixturevalue(instance)
+    big_g = build_G(mt)
+    g = big_g.diagonal().real
+    ops = [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)] + [build_H(mt, kernel)]
+    for alpha in (0.3, 1.0, math.pi):
+        for a in ops:
+            series = conjugate_series(a, big_g, alpha, tol=1e-12)
+            assert op_norm_inf(diagonal_conjugate(a, g, alpha) - series) <= 1e-12
+
+
+def test_diagonal_conjugate_matches_dense_exponentials():
+    rng = np.random.default_rng(4)
+    for dim in (4, 16, 64):
+        a = random_sparse(dim, rng)
+        g = rng.integers(-3, 4, size=dim).astype(np.float64)
+        for alpha in (0.3, 1.0, math.pi):
+            oracle = dense_conjugation(a, diags_array(g), alpha)
+            assert np.max(np.abs(diagonal_conjugate(a, g, alpha).toarray() - oracle)) <= 1e-12
+
+
+def test_diagonal_conjugate_alpha_zero_exact():
+    rng = np.random.default_rng(5)
+    a = random_sparse(16, rng)
+    g = rng.integers(0, 5, size=16).astype(np.float64)
+    assert np.array_equal(diagonal_conjugate(a, g, 0.0).toarray(), a.toarray())
+    with pytest.raises(ValueError):
+        diagonal_conjugate(a, g[:-1], 1.0)
 
 
 def test_evolve_state_identity_and_zero():
