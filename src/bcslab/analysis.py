@@ -264,7 +264,7 @@ def hprime_bcs_expansion(
     return quartet_sum(mt, quasi, terms, psi_b)
 
 
-def ssb_witness(mt: ModeTable, state: np.ndarray, i: int) -> complex:
+def ssb_witness(mt: ModeTable, state: np.ndarray, i: int) -> float:
     """(state, [G, B_k] state): a nonzero value certifies broken number symmetry."""
     return expectation(state, commutator(build_G(mt), pair_annihilator(mt, i)), state)
 
@@ -283,7 +283,7 @@ def corollary_new_selfconsistency(
     if not new_sol.converged:
         raise ValidationError("corrected-equation self-consistency needs a converged solution")
     pair_expect = np.array(
-        [expectation(psi_tilde, pair_annihilator(mt, i), psi_tilde).real for i in range(mt.n_modes)]
+        [expectation(psi_tilde, pair_annihilator(mt, i), psi_tilde) for i in range(mt.n_modes)]
     )
     return _selfconsistency(new_sol.delta, kernel, pair_expect)
 
@@ -401,21 +401,18 @@ def run_verification(
     report.add(_deviation("bcs_product_vs_exponential", float(np.linalg.norm(psi_b - psi_b_exp)), TOL_IDENTITY))
     psi_f = fermi_vacuum(mt)
 
-    pairs_b = [expectation(psi_b, b, psi_b) for b in bundle.B]
-    w_dense = np.array([p.real for p in pairs_b])
-    dev = max((abs(p - 0.5 * s) for p, s in zip(pairs_b, angles.sin2t)), default=0.0)
+    w_dense = np.array([expectation(psi_b, b, psi_b) for b in bundle.B])
+    dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, angles.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
     charge_pairs = [commutator(bundle.G, b) for b in bundle.B]
-    report.add(_deviation("ssb_witness_commutator", _ssb_deviation(psi_b, charge_pairs, pairs_b), TOL_EXPECT))
+    report.add(_deviation("ssb_witness_commutator", _ssb_deviation(psi_b, charge_pairs, w_dense), TOL_EXPECT))
 
     gb = build_GB(mt, angles)
     dev = 0.0
     for i in range(m):
-        dev = max(dev, op_norm_inf(commutator(bundle.h[i], 1j * gb) - 2.0 * angles.theta[i] * bundle.v[i]))
-        dev = max(
-            dev, op_norm_inf(commutator(bundle.v[i], 1j * gb) + 2.0 * angles.theta[i] * (bundle.h[i] - ident))
-        )
+        dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * angles.theta[i] * bundle.v[i]))
+        dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * angles.theta[i] * (bundle.h[i] - ident)))
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
 
     dev = 0.0
@@ -460,10 +457,10 @@ def run_verification(
     report.add(_deviation("hprime_definition", op_norm_inf(hprime - (bundle.H - hm)), TOL_IDENTITY))
 
     # --- energies ------------------------------------------------------------
-    e_f = expectation(psi_f, bundle.H, psi_f).real
-    e_b = expectation(psi_b, bundle.H, psi_b).real
+    e_f = expectation(psi_f, bundle.H, psi_f)
+    e_b = expectation(psi_b, bundle.H, psi_b)
     ebcs = ebcs_formula(mt, angles, w_dense)
-    report.add(_compare("ebcs_formula_vs_dense_hm", ebcs, expectation(psi_b, hm, psi_b).real, TOL_IDENTITY))
+    report.add(_compare("ebcs_formula_vs_dense_hm", ebcs, expectation(psi_b, hm, psi_b), TOL_IDENTITY))
     if sol.converged:
         report.add(_compare("ebcs_formula_vs_dense_h", ebcs, e_b, TOL_IDENTITY))
     else:
@@ -499,7 +496,7 @@ def run_verification(
         _compare(
             "phi_hprime_bcs_formula",
             phi_hprime_coupling_formula(mt, kernel, angles),
-            np.vdot(corr.phi, hprime_psi_b).real,
+            np.vdot(corr.phi, hprime_psi_b),
             TOL_LOOSE,
         )
     )
@@ -507,12 +504,12 @@ def run_verification(
         _compare(
             "psi_hm_expectation_formula",
             lemma_hm_expectation_formula(mt, kernel, angles, corr.overlap, ebcs),
-            expectation(psi, hm, psi).real,
+            expectation(psi, hm, psi),
             TOL_LOOSE,
         )
     )
 
-    e_psi = expectation(psi, bundle.H, psi).real
+    e_psi = expectation(psi, bundle.H, psi)
     denergy = delta_E_formula(mt, kernel, angles, corr.overlap)
     report.add(_compare("delta_e_formula_vs_dense", denergy, e_psi - e_b, TOL_LOOSE))
 
@@ -547,8 +544,7 @@ def run_verification(
     psi_t = normalized_psi(psi_bt, corr_t)
     report.add(_overlap_check("new_overlap_identity", kernel, new_sol, corr_t.overlap, new_sol.dsum))
 
-    pairs_t = [expectation(psi_t, b, psi_t) for b in bundle.B]
-    w_t = np.array([p.real for p in pairs_t])
+    w_t = np.array([expectation(psi_t, b, psi_t) for b in bundle.B])
     if new_sol.converged:
         dev = _selfconsistency(new_sol.delta, kernel, w_t)
         report.add(_deviation("corollary_new_selfconsistency", dev, max(TOL_LOOSE, 10.0 * tol)))
@@ -562,7 +558,7 @@ def run_verification(
         dev, _ = hm_spectrum_check(build_HM(mt, new_sol.delta, w_t), mt, new_sol.delta, ebcs_t)
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
-    report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, pairs_t), TOL_EXPECT))
+    report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, w_t), TOL_EXPECT))
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)

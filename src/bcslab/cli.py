@@ -355,7 +355,7 @@ def _states_for(cfg: RunConfig, sol: GapSolution):
     corr = correction_state(cfg.mt, cfg.kernel, sol.theta, quasi, psi_ref)
     psi = normalized_psi(psi_ref, corr)
     witness = psi if sol.equation == "new" else psi_ref
-    w = np.array([expectation(witness, bundle.B[i], witness).real for i in range(cfg.mt.n_modes)])
+    w = np.array([expectation(witness, bundle.B[i], witness) for i in range(cfg.mt.n_modes)])
     return bundle, psi_ref, corr, psi, w
 
 
@@ -383,9 +383,9 @@ def _cmd_energy(args) -> int:
     bundle, psi_ref, corr, psi, w = _states_for(cfg, sol)
     psi_f = fermi_vacuum(cfg.mt)
     ebcs = ebcs_formula(cfg.mt, sol.theta, w)
-    e_bcs_dense = expectation(psi_ref, bundle.H, psi_ref).real
-    e_f_dense = expectation(psi_f, bundle.H, psi_f).real
-    e_psi_dense = expectation(psi, bundle.H, psi).real
+    e_bcs_dense = expectation(psi_ref, bundle.H, psi_ref)
+    e_f_dense = expectation(psi_f, bundle.H, psi_f)
+    e_psi_dense = expectation(psi, bundle.H, psi)
     cond = condensation_energy(cfg.mt, sol.delta)
     denergy = delta_E_formula(cfg.mt, cfg.kernel, sol.theta, corr.overlap)
     rows = [

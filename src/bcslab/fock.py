@@ -7,8 +7,8 @@ its bit pattern (vacuum = index 0, fully filled = index 2^(2M)-1).
 
 Fermionic signs are (-1)^(number of occupied orbitals below j) and are
 computed in exact integer arithmetic; floating point only enters through
-amplitudes.  Operators are scipy CSR arrays, states are 1-d complex
-numpy arrays.
+amplitudes.  Operators are scipy CSR arrays and states 1-d numpy arrays,
+both real (float64); only `diagonal_conjugate`, a phase rotation, is complex.
 """
 
 from __future__ import annotations
@@ -99,12 +99,12 @@ def ladder_matrix(j: int, n_modes: int) -> csr_array:
     cols = src[occupied]
     rows = cols ^ (1 << j)
     below = np.bitwise_count(cols & ((1 << j) - 1))
-    signs = np.where(below & 1, -1.0, 1.0).astype(np.complex128)
+    signs = np.where(below & 1, -1.0, 1.0)
     return csr_array((signs, (rows, cols)), shape=(dim, dim))
 
 
 def identity_op(dim: int) -> csr_array:
-    return eye_array(dim, dtype=np.complex128, format="csr")
+    return eye_array(dim, dtype=np.float64, format="csr")
 
 
 def adjoint(a: csr_array) -> csr_array:
@@ -126,28 +126,23 @@ def op_norm_inf(a) -> float:
     return float(abs(a).sum(axis=1).max())
 
 
-def is_selfadjoint(a) -> bool:
-    return op_norm_inf(a - adjoint(a)) <= SELFADJOINT_TOL
-
-
 def car_deviation(ann: list) -> float:
     """Max deviation of the canonical anticommutation relations of annihilators `ann`.
 
-    Checks {a_j, a*_j'} - delta_jj' I for all pairs and {a_j, a_j'} for
-    j' >= j, since that family is symmetric; the {a*_j, a*_j'} family is
-    the adjoint of the second and adds nothing.
+    Both families are built for j' >= j only: {a_j, a_j'} is symmetric, and
+    the row sums of {a_j', a*_j} are the column sums of its adjoint
+    {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
     """
     cre = [adjoint(a) for a in ann]
     ident = identity_op(ann[0].shape[0])
     worst = 0.0
     for j, a in enumerate(ann):
-        for jp in range(len(ann)):
+        for jp in range(j, len(ann)):
             mixed = anticommutator(a, cre[jp])
             if j == jp:
                 mixed = mixed - ident
-            worst = max(worst, op_norm_inf(mixed))
-            if jp >= j:
-                worst = max(worst, op_norm_inf(anticommutator(a, ann[jp])))
+            worst = max(worst, op_norm_inf(mixed), op_norm_inf(mixed.T))
+            worst = max(worst, op_norm_inf(anticommutator(a, ann[jp])))
     return worst
 
 
@@ -162,7 +157,7 @@ def anticommutator_check(n_modes: int) -> float:
 # Taylor polynomial)
 
 CONJUGATE_MAX_TERMS = 200
-# degree of the Taylor polynomial of exp(iB/s) with ||B/s|| <= 1: the
+# degree of the Taylor polynomial of exp(K/s) with ||K/s|| <= 1: the
 # remainder sum_{n>18} 1/n! ~ 9e-18 lies below double precision
 EVOLVE_DEGREE = 18
 
@@ -184,26 +179,26 @@ def diagonal_conjugate(a, g, alpha: float) -> csr_array:
     return out
 
 
-def conjugate_series(a, b, alpha: float, tol: float = 1e-12) -> csr_array:
-    """exp(-i*alpha*B) A exp(i*alpha*B) via the nested-commutator series.
+def conjugate_series(a, k, alpha: float, tol: float = 1e-12) -> csr_array:
+    """exp(-alpha*K) A exp(alpha*K) via the nested-commutator series.
 
-    Sums (i*alpha)^n / n! [..[A,B],..,B] and truncates once the appended
+    Sums the real alpha^n / n! [..[A,K],..,K] and truncates once the appended
     term drops below `tol` in infinity-norm; the result then matches the
-    exact conjugation within 10*tol.  B must be selfadjoint.
+    exact conjugation within 10*tol.  K must be anti-selfadjoint (K* = -K).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not is_selfadjoint(b):
-        raise ValueError("B must be selfadjoint for conjugation by exp(i*alpha*B)")
-    total = csr_array(a, dtype=np.complex128, copy=True)
+    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
+        raise ValueError("K must be anti-selfadjoint for conjugation by exp(alpha*K)")
+    total = csr_array(a, copy=True)
     if alpha == 0.0:
         return total
     term = total
-    coeff = 1.0 + 0.0j
+    coeff = 1.0
     small_streak = 0
     for n in range(1, CONJUGATE_MAX_TERMS + 1):
-        term = commutator(term, b)
-        coeff *= 1j * alpha / n
+        term = commutator(term, k)
+        coeff *= alpha / n
         scaled = csr_array(term * coeff)
         total = total + scaled
         # two consecutive sub-tol terms guard against an accidental small term
@@ -218,27 +213,27 @@ def conjugate_series(a, b, alpha: float, tol: float = 1e-12) -> csr_array:
     )
 
 
-def evolve_state(b, v: np.ndarray) -> np.ndarray:
-    """Apply exp(i*B) to the vector v as s steps of exp(i*B/s), s = ceil(||B||).
+def evolve_state(k, v: np.ndarray) -> np.ndarray:
+    """Apply exp(K) to the vector v as s steps of exp(K/s), s = ceil(||K||).
 
     Each step applies the degree-EVOLVE_DEGREE Taylor polynomial of an
     argument of norm at most 1, so each step is accurate to double
-    precision at any ||B|| (the scaling of Al-Mohy and Higham, SIAM J. Sci.
+    precision at any ||K|| (the scaling of Al-Mohy and Higham, SIAM J. Sci.
     Comput. 33, 488, 2011, at a fixed degree).  scipy's `expm_multiply`
     adapts the degree, but importing it loads scipy.linalg, about 0.2 s and
-    10 MB per process.  B must be selfadjoint, so its infinity-norm equals
-    its 1-norm and the result keeps the norm of v.
+    10 MB per process.  K must be anti-selfadjoint, so its infinity-norm
+    equals its 1-norm and the result keeps the norm of v.
     """
-    if not is_selfadjoint(b):
-        raise ValueError("B must be selfadjoint for exp(i*B)")
-    if b.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {b.shape}, state {v.shape}")
-    steps = max(1, math.ceil(op_norm_inf(b)))
-    out = np.array(v, dtype=np.complex128)
+    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
+        raise ValueError("K must be anti-selfadjoint for exp(K)")
+    if k.shape[1] != v.shape[0]:
+        raise ValueError(f"dimension mismatch: operator {k.shape}, state {v.shape}")
+    steps = max(1, math.ceil(op_norm_inf(k)))
+    out = np.asarray(v)
     for _ in range(steps):
         term = out
         for n in range(1, EVOLVE_DEGREE + 1):
-            term = (1j / (n * steps)) * (b @ term)
+            term = (1.0 / (n * steps)) * (k @ term)
             out = out + term
     return out
 
@@ -251,7 +246,7 @@ def basis_state(bits: int, n_modes: int) -> np.ndarray:
     dim = space_dim(n_modes)
     if not 0 <= bits < dim:
         raise ValueError(f"basis index {bits} out of range [0, {dim})")
-    v = np.zeros(dim, dtype=np.complex128)
+    v = np.zeros(dim)
     v[bits] = 1.0
     return v
 
@@ -261,10 +256,10 @@ def vacuum_state(n_modes: int) -> np.ndarray:
     return basis_state(0, n_modes)
 
 
-def expectation(phi: np.ndarray, a, psi: np.ndarray) -> complex:
-    """Inner product (phi, A psi), antilinear in the first argument."""
+def expectation(phi: np.ndarray, a, psi: np.ndarray) -> float | complex:
+    """Inner product (phi, A psi), antilinear in the first argument; real for real arguments."""
     if a.shape[1] != psi.shape[0] or a.shape[0] != phi.shape[0]:
         raise ValueError(
             f"dimension mismatch: operator {a.shape}, bra {phi.shape}, ket {psi.shape}"
         )
-    return complex(np.vdot(phi, a @ psi))
+    return np.vdot(phi, a @ psi)

@@ -1,4 +1,4 @@
-"""Operators of the pairing model: H, G, G_B, H_M, H' and the per-mode algebra.
+"""Operators of the pairing model: H, G, K = i G_B, H_M, H' and the per-mode algebra.
 
 Per mode k the building blocks are
 
@@ -57,7 +57,7 @@ def build_G(mt: ModeTable) -> csr_array:
 def kinetic_term(mt: ModeTable) -> csr_array:
     """sum_{k,s} xi_k C*_{ks} C_{ks}."""
     m = mt.n_modes
-    t = csr_array((mt.dim, mt.dim), dtype=np.complex128)
+    t = csr_array((mt.dim, mt.dim))
     for i in range(m):
         for j in (mt.orb_up(i), mt.orb_dn(i)):
             c = ladder_matrix(j, m)
@@ -83,15 +83,15 @@ def build_H(mt: ModeTable, kernel: Kernel) -> csr_array:
 
 
 def build_GB(mt: ModeTable, angles: AngleTable) -> csr_array:
-    """Pairing rotation generator G_B = i sum_k theta_k (B_k - B*_k)."""
+    """Real antisymmetric K = i G_B = sum_k theta_k (B*_k - B_k); the rotation exp(i G_B) is exp(K)."""
     angles.validate(mt)
-    gb = csr_array((mt.dim, mt.dim), dtype=np.complex128)
+    k = csr_array((mt.dim, mt.dim))
     for i in range(mt.n_modes):
         t = angles.theta[i]
         if t != 0.0:
             b = pair_annihilator(mt, i)
-            gb = gb + (1j * t) * (b - adjoint(b))
-    return gb
+            k = k + t * (adjoint(b) - b)
+    return k
 
 
 def build_HM(mt: ModeTable, gap: GapTable, w: np.ndarray) -> csr_array:
@@ -125,7 +125,7 @@ def build_Hprime(mt: ModeTable, kernel: Kernel, angles: AngleTable) -> csr_array
     angles.validate(mt)
     m = mt.n_modes
     cs = angles.cos_t * angles.sin_t
-    hp = csr_array((mt.dim, mt.dim), dtype=np.complex128)
+    hp = csr_array((mt.dim, mt.dim))
     pairs = [pair_annihilator(mt, i) for i in range(m)]
     dags = [adjoint(b) for b in pairs]
     const = 0.0

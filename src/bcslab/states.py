@@ -1,10 +1,10 @@
 """Reference states and quasiparticle operators.
 
 Builds the paired product state (two independent routes: the explicit
-product and exp(i G_B)|0>), the filled Fermi sea as its Delta = 0 case, the
-closed-form rotated quasiparticle operators gamma, the four-quasiparticle
-correction vector Phi, and the normalized corrected state
-(Psi_ref + Phi)/sqrt(1 + (Phi,Phi)).  `quartet_sum` applies the gamma*
+product and exp(i G_B)|0> = exp(K)|0>), the filled Fermi sea as its Delta = 0
+case, the closed-form rotated quasiparticle operators gamma, the
+four-quasiparticle correction vector Phi, and the normalized corrected state
+(Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.  `quartet_sum` applies the gamma*
 four-strings for Phi, its literal double-sum oracle and the H' Psi_B
 expansion.
 
@@ -41,7 +41,7 @@ def bcs_state(mt: ModeTable, angles: AngleTable) -> np.ndarray:
 
 
 def bcs_state_exponential(mt: ModeTable, angles: AngleTable) -> np.ndarray:
-    """Same state through exp(i G_B)|0>; independent route for cross-checks."""
+    """Same state through exp(i G_B)|0> = exp(K)|0>; independent route for cross-checks."""
     return evolve_state(build_GB(mt, angles), vacuum_state(mt.n_modes))
 
 
@@ -82,7 +82,7 @@ def quartet_sum(mt: ModeTable, quasi: list, terms, psi: np.ndarray) -> np.ndarra
     """
     cre_up = [adjoint(quasi[mt.orb_up(i)]) for i in range(mt.n_modes)]
     cre_dn_neg = [adjoint(quasi[mt.orb_dn(mt.pair[i])]) for i in range(mt.n_modes)]
-    out = np.zeros(mt.dim, dtype=np.complex128)
+    out = np.zeros_like(psi)
     for p, pp, c in terms:
         if c == 0.0:
             continue
@@ -132,7 +132,7 @@ def correction_state(
     m = mt.n_modes
     pairs = ((p, pp, coeffs[p, pp]) for p in range(m) for pp in range(p + 1, m))
     phi = quartet_sum(mt, quasi, pairs, psi_ref)
-    overlap = float(np.vdot(phi, phi).real)
+    overlap = float(np.vdot(phi, phi))
     return CorrectionState(phi=phi, overlap=overlap, coeffs=coeffs)
 
 

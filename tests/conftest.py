@@ -30,16 +30,15 @@ def three_mode():
     return mt, kernel
 
 
-def dense_conjugation(a, b, alpha):
-    """Oracle: exp(-i alpha B) A exp(i alpha B) by dense matrix exponentials."""
-    bd = b.toarray()
-    ad = a.toarray()
-    return expm(-1j * alpha * bd) @ ad @ expm(1j * alpha * bd)
+def dense_conjugation(a, k, alpha):
+    """Oracle: exp(-alpha K) A exp(alpha K) by dense matrix exponentials."""
+    kd = k.toarray()
+    return expm(-alpha * kd) @ a.toarray() @ expm(alpha * kd)
 
 
-def dense_evolution(b, v):
-    """Oracle: exp(i B) v by dense matrix exponential."""
-    return expm(1j * b.toarray()) @ v
+def dense_evolution(k, v):
+    """Oracle: exp(K) v by dense matrix exponential."""
+    return expm(k.toarray()) @ v
 
 
 def random_selfadjoint(dim, rng, scale=1.0):
@@ -49,10 +48,18 @@ def random_selfadjoint(dim, rng, scale=1.0):
     return csr_array(scale * 0.5 * (raw + raw.conj().T))
 
 
-def random_sparse(dim, rng, density=0.2):
+def random_antisymmetric(dim, rng, scale=1.0):
+    """Real K with K^T = -K, the real generator of an orthogonal exp(K)."""
+    from scipy.sparse import csr_array
+
+    raw = rng.standard_normal((dim, dim))
+    return csr_array(scale * 0.5 * (raw - raw.T))
+
+
+def random_sparse(dim, rng, density=0.2, real=False):
     from scipy.sparse import csr_array, random_array
 
-    mat = random_array(
-        (dim, dim), density=density, rng=rng, dtype=np.float64
-    ).toarray() + 1j * random_array((dim, dim), density=density, rng=rng, dtype=np.float64).toarray()
+    mat = random_array((dim, dim), density=density, rng=rng, dtype=np.float64).toarray()
+    if not real:
+        mat = mat + 1j * random_array((dim, dim), density=density, rng=rng, dtype=np.float64).toarray()
     return csr_array(mat)

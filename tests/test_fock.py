@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import diags_array
+from scipy.sparse import csr_array, diags_array
 
 from bcslab.errors import ResourceLimitError
 from bcslab.fock import (
@@ -23,9 +23,15 @@ from bcslab.fock import (
     space_dim,
     vacuum_state,
 )
-from bcslab.hamiltonian import build_G, build_H
+from bcslab.hamiltonian import OperatorBundle, build_G, build_H
 
-from conftest import dense_conjugation, dense_evolution, random_selfadjoint, random_sparse
+from conftest import (
+    dense_conjugation,
+    dense_evolution,
+    random_antisymmetric,
+    random_selfadjoint,
+    random_sparse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +80,7 @@ def test_orbital_index_range_checked(op):
 def test_ladder_matrix_single_mode_by_hand():
     # dim 4, basis |n0,n1> = bits; C_0 sends bits {1,3} to {0,2} with sign +1
     c0 = ladder_matrix(0, 1).toarray()
-    expected = np.zeros((4, 4), dtype=complex)
+    expected = np.zeros((4, 4))
     expected[0b00, 0b01] = 1.0
     expected[0b10, 0b11] = 1.0
     assert np.array_equal(c0, expected)
@@ -97,7 +103,8 @@ def test_ladder_nonzero_count():
 
 def test_ladder_entries_are_signs():
     c = ladder_matrix(2, 2)
-    assert set(np.unique(c.data)) <= {-1.0 + 0j, 1.0 + 0j}
+    assert c.dtype == np.float64
+    assert set(np.unique(c.data)) <= {-1.0, 1.0}
 
 
 def test_adjoint_involution():
@@ -127,6 +134,43 @@ def test_car_deviation_detects_one_flipped_sign(j):
     broken.data[0] = -broken.data[0]
     ann[j] = broken
     assert car_deviation(ann) > 0.0
+
+
+def _car_deviation_full_loop(ann):
+    """Literal CAR deviation: every (j, j') of {a_j, a*_j'} - delta I and of {a_j, a_j'}."""
+    ident = identity_op(ann[0].shape[0])
+    worst = 0.0
+    for j, a in enumerate(ann):
+        for jp, b in enumerate(ann):
+            b_dag = csr_array(b.conj().T)
+            mixed = a @ b_dag + b_dag @ a - (ident if j == jp else 0.0 * ident)
+            worst = max(worst, op_norm_inf(mixed), op_norm_inf(a @ b + b @ a))
+    return worst
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_car_deviation_matches_full_loop(dim, real):
+    rng = np.random.default_rng(dim + real)
+    ann = [random_sparse(dim, rng, density=0.1, real=real) for _ in range(4)]
+    assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14, abs=0.0)
+
+
+def test_car_deviation_reads_the_mixed_pair_it_does_not_build():
+    # a_1 = C_3 + eps P with P = Y (x) 1 on orbital 3, Y = e_2 (e_3 + e_5)^T on orbitals 0..2:
+    # Y is odd, so P anticommutes with C_3 and C*_3, and {C_0, P} = P^2 = 0.  The only
+    # first-order defect is {a_0, a*_1}, whose two dense columns (2 eps) are the rows of the
+    # unbuilt {a_1, a*_0}; its own rows and {a_1, a*_1} - I stay at eps and 2 eps^2.
+    eps = 1e-3
+    rows = [2, 2, 10, 10]
+    cols = [3, 5, 11, 13]
+    planted = csr_array((np.full(4, eps), (rows, cols)), shape=(16, 16))
+    ann = [ladder_matrix(0, 2), csr_array(ladder_matrix(3, 2) + planted)]
+    cre_1 = adjoint(ann[1])
+    built = ann[0] @ cre_1 + cre_1 @ ann[0]
+    assert op_norm_inf(built) == pytest.approx(eps)
+    assert car_deviation(ann) == pytest.approx(2 * eps, rel=1e-14)
+    assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14)
 
 
 def test_vacuum_annihilation_and_top_state():
@@ -173,19 +217,19 @@ def test_number_operator_counts_bits():
 def test_conjugate_series_alpha_zero_exact():
     rng = np.random.default_rng(0)
     a = random_sparse(16, rng)
-    b = random_selfadjoint(16, rng)
-    out = conjugate_series(a, b, 0.0, tol=1e-12)
+    k = random_antisymmetric(16, rng)
+    out = conjugate_series(a, k, 0.0, tol=1e-12)
     assert op_norm_inf(out - a) == 0.0
 
 
 def test_conjugate_series_requires_selfadjoint():
     rng = np.random.default_rng(1)
     a = random_sparse(8, rng)
-    b = random_sparse(8, rng)  # not selfadjoint
+    b = random_sparse(8, rng)  # neither selfadjoint nor anti-selfadjoint
     with pytest.raises(ValueError):
         conjugate_series(a, b, 1.0)
     with pytest.raises(ValueError):
-        conjugate_series(a, random_selfadjoint(8, rng), 1.0, tol=0.0)
+        conjugate_series(a, random_antisymmetric(8, rng), 1.0, tol=0.0)
 
 
 def test_conjugate_series_matches_dense_exponentials():
@@ -193,10 +237,10 @@ def test_conjugate_series_matches_dense_exponentials():
     for m in (1, 2, 3):
         dim = space_dim(m)
         a = random_sparse(dim, rng)
-        b = random_selfadjoint(dim, rng, scale=0.5)
+        k = 1j * random_selfadjoint(dim, rng, scale=0.5)
         for alpha in (0.3, 1.0):
-            series = conjugate_series(a, b, alpha, tol=1e-12)
-            oracle = dense_conjugation(a, b, alpha)
+            series = conjugate_series(a, k, alpha, tol=1e-12)
+            oracle = dense_conjugation(a, k, alpha)
             assert np.max(np.abs(series.toarray() - oracle)) < 1e-10
 
 
@@ -204,12 +248,12 @@ def test_conjugate_series_agrees_with_evolved_states():
     rng = np.random.default_rng(3)
     dim = space_dim(2)
     a = random_sparse(dim, rng)
-    b = random_selfadjoint(dim, rng, scale=0.4)
+    k = 1j * random_selfadjoint(dim, rng, scale=0.4)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     alpha = 0.7
-    lhs = conjugate_series(a, b, alpha, tol=1e-12) @ v
-    rhs = evolve_state(-alpha * b, a @ evolve_state(alpha * b, v))
+    lhs = conjugate_series(a, k, alpha, tol=1e-12) @ v
+    rhs = evolve_state(-alpha * k, a @ evolve_state(alpha * k, v))
     assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
@@ -217,11 +261,11 @@ def test_conjugate_series_agrees_with_evolved_states():
 def test_diagonal_conjugate_matches_series_by_number_operator(instance, request):
     mt, kernel = request.getfixturevalue(instance)
     big_g = build_G(mt)
-    g = big_g.diagonal().real
+    g = big_g.diagonal()
     ops = [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)] + [build_H(mt, kernel)]
     for alpha in (0.3, 1.0, math.pi):
         for a in ops:
-            series = conjugate_series(a, big_g, alpha, tol=1e-12)
+            series = conjugate_series(a, 1j * big_g, alpha, tol=1e-12)
             assert op_norm_inf(diagonal_conjugate(a, g, alpha) - series) <= 1e-12
 
 
@@ -231,7 +275,7 @@ def test_diagonal_conjugate_matches_dense_exponentials():
         a = random_sparse(dim, rng)
         g = rng.integers(-3, 4, size=dim).astype(np.float64)
         for alpha in (0.3, 1.0, math.pi):
-            oracle = dense_conjugation(a, diags_array(g), alpha)
+            oracle = dense_conjugation(a, 1j * diags_array(g), alpha)
             assert np.max(np.abs(diagonal_conjugate(a, g, alpha).toarray() - oracle)) <= 1e-12
 
 
@@ -253,19 +297,44 @@ def test_evolve_state_identity_and_zero():
 def test_evolve_state_matches_dense_and_preserves_norm():
     rng = np.random.default_rng(4)
     dim = space_dim(2)
-    b = random_selfadjoint(dim, rng, scale=0.8)
+    k = 1j * random_selfadjoint(dim, rng, scale=0.8)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    w = evolve_state(b, v)
-    assert np.linalg.norm(w - dense_evolution(b, v)) < 1e-10
+    w = evolve_state(k, v)
+    assert np.linalg.norm(w - dense_evolution(k, v)) < 1e-10
     assert abs(np.linalg.norm(w) - 1.0) < 1e-11
 
 
 def test_evolve_state_large_norm():
     # norm 1500: far beyond the reach of a plain Taylor series in double precision
     e0 = np.array([1.0, 0, 0, 0], dtype=complex)
-    w = evolve_state(1500.0 * identity_op(4), e0)
+    w = evolve_state(1500j * identity_op(4), e0)
     assert np.max(np.abs(w - np.exp(1500j) * e0)) <= 1e-12
+
+
+@pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
+def test_real_conjugation_and_evolution_match_dense_exponentials(instance, request):
+    mt, kernel = request.getfixturevalue(instance)
+    rng = np.random.default_rng(6)
+    bundle = OperatorBundle(mt, kernel)
+    a = bundle.H + ladder_matrix(1, mt.n_modes)
+    v = rng.standard_normal(mt.dim)
+    v /= np.linalg.norm(v)
+    # a real antisymmetric K keeps everything real; K = iG is the number-phase rotation
+    for k in (random_antisymmetric(mt.dim, rng, scale=0.3), 1j * bundle.G):
+        for alpha in (0.3, -1.0):
+            series = conjugate_series(a, k, alpha, tol=1e-14)
+            assert series.dtype == np.result_type(a.dtype, k.dtype)
+            assert np.max(np.abs(series.toarray() - dense_conjugation(a, k, alpha))) <= 1e-12
+        w = evolve_state(k, v)
+        assert w.dtype == np.result_type(k.dtype, v.dtype)
+        assert np.max(np.abs(w - dense_evolution(k, v))) <= 1e-12
+    # a selfadjoint generator is the old exp(i alpha B) convention, not an anti-selfadjoint K
+    for hermitian in (bundle.G, bundle.H):
+        with pytest.raises(ValueError):
+            conjugate_series(a, hermitian, 1.0)
+        with pytest.raises(ValueError):
+            evolve_state(hermitian, v)
 
 
 def test_expectation_basics():

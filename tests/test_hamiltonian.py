@@ -98,9 +98,11 @@ def test_gb_zero_angles(two_mode):
 
 
 def test_gb_selfadjoint(two_mode):
+    # build_GB is the real K = iG_B; G_B selfadjoint means K* = -K
     mt, _ = two_mode
     gb = build_GB(mt, angles_of(mt, [1.2, 1.2]))
-    assert op_norm_inf(gb - adjoint(gb)) <= 1e-12
+    assert gb.dtype == np.float64
+    assert op_norm_inf(gb + adjoint(gb)) <= 1e-12
     assert op_norm_inf(gb) > 0
 
 
@@ -177,7 +179,7 @@ def test_hprime_annihilates_bcs_in_expectation(two_mode):
 
 
 def test_pairing_commutator_identities():
-    # [h_k, iG_B] = 2 theta_k v_k and [v_k, iG_B] = -2 theta_k (h_k - 1)
+    # [h_k, iG_B] = 2 theta_k v_k and [v_k, iG_B] = -2 theta_k (h_k - 1), with build_GB = iG_B
     rng = np.random.default_rng(21)
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.4)
     for _ in range(3):
@@ -190,12 +192,12 @@ def test_pairing_commutator_identities():
             h_i = pair_number(mt, i)
             v_i = pair_exchange(mt, i)
             t = angles.theta[i]
-            assert op_norm_inf(commutator(h_i, 1j * gb) - 2.0 * t * v_i) <= 1e-12
-            assert op_norm_inf(commutator(v_i, 1j * gb) + 2.0 * t * (h_i - ident)) <= 1e-12
+            assert op_norm_inf(commutator(h_i, gb) - 2.0 * t * v_i) <= 1e-12
+            assert op_norm_inf(commutator(v_i, gb) + 2.0 * t * (h_i - ident)) <= 1e-12
 
 
 def test_meanfield_conjugation_identity(two_mode):
-    # exp(-iG_B)(xi h - Delta v)exp(iG_B) in terms of h, v and a constant
+    # exp(-iG_B)(xi h - Delta v)exp(iG_B) = exp(-K)(...)exp(K) in terms of h, v and a constant
     mt, _ = two_mode
     angles = angles_of(mt, [1.2, 1.2])
     gb = build_GB(mt, angles)
@@ -218,11 +220,13 @@ def test_phase_covariance(two_mode):
     bundle = OperatorBundle(mt, kernel)
     from bcslab.fock import ladder_matrix
 
+    # exp(-iaG) A exp(iaG) by the series in the anti-selfadjoint K = iG
+    igen = 1j * bundle.G
     for alpha in (0.3, 1.0, math.pi):
         for j in range(mt.n_orbitals):
             c = ladder_matrix(j, mt.n_modes)
-            rotated = conjugate_series(c, bundle.G, alpha, tol=1e-12)
+            rotated = conjugate_series(c, igen, alpha, tol=1e-12)
             assert op_norm_inf(rotated - np.exp(1j * alpha) * c) <= 1e-9
-            rotated_dag = conjugate_series(adjoint(c), bundle.G, alpha, tol=1e-12)
+            rotated_dag = conjugate_series(adjoint(c), igen, alpha, tol=1e-12)
             assert op_norm_inf(rotated_dag - np.exp(-1j * alpha) * adjoint(c)) <= 1e-9
-        assert op_norm_inf(conjugate_series(bundle.H, bundle.G, alpha, tol=1e-12) - bundle.H) <= 1e-9
+        assert op_norm_inf(conjugate_series(bundle.H, igen, alpha, tol=1e-12) - bundle.H) <= 1e-9

@@ -288,3 +288,33 @@ def test_corrected_pair_expectation_identity_random(three_mode):
         for i in range(3):
             val = expectation(psi, pair_annihilator(mt, i), psi).real
             assert val == pytest.approx(0.5 * angles.sin2t[i] * factor[i], abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# number field
+
+
+@pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
+def test_fock_algebra_stays_real(instance, request):
+    # a silent complex upcast anywhere would double the memory and time of every check
+    from bcslab.fock import diagonal_conjugate
+    from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
+
+    mt, kernel = request.getfixturevalue(instance)
+    sol = solve_gap(mt, kernel, tol=1e-12)
+    angles = sol.theta
+    bundle = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(mt, angles)
+    quasi = quasi_ops(mt, angles)
+    ops = [bundle.H, bundle.G, *bundle.B, *bundle.h, *bundle.v, *quasi]
+    ops += [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)]
+    ops += [
+        build_GB(mt, angles),
+        build_HM(mt, sol.delta, 0.5 * angles.sin2t),
+        build_Hprime(mt, kernel, angles),
+    ]
+    states = [psi_b, bcs_state_exponential(mt, angles)]
+    states.append(correction_state(mt, kernel, angles, quasi, psi_b).phi)
+    assert [op.dtype for op in ops] == [np.float64] * len(ops)
+    assert [v.dtype for v in states] == [np.float64] * len(states)
+    assert diagonal_conjugate(bundle.H, bundle.G.diagonal(), 0.3).dtype == np.complex128
