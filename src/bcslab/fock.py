@@ -108,7 +108,8 @@ def identity_op(dim: int) -> csr_array:
 
 
 def adjoint(a: csr_array) -> csr_array:
-    return csr_array(a.conj().T)
+    """a* as CSR: the transpose, conjugated only for complex input, since conj() copies real data too."""
+    return csr_array(a.conj().T if np.iscomplexobj(a) else a.T)
 
 
 def commutator(a, b) -> csr_array:

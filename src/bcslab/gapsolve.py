@@ -11,19 +11,30 @@ with E_k = sqrt(xi_k^2 + Delta_k^2) and the correction weights
   D_k' = 1/4 sum_p U_{k',p}^2 / (E_k' + E_p)^2 (1 - xi_k' xi_p / (E_k' E_p))^2,
   D = sum_k' D_k'.
 
-`_weights` is the one place each w is written; the iteration and the
-residuals `gap_residual` / `new_gap_residual` share it.  `_solve` is the one
-damped fixed-point driver behind `solve_gap` and `solve_new_gap`, and
-`check_solver` the one check of its settings.  The iteration keeps Delta >= 0
-and constant on {k,-k} orbits, raises ConvergenceError on a non-finite
-iterate, and every returned solution carries a residual re-evaluated at the
-returned gap.
+`_weights` is the one place each w is written; the iteration, the residuals
+`gap_residual` / `new_gap_residual` and `dk_weights` share it.  It reads a
+`_GapMap`, the values fixed for one solve (xi, U/2, -U/2 and, for the
+corrected equation, the entrywise U^2), and computes E once per iterate for
+both Delta/E and the D_k table.
+
+`_solve` is the one damped fixed-point iteration behind `solve_gap` and
+`solve_new_gap`, and `check_solver` the one check of its settings.  Once per
+solve it builds the `_GapMap`, reads the pair map and enters one
+`np.errstate`; a loop pass does only the work that depends on the iterate.
+The iteration keeps Delta >= 0 (the start is >= 0, a negative entry is
+clamped to 0, and the {k,-k} average of nonnegative entries is nonnegative),
+so max Delta is max |Delta| in the trivial-stop test.  It keeps Delta
+constant on {k,-k} orbits and raises ConvergenceError on a non-finite
+iterate.  Every returned solution carries a residual re-evaluated at the
+returned gap, and a corrected solution reports the D_k table of that same
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +66,9 @@ class GapTable:
             raise ValidationError("gap table must satisfy Delta(-k) = Delta(k)")
 
 
-def _ratio(xi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _ratio(delta: np.ndarray, energy: np.ndarray) -> np.ndarray:
     """Delta/E with the 0/0 mode (xi = Delta = 0) sent to 0."""
-    energy = np.hypot(xi, delta)
-    return np.divide(delta, energy, out=np.zeros_like(delta), where=energy > 0)
+    return np.divide(delta, energy, out=np.zeros(delta.shape), where=energy > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +95,7 @@ class AngleTable:
         delta = gap.delta
         energy = np.hypot(xi, delta)
         pos = energy > 0
-        sin2t = _ratio(xi, delta)
+        sin2t = _ratio(delta, energy)
         cos2t = np.divide(xi, energy, out=-np.ones_like(xi), where=pos)
         theta = 0.5 * np.arctan2(delta, xi)
         theta[~pos] = 0.5 * math.pi  # xi = Delta = 0 convention
@@ -142,31 +152,60 @@ class GapSolution:
     degenerate_modes: tuple = ()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite D reaches the ConvergenceError of _solve
-def _dk_table(mt: ModeTable, kernel: Kernel, delta: np.ndarray) -> tuple:
-    energy = np.hypot(mt.xi, delta)
+@dataclass(frozen=True, eq=False)
+class _GapMap:
+    """What the gap maps read that one solve never changes.
+
+    `u2` is the entrywise U^2 of the D_k table, None for the classic equation.
+    """
+
+    xi: np.ndarray
+    half_u: np.ndarray  # U/2, for the residual Delta + U w / 2
+    neg_half_u: np.ndarray  # -U/2, for the right-hand side -U w / 2; equal to -0.5 * U bit for bit
+    u2: np.ndarray | None
+
+    @classmethod
+    def of(cls, mt: ModeTable, kernel: Kernel, corrected: bool) -> "_GapMap":
+        half_u = 0.5 * kernel.u
+        return cls(mt.xi, half_u, -half_u, kernel.u**2 if corrected else None)
+
+
+def _dk_table(xi: np.ndarray, u2: np.ndarray, energy: np.ndarray) -> tuple:
     guarded = np.maximum(energy, EPS_GUARD)
-    cos2 = mt.xi / guarded
-    shape = (1.0 - np.outer(cos2, cos2)) ** 2
+    cos2 = xi / guarded
+    shape = (1.0 - np.multiply.outer(cos2, cos2)) ** 2
     denom = (guarded[:, None] + guarded[None, :]) ** 2
-    dk = 0.25 * (kernel.u**2 * shape / denom).sum(axis=1)
+    dk = 0.25 * (u2 * shape / denom).sum(axis=1)
     return dk, float(dk.sum())
 
 
-def _weights(mt: ModeTable, kernel: Kernel, delta: np.ndarray, corrected: bool) -> np.ndarray:
-    """Weights w of Delta = -1/2 U w: Delta/E, times 1 - 4 D_k/(D+2) when `corrected`."""
-    weighted = _ratio(mt.xi, delta)
-    if corrected:
-        weighted = weighted * correction_factor(*_dk_table(mt, kernel, delta))
-    return weighted
+def _weights(gm: _GapMap, delta: np.ndarray) -> tuple:
+    """(w, dk, dsum): the weights w of Delta = -1/2 U w and the D table they used.
+
+    w is Delta/E, times 1 - 4 D_k/(D+2) for the corrected equation; dk and
+    dsum are None for the classic one.
+    """
+    energy = np.hypot(gm.xi, delta)
+    weighted = _ratio(delta, energy)
+    if gm.u2 is None:
+        return weighted, None, None
+    dk, dsum = _dk_table(gm.xi, gm.u2, energy)
+    return weighted * correction_factor(dk, dsum), dk, dsum
+
+
+def _residual(gm: _GapMap, delta: np.ndarray) -> tuple:
+    """(r, dk, dsum): r_k = Delta_k + 1/2 sum_k' U_{k,k'} w_k' and the D table of w."""
+    weighted, dk, dsum = _weights(gm, delta)
+    return delta + gm.half_u @ weighted, dk, dsum
 
 
 def gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """r_k = Delta_k + 1/2 sum_k' U_{k,k'} Delta_k'/E_k'; zero at a solution."""
     gap.validate(mt)
-    return gap.delta + 0.5 * kernel.u @ _weights(mt, kernel, gap.delta, False)
+    return _residual(_GapMap.of(mt, kernel, False), gap.delta)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite D is returned, not raised
 def dk_weights(mt: ModeTable, kernel: Kernel, gap: GapTable) -> tuple:
     """Correction weights (D_k table, D) for the corrected gap equation.
 
@@ -175,7 +214,8 @@ def dk_weights(mt: ModeTable, kernel: Kernel, gap: GapTable) -> tuple:
     is the limit value unless the kernel couples the mode.
     """
     gap.validate(mt)
-    return _dk_table(mt, kernel, gap.delta)
+    _, dk, dsum = _weights(_GapMap.of(mt, kernel, True), gap.delta)
+    return dk, dsum
 
 
 def correction_factor(dk: np.ndarray, dsum: float) -> np.ndarray:
@@ -183,10 +223,11 @@ def correction_factor(dk: np.ndarray, dsum: float) -> np.ndarray:
     return 1.0 - 4.0 * dk / (dsum + 2.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite D shows in the residual
 def new_gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """Residual of the corrected gap equation, with D recomputed from `gap`."""
     gap.validate(mt)
-    return gap.delta + 0.5 * kernel.u @ _weights(mt, kernel, gap.delta, True)
+    return _residual(_GapMap.of(mt, kernel, True), gap.delta)[0]
 
 
 def check_solver(init, damping, tol, max_iter) -> None:
@@ -197,6 +238,8 @@ def check_solver(init, damping, tol, max_iter) -> None:
         raise ValidationError(f"solver.damping must lie in (0, 1], got {damping!r}")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"solver.tol must be positive and finite, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValidationError(f"solver.max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValidationError(f"solver.max_iter must be at least 1, got {max_iter!r}")
 
@@ -205,6 +248,8 @@ def check_solver(init, damping, tol, max_iter) -> None:
 def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
     """Damped iteration Delta <- (1-l) Delta + l rhs(Delta), clamped and symmetrized."""
     check_solver(init, damping, tol, max_iter)
+    gm = _GapMap.of(mt, kernel, corrected)
+    neg_half_u, pair = gm.neg_half_u, mt.pair
     row_mag = np.abs(kernel.u).sum(axis=1)
     delta = np.where(row_mag > 0, float(init), 0.0)
     clamped = False
@@ -213,14 +258,14 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
     converged = False
     trivial_stop = False
     for iterations in range(max_iter + 1):
-        proposal = -0.5 * kernel.u @ _weights(mt, kernel, delta, corrected)
-        residual = float(np.max(np.abs(delta - proposal))) if delta.size else 0.0
+        proposal = neg_half_u @ _weights(gm, delta)[0]
+        residual = float(np.abs(delta - proposal).max()) if delta.size else 0.0
         if not math.isfinite(residual):
             raise ConvergenceError(f"gap iterate became non-finite at iteration {iterations}")
         if residual <= tol:
             converged = True
             break
-        if np.max(np.abs(delta)) < TRIVIAL_FLOOR:
+        if delta.max() < TRIVIAL_FLOOR:  # Delta >= 0, so this is max |Delta|
             streak += 1
             if streak >= TRIVIAL_STREAK:
                 trivial_stop = True
@@ -228,26 +273,36 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
         else:
             streak = 0
         delta = (1.0 - damping) * delta + damping * proposal
-        if np.any(delta < 0):
+        if (delta < 0).any():
             clamped = True
             delta = np.maximum(delta, 0.0)
-        delta = 0.5 * (delta + delta[mt.pair])
+        delta = 0.5 * (delta + delta[pair])
     gap = GapTable(delta=delta)
-    residual = (new_gap_residual if corrected else gap_residual)(mt, kernel, gap)
-    residual_inf = float(np.max(np.abs(residual)))
+    theta = AngleTable.from_delta(mt, gap)
+    residual, dk, dsum = _residual(gm, delta)
+    residual_inf = float(np.abs(residual).max())
     if not math.isfinite(residual_inf):
         raise ConvergenceError("gap iterate became non-finite in the last update")
     converged = converged or residual_inf <= tol
+    corrected_fields = {}
+    if corrected:
+        corrected_fields = dict(
+            dk=dk,
+            dsum=dsum,
+            max_factor_dev=float((4.0 * dk / (dsum + 2.0)).max()) if dk.size else 0.0,
+            nonpositive_factor=tuple(np.flatnonzero(correction_factor(dk, dsum) <= 0).tolist()),
+        )
     return GapSolution(
         equation="new" if corrected else "classic",
         delta=gap,
-        theta=AngleTable.from_delta(mt, gap),
+        theta=theta,
         residual_inf=residual_inf,
         iterations=iterations,
         converged=converged,
-        trivial=trivial_stop or (converged and float(np.max(np.abs(delta))) <= 100.0 * tol),
+        trivial=trivial_stop or (converged and float(delta.max()) <= 100.0 * tol),
         clamped=clamped,
-        degenerate_modes=tuple(np.flatnonzero(np.hypot(mt.xi, delta) == 0).tolist()),
+        degenerate_modes=tuple(np.flatnonzero(theta.energy == 0).tolist()),
+        **corrected_fields,
     )
 
 
@@ -276,13 +331,9 @@ def solve_new_gap(
     tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> GapSolution:
-    """Solve the corrected gap equation; D_k, D are refreshed from each iterate."""
-    sol = _solve(mt, kernel, True, init, damping, tol, max_iter)
-    dk, dsum = dk_weights(mt, kernel, sol.delta)
-    return replace(
-        sol,
-        dk=dk,
-        dsum=dsum,
-        max_factor_dev=float(np.max(4.0 * dk / (dsum + 2.0))) if dk.size else 0.0,
-        nonpositive_factor=tuple(np.flatnonzero(correction_factor(dk, dsum) <= 0).tolist()),
-    )
+    """Solve the corrected gap equation; D_k, D are refreshed from each iterate.
+
+    The returned dk, dsum are the D table of the residual evaluation at the
+    returned gap, equal to `dk_weights` there.
+    """
+    return _solve(mt, kernel, True, init, damping, tol, max_iter)

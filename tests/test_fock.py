@@ -110,6 +110,12 @@ def test_ladder_entries_are_signs():
 def test_adjoint_involution():
     c = ladder_matrix(1, 2)
     assert op_norm_inf(adjoint(adjoint(c)) - c) == 0.0
+    rng = np.random.default_rng(3)
+    for real in (True, False):
+        a = random_sparse(16, rng, real=real)
+        adj = adjoint(a)
+        assert adj.format == "csr" and adj.dtype == a.dtype
+        assert np.array_equal(adj.toarray(), a.toarray().conj().T)
 
 
 def test_mode_cap_enforced(monkeypatch):

@@ -14,7 +14,9 @@ from bcslab.gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from bcslab.model import Kernel, explicit_modes, separable_kernel
+from bcslab.model import Kernel, build_lambda, explicit_modes, separable_kernel
+
+from conftest import solve_literal
 
 
 def test_theta_three_four_five(two_mode):
@@ -133,11 +135,14 @@ def test_solver_option_validation(two_mode):
         solve_gap(mt, kernel, tol=-1.0)
     for bad in (
         {"init": math.inf}, {"damping": math.nan}, {"tol": math.nan}, {"tol": math.inf},
-        {"max_iter": 0}, {"max_iter": -5},
+        {"max_iter": 0}, {"max_iter": -5}, {"max_iter": 10.5}, {"max_iter": 10.0},
+        {"max_iter": True}, {"max_iter": np.bool_(True)},
     ):
         for solve in (solve_gap, solve_new_gap):
             with pytest.raises(ValidationError):
                 solve(mt, kernel, **bad)
+    for solve in (solve_gap, solve_new_gap):
+        assert solve(mt, kernel, max_iter=np.int64(500)).converged
 
 
 def test_nonfinite_iterate_raises_convergence_error(two_mode):
@@ -264,3 +269,65 @@ def test_degenerate_mode_is_flagged_not_fatal():
     assert sol.degenerate_modes == (0,)
     dk, dsum = dk_weights(mt, kernel, sol.delta)
     assert np.all(np.isfinite(dk)) and np.isfinite(dsum)
+
+
+def _literal_cases():
+    """(label, mode table, kernel, solver settings) for the bit-for-bit oracle tests."""
+    rng = np.random.default_rng(12)
+    ac10 = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5)
+    lattice = build_lambda(2.0 * math.pi, 1.0, mu=1.0)
+    shell = lambda kn: 0.5 <= kn <= 1.5  # noqa: E731
+    cases = [(f"ac10 g={g:.3f}", ac10, separable_kernel(ac10, g), {}) for g in rng.uniform(0.1, 4.0, 3)]
+    cases += [
+        (f"lattice g={g:.3f}", lattice, separable_kernel(lattice, g, shell=shell), {})
+        for g in rng.uniform(0.1, 4.0, 3)
+    ]
+    pair = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1.6, 1.6])
+    origin = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)
+    zero = explicit_modes(origin.nvecs, mu=0.0)
+    cases += [
+        # g/2 = 1 < xi: the iterate decays until the trivial streak stops it
+        ("subcritical", pair, Kernel(u=[[0.0, -2.0], [-2.0, 0.0]]), {"tol": 1e-300}),
+        # the repulsive origin row drives Delta_0 negative on every pass, so the
+        # clamped iterate never meets the tolerance and runs to max_iter
+        ("clamp", origin, Kernel(u=[[0.0, 1.0, 1.0], [1.0, 0.0, -4.0], [1.0, -4.0, 0.0]]), {"max_iter": 200}),
+        # xi = 0 at the origin, which the all-mode kernel couples
+        ("coupled xi=0", zero, separable_kernel(zero, 4.0), {}),
+        ("max_iter", pair, Kernel(u=[[0.0, -4.0], [-4.0, 0.0]]), {"max_iter": 3}),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("label, mt, kernel, settings", _literal_cases())
+def test_solve_matches_literal_loop_bit_for_bit(label, mt, kernel, settings):
+    for corrected, solve in ((False, solve_gap), (True, solve_new_gap)):
+        sol = solve(mt, kernel, **settings)
+        ref = solve_literal(mt, kernel, corrected, **settings)
+        assert np.array_equal(sol.delta.delta, ref["delta"])
+        for name in ("theta", "sin2t", "cos2t", "energy"):
+            assert np.array_equal(getattr(sol.theta, name), ref[name]), name
+        for name in ("iterations", "residual_inf", "converged", "trivial", "clamped", "degenerate_modes"):
+            assert getattr(sol, name) == ref[name], name
+        if corrected:
+            assert np.array_equal(sol.dk, ref["dk"])
+            for name in ("dsum", "max_factor_dev", "nonpositive_factor"):
+                assert getattr(sol, name) == ref[name], name
+        else:
+            assert sol.dk is None and sol.dsum is None and sol.max_factor_dev is None
+        # each special case reaches the branch it is named for
+        if label == "subcritical":
+            assert ref["trivial"] and not ref["converged"]
+        elif label == "clamp":
+            assert ref["clamped"]
+        elif label == "max_iter":
+            assert ref["iterations"] == 3 and not ref["converged"]
+
+
+@pytest.mark.parametrize("label, mt, kernel, settings", _literal_cases())
+def test_new_solution_reports_the_d_table_at_its_gap(label, mt, kernel, settings):
+    sol = solve_new_gap(mt, kernel, **settings)
+    dk, dsum = dk_weights(mt, kernel, sol.delta)
+    assert np.array_equal(sol.dk, dk)
+    assert sol.dsum == dsum
+    assert sol.max_factor_dev == float(np.max(4.0 * dk / (dsum + 2.0)))
+    assert sol.nonpositive_factor == tuple(np.flatnonzero(correction_factor(dk, dsum) <= 0).tolist())
