@@ -12,10 +12,11 @@ G - diag(Re g), so a G that is not a real diagonal fails them.
 report. It builds each operator, state and expectation once and shares it
 between the checks that read it: the ladder matrices, the pair tables
 (state, B_k state) of Psi_B, Psi and Psi~, the commutators [G, B_k] and the
-dense H-energies. The dense checks are skipped above `DENSE_MODE_CAP`, and
-the (Phi, Phi) = D/2 checks are skipped when D diverges. The report also
-holds the two gap solutions it verified (`solutions`), which the report
-files leave out.
+dense H-energies. It releases each large operator after its last reader,
+so one stage's operators do not stack on the next stage's. The dense
+checks are skipped above `DENSE_MODE_CAP`, and the (Phi, Phi) = D/2
+checks are skipped when D diverges. The report also holds the two gap
+solutions it verified (`solutions`), which the report files leave out.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .gapsolve import (
     AngleTable,
     GapSolution,
     GapTable,
+    check_solver,
     correction_factor,
     dk_weights,
     gap_residual,
@@ -291,7 +293,7 @@ def corollary_new_selfconsistency(
 def _selfconsistency(gap: GapTable, kernel: Kernel, pair_expect: np.ndarray) -> float:
     """max_k |Delta_k + sum_k' U_{k,k'} w_k'| for pair expectations w_k' = (state, B_k' state)."""
     residual = gap.delta + kernel.u @ pair_expect
-    return float(np.max(np.abs(residual))) if residual.size else 0.0
+    return float(np.max(np.abs(residual)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +357,8 @@ def run_verification(
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    # the solves below run at min(tol, 1e-12), so `tol` itself is checked here
+    check_solver(init, damping, tol, max_iter)
     report = VerificationReport()
     m = mt.n_modes
     dense_skip = f"M={m} above dense cap" if m > DENSE_MODE_CAP else ""
@@ -438,6 +442,7 @@ def run_verification(
             rotated = conjugate_series(c_op, gb, -1.0, tol=1e-11)
             dev = max(dev, op_norm_inf(closed - rotated))
         report.add(_deviation("gamma_closed_form_vs_conjugation", dev, TOL_LOOSE))
+    del gb
 
     # --- mean-field splitting -----------------------------------------------
     hm = build_HM(mt, sol.delta, w_dense)
@@ -450,7 +455,8 @@ def run_verification(
                 continue
             fluct = fluct + u * (bdag @ (bundle.B[k] - w_dense[k] * ident))
     report.add(_deviation("hm_splitting", op_norm_inf(bundle.H - hm - fluct), TOL_IDENTITY))
-    # neither is read again; the corrected-state checks below set the peak memory
+    # each large operator is released after its last reader, so the ones a
+    # later stage builds do not stack on it
     del ladders, fluct
 
     hprime = build_Hprime(mt, kernel, angles)
@@ -489,8 +495,10 @@ def run_verification(
     report.add(_overlap_check("phi_overlap_equals_half_dsum", kernel, sol, corr.overlap, dsum))
 
     hprime_psi_b = hprime @ psi_b
+    del hprime
     report.add(_deviation("hprime_on_bcs_vanishes", abs(np.vdot(psi_b, hprime_psi_b)), TOL_IDENTITY))
     expansion = hprime_bcs_expansion(mt, kernel, angles, quasi, psi_b)
+    del quasi
     report.add(_deviation("hprime_bcs_expansion", float(np.linalg.norm(hprime_psi_b - expansion)), TOL_IDENTITY))
     report.add(
         _compare(
@@ -508,6 +516,7 @@ def run_verification(
             TOL_LOOSE,
         )
     )
+    del hm
 
     e_psi = expectation(psi, bundle.H, psi)
     denergy = delta_E_formula(mt, kernel, angles, corr.overlap)
@@ -559,6 +568,7 @@ def run_verification(
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
     report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, w_t), TOL_EXPECT))
+    del bundle, quasi_t, charge_pairs, ident
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)

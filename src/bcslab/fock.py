@@ -9,11 +9,15 @@ Fermionic signs are (-1)^(number of occupied orbitals below j) and are
 computed in exact integer arithmetic; floating point only enters through
 amplitudes.  Operators are scipy CSR arrays and states 1-d numpy arrays,
 both real (float64); only `diagonal_conjugate`, a phase rotation, is complex.
+The ladders carry int32 `indices`/`indptr` up to dimension 2^31 - 1
+(M <= 15), and every product, sum and transpose built from them keeps that
+width, which halves the index memory of each operator against int64.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 import numpy as np
@@ -24,6 +28,8 @@ from .errors import ConvergenceError, ResourceLimitError, ValidationError
 DEFAULT_MODE_CAP = 7
 
 SELFADJOINT_TOL = 1e-12
+# largest dimension whose sparse indices fit int32; every M <= 15
+INT32_MAX = np.iinfo(np.int32).max
 
 
 def mode_cap() -> int:
@@ -90,11 +96,14 @@ def ladder_matrix(j: int, n_modes: int) -> csr_array:
     Exactly 2^(2M-1) nonzeros, each +-1.  The creator is its adjoint.
     """
     check_mode_count(n_modes)
+    # a Python int, so a numpy integer cannot widen the shifts below to int64
+    # and a float is rejected instead of truncated
+    j = operator.index(j)
     n_orb = 2 * n_modes
     if not 0 <= j < n_orb:
         raise ValueError(f"orbital index {j} out of range [0, {n_orb})")
     dim = space_dim(n_modes)
-    src = np.arange(dim, dtype=np.int64)
+    src = np.arange(dim, dtype=np.int32 if dim <= INT32_MAX else np.int64)
     occupied = (src >> j) & 1 == 1
     cols = src[occupied]
     rows = cols ^ (1 << j)

@@ -232,6 +232,9 @@ def new_gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray
 
 def check_solver(init, damping, tol, max_iter) -> None:
     """Raise ValidationError unless the solver settings lie in their valid domain."""
+    for name, value in (("init", init), ("damping", damping), ("tol", tol)):
+        if isinstance(value, (bool, np.bool_)):  # True would pass the range tests as 1.0
+            raise ValidationError(f"solver.{name} must be a number, got {value!r}")
     if not 0.0 < init < math.inf:  # zero starts at the trivial fixed point
         raise ValidationError(f"solver.init must be positive and finite, got {init!r}")
     if not 0.0 < damping <= 1.0:
@@ -259,7 +262,7 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
     trivial_stop = False
     for iterations in range(max_iter + 1):
         proposal = neg_half_u @ _weights(gm, delta)[0]
-        residual = float(np.abs(delta - proposal).max()) if delta.size else 0.0
+        residual = float(np.abs(delta - proposal).max())
         if not math.isfinite(residual):
             raise ConvergenceError(f"gap iterate became non-finite at iteration {iterations}")
         if residual <= tol:
@@ -289,7 +292,7 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
         corrected_fields = dict(
             dk=dk,
             dsum=dsum,
-            max_factor_dev=float((4.0 * dk / (dsum + 2.0)).max()) if dk.size else 0.0,
+            max_factor_dev=float((4.0 * dk / (dsum + 2.0)).max()),
             nonpositive_factor=tuple(np.flatnonzero(correction_factor(dk, dsum) <= 0).tolist()),
         )
     return GapSolution(

@@ -2,9 +2,9 @@
 
 Wave vectors are integer triples n scaled by 2*pi/L.  `ModeTable` itself
 enforces the lattice rule, whichever factory built the table: distinct
-triples, at most the mode cap, closed under negation, a finite box size
-L > 0, xi finite and even in k.  `pair` maps each mode index to the index
-of its negative.
+triples, at least one and at most the mode cap, closed under negation, a
+finite box size L > 0, xi finite and even in k.  `pair` maps each mode
+index to the index of its negative.
 Single-particle energies default to xi_k = hbar^2 |k|^2/(2m) - mu with
 hbar = 1 and 2m = 1, i.e. xi = |k|^2 - mu in desk units.
 """
@@ -37,6 +37,8 @@ class ModeTable:
 
     def __post_init__(self):
         nvecs = tuple(self.nvecs)
+        if not nvecs:
+            raise ValidationError("mode list is empty: the lattice needs at least one wave vector")
         for n in nvecs:
             if not (isinstance(n, tuple) and len(n) == 3 and all(isinstance(c, int) for c in n)):
                 raise ValidationError(f"wave vectors must be integer triples, got {n!r}")

@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -17,6 +20,7 @@ from bcslab.analysis import (
     ssb_witness,
 )
 from bcslab import hamiltonian
+from bcslab.cli import load_config
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
@@ -419,6 +423,14 @@ def test_run_verification_rejects_bad_kernel(two_mode):
         run_verification(mt, Kernel(u=np.array([[0.0, 2.0], [2.0, 0.0]])))
 
 
+@pytest.mark.parametrize("bad", [{"tol": True}, {"tol": np.bool_(True)}, {"tol": -1.0}, {"init": True}])
+def test_run_verification_rejects_bad_solver_settings(two_mode, bad):
+    # tol is certified as given but solved at min(tol, 1e-12), which would turn True into 1e-12
+    mt, kernel = two_mode
+    with pytest.raises(ValidationError, match="solver"):
+        run_verification(mt, kernel, **bad)
+
+
 def test_run_verification_random_m3():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.9)
     kernel = separable_kernel(mt, 4.0)
@@ -443,3 +455,20 @@ def test_run_verification_skips_d_checks_when_d_undefined():
     assert by_name["new_overlap_identity"].reason == "D undefined: E=0 at kernel-coupled modes [0, 1]"
     assert not by_name["phi_overlap_equals_half_dsum"].skipped  # the classic gap is nonzero
     assert report.all_passed
+
+
+def test_run_verification_peak_memory_on_the_seven_mode_lattice():
+    """The M = 7 golden pass allocates at most 28 MiB at its peak.
+
+    With int64 sparse indices it peaks near 37.5 MiB. int32 indices bring it
+    near 26 MiB, and releasing each operator after its last reader near 20.
+    """
+    cfg = load_config(str(Path(__file__).parent / "golden" / "seven_mode" / "config.json"))
+    tracemalloc.start()
+    try:
+        report = run_verification(cfg.mt, cfg.kernel, seed=cfg.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"

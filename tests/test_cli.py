@@ -198,6 +198,17 @@ def test_verify_config_error_exit_code(tmp_path):
     assert main(["verify", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve-gap", "solve-new-gap", "verify", "report"])
+def test_empty_mode_list_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(
+        tmp_path, "empty.json", {"lattice": {"modes": []}, "kernel": {"separable": {"g": 1.0}}}
+    )
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "mode list is empty" in err
+    assert "Traceback" not in err
+
+
 def test_verify_checks_filter(tmp_path, capsys):
     payload = dict(PAIR_CONFIG)
     payload["checks"] = ["car_relations", "gap_solution_classic"]

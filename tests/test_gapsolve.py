@@ -137,6 +137,8 @@ def test_solver_option_validation(two_mode):
         {"init": math.inf}, {"damping": math.nan}, {"tol": math.nan}, {"tol": math.inf},
         {"max_iter": 0}, {"max_iter": -5}, {"max_iter": 10.5}, {"max_iter": 10.0},
         {"max_iter": True}, {"max_iter": np.bool_(True)},
+        {"init": True}, {"init": np.bool_(True)}, {"damping": True}, {"damping": np.bool_(True)},
+        {"tol": True}, {"tol": np.bool_(True)},
     ):
         for solve in (solve_gap, solve_new_gap):
             with pytest.raises(ValidationError):

@@ -296,7 +296,7 @@ def test_corrected_pair_expectation_identity_random(three_mode):
 
 @pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
 def test_fock_algebra_stays_real(instance, request):
-    # a silent complex upcast anywhere would double the memory and time of every check
+    # a silent complex upcast or int64 index anywhere would add to the memory and time of every check
     from bcslab.fock import diagonal_conjugate
     from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 
@@ -318,3 +318,8 @@ def test_fock_algebra_stays_real(instance, request):
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
     assert [v.dtype for v in states] == [np.float64] * len(states)
     assert diagonal_conjugate(bundle.H, bundle.G.diagonal(), 0.3).dtype == np.complex128
+    # and int32 sparse indices: an int64 ladder index would widen every operator built from it
+    ops.append(ladder_matrix(np.int64(1), mt.n_modes))
+    assert [(op.indices.dtype, op.indptr.dtype) for op in ops] == [(np.int32, np.int32)] * len(ops)
+    with pytest.raises(TypeError):
+        ladder_matrix(1.5, mt.n_modes)
