@@ -29,7 +29,7 @@ from .gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from .hamiltonian import OperatorBundle, build_G, build_GB, build_H, build_HM, build_Hprime
+from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from .model import (
     Kernel,
     ModeTable,

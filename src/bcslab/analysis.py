@@ -10,7 +10,8 @@ occupation basis; their deviations also count the largest entry of
 G - diag(Re g), so a G that is not a real diagonal fails them.
 `run_verification` bundles all checks for one instance into a deterministic
 report. It builds each operator, state and expectation once and shares it
-between the checks that read it: the ladder matrices, the pair tables
+between the checks that read it: one `OperatorBundle` (the ladders, B_k,
+h_k, v_k, G, T and H) that every builder reads, the pair tables
 (state, B_k state) of Psi_B, Psi and Psi~, the commutators [G, B_k] and the
 dense H-energies. It releases each large operator after its last reader,
 so one stage's operators do not stack on the next stage's. The dense
@@ -37,7 +38,6 @@ from .fock import (
     diagonal_conjugate,
     expectation,
     identity_op,
-    ladder_matrix,
     op_norm_inf,
 )
 from .gapsolve import (
@@ -52,14 +52,7 @@ from .gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from .hamiltonian import (
-    OperatorBundle,
-    build_G,
-    build_GB,
-    build_HM,
-    build_Hprime,
-    pair_annihilator,
-)
+from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from .model import Kernel, ModeTable, permuted_instance, validate_kernel
 from .states import (
     bcs_state,
@@ -266,13 +259,13 @@ def hprime_bcs_expansion(
     return quartet_sum(mt, quasi, terms, psi_b)
 
 
-def ssb_witness(mt: ModeTable, state: np.ndarray, i: int) -> float:
+def ssb_witness(ops: OperatorBundle, state: np.ndarray, i: int) -> float:
     """(state, [G, B_k] state): a nonzero value certifies broken number symmetry."""
-    return expectation(state, commutator(build_G(mt), pair_annihilator(mt, i)), state)
+    return expectation(state, commutator(ops.G, ops.B[i]), state)
 
 
 def corollary_new_selfconsistency(
-    mt: ModeTable,
+    ops: OperatorBundle,
     kernel: Kernel,
     new_sol: GapSolution,
     psi_tilde: np.ndarray,
@@ -284,9 +277,7 @@ def corollary_new_selfconsistency(
     """
     if not new_sol.converged:
         raise ValidationError("corrected-equation self-consistency needs a converged solution")
-    pair_expect = np.array(
-        [expectation(psi_tilde, pair_annihilator(mt, i), psi_tilde) for i in range(mt.n_modes)]
-    )
+    pair_expect = np.array([expectation(psi_tilde, b, psi_tilde) for b in ops.B])
     return _selfconsistency(new_sol.delta, kernel, pair_expect)
 
 
@@ -377,7 +368,6 @@ def run_verification(
 
     bundle = OperatorBundle(mt, kernel)
     ident = identity_op(mt.dim)
-    ladders = [ladder_matrix(j, m) for j in range(mt.n_orbitals)]
     report.add(_deviation("charge_commutes_with_h", op_norm_inf(commutator(bundle.G, bundle.H)), TOL_TIGHT))
 
     # G conjugates entry by entry only as a real diagonal; any other entry of it
@@ -388,7 +378,7 @@ def run_verification(
     dev_h = g_leak
     for alpha in (0.3, 1.0, math.pi):
         phase = np.exp(1j * alpha)
-        for c_op in ladders:
+        for c_op in bundle.C:
             rotated = diagonal_conjugate(c_op, g, alpha)
             dev_c = max(dev_c, op_norm_inf(rotated - phase * c_op))
         dev_h = max(dev_h, op_norm_inf(diagonal_conjugate(bundle.H, g, alpha) - bundle.H))
@@ -400,10 +390,10 @@ def run_verification(
     report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, sol.delta), tol, sol))
     angles = sol.theta
 
-    psi_b = bcs_state(mt, angles)
-    psi_b_exp = bcs_state_exponential(mt, angles)
+    psi_b = bcs_state(bundle, angles)
+    psi_b_exp = bcs_state_exponential(bundle, angles)
     report.add(_deviation("bcs_product_vs_exponential", float(np.linalg.norm(psi_b - psi_b_exp)), TOL_IDENTITY))
-    psi_f = fermi_vacuum(mt)
+    psi_f = fermi_vacuum(bundle)
 
     w_dense = np.array([expectation(psi_b, b, psi_b) for b in bundle.B])
     dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, angles.sin2t)), default=0.0)
@@ -412,7 +402,7 @@ def run_verification(
     charge_pairs = [commutator(bundle.G, b) for b in bundle.B]
     report.add(_deviation("ssb_witness_commutator", _ssb_deviation(psi_b, charge_pairs, w_dense), TOL_EXPECT))
 
-    gb = build_GB(mt, angles)
+    gb = build_GB(bundle, angles)
     dev = 0.0
     for i in range(m):
         dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * angles.theta[i] * bundle.v[i]))
@@ -431,21 +421,21 @@ def run_verification(
         dev = max(dev, op_norm_inf(lhs - rhs))
     report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
 
-    quasi = quasi_ops(mt, angles)
+    quasi = quasi_ops(bundle, angles)
     _gamma_checks(report, "gamma", quasi, psi_b)
 
     if dense_skip:
         report.add(_skip("gamma_closed_form_vs_conjugation", dense_skip))
     else:
         dev = 0.0
-        for closed, c_op in zip(quasi, ladders):
+        for closed, c_op in zip(quasi, bundle.C):
             rotated = conjugate_series(c_op, gb, -1.0, tol=1e-11)
             dev = max(dev, op_norm_inf(closed - rotated))
         report.add(_deviation("gamma_closed_form_vs_conjugation", dev, TOL_LOOSE))
     del gb
 
     # --- mean-field splitting -----------------------------------------------
-    hm = build_HM(mt, sol.delta, w_dense)
+    hm = build_HM(bundle, sol.delta, w_dense)
     fluct = 0.0 * ident
     for kp in range(m):
         bdag = adjoint(bundle.B[kp] - w_dense[kp] * ident)
@@ -457,9 +447,9 @@ def run_verification(
     report.add(_deviation("hm_splitting", op_norm_inf(bundle.H - hm - fluct), TOL_IDENTITY))
     # each large operator is released after its last reader, so the ones a
     # later stage builds do not stack on it
-    del ladders, fluct
+    del fluct
 
-    hprime = build_Hprime(mt, kernel, angles)
+    hprime = build_Hprime(bundle, kernel, angles)
     report.add(_deviation("hprime_definition", op_norm_inf(hprime - (bundle.H - hm)), TOL_IDENTITY))
 
     # --- energies ------------------------------------------------------------
@@ -545,8 +535,8 @@ def run_verification(
     report.add(_deviation("new_gap_reduction", _selfconsistency(sol.delta, kernel, w_dense), 10.0 * tol))
 
     angles_t = new_sol.theta
-    psi_bt = bcs_state(mt, angles_t)
-    quasi_t = quasi_ops(mt, angles_t)
+    psi_bt = bcs_state(bundle, angles_t)
+    quasi_t = quasi_ops(bundle, angles_t)
     _gamma_checks(report, "gamma_tilde", quasi_t, psi_bt)
 
     corr_t = correction_state(mt, kernel, angles_t, quasi_t, psi_bt)
@@ -564,7 +554,7 @@ def run_verification(
         report.add(_skip("new_spectrum_multiset", dense_skip))
     else:
         ebcs_t = ebcs_formula(mt, angles_t, w_t)
-        dev, _ = hm_spectrum_check(build_HM(mt, new_sol.delta, w_t), mt, new_sol.delta, ebcs_t)
+        dev, _ = hm_spectrum_check(build_HM(bundle, new_sol.delta, w_t), mt, new_sol.delta, ebcs_t)
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
     report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, w_t), TOL_EXPECT))
@@ -575,8 +565,9 @@ def run_verification(
     perm = rng.permutation(m)
     mt_p, kernel_p = permuted_instance(mt, kernel, perm)
     sol_p = solve_gap(mt_p, kernel_p, **solver)
-    psi_bp = bcs_state(mt_p, sol_p.theta)
-    corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_ops(mt_p, sol_p.theta), psi_bp)
+    bundle_p = OperatorBundle(mt_p, kernel_p)
+    psi_bp = bcs_state(bundle_p, sol_p.theta)
+    corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_ops(bundle_p, sol_p.theta), psi_bp)
     new_sol_p = solve_new_gap(mt_p, kernel_p, **solver)
     base = _physical_scalars(mt, kernel, sol, new_sol, corr)
     moved = _physical_scalars(mt_p, kernel_p, sol_p, new_sol_p, corr_p)

@@ -350,12 +350,12 @@ def _cmd_solve(args, equation: str) -> int:
 def _states_for(cfg: RunConfig, sol: GapSolution):
     """Reference state, pair expectations w and corrected state for a solution."""
     bundle = OperatorBundle(cfg.mt, cfg.kernel)
-    psi_ref = bcs_state(cfg.mt, sol.theta)
-    quasi = quasi_ops(cfg.mt, sol.theta)
+    psi_ref = bcs_state(bundle, sol.theta)
+    quasi = quasi_ops(bundle, sol.theta)
     corr = correction_state(cfg.mt, cfg.kernel, sol.theta, quasi, psi_ref)
     psi = normalized_psi(psi_ref, corr)
     witness = psi if sol.equation == "new" else psi_ref
-    w = np.array([expectation(witness, bundle.B[i], witness) for i in range(cfg.mt.n_modes)])
+    w = np.array([expectation(witness, b, witness) for b in bundle.B])
     return bundle, psi_ref, corr, psi, w
 
 
@@ -366,7 +366,7 @@ def _cmd_spectrum(args) -> int:
         print("gap equation did not converge; no spectrum check", file=sys.stderr)
         return EXIT_RESOURCE
     bundle, psi_ref, corr, psi, w = _states_for(cfg, sol)
-    hm = build_HM(cfg.mt, sol.delta, w)
+    hm = build_HM(bundle, sol.delta, w)
     ebcs = ebcs_formula(cfg.mt, sol.theta, w)
     dev, spectrum = hm_spectrum_check(hm, cfg.mt, sol.delta, ebcs)
     print(f"equation={sol.equation}  E_BCS={ebcs:.12f}  ground={spectrum[0]:.12f}")
@@ -381,7 +381,7 @@ def _cmd_energy(args) -> int:
         print("gap equation did not converge; no energy table", file=sys.stderr)
         return EXIT_RESOURCE
     bundle, psi_ref, corr, psi, w = _states_for(cfg, sol)
-    psi_f = fermi_vacuum(cfg.mt)
+    psi_f = fermi_vacuum(bundle)
     ebcs = ebcs_formula(cfg.mt, sol.theta, w)
     e_bcs_dense = expectation(psi_ref, bundle.H, psi_ref)
     e_f_dense = expectation(psi_f, bundle.H, psi_f)

@@ -8,8 +8,9 @@ four-quasiparticle correction vector Phi, and the normalized corrected state
 four-strings for Phi, its literal double-sum oracle and the H' Psi_B
 expansion.
 
-The same constructions serve the classic and corrected gap equations: feed
-them an angle table from whichever gap table is in play.
+The states and the gammas read their ladders and pair annihilators from an
+`OperatorBundle`.  The same constructions serve the classic and corrected
+gap equations: feed them an angle table from whichever gap table is in play.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .fock import adjoint, evolve_state, ladder_matrix, vacuum_state
+from .fock import adjoint, evolve_state, vacuum_state
 from .gapsolve import AngleTable, EPS_GUARD, GapTable
-from .hamiltonian import build_GB, pair_annihilator
+from .hamiltonian import OperatorBundle, build_GB
 from .model import Kernel, ModeTable
 
 
-def bcs_state(mt: ModeTable, angles: AngleTable) -> np.ndarray:
+def bcs_state(ops: OperatorBundle, angles: AngleTable) -> np.ndarray:
     """Paired product state prod_k (cos theta_k + sin theta_k C*_{k,up} C*_{-k,dn}) |0>."""
+    mt = ops.mt
     angles.validate(mt)
     v = vacuum_state(mt.n_modes)
     for i in reversed(range(mt.n_modes)):
@@ -35,42 +37,43 @@ def bcs_state(mt: ModeTable, angles: AngleTable) -> np.ndarray:
         if s == 0.0:
             v = c * v
             continue
-        creator_pair = adjoint(pair_annihilator(mt, i))
+        creator_pair = adjoint(ops.B[i])
         v = c * v + s * (creator_pair @ v)
     return v
 
 
-def bcs_state_exponential(mt: ModeTable, angles: AngleTable) -> np.ndarray:
+def bcs_state_exponential(ops: OperatorBundle, angles: AngleTable) -> np.ndarray:
     """Same state through exp(i G_B)|0> = exp(K)|0>; independent route for cross-checks."""
-    return evolve_state(build_GB(mt, angles), vacuum_state(mt.n_modes))
+    return evolve_state(build_GB(ops, angles), vacuum_state(ops.mt.n_modes))
 
 
-def fermi_vacuum(mt: ModeTable) -> np.ndarray:
+def fermi_vacuum(ops: OperatorBundle) -> np.ndarray:
     """Normal state: the paired product state at Delta = 0.
 
     A mode with xi_k <= 0 gets cos theta = 0 and sin theta = 1 exactly
     (xi = 0 through the E = 0 convention), so it contributes
     C*_{k,up} C*_{-k,dn}; every other mode stays empty.
     """
-    return bcs_state(mt, AngleTable.from_delta(mt, GapTable(np.zeros(mt.n_modes))))
+    mt = ops.mt
+    return bcs_state(ops, AngleTable.from_delta(mt, GapTable(np.zeros(mt.n_modes))))
 
 
-def quasi_ops(mt: ModeTable, angles: AngleTable) -> list:
+def quasi_ops(ops: OperatorBundle, angles: AngleTable) -> list:
     """Quasiparticle annihilators in spin-orbital order: quasi[j] is the rotated C_j,
 
         gamma_{k,up} = cos theta_k C_{k,up} - sin theta_k C*_{-k,dn}
         gamma_{k,dn} = sin theta_k C*_{-k,up} + cos theta_k C_{k,dn}
     """
+    mt, ladders = ops.mt, ops.C
     angles.validate(mt)
-    m = mt.n_modes
     quasi = []
-    for i in range(m):
+    for i in range(mt.n_modes):
         c, s = angles.cos_t[i], angles.sin_t[i]
-        ann_up = ladder_matrix(mt.orb_up(i), m)
-        cre_dn_partner = adjoint(ladder_matrix(mt.orb_dn(mt.pair[i]), m))
+        ann_up = ladders[mt.orb_up(i)]
+        cre_dn_partner = adjoint(ladders[mt.orb_dn(mt.pair[i])])
         quasi.append(csr_array(c * ann_up - s * cre_dn_partner))
-        ann_dn = ladder_matrix(mt.orb_dn(i), m)
-        cre_up_partner = adjoint(ladder_matrix(mt.orb_up(mt.pair[i]), m))
+        ann_dn = ladders[mt.orb_dn(i)]
+        cre_up_partner = adjoint(ladders[mt.orb_up(mt.pair[i])])
         quasi.append(csr_array(s * cre_up_partner + c * ann_dn))
     return quasi
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: reference instances, dense-matrix oracles and a literal gap loop.
+"""Shared fixtures: reference instances, dense-matrix oracles, literal operators and a literal gap loop.
 
 The workhorse instance ("two_mode") is the pair lattice {k, -k} with
 xi = 1.6 and U(k,-k) = -4.  Its gap equation has the closed-form solution
@@ -13,6 +13,8 @@ import pytest
 from scipy.linalg import expm
 
 from bcslab.errors import ConvergenceError
+from bcslab.fock import ladder_matrix
+from bcslab.hamiltonian import OperatorBundle
 from bcslab.model import Kernel, explicit_modes
 
 
@@ -31,6 +33,50 @@ def three_mode():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)
     kernel = separable_kernel(mt, 3.0)
     return mt, kernel
+
+
+def bundle_of(mt, kernel=None):
+    """The instance's OperatorBundle; U = 0 when the test needs no interaction."""
+    if kernel is None:
+        kernel = Kernel(u=np.zeros((mt.n_modes, mt.n_modes)))
+    return OperatorBundle(mt, kernel)
+
+
+def literal_operators(mt, kernel):
+    """Oracle: B_k, h_k, v_k, G, T and H straight from `ladder_matrix` by the paper's formulas.
+
+    Every ladder is built afresh where a formula uses it and the creator is
+    its transpose (the ladders are real).  Sums run in the order the
+    formulas are written: modes in index order, spin up before spin down,
+    k' outer and k inner in H.
+    """
+    from scipy.sparse import csr_array
+
+    m = mt.n_modes
+
+    def number(j):
+        return csr_array(ladder_matrix(j, m).T) @ ladder_matrix(j, m)
+
+    pairs = [ladder_matrix(mt.orb_dn(mt.pair[i]), m) @ ladder_matrix(mt.orb_up(i), m) for i in range(m)]
+    ops = {
+        "B": pairs,
+        "h": [number(mt.orb_up(i)) + number(mt.orb_dn(mt.pair[i])) for i in range(m)],
+        "v": [b + csr_array(b.T) for b in pairs],
+    }
+    g = number(0)
+    for j in range(1, mt.n_orbitals):
+        g = g + number(j)
+    t = csr_array((mt.dim, mt.dim))
+    for i in range(m):
+        t = t + mt.xi[i] * number(mt.orb_up(i))
+        t = t + mt.xi[i] * number(mt.orb_dn(i))
+    h = t
+    for kp in range(m):
+        for k in range(m):
+            if kernel.u[k, kp] != 0.0:
+                h = h + kernel.u[k, kp] * (csr_array(pairs[kp].T) @ pairs[k])
+    ops.update(G=g, T=t, H=h)
+    return ops
 
 
 def dense_conjugation(a, k, alpha):

@@ -38,7 +38,7 @@ from bcslab.gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from bcslab.hamiltonian import OperatorBundle, build_HM, build_Hprime, pair_annihilator
+from bcslab.hamiltonian import OperatorBundle, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
 from bcslab.states import (
     bcs_state,
@@ -117,14 +117,16 @@ def test_ac3_gap_solver():
 
 def test_ac4_state_equivalence():
     mt, kernel, sol = solved_pair()
-    worst = float(np.linalg.norm(bcs_state(mt, sol.theta) - bcs_state_exponential(mt, sol.theta)))
-    mt3, _ = three_mode_instance()
+    ops = OperatorBundle(mt, kernel)
+    worst = float(np.linalg.norm(bcs_state(ops, sol.theta) - bcs_state_exponential(ops, sol.theta)))
+    mt3, kern3 = three_mode_instance()
+    ops3 = OperatorBundle(mt3, kern3)
     rng = np.random.default_rng(42)
     for _ in range(20):
         t0, t1 = rng.uniform(0.0, 0.5 * math.pi, size=2)
         angles = AngleTable.from_theta(mt3, [t0, t1, t1])
         dev = float(
-            np.linalg.norm(bcs_state(mt3, angles) - bcs_state_exponential(mt3, angles))
+            np.linalg.norm(bcs_state(ops3, angles) - bcs_state_exponential(ops3, angles))
         )
         worst = max(worst, dev)
     criterion(
@@ -137,13 +139,13 @@ def test_ac4_state_equivalence():
 
 def test_ac5_expectation_identities():
     mt, kernel, sol = solved_pair()
-    psi_b = bcs_state(mt, sol.theta)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, sol.theta)
     worst_pair = 0.0
     worst_ssb = 0.0
-    for i in range(mt.n_modes):
-        b = pair_annihilator(mt, i)
+    for i, b in enumerate(ops.B):
         worst_pair = max(worst_pair, abs(expectation(psi_b, b, psi_b) - 0.3))
-        worst_ssb = max(worst_ssb, abs(ssb_witness(mt, psi_b, i) - (-0.6)))
+        worst_ssb = max(worst_ssb, abs(ssb_witness(ops, psi_b, i) - (-0.6)))
     criterion(
         "AC-5", f"(Psi_B, B_k Psi_B) = 0.3 within 1e-11 (got {worst_pair:.2e})", worst_pair <= 1e-11
     )
@@ -156,11 +158,10 @@ def test_ac5_expectation_identities():
 
 def test_ac6_meanfield_diagonalization():
     mt, kernel, sol = solved_pair()
-    psi_b = bcs_state(mt, sol.theta)
-    w = np.array(
-        [expectation(psi_b, pair_annihilator(mt, i), psi_b).real for i in range(mt.n_modes)]
-    )
-    hm = build_HM(mt, sol.delta, w)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, sol.theta)
+    w = np.array([expectation(psi_b, b, psi_b).real for b in ops.B])
+    hm = build_HM(ops, sol.delta, w)
     ebcs = ebcs_formula(mt, sol.theta, w)
     dev, spectrum = hm_spectrum_check(hm, mt, sol.delta, ebcs)
     ground = float(spectrum[0])
@@ -176,7 +177,7 @@ def test_ac6_meanfield_diagonalization():
     gap3 = GapTable(delta=np.array([d[0], d[1], d[1]]))
     angles3 = AngleTable.from_delta(mt3, gap3)
     w3 = 0.5 * angles3.sin2t
-    hm3 = build_HM(mt3, gap3, w3)
+    hm3 = build_HM(OperatorBundle(mt3, kern3), gap3, w3)
     dev3, _ = hm_spectrum_check(hm3, mt3, gap3, ebcs_formula(mt3, angles3, w3))
     criterion("AC-6", f"random M=3 sigma(H_M) multiset within 1e-9 (got {dev3:.2e})", dev3 <= 1e-9)
 
@@ -184,9 +185,9 @@ def test_ac6_meanfield_diagonalization():
 def test_ac7_energy_chain():
     mt, kernel, sol = solved_pair()
     bundle = OperatorBundle(mt, kernel)
-    psi_b = bcs_state(mt, sol.theta)
-    psi_f = fermi_vacuum(mt)
-    corr = correction_state(mt, kernel, sol.theta, quasi_ops(mt, sol.theta), psi_b)
+    psi_b = bcs_state(bundle, sol.theta)
+    psi_f = fermi_vacuum(bundle)
+    corr = correction_state(mt, kernel, sol.theta, quasi_ops(bundle, sol.theta), psi_b)
     psi = normalized_psi(psi_b, corr)
     e_b = expectation(psi_b, bundle.H, psi_b).real
     e_f = expectation(psi_f, bundle.H, psi_f).real
@@ -218,13 +219,14 @@ def test_ac7_energy_chain():
 def test_ac8_correction_lemma_suite():
     mt, kernel, sol = solved_pair()
     angles = sol.theta
-    psi_b = bcs_state(mt, angles)
-    quasi = quasi_ops(mt, angles)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, angles)
+    quasi = quasi_ops(ops, angles)
     corr = correction_state(mt, kernel, angles, quasi, psi_b)
     psi = normalized_psi(psi_b, corr)
-    hp = build_Hprime(mt, kernel, angles)
+    hp = build_Hprime(ops, kernel, angles)
     w = 0.5 * angles.sin2t
-    hm = build_HM(mt, sol.delta, w)
+    hm = build_HM(ops, sol.delta, w)
 
     ortho = abs(np.vdot(psi_b, corr.phi))
     criterion("AC-8", f"(Psi_B, Phi) = 0 (got {ortho:.2e})", ortho <= 1e-12)
@@ -262,8 +264,9 @@ def test_ac9_new_gap_equation():
         f"0 < corrected gap < classic gap 1.2 (got {nsol.delta.delta[0]:.6f})",
         bool(np.all(nsol.delta.delta > 0) and np.all(nsol.delta.delta < 1.2)),
     )
-    psi_bt = bcs_state(mt, nsol.theta)
-    corr_t = correction_state(mt, kernel, nsol.theta, quasi_ops(mt, nsol.theta), psi_bt)
+    ops = OperatorBundle(mt, kernel)
+    psi_bt = bcs_state(ops, nsol.theta)
+    corr_t = correction_state(mt, kernel, nsol.theta, quasi_ops(ops, nsol.theta), psi_bt)
     overlap_dev = abs(corr_t.overlap - 0.5 * nsol.dsum)
     criterion(
         "AC-9",
@@ -271,7 +274,7 @@ def test_ac9_new_gap_equation():
         overlap_dev <= 1e-10,
     )
     psi_t = normalized_psi(psi_bt, corr_t)
-    flagship = corollary_new_selfconsistency(mt, kernel, nsol, psi_t)
+    flagship = corollary_new_selfconsistency(ops, kernel, nsol, psi_t)
     criterion(
         "AC-9",
         f"pair-instance self-consistency max_k |Delta~ + sum U (Psi~,B Psi~)| <= 1e-9 "
@@ -281,9 +284,10 @@ def test_ac9_new_gap_equation():
 
     mt3, kern3 = three_mode_instance()
     nsol3 = solve_new_gap(mt3, kern3, tol=tol)
-    psi_bt3 = bcs_state(mt3, nsol3.theta)
-    corr3 = correction_state(mt3, kern3, nsol3.theta, quasi_ops(mt3, nsol3.theta), psi_bt3)
-    flagship3 = corollary_new_selfconsistency(mt3, kern3, nsol3, normalized_psi(psi_bt3, corr3))
+    ops3 = OperatorBundle(mt3, kern3)
+    psi_bt3 = bcs_state(ops3, nsol3.theta)
+    corr3 = correction_state(mt3, kern3, nsol3.theta, quasi_ops(ops3, nsol3.theta), psi_bt3)
+    flagship3 = corollary_new_selfconsistency(ops3, kern3, nsol3, normalized_psi(psi_bt3, corr3))
     criterion(
         "AC-9", f"M=3 self-consistency <= 1e-9 (got {flagship3:.2e})", flagship3 <= 1e-9
     )

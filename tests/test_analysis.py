@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,14 +20,16 @@ from bcslab.analysis import (
     run_verification,
     ssb_witness,
 )
-from bcslab import hamiltonian
+from bcslab import fock
 from bcslab.cli import load_config
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
-from bcslab.hamiltonian import build_H, build_HM, build_Hprime, pair_annihilator
+from bcslab.hamiltonian import OperatorBundle, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
 from bcslab.states import bcs_state, correction_state, fermi_vacuum, normalized_psi, quasi_ops
+
+from conftest import bundle_of
 
 
 def angles_of(mt, delta):
@@ -37,21 +40,21 @@ def angles_of(mt, delta):
 def solved_pair(two_mode):
     mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
-    quasi = quasi_ops(mt, angles)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, angles)
+    quasi = quasi_ops(ops, angles)
     corr = correction_state(mt, kernel, angles, quasi, psi_b)
     psi = normalized_psi(psi_b, corr)
-    return mt, kernel, angles, psi_b, quasi, corr, psi
+    return ops, kernel, angles, psi_b, quasi, corr, psi
 
 
 def test_ebcs_pair_instance(solved_pair):
-    mt, kernel, angles, psi_b, *_ = solved_pair
+    ops, kernel, angles, psi_b, *_ = solved_pair
     w = 0.5 * angles.sin2t
-    ebcs = ebcs_formula(mt, angles, w)
+    ebcs = ebcs_formula(ops.mt, angles, w)
     assert ebcs == pytest.approx(-0.08, abs=1e-14)  # 2 (1.6 - 2 + 1.2 * 0.3)
-    h = build_H(mt, kernel)
-    assert expectation(psi_b, h, psi_b).real == pytest.approx(ebcs, abs=1e-12)
-    hm = build_HM(mt, GapTable(delta=angles.delta), w)
+    assert expectation(psi_b, ops.H, psi_b).real == pytest.approx(ebcs, abs=1e-12)
+    hm = build_HM(ops, GapTable(delta=angles.delta), w)
     assert expectation(psi_b, hm, psi_b).real == pytest.approx(ebcs, abs=1e-12)
 
 
@@ -66,10 +69,11 @@ def test_ebcs_gapless_limits():
 
 
 def test_hm_spectrum_pair_instance(solved_pair):
-    mt, kernel, angles, psi_b, *_ = solved_pair
+    ops, kernel, angles, psi_b, *_ = solved_pair
+    mt = ops.mt
     w = 0.5 * angles.sin2t
     gap = GapTable(delta=angles.delta)
-    hm = build_HM(mt, gap, w)
+    hm = build_HM(ops, gap, w)
     ebcs = ebcs_formula(mt, angles, w)
     dev, eigs = hm_spectrum_check(hm, mt, gap, ebcs)
     assert dev <= 1e-9
@@ -80,7 +84,7 @@ def test_hm_spectrum_pair_instance(solved_pair):
 def test_hm_spectrum_free_limit():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)
     gap = GapTable(delta=np.zeros(3))
-    hm = build_HM(mt, gap, np.zeros(3))
+    hm = build_HM(bundle_of(mt), gap, np.zeros(3))
     angles = angles_of(mt, np.zeros(3))
     ebcs = ebcs_formula(mt, angles, np.zeros(3))
     dev, _ = hm_spectrum_check(hm, mt, gap, ebcs)
@@ -105,7 +109,7 @@ def random_hm(modes, rng, variant):
     gap = GapTable(delta=0.5 * (delta + delta[mt.pair]))
     angles = AngleTable.from_delta(mt, gap)
     w = 0.5 * angles.sin2t if variant == "classic" else rng.uniform(-0.5, 0.5, size=mt.n_modes)
-    return mt, gap, build_HM(mt, gap, w), ebcs_formula(mt, angles, w)
+    return mt, gap, build_HM(bundle_of(mt), gap, w), ebcs_formula(mt, angles, w)
 
 
 @pytest.mark.parametrize("variant", ["classic", "corrected"])
@@ -141,12 +145,13 @@ def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
     eps = 1e-6
     # vacuum <-> orbital 0 filled, kept selfadjoint; or a complex number on one diagonal entry
     rows, cols, vals = ([0, 1], [1, 0], [eps, eps]) if planted == "off_diagonal" else ([1], [1], [1j * eps])
-    build_g = hamiltonian.build_G
-    monkeypatch.setattr(
-        hamiltonian,
-        "build_G",
-        lambda mt: csr_array(build_g(mt) + csr_array((vals, (rows, cols)), shape=(mt.dim, mt.dim))),
-    )
+    init = OperatorBundle.__init__
+
+    def planted_init(self, mt, kernel):
+        init(self, mt, kernel)
+        self.G = csr_array(self.G + csr_array((vals, (rows, cols)), shape=(mt.dim, mt.dim)))
+
+    monkeypatch.setattr(OperatorBundle, "__init__", planted_init)
     report = run_verification(mt, kernel, seed=3)
     by_name = {c.name: c for c in report.checks}
     for name in ("number_phase_covariance_c", "number_phase_covariance_h"):
@@ -184,9 +189,10 @@ def test_condensation_energy_values(two_mode):
     assert cond == pytest.approx(-0.08, abs=1e-15)  # -1/2 * 2 * 0.4^2 / 2
     # dense oracle at the solution
     angles = angles_of(mt, [1.2, 1.2])
-    h = build_H(mt, kernel)
-    psi_b = bcs_state(mt, angles)
-    psi_f = fermi_vacuum(mt)
+    ops = OperatorBundle(mt, kernel)
+    h = ops.H
+    psi_b = bcs_state(ops, angles)
+    psi_f = fermi_vacuum(ops)
     dense = (expectation(psi_b, h, psi_b) - expectation(psi_f, h, psi_f)).real
     assert cond == pytest.approx(dense, abs=1e-10)
     assert cond < 0
@@ -196,19 +202,20 @@ def test_condensation_energy_random_instance(three_mode):
     mt, kernel = three_mode
     sol = solve_gap(mt, kernel, tol=1e-13)
     assert sol.converged and not sol.trivial
-    h = build_H(mt, kernel)
-    psi_b = bcs_state(mt, sol.theta)
-    psi_f = fermi_vacuum(mt)
+    ops = OperatorBundle(mt, kernel)
+    h = ops.H
+    psi_b = bcs_state(ops, sol.theta)
+    psi_f = fermi_vacuum(ops)
     dense = (expectation(psi_b, h, psi_b) - expectation(psi_f, h, psi_f)).real
     assert condensation_energy(mt, sol.delta) == pytest.approx(dense, abs=1e-10)
 
 
 def test_delta_e_pair_instance(solved_pair):
-    mt, kernel, angles, psi_b, quasi, corr, psi = solved_pair
-    de = delta_E_formula(mt, kernel, angles, corr.overlap)
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    de = delta_E_formula(ops.mt, kernel, angles, corr.overlap)
     # no third mode couples both k and -k, so only the second term survives
     assert de == pytest.approx(-0.093312 / 1.0324, abs=1e-14)
-    h = build_H(mt, kernel)
+    h = ops.H
     dense = (expectation(psi, h, psi) - expectation(psi_b, h, psi_b)).real
     assert de == pytest.approx(dense, abs=1e-9)
     assert expectation(psi, h, psi).real == pytest.approx(-0.08 - 0.093312 / 1.0324, abs=1e-9)
@@ -230,9 +237,10 @@ def test_delta_e_random_instance():
         kernel = separable_kernel(mt, rng.uniform(2.5, 5.0))
         sol = solve_gap(mt, kernel, tol=1e-13)
         assert sol.converged and not sol.trivial
-        h = build_H(mt, kernel)
-        psi_b = bcs_state(mt, sol.theta)
-        corr = correction_state(mt, kernel, sol.theta, quasi_ops(mt, sol.theta), psi_b)
+        ops = OperatorBundle(mt, kernel)
+        h = ops.H
+        psi_b = bcs_state(ops, sol.theta)
+        corr = correction_state(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
         psi = normalized_psi(psi_b, corr)
         de = delta_E_formula(mt, kernel, sol.theta, corr.overlap)
         dense = (expectation(psi, h, psi) - expectation(psi_b, h, psi_b)).real
@@ -240,9 +248,10 @@ def test_delta_e_random_instance():
 
 
 def test_hm_expectation_formula(solved_pair):
-    mt, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    mt = ops.mt
     w = 0.5 * angles.sin2t
-    hm = build_HM(mt, GapTable(delta=angles.delta), w)
+    hm = build_HM(ops, GapTable(delta=angles.delta), w)
     ebcs = ebcs_formula(mt, angles, w)
     predicted = lemma_hm_expectation_formula(mt, kernel, angles, corr.overlap, ebcs)
     assert predicted == pytest.approx(-0.08 + 0.2592 / 1.0324, abs=1e-14)
@@ -250,8 +259,9 @@ def test_hm_expectation_formula(solved_pair):
 
 
 def test_hprime_checks_pair_instance(solved_pair):
-    mt, kernel, angles, psi_b, quasi, corr, psi = solved_pair
-    hp = build_Hprime(mt, kernel, angles)
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    mt = ops.mt
+    hp = build_Hprime(ops, kernel, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-12
     coupling = np.vdot(corr.phi, hp @ psi_b).real
     assert coupling == pytest.approx(-0.1296, abs=1e-12)
@@ -264,10 +274,11 @@ def test_hprime_checks_random_instance(three_mode):
     mt, kernel = three_mode
     sol = solve_gap(mt, kernel, tol=1e-12)
     angles = sol.theta
-    psi_b = bcs_state(mt, angles)
-    quasi = quasi_ops(mt, angles)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, angles)
+    quasi = quasi_ops(ops, angles)
     corr = correction_state(mt, kernel, angles, quasi, psi_b)
-    hp = build_Hprime(mt, kernel, angles)
+    hp = build_Hprime(ops, kernel, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-10
     assert np.vdot(corr.phi, hp @ psi_b).real == pytest.approx(
         phi_hprime_coupling_formula(mt, kernel, angles), abs=1e-9
@@ -277,10 +288,10 @@ def test_hprime_checks_random_instance(three_mode):
 
 
 def test_ssb_witness_values(solved_pair):
-    mt, kernel, angles, psi_b, quasi, corr, psi = solved_pair
-    vac = vacuum_state(mt.n_modes)
-    assert ssb_witness(mt, vac, 0) == 0.0
-    val = ssb_witness(mt, psi_b, 0)
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    vac = vacuum_state(ops.mt.n_modes)
+    assert ssb_witness(ops, vac, 0) == 0.0
+    val = ssb_witness(ops, psi_b, 0)
     assert val.real == pytest.approx(-0.6, abs=1e-12)
     assert abs(val.imag) <= 1e-14
 
@@ -289,12 +300,13 @@ def test_ssb_witness_corrected_state(two_mode):
     mt, kernel = two_mode
     nsol = solve_new_gap(mt, kernel, tol=1e-12)
     angles = nsol.theta
-    psi_bt = bcs_state(mt, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(mt, angles), psi_bt)
+    ops = OperatorBundle(mt, kernel)
+    psi_bt = bcs_state(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_bt)
     psi_t = normalized_psi(psi_bt, corr)
     for i in range(2):
-        witness = ssb_witness(mt, psi_t, i)
-        pair_val = expectation(psi_t, pair_annihilator(mt, i), psi_t)
+        witness = ssb_witness(ops, psi_t, i)
+        pair_val = expectation(psi_t, ops.B[i], psi_t)
         assert abs(witness + 2.0 * pair_val) <= 1e-11
         assert abs(witness) > 0.1  # symmetry is broken at the solution
 
@@ -303,20 +315,22 @@ def test_corollary_new_selfconsistency(two_mode):
     mt, kernel = two_mode
     tol = 1e-12
     nsol = solve_new_gap(mt, kernel, tol=tol)
-    psi_bt = bcs_state(mt, nsol.theta)
-    corr = correction_state(mt, kernel, nsol.theta, quasi_ops(mt, nsol.theta), psi_bt)
+    ops = OperatorBundle(mt, kernel)
+    psi_bt = bcs_state(ops, nsol.theta)
+    corr = correction_state(mt, kernel, nsol.theta, quasi_ops(ops, nsol.theta), psi_bt)
     psi_t = normalized_psi(psi_bt, corr)
-    assert corollary_new_selfconsistency(mt, kernel, nsol, psi_t) <= 10 * tol
+    assert corollary_new_selfconsistency(ops, kernel, nsol, psi_t) <= 10 * tol
 
 
 def test_corollary_zero_interaction(two_mode):
     mt, _ = two_mode
     kernel = Kernel(u=np.zeros((2, 2)))
     nsol = solve_new_gap(mt, kernel)
-    psi_bt = bcs_state(mt, nsol.theta)
-    corr = correction_state(mt, kernel, nsol.theta, quasi_ops(mt, nsol.theta), psi_bt)
+    ops = OperatorBundle(mt, kernel)
+    psi_bt = bcs_state(ops, nsol.theta)
+    corr = correction_state(mt, kernel, nsol.theta, quasi_ops(ops, nsol.theta), psi_bt)
     psi_t = normalized_psi(psi_bt, corr)
-    assert corollary_new_selfconsistency(mt, kernel, nsol, psi_t) == 0.0
+    assert corollary_new_selfconsistency(ops, kernel, nsol, psi_t) == 0.0
 
 
 def test_corollary_requires_convergence(two_mode):
@@ -324,18 +338,19 @@ def test_corollary_requires_convergence(two_mode):
     nsol = solve_new_gap(mt, kernel, max_iter=2)
     assert not nsol.converged
     with pytest.raises(ValidationError):
-        corollary_new_selfconsistency(mt, kernel, nsol, vacuum_state(2))
+        corollary_new_selfconsistency(OperatorBundle(mt, kernel), kernel, nsol, vacuum_state(2))
 
 
 def test_monotone_energy_chain(three_mode):
     mt, kernel = three_mode
     sol = solve_gap(mt, kernel, tol=1e-12)
     assert not sol.trivial
-    h = build_H(mt, kernel)
-    psi_b = bcs_state(mt, sol.theta)
-    corr = correction_state(mt, kernel, sol.theta, quasi_ops(mt, sol.theta), psi_b)
+    ops = OperatorBundle(mt, kernel)
+    h = ops.H
+    psi_b = bcs_state(ops, sol.theta)
+    corr = correction_state(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
     psi = normalized_psi(psi_b, corr)
-    psi_f = fermi_vacuum(mt)
+    psi_f = fermi_vacuum(ops)
     e_psi = expectation(psi, h, psi).real
     e_b = expectation(psi_b, h, psi_b).real
     e_f = expectation(psi_f, h, psi_f).real
@@ -472,3 +487,21 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
         tracemalloc.stop()
     assert report.all_passed
     assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_run_verification_builds_each_ladder_once(three_mode, monkeypatch):
+    """One set of 2M ladders each for the CAR check, the operator bundle and the permuted instance's bundle."""
+    mt, kernel = three_mode
+    built = []
+    original = fock.ladder_matrix
+
+    def counted(j, n_modes):
+        built.append(j)
+        return original(j, n_modes)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bcslab") and getattr(module, "ladder_matrix", None) is original:
+            monkeypatch.setattr(module, "ladder_matrix", counted)
+    report = run_verification(mt, kernel, seed=3)
+    assert report.all_passed
+    assert 0 < len(built) <= 3 * mt.n_orbitals

@@ -23,7 +23,7 @@ from bcslab.fock import (
     space_dim,
     vacuum_state,
 )
-from bcslab.hamiltonian import OperatorBundle, build_G, build_H
+from bcslab.hamiltonian import OperatorBundle
 
 from conftest import (
     dense_conjugation,
@@ -266,9 +266,10 @@ def test_conjugate_series_agrees_with_evolved_states():
 @pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
 def test_diagonal_conjugate_matches_series_by_number_operator(instance, request):
     mt, kernel = request.getfixturevalue(instance)
-    big_g = build_G(mt)
+    bundle = OperatorBundle(mt, kernel)
+    big_g = bundle.G
     g = big_g.diagonal()
-    ops = [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)] + [build_H(mt, kernel)]
+    ops = [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)] + [bundle.H]
     for alpha in (0.3, 1.0, math.pi):
         for a in ops:
             series = conjugate_series(a, 1j * big_g, alpha, tol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, expectation, ladder_matrix, op_norm_inf, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, correction_factor, dk_weights, solve_gap
-from bcslab.hamiltonian import build_G, pair_annihilator
+from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes
 from bcslab.states import (
     CorrectionState,
@@ -18,6 +18,8 @@ from bcslab.states import (
     quasi_ops,
 )
 
+from conftest import bundle_of
+
 
 def angles_of(mt, delta):
     return AngleTable.from_delta(mt, GapTable(delta=np.asarray(delta, dtype=float)))
@@ -28,28 +30,29 @@ def angles_of(mt, delta):
 
 
 def test_fermi_vacuum_empty_sea(two_mode):
-    mt, _ = two_mode  # xi = 1.6 > 0 empties the sea
-    assert np.array_equal(fermi_vacuum(mt), vacuum_state(2))
+    mt, kernel = two_mode  # xi = 1.6 > 0 empties the sea
+    assert np.array_equal(fermi_vacuum(OperatorBundle(mt, kernel)), vacuum_state(2))
 
 
 def test_fermi_vacuum_self_paired_fills_both_spins():
     mt = explicit_modes([(0, 0, 0)], mu=1.0)  # xi = -1
-    psi_f = fermi_vacuum(mt)
+    ops = bundle_of(mt)
+    psi_f = fermi_vacuum(ops)
     expected = np.zeros(4, dtype=complex)
     expected[0b11] = 1.0  # both spin-orbitals of the pair, sign +1
     assert np.array_equal(psi_f, expected)
-    g = build_G(mt)
-    assert expectation(psi_f, g, psi_f) == 2.0 + 0j
+    assert expectation(psi_f, ops.G, psi_f) == 2.0 + 0j
 
 
 def test_fermi_vacuum_negative_pair_fills_all_four():
     # xi = 0 fills its pair through the E = 0 convention (theta = pi/2)
     for xi in ([-0.5, -0.5], [0.0, 0.0]):
         mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=xi)
-        psi_f = fermi_vacuum(mt)
+        ops = bundle_of(mt)
+        psi_f = fermi_vacuum(ops)
         assert abs(psi_f[0b1111]) == 1.0
         assert np.linalg.norm(psi_f) == 1.0
-        assert expectation(psi_f, build_G(mt), psi_f) == 4.0 + 0j
+        assert expectation(psi_f, ops.G, psi_f) == 4.0 + 0j
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +60,11 @@ def test_fermi_vacuum_negative_pair_fills_all_four():
 
 
 def test_bcs_state_zero_angles_is_vacuum(two_mode):
-    mt, _ = two_mode
-    assert np.array_equal(bcs_state(mt, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
+    mt, kernel = two_mode
+    ops = OperatorBundle(mt, kernel)
+    assert np.array_equal(bcs_state(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
     # exponential route: G_B vanishes, so exp(iG_B)|0> is |0> exactly
-    assert np.array_equal(bcs_state_exponential(mt, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
+    assert np.array_equal(bcs_state_exponential(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
 
 
 def test_bcs_state_gapless_limit_is_fermi_vacuum():
@@ -68,36 +72,39 @@ def test_bcs_state_gapless_limit_is_fermi_vacuum():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)  # xi = [-0.5, 0.5, 0.5]
     expected = np.zeros(mt.dim, dtype=complex)
     expected[0b000011] = 1.0  # both spin-orbitals of k = 0, sign +1
-    assert np.array_equal(bcs_state(mt, angles_of(mt, np.zeros(3))), expected)
-    assert np.array_equal(fermi_vacuum(mt), expected)
+    ops = bundle_of(mt)
+    assert np.array_equal(bcs_state(ops, angles_of(mt, np.zeros(3))), expected)
+    assert np.array_equal(fermi_vacuum(ops), expected)
 
 
 def test_bcs_pair_expectation(two_mode):
-    mt, _ = two_mode
+    mt, kernel = two_mode
+    ops = OperatorBundle(mt, kernel)
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
+    psi_b = bcs_state(ops, angles)
     assert abs(np.linalg.norm(psi_b) - 1.0) <= 1e-12
-    for i in range(2):
-        b = pair_annihilator(mt, i)
+    for b in ops.B:
         val = expectation(psi_b, b, psi_b)
         assert val == pytest.approx(0.3, abs=1e-14)  # half sin 2theta
         assert expectation(psi_b, adjoint(b), psi_b) == pytest.approx(0.3, abs=1e-14)
 
 
 def test_product_matches_exponential_pair_instance(two_mode):
-    mt, _ = two_mode
+    mt, kernel = two_mode
+    ops = OperatorBundle(mt, kernel)
     angles = angles_of(mt, [1.2, 1.2])
-    dev = np.linalg.norm(bcs_state(mt, angles) - bcs_state_exponential(mt, angles))
+    dev = np.linalg.norm(bcs_state(ops, angles) - bcs_state_exponential(ops, angles))
     assert dev <= 1e-10
 
 
 def test_product_matches_exponential_random_angles():
     rng = np.random.default_rng(17)
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)])
+    ops = bundle_of(mt)
     for _ in range(10):
         t0, t1 = rng.uniform(0.0, 0.5 * np.pi, size=2)
         angles = AngleTable.from_theta(mt, [t0, t1, t1])
-        dev = np.linalg.norm(bcs_state(mt, angles) - bcs_state_exponential(mt, angles))
+        dev = np.linalg.norm(bcs_state(ops, angles) - bcs_state_exponential(ops, angles))
         assert dev <= 1e-10
 
 
@@ -106,8 +113,8 @@ def test_product_matches_exponential_random_angles():
 
 
 def test_quasi_ops_zero_angle_are_bare(two_mode):
-    mt, _ = two_mode
-    q = quasi_ops(mt, angles_of(mt, [0.0, 0.0]))
+    mt, kernel = two_mode
+    q = quasi_ops(OperatorBundle(mt, kernel), angles_of(mt, [0.0, 0.0]))
     for i in range(2):
         assert op_norm_inf(q[mt.orb_up(i)] - ladder_matrix(mt.orb_up(i), 2)) == 0.0
         assert op_norm_inf(q[mt.orb_dn(i)] - ladder_matrix(mt.orb_dn(i), 2)) == 0.0
@@ -115,23 +122,24 @@ def test_quasi_ops_zero_angle_are_bare(two_mode):
 
 def test_quasi_ops_half_pi_is_particle_hole():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[-1.0, -1.0])
-    q = quasi_ops(mt, angles_of(mt, [0.0, 0.0]))  # theta = pi/2 from xi < 0
+    q = quasi_ops(bundle_of(mt), angles_of(mt, [0.0, 0.0]))  # theta = pi/2 from xi < 0
     for i in range(2):
         cre_dn_partner = adjoint(ladder_matrix(mt.orb_dn(mt.pair[i]), 2))
         assert op_norm_inf(q[mt.orb_up(i)] + cre_dn_partner) == 0.0
 
 
 def test_quasi_ops_annihilate_bcs(two_mode):
-    mt, _ = two_mode
+    mt, kernel = two_mode
+    ops = OperatorBundle(mt, kernel)
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
-    for g in quasi_ops(mt, angles):
+    psi_b = bcs_state(ops, angles)
+    for g in quasi_ops(ops, angles):
         assert np.linalg.norm(g @ psi_b) <= 1e-10
 
 
 def test_quasi_ops_car(two_mode):
-    mt, _ = two_mode
-    gammas = quasi_ops(mt, angles_of(mt, [1.2, 1.2]))
+    mt, kernel = two_mode
+    gammas = quasi_ops(OperatorBundle(mt, kernel), angles_of(mt, [1.2, 1.2]))
     from bcslab.fock import anticommutator, identity_op
 
     ident = identity_op(mt.dim)
@@ -147,9 +155,9 @@ def test_quasi_ops_car(two_mode):
 def test_quasi_inverse_relations(two_mode):
     # C_{k,up} = cos gamma_{k,up} + sin gamma*_{-k,dn};
     # C_{-k,dn} = -sin gamma*_{k,up} + cos gamma_{-k,dn}
-    mt, _ = two_mode
+    mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    q = quasi_ops(mt, angles)
+    q = quasi_ops(OperatorBundle(mt, kernel), angles)
     for i in range(2):
         c, s = angles.cos_t[i], angles.sin_t[i]
         bare_up = ladder_matrix(mt.orb_up(i), 2)
@@ -165,8 +173,9 @@ def test_quasi_inverse_relations(two_mode):
 def test_quasi_ops_self_paired_mode():
     mt = explicit_modes([(0, 0, 0)], mu=0.3)
     angles = angles_of(mt, [0.9])
-    q = quasi_ops(mt, angles)
-    psi_b = bcs_state(mt, angles)
+    ops = bundle_of(mt)
+    q = quasi_ops(ops, angles)
+    psi_b = bcs_state(ops, angles)
     for g in q:
         assert np.linalg.norm(g @ psi_b) <= 1e-12
 
@@ -178,8 +187,9 @@ def test_quasi_ops_self_paired_mode():
 def test_correction_zero_interaction(two_mode):
     mt, _ = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
-    corr = correction_state(mt, Kernel(u=np.zeros((2, 2))), angles, quasi_ops(mt, angles), psi_b)
+    ops = bundle_of(mt)
+    psi_b = bcs_state(ops, angles)
+    corr = correction_state(mt, Kernel(u=np.zeros((2, 2))), angles, quasi_ops(ops, angles), psi_b)
     assert np.all(corr.phi == 0)
     assert corr.overlap == 0.0
 
@@ -187,8 +197,9 @@ def test_correction_zero_interaction(two_mode):
 def test_correction_pair_instance_values(two_mode):
     mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(mt, angles), psi_b)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     # c = U (C^2 S'^2 + C'^2 S^2)/(E+E') = -4 * 0.18 / 4 = -0.18
     assert corr.coeffs[0, 1] == pytest.approx(-0.18, abs=1e-15)
     assert corr.coeffs[1, 0] == pytest.approx(-0.18, abs=1e-15)
@@ -200,8 +211,9 @@ def test_correction_pair_instance_values(two_mode):
 def test_correction_matches_literal_double_sum(two_mode):
     mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
-    q = quasi_ops(mt, angles)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, angles)
+    q = quasi_ops(ops, angles)
     corr = correction_state(mt, kernel, angles, q, psi_b)
     literal = correction_state_literal(mt, kernel, angles, q, psi_b)
     assert np.linalg.norm(corr.phi - literal) <= 1e-14
@@ -217,8 +229,9 @@ def test_correction_coefficient_symmetry(three_mode):
 def test_overlap_equals_half_dsum(three_mode):
     mt, kernel = three_mode
     sol = solve_gap(mt, kernel, tol=1e-12)
-    psi_b = bcs_state(mt, sol.theta)
-    corr = correction_state(mt, kernel, sol.theta, quasi_ops(mt, sol.theta), psi_b)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, sol.theta)
+    corr = correction_state(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
     dk, dsum = dk_weights(mt, kernel, sol.delta)
     assert corr.overlap == pytest.approx(0.5 * dsum, abs=1e-10)
 
@@ -231,9 +244,9 @@ def test_angle_table_without_energy_rejected(two_mode):
 
 
 def test_normalized_psi_trivial_correction(two_mode):
-    mt, _ = two_mode
+    mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
+    psi_b = bcs_state(OperatorBundle(mt, kernel), angles)
     corr = CorrectionState(phi=np.zeros(mt.dim, dtype=complex), overlap=0.0, coeffs=np.zeros((2, 2)))
     assert np.array_equal(normalized_psi(psi_b, corr), psi_b)
 
@@ -241,17 +254,18 @@ def test_normalized_psi_trivial_correction(two_mode):
 def test_normalized_psi_pair_instance(two_mode):
     mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(mt, angles), psi_b)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     assert np.vdot(psi_b, psi).real == pytest.approx(1.0 / np.sqrt(1.0324), abs=1e-12)
 
 
 def test_normalized_psi_requires_orthogonality(two_mode):
-    mt, _ = two_mode
+    mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
+    psi_b = bcs_state(OperatorBundle(mt, kernel), angles)
     fake = CorrectionState(phi=psi_b.copy(), overlap=1.0, coeffs=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         normalized_psi(psi_b, fake)
@@ -261,13 +275,14 @@ def test_corrected_pair_expectation_identity(two_mode):
     # (Psi, B_k Psi) = 1/2 sin 2theta (1 - 4 D_k / (D + 2))
     mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
-    psi_b = bcs_state(mt, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(mt, angles), psi_b)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
     dk, dsum = dk_weights(mt, kernel, GapTable(delta=np.array([1.2, 1.2])))
     factor = correction_factor(dk, dsum)
     for i in range(2):
-        val = expectation(psi, pair_annihilator(mt, i), psi).real
+        val = expectation(psi, ops.B[i], psi).real
         predicted = 0.5 * angles.sin2t[i] * factor[i]
         assert val == pytest.approx(predicted, abs=1e-12)
         assert val == pytest.approx(0.3 * (1.0 - 0.1296 / 2.0648), abs=1e-12)
@@ -276,17 +291,18 @@ def test_corrected_pair_expectation_identity(two_mode):
 def test_corrected_pair_expectation_identity_random(three_mode):
     mt, kernel = three_mode
     rng = np.random.default_rng(5)
+    ops = OperatorBundle(mt, kernel)
     for _ in range(5):
         d = rng.uniform(0.1, 2.0, size=2)
         gap = GapTable(delta=np.array([d[0], d[1], d[1]]))
         angles = AngleTable.from_delta(mt, gap)
-        psi_b = bcs_state(mt, angles)
-        corr = correction_state(mt, kernel, angles, quasi_ops(mt, angles), psi_b)
+        psi_b = bcs_state(ops, angles)
+        corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
         psi = normalized_psi(psi_b, corr)
         dk, dsum = dk_weights(mt, kernel, gap)
         factor = correction_factor(dk, dsum)
         for i in range(3):
-            val = expectation(psi, pair_annihilator(mt, i), psi).real
+            val = expectation(psi, ops.B[i], psi).real
             assert val == pytest.approx(0.5 * angles.sin2t[i] * factor[i], abs=1e-10)
 
 
@@ -298,22 +314,20 @@ def test_corrected_pair_expectation_identity_random(three_mode):
 def test_fock_algebra_stays_real(instance, request):
     # a silent complex upcast or int64 index anywhere would add to the memory and time of every check
     from bcslab.fock import diagonal_conjugate
-    from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 
     mt, kernel = request.getfixturevalue(instance)
     sol = solve_gap(mt, kernel, tol=1e-12)
     angles = sol.theta
     bundle = OperatorBundle(mt, kernel)
-    psi_b = bcs_state(mt, angles)
-    quasi = quasi_ops(mt, angles)
-    ops = [bundle.H, bundle.G, *bundle.B, *bundle.h, *bundle.v, *quasi]
-    ops += [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)]
+    psi_b = bcs_state(bundle, angles)
+    quasi = quasi_ops(bundle, angles)
+    ops = [bundle.H, bundle.G, bundle.T, *bundle.C, *bundle.B, *bundle.h, *bundle.v, *quasi]
     ops += [
-        build_GB(mt, angles),
-        build_HM(mt, sol.delta, 0.5 * angles.sin2t),
-        build_Hprime(mt, kernel, angles),
+        build_GB(bundle, angles),
+        build_HM(bundle, sol.delta, 0.5 * angles.sin2t),
+        build_Hprime(bundle, kernel, angles),
     ]
-    states = [psi_b, bcs_state_exponential(mt, angles)]
+    states = [psi_b, bcs_state_exponential(bundle, angles)]
     states.append(correction_state(mt, kernel, angles, quasi, psi_b).phi)
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
     assert [v.dtype for v in states] == [np.float64] * len(states)
