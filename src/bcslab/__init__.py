@@ -41,7 +41,6 @@ from .model import (
 from .states import (
     CorrectionState,
     bcs_state,
-    bcs_state_exponential,
     correction_state,
     fermi_vacuum,
     normalized_psi,

@@ -11,10 +11,12 @@ G - diag(Re g), so a G that is not a real diagonal fails them.
 `run_verification` bundles all checks for one instance into a deterministic
 report. It builds each operator, state and expectation once and shares it
 between the checks that read it: one `OperatorBundle` (the ladders, B_k,
-h_k, v_k, G, T and H) that every builder reads, the pair tables
-(state, B_k state) of Psi_B, Psi and Psi~, the commutators [G, B_k] and the
-dense H-energies. It releases each large operator after its last reader,
-so one stage's operators do not stack on the next stage's. The dense
+B*_k, h_k, v_k, G, T, H and the identity) that every builder reads, one
+K = i G_B (read by the exponential route to Psi_B, the pairing commutators
+and the conjugations), the pair tables (state, B_k state) of Psi_B, Psi and
+Psi~, the commutators [G, B_k] and the dense H-energies. It releases each
+large operator after its last reader, so one stage's operators do not
+stack on the next stage's. The dense
 checks are skipped above `DENSE_MODE_CAP`, and the (Phi, Phi) = D/2
 checks are skipped when D diverges. The report also holds the two gap
 solutions it verified (`solutions`), which the report files leave out.
@@ -36,9 +38,10 @@ from .fock import (
     commutator,
     conjugate_series,
     diagonal_conjugate,
+    evolve_state,
     expectation,
-    identity_op,
     op_norm_inf,
+    vacuum_state,
 )
 from .gapsolve import (
     AngleTable,
@@ -56,7 +59,6 @@ from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from .model import Kernel, ModeTable, permuted_instance, validate_kernel
 from .states import (
     bcs_state,
-    bcs_state_exponential,
     correction_state,
     fermi_vacuum,
     normalized_psi,
@@ -367,7 +369,6 @@ def run_verification(
     report.add(_deviation("car_relations", anticommutator_check(m), 0.0))
 
     bundle = OperatorBundle(mt, kernel)
-    ident = identity_op(mt.dim)
     report.add(_deviation("charge_commutes_with_h", op_norm_inf(commutator(bundle.G, bundle.H)), TOL_TIGHT))
 
     # G conjugates entry by entry only as a real diagonal; any other entry of it
@@ -390,8 +391,9 @@ def run_verification(
     report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, sol.delta), tol, sol))
     angles = sol.theta
 
+    gb = build_GB(bundle, angles)
     psi_b = bcs_state(bundle, angles)
-    psi_b_exp = bcs_state_exponential(bundle, angles)
+    psi_b_exp = evolve_state(gb, vacuum_state(m))
     report.add(_deviation("bcs_product_vs_exponential", float(np.linalg.norm(psi_b - psi_b_exp)), TOL_IDENTITY))
     psi_f = fermi_vacuum(bundle)
 
@@ -402,11 +404,10 @@ def run_verification(
     charge_pairs = [commutator(bundle.G, b) for b in bundle.B]
     report.add(_deviation("ssb_witness_commutator", _ssb_deviation(psi_b, charge_pairs, w_dense), TOL_EXPECT))
 
-    gb = build_GB(bundle, angles)
     dev = 0.0
     for i in range(m):
         dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * angles.theta[i] * bundle.v[i]))
-        dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * angles.theta[i] * (bundle.h[i] - ident)))
+        dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * angles.theta[i] * (bundle.h[i] - bundle.I)))
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
 
     dev = 0.0
@@ -416,7 +417,7 @@ def run_verification(
         rhs = (
             (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
             + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
-            + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * ident
+            + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
         )
         dev = max(dev, op_norm_inf(lhs - rhs))
     report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
@@ -436,14 +437,14 @@ def run_verification(
 
     # --- mean-field splitting -----------------------------------------------
     hm = build_HM(bundle, sol.delta, w_dense)
-    fluct = 0.0 * ident
+    fluct = 0.0 * bundle.I
     for kp in range(m):
-        bdag = adjoint(bundle.B[kp] - w_dense[kp] * ident)
+        bdag = bundle.Bd[kp] - w_dense[kp] * bundle.I
         for k in range(m):
             u = kernel.u[k, kp]
             if u == 0.0:
                 continue
-            fluct = fluct + u * (bdag @ (bundle.B[k] - w_dense[k] * ident))
+            fluct = fluct + u * (bdag @ (bundle.B[k] - w_dense[k] * bundle.I))
     report.add(_deviation("hm_splitting", op_norm_inf(bundle.H - hm - fluct), TOL_IDENTITY))
     # each large operator is released after its last reader, so the ones a
     # later stage builds do not stack on it
@@ -558,7 +559,7 @@ def run_verification(
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
     report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, w_t), TOL_EXPECT))
-    del bundle, quasi_t, charge_pairs, ident
+    del bundle, quasi_t, charge_pairs
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)

@@ -1,18 +1,20 @@
 """Operators of the pairing model: H, G, K = i G_B, H_M, H' and the per-mode algebra.
 
 `OperatorBundle` turns the 2M ladders C_j of one instance into its
-operators, each built once:
+angle-independent operators, each built once:
 
   B_k = C_{-k,dn} C_{k,up}                    (pair annihilator)
+  B*_k                                        (pair creator)
   h_k = C*_{k,up} C_{k,up} + C*_{-k,dn} C_{-k,dn}
   v_k = B_k + B*_k
   G   = sum_j C*_j C_j                        (number operator)
   T   = sum_{k,s} xi_k C*_{ks} C_{ks}         (kinetic term)
   H   = T + sum_{k,k'} U_{k,k'} B*_{k'} B_k
+  I                                           (identity)
 
-`build_GB`, `build_HM` and `build_Hprime` read their B_k, v_k and T from
-a bundle.  All constant energy offsets are carried explicitly as
-multiples of the identity; nothing is folded into implicit zero points.
+`build_GB`, `build_HM` and `build_Hprime` read their B_k, B*_k, v_k, T
+and I from a bundle.  All constant energy offsets are carried explicitly
+as multiples of the identity; nothing is folded into implicit zero points.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from .model import Kernel, ModeTable, validate_kernel
 class OperatorBundle:
     """The Fock operators of one instance, each built once from its ladders.
 
-    C[j] is the annihilator of spin-orbital j; B, h and v hold B_k, h_k and
-    v_k by mode index; G is the number operator, T the kinetic term and H
-    the pairing Hamiltonian of `kernel`, which is validated first.
+    C[j] is the annihilator of spin-orbital j; B, Bd, h and v hold B_k,
+    B*_k, h_k and v_k by mode index; G is the number operator, T the kinetic
+    term, H the pairing Hamiltonian of `kernel`, which is validated first,
+    and I the identity.
     """
 
     def __init__(self, mt: ModeTable, kernel: Kernel):
@@ -45,8 +48,10 @@ class OperatorBundle:
         up = [mt.orb_up(i) for i in range(m)]
         down = [mt.orb_dn(mt.pair[i]) for i in range(m)]
         self.B = [csr_array(self.C[down[i]] @ self.C[up[i]]) for i in range(m)]
+        self.Bd = [adjoint(b) for b in self.B]
         self.h = [csr_array(numbers[up[i]] + numbers[down[i]]) for i in range(m)]
-        self.v = [csr_array(b + adjoint(b)) for b in self.B]
+        self.v = [csr_array(b + bd) for b, bd in zip(self.B, self.Bd)]
+        self.I = identity_op(mt.dim)
 
         total = numbers[0]
         for n_j in numbers[1:]:
@@ -61,11 +66,10 @@ class OperatorBundle:
 
         h = t
         for kp in range(m):
-            bdag = adjoint(self.B[kp])
             for k in range(m):
                 u = kernel.u[k, kp]
                 if u != 0.0:
-                    h = h + u * (bdag @ self.B[k])
+                    h = h + u * (self.Bd[kp] @ self.B[k])
         self.H = csr_array(h)
 
 
@@ -77,8 +81,7 @@ def build_GB(ops: OperatorBundle, angles: AngleTable) -> csr_array:
     for i in range(mt.n_modes):
         t = angles.theta[i]
         if t != 0.0:
-            b = ops.B[i]
-            k = k + t * (adjoint(b) - b)
+            k = k + t * (ops.Bd[i] - ops.B[i])
     return k
 
 
@@ -100,7 +103,7 @@ def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> csr_array:
             hm = hm - gap.delta[i] * ops.v[i]
     offset = float(np.dot(gap.delta, w))
     if offset != 0.0:
-        hm = hm + offset * identity_op(mt.dim)
+        hm = hm + offset * ops.I
     return csr_array(hm)
 
 
@@ -116,17 +119,15 @@ def build_Hprime(ops: OperatorBundle, kernel: Kernel, angles: AngleTable) -> csr
     m = mt.n_modes
     cs = angles.cos_t * angles.sin_t
     hp = csr_array((mt.dim, mt.dim))
-    pairs = ops.B
-    dags = [adjoint(b) for b in pairs]
     const = 0.0
     for kp in range(m):
         for k in range(m):
             u = kernel.u[k, kp]
             if u == 0.0:
                 continue
-            hp = hp + u * (dags[kp] @ pairs[k])
-            hp = hp - (u * cs[kp]) * (dags[k] + pairs[k])
+            hp = hp + u * (ops.Bd[kp] @ ops.B[k])
+            hp = hp - (u * cs[kp]) * (ops.Bd[k] + ops.B[k])
             const += u * cs[k] * cs[kp]
     if const != 0.0:
-        hp = hp + const * identity_op(mt.dim)
+        hp = hp + const * ops.I
     return csr_array(hp)

@@ -1,14 +1,15 @@
 """Reference states and quasiparticle operators.
 
-Builds the paired product state (two independent routes: the explicit
-product and exp(i G_B)|0> = exp(K)|0>), the filled Fermi sea as its Delta = 0
-case, the closed-form rotated quasiparticle operators gamma, the
-four-quasiparticle correction vector Phi, and the normalized corrected state
-(Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.  `quartet_sum` applies the gamma*
-four-strings for Phi, its literal double-sum oracle and the H' Psi_B
-expansion.
+Builds the paired product state from the bundle's pair creators B*_k (the
+independent route exp(i G_B)|0> = exp(K)|0> is
+`evolve_state(build_GB(ops, angles), vacuum_state(M))`), the filled Fermi
+sea as its Delta = 0 case, the closed-form rotated quasiparticle operators
+gamma, the four-quasiparticle correction vector Phi, and the normalized
+corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.
+`quartet_sum` applies the gamma* four-strings for Phi, its literal
+double-sum oracle and the H' Psi_B expansion.
 
-The states and the gammas read their ladders and pair annihilators from an
+The states and the gammas read their ladders and pair creators from an
 `OperatorBundle`.  The same constructions serve the classic and corrected
 gap equations: feed them an angle table from whichever gap table is in play.
 """
@@ -21,9 +22,9 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .fock import adjoint, evolve_state, vacuum_state
+from .fock import adjoint, vacuum_state
 from .gapsolve import AngleTable, EPS_GUARD, GapTable
-from .hamiltonian import OperatorBundle, build_GB
+from .hamiltonian import OperatorBundle
 from .model import Kernel, ModeTable
 
 
@@ -37,14 +38,8 @@ def bcs_state(ops: OperatorBundle, angles: AngleTable) -> np.ndarray:
         if s == 0.0:
             v = c * v
             continue
-        creator_pair = adjoint(ops.B[i])
-        v = c * v + s * (creator_pair @ v)
+        v = c * v + s * (ops.Bd[i] @ v)
     return v
-
-
-def bcs_state_exponential(ops: OperatorBundle, angles: AngleTable) -> np.ndarray:
-    """Same state through exp(i G_B)|0> = exp(K)|0>; independent route for cross-checks."""
-    return evolve_state(build_GB(ops, angles), vacuum_state(ops.mt.n_modes))
 
 
 def fermi_vacuum(ops: OperatorBundle) -> np.ndarray:

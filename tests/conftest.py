@@ -43,23 +43,27 @@ def bundle_of(mt, kernel=None):
 
 
 def literal_operators(mt, kernel):
-    """Oracle: B_k, h_k, v_k, G, T and H straight from `ladder_matrix` by the paper's formulas.
+    """Oracle: B_k, B*_k, h_k, v_k, G, T, H and I straight from `ladder_matrix` by the paper's formulas.
 
     Every ladder is built afresh where a formula uses it and the creator is
-    its transpose (the ladders are real).  Sums run in the order the
-    formulas are written: modes in index order, spin up before spin down,
-    k' outer and k inner in H.
+    its transpose (the ladders are real), so B*_k is C*_{k,up} C*_{-k,dn}.
+    Sums run in the order the formulas are written: modes in index order,
+    spin up before spin down, k' outer and k inner in H.
     """
-    from scipy.sparse import csr_array
+    from scipy.sparse import csr_array, eye_array
 
     m = mt.n_modes
 
+    def creator(j):
+        return csr_array(ladder_matrix(j, m).T)
+
     def number(j):
-        return csr_array(ladder_matrix(j, m).T) @ ladder_matrix(j, m)
+        return creator(j) @ ladder_matrix(j, m)
 
     pairs = [ladder_matrix(mt.orb_dn(mt.pair[i]), m) @ ladder_matrix(mt.orb_up(i), m) for i in range(m)]
     ops = {
         "B": pairs,
+        "Bd": [creator(mt.orb_up(i)) @ creator(mt.orb_dn(mt.pair[i])) for i in range(m)],
         "h": [number(mt.orb_up(i)) + number(mt.orb_dn(mt.pair[i])) for i in range(m)],
         "v": [b + csr_array(b.T) for b in pairs],
     }
@@ -75,7 +79,7 @@ def literal_operators(mt, kernel):
         for k in range(m):
             if kernel.u[k, kp] != 0.0:
                 h = h + kernel.u[k, kp] * (csr_array(pairs[kp].T) @ pairs[k])
-    ops.update(G=g, T=t, H=h)
+    ops.update(G=g, T=t, H=h, I=eye_array(mt.dim))
     return ops
 
 

@@ -25,9 +25,11 @@ from bcslab.fock import (
     adjoint,
     anticommutator_check,
     conjugate_series,
+    evolve_state,
     expectation,
     ladder_matrix,
     op_norm_inf,
+    vacuum_state,
 )
 from bcslab.gapsolve import (
     AngleTable,
@@ -38,11 +40,10 @@ from bcslab.gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from bcslab.hamiltonian import OperatorBundle, build_HM, build_Hprime
+from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
 from bcslab.states import (
     bcs_state,
-    bcs_state_exponential,
     correction_state,
     fermi_vacuum,
     normalized_psi,
@@ -118,16 +119,16 @@ def test_ac3_gap_solver():
 def test_ac4_state_equivalence():
     mt, kernel, sol = solved_pair()
     ops = OperatorBundle(mt, kernel)
-    worst = float(np.linalg.norm(bcs_state(ops, sol.theta) - bcs_state_exponential(ops, sol.theta)))
+    exponential = evolve_state(build_GB(ops, sol.theta), vacuum_state(mt.n_modes))
+    worst = float(np.linalg.norm(bcs_state(ops, sol.theta) - exponential))
     mt3, kern3 = three_mode_instance()
     ops3 = OperatorBundle(mt3, kern3)
     rng = np.random.default_rng(42)
     for _ in range(20):
         t0, t1 = rng.uniform(0.0, 0.5 * math.pi, size=2)
         angles = AngleTable.from_theta(mt3, [t0, t1, t1])
-        dev = float(
-            np.linalg.norm(bcs_state(ops3, angles) - bcs_state_exponential(ops3, angles))
-        )
+        exponential = evolve_state(build_GB(ops3, angles), vacuum_state(mt3.n_modes))
+        dev = float(np.linalg.norm(bcs_state(ops3, angles) - exponential))
         worst = max(worst, dev)
     criterion(
         "AC-4",

@@ -20,7 +20,7 @@ from bcslab.analysis import (
     run_verification,
     ssb_witness,
 )
-from bcslab import fock
+from bcslab import fock, hamiltonian
 from bcslab.cli import load_config
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, expectation, ladder_matrix, vacuum_state
@@ -505,3 +505,27 @@ def test_run_verification_builds_each_ladder_once(three_mode, monkeypatch):
     report = run_verification(mt, kernel, seed=3)
     assert report.all_passed
     assert 0 < len(built) <= 3 * mt.n_orbitals
+
+
+def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch):
+    """One K = i G_B per pass, and each B*_k formed once, by the bundle, instead of at every reader."""
+    mt, kernel = three_mode
+    originals = {"build_GB": hamiltonian.build_GB, "adjoint": fock.adjoint}
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(fn):
+        def counted(*args):
+            calls[fn] += 1
+            return originals[fn](*args)
+
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        for fn, original in originals.items():
+            if name.startswith("bcslab") and getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, counting(fn))
+    report = run_verification(mt, kernel, seed=3)
+    assert report.all_passed
+    assert calls["build_GB"] == 1
+    # 116 calls when each reader formed its own B*_k (32 of them); the two bundles form one per mode
+    assert 0 < calls["adjoint"] <= 116 - 32 + 2 * mt.n_modes

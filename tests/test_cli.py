@@ -387,6 +387,27 @@ def test_verify_matches_golden_report(instance, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+def test_readme_command_examples_use_existing_configs():
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    paths = re.findall(r"--config (\S+)", block)
+    assert paths
+    assert [p for p in paths if not (root / p).is_file()] == []
+
+
+def test_classic_spectrum_builds_only_the_paired_state(pair_config, monkeypatch, capsys):
+    """H_M of the classic equation reads Psi_B's pair table; the gammas and Phi are not built."""
+    from bcslab import cli
+
+    def unread(*args):
+        raise AssertionError("spectrum --equation classic built a state it does not print")
+
+    monkeypatch.setattr(cli, "quasi_ops", unread)
+    monkeypatch.setattr(cli, "correction_state", unread)
+    assert main(["spectrum", "--config", pair_config, "--equation", "classic"]) == 0
+    assert "(tolerance 1e-09)" in capsys.readouterr().out
+
+
 def test_report_command(pair_config, tmp_path, capsys):
     out_dir = tmp_path / "rep"
     assert main(["report", "--config", pair_config, "--out", str(out_dir)]) == 0

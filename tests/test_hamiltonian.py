@@ -248,9 +248,9 @@ def test_bundle_matches_literal_operators(name):
     oracle = literal_operators(cfg.mt, cfg.kernel)
     assert ops.mt is cfg.mt
     assert len(ops.C) == cfg.mt.n_orbitals
-    for key in ("B", "h", "v"):
+    for key in ("B", "Bd", "h", "v"):
         assert len(getattr(ops, key)) == cfg.mt.n_modes
         for a, b in zip(getattr(ops, key), oracle[key]):
             assert (a != b).nnz == 0, key
-    for key in ("G", "T", "H"):
+    for key in ("G", "T", "H", "I"):
         assert (getattr(ops, key) != oracle[key]).nnz == 0, key

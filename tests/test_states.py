@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from bcslab.errors import ValidationError
-from bcslab.fock import adjoint, expectation, ladder_matrix, op_norm_inf, vacuum_state
+from bcslab.fock import adjoint, evolve_state, expectation, ladder_matrix, op_norm_inf, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, correction_factor, dk_weights, solve_gap
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes
 from bcslab.states import (
     CorrectionState,
     bcs_state,
-    bcs_state_exponential,
     correction_state,
     correction_state_literal,
     fermi_vacuum,
@@ -64,7 +63,8 @@ def test_bcs_state_zero_angles_is_vacuum(two_mode):
     ops = OperatorBundle(mt, kernel)
     assert np.array_equal(bcs_state(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
     # exponential route: G_B vanishes, so exp(iG_B)|0> is |0> exactly
-    assert np.array_equal(bcs_state_exponential(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
+    gb = build_GB(ops, angles_of(mt, [0.0, 0.0]))
+    assert np.array_equal(evolve_state(gb, vacuum_state(2)), vacuum_state(2))
 
 
 def test_bcs_state_gapless_limit_is_fermi_vacuum():
@@ -93,8 +93,8 @@ def test_product_matches_exponential_pair_instance(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
     angles = angles_of(mt, [1.2, 1.2])
-    dev = np.linalg.norm(bcs_state(ops, angles) - bcs_state_exponential(ops, angles))
-    assert dev <= 1e-10
+    exponential = evolve_state(build_GB(ops, angles), vacuum_state(mt.n_modes))
+    assert np.linalg.norm(bcs_state(ops, angles) - exponential) <= 1e-10
 
 
 def test_product_matches_exponential_random_angles():
@@ -104,8 +104,8 @@ def test_product_matches_exponential_random_angles():
     for _ in range(10):
         t0, t1 = rng.uniform(0.0, 0.5 * np.pi, size=2)
         angles = AngleTable.from_theta(mt, [t0, t1, t1])
-        dev = np.linalg.norm(bcs_state(ops, angles) - bcs_state_exponential(ops, angles))
-        assert dev <= 1e-10
+        exponential = evolve_state(build_GB(ops, angles), vacuum_state(mt.n_modes))
+        assert np.linalg.norm(bcs_state(ops, angles) - exponential) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +322,9 @@ def test_fock_algebra_stays_real(instance, request):
     psi_b = bcs_state(bundle, angles)
     quasi = quasi_ops(bundle, angles)
     ops = [bundle.H, bundle.G, bundle.T, *bundle.C, *bundle.B, *bundle.h, *bundle.v, *quasi]
-    ops += [
-        build_GB(bundle, angles),
-        build_HM(bundle, sol.delta, 0.5 * angles.sin2t),
-        build_Hprime(bundle, kernel, angles),
-    ]
-    states = [psi_b, bcs_state_exponential(bundle, angles)]
+    gb = build_GB(bundle, angles)
+    ops += [gb, build_HM(bundle, sol.delta, 0.5 * angles.sin2t), build_Hprime(bundle, kernel, angles)]
+    states = [psi_b, evolve_state(gb, vacuum_state(mt.n_modes))]
     states.append(correction_state(mt, kernel, angles, quasi, psi_b).phi)
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
     assert [v.dtype for v in states] == [np.float64] * len(states)
