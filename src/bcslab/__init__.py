@@ -11,8 +11,6 @@ matrix computation.
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .fock import (
     anticommutator_check,
-    apply_annihilate,
-    apply_create,
     conjugate_series,
     evolve_state,
     expectation,
@@ -44,17 +42,16 @@ from .states import (
     correction_state,
     fermi_vacuum,
     normalized_psi,
+    pair_table,
     quasi_ops,
 )
 from .analysis import (
     VerificationReport,
     condensation_energy,
-    corollary_new_selfconsistency,
     delta_E_formula,
     ebcs_formula,
     hm_spectrum_check,
     run_verification,
-    ssb_witness,
 )
 
 __version__ = "0.1.0"

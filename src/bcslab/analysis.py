@@ -13,10 +13,16 @@ report. It builds each operator, state and expectation once and shares it
 between the checks that read it: one `OperatorBundle` (the ladders, B_k,
 B*_k, h_k, v_k, G, T, H and the identity) that every builder reads, one
 K = i G_B (read by the exponential route to Psi_B, the pairing commutators
-and the conjugations), the pair tables (state, B_k state) of Psi_B, Psi and
-Psi~, the commutators [G, B_k] and the dense H-energies. It releases each
-large operator after its last reader, so one stage's operators do not
-stack on the next stage's. The dense
+and the conjugations), one gamma* list per angle table, the commutators
+[G, B_k], the dense H-energies and three pair tables w_k = (state, B_k
+state), each one `pair_table` call:
+  Psi_B: pair_expectation_half_sin2theta, ssb_witness_commutator, H_M and
+         E_BCS, hm_splitting and new_gap_reduction;
+  Psi:   corrected_pair_expectation;
+  Psi~:  corollary_new_selfconsistency, the corrected H_M of
+         new_spectrum_multiset and ssb_witness_corrected_state.
+It releases each large operator after its last reader, so one stage's
+operators do not stack on the next stage's. The dense
 checks are skipped above `DENSE_MODE_CAP`, and the (Phi, Phi) = D/2
 checks are skipped when D diverges. The report also holds the two gap
 solutions it verified (`solutions`), which the report files leave out.
@@ -45,7 +51,6 @@ from .fock import (
 )
 from .gapsolve import (
     AngleTable,
-    GapSolution,
     GapTable,
     check_solver,
     correction_factor,
@@ -63,6 +68,7 @@ from .states import (
     fermi_vacuum,
     normalized_psi,
     pair_coefficients,
+    pair_table,
     quartet_sum,
     quasi_ops,
 )
@@ -250,37 +256,15 @@ def phi_hprime_coupling_formula(mt: ModeTable, kernel: Kernel, angles: AngleTabl
 
 
 def hprime_bcs_expansion(
-    mt: ModeTable, kernel: Kernel, angles: AngleTable, quasi: list, psi_b: np.ndarray
+    mt: ModeTable, kernel: Kernel, angles: AngleTable, quasi_dag: list, psi_b: np.ndarray
 ) -> np.ndarray:
-    """H' Psi_B = - sum_{k,k'} U_{k,k'} S_k^2 C_k'^2 gamma*4-string Psi_B."""
+    """H' Psi_B = - sum_{k,k'} U_{k,k'} S_k^2 C_k'^2 gamma*4-string Psi_B, with the gamma* of `quartet_sum`."""
     m = mt.n_modes
     s2 = angles.sin_t**2
     c2 = angles.cos_t**2
     terms = ((k, kp, -(kernel.u[k, kp] * s2[k] * c2[kp]))
              for k in range(m) for kp in range(m) if k != kp)
-    return quartet_sum(mt, quasi, terms, psi_b)
-
-
-def ssb_witness(ops: OperatorBundle, state: np.ndarray, i: int) -> float:
-    """(state, [G, B_k] state): a nonzero value certifies broken number symmetry."""
-    return expectation(state, commutator(ops.G, ops.B[i]), state)
-
-
-def corollary_new_selfconsistency(
-    ops: OperatorBundle,
-    kernel: Kernel,
-    new_sol: GapSolution,
-    psi_tilde: np.ndarray,
-) -> float:
-    """max_k |Delta~_k + sum_k' U_{k,k'} (Psi~, B_k' Psi~)| at the corrected solution.
-
-    End-to-end test tying the corrected gap solver, the corrected state and
-    the pair operators together; requires a converged solution.
-    """
-    if not new_sol.converged:
-        raise ValidationError("corrected-equation self-consistency needs a converged solution")
-    pair_expect = np.array([expectation(psi_tilde, b, psi_tilde) for b in ops.B])
-    return _selfconsistency(new_sol.delta, kernel, pair_expect)
+    return quartet_sum(mt, quasi_dag, terms, psi_b)
 
 
 def _selfconsistency(gap: GapTable, kernel: Kernel, pair_expect: np.ndarray) -> float:
@@ -397,7 +381,7 @@ def run_verification(
     report.add(_deviation("bcs_product_vs_exponential", float(np.linalg.norm(psi_b - psi_b_exp)), TOL_IDENTITY))
     psi_f = fermi_vacuum(bundle)
 
-    w_dense = np.array([expectation(psi_b, b, psi_b) for b in bundle.B])
+    w_dense = pair_table(bundle, psi_b)
     dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, angles.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
@@ -478,7 +462,10 @@ def run_verification(
         report.add(_skip("condensation_energy", "needs a gap-equation solution"))
 
     # --- corrected state ------------------------------------------------------
-    corr = correction_state(mt, kernel, angles, quasi, psi_b)
+    # the gamma* are formed once, for Phi and the H' Psi_B expansion
+    quasi_dag = [adjoint(g) for g in quasi]
+    del quasi
+    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
     psi = normalized_psi(psi_b, corr)
     report.add(_deviation("bcs_phi_orthogonal", abs(np.vdot(psi_b, corr.phi)), TOL_TIGHT))
 
@@ -488,8 +475,8 @@ def run_verification(
     hprime_psi_b = hprime @ psi_b
     del hprime
     report.add(_deviation("hprime_on_bcs_vanishes", abs(np.vdot(psi_b, hprime_psi_b)), TOL_IDENTITY))
-    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi, psi_b)
-    del quasi
+    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
+    del quasi_dag
     report.add(_deviation("hprime_bcs_expansion", float(np.linalg.norm(hprime_psi_b - expansion)), TOL_IDENTITY))
     report.add(
         _compare(
@@ -521,18 +508,16 @@ def run_verification(
         report.add(_skip("energy_ordering_chain", "needs a nontrivial gap and nonzero coupling"))
 
     shrink = correction_factor(dk, dsum)
-    dev = max(
-        (abs(expectation(psi, b, psi) - 0.5 * s * f) for b, s, f in zip(bundle.B, angles.sin2t, shrink)),
-        default=0.0,
-    )
+    expected = 0.5 * angles.sin2t * shrink
+    dev = max((abs(p - e) for p, e in zip(pair_table(bundle, psi), expected)), default=0.0)
     report.add(_deviation("corrected_pair_expectation", dev, TOL_IDENTITY))
 
     # --- corrected gap equation ------------------------------------------------
     new_sol = solve_new_gap(mt, kernel, **solver)
     report.add(_certificate("gap_solution_new", new_gap_residual(mt, kernel, new_sol.delta), tol, new_sol))
 
-    # the classic twin of corollary_new_selfconsistency: Delta_k against the
-    # dense pair expectations of Psi_B
+    # the classic twin of the corollary_new_selfconsistency row: Delta_k
+    # against the dense pair expectations of Psi_B
     report.add(_deviation("new_gap_reduction", _selfconsistency(sol.delta, kernel, w_dense), 10.0 * tol))
 
     angles_t = new_sol.theta
@@ -540,11 +525,11 @@ def run_verification(
     quasi_t = quasi_ops(bundle, angles_t)
     _gamma_checks(report, "gamma_tilde", quasi_t, psi_bt)
 
-    corr_t = correction_state(mt, kernel, angles_t, quasi_t, psi_bt)
+    corr_t = correction_state(mt, kernel, angles_t, [adjoint(g) for g in quasi_t], psi_bt)
     psi_t = normalized_psi(psi_bt, corr_t)
     report.add(_overlap_check("new_overlap_identity", kernel, new_sol, corr_t.overlap, new_sol.dsum))
 
-    w_t = np.array([expectation(psi_t, b, psi_t) for b in bundle.B])
+    w_t = pair_table(bundle, psi_t)
     if new_sol.converged:
         dev = _selfconsistency(new_sol.delta, kernel, w_t)
         report.add(_deviation("corollary_new_selfconsistency", dev, max(TOL_LOOSE, 10.0 * tol)))
@@ -568,7 +553,8 @@ def run_verification(
     sol_p = solve_gap(mt_p, kernel_p, **solver)
     bundle_p = OperatorBundle(mt_p, kernel_p)
     psi_bp = bcs_state(bundle_p, sol_p.theta)
-    corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_ops(bundle_p, sol_p.theta), psi_bp)
+    quasi_dag_p = [adjoint(g) for g in quasi_ops(bundle_p, sol_p.theta)]
+    corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_dag_p, psi_bp)
     new_sol_p = solve_new_gap(mt_p, kernel_p, **solver)
     base = _physical_scalars(mt, kernel, sol, new_sol, corr)
     moved = _physical_scalars(mt_p, kernel_p, sol_p, new_sol_p, corr_p)

@@ -32,7 +32,7 @@ from .analysis import (
     run_verification,
 )
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .fock import expectation
+from .fock import adjoint, expectation
 from .gapsolve import GapSolution, check_solver, solve_gap, solve_new_gap
 from .hamiltonian import OperatorBundle, build_HM
 from .model import (
@@ -43,7 +43,7 @@ from .model import (
     separable_kernel,
     validate_kernel,
 )
-from .states import bcs_state, correction_state, fermi_vacuum, normalized_psi, quasi_ops
+from .states import bcs_state, correction_state, fermi_vacuum, normalized_psi, pair_table, quasi_ops
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -350,13 +350,9 @@ def _cmd_solve(args, equation: str) -> int:
 
 def _corrected(cfg: RunConfig, bundle: OperatorBundle, sol: GapSolution, psi_ref: np.ndarray):
     """Correction Phi on the reference state of `sol`, and the normalized corrected state."""
-    corr = correction_state(cfg.mt, cfg.kernel, sol.theta, quasi_ops(bundle, sol.theta), psi_ref)
+    quasi_dag = [adjoint(g) for g in quasi_ops(bundle, sol.theta)]
+    corr = correction_state(cfg.mt, cfg.kernel, sol.theta, quasi_dag, psi_ref)
     return corr, normalized_psi(psi_ref, corr)
-
-
-def _pair_table(bundle: OperatorBundle, state: np.ndarray) -> np.ndarray:
-    """Pair expectations w_k = (state, B_k state)."""
-    return np.array([expectation(state, b, state) for b in bundle.B])
 
 
 def _cmd_spectrum(args) -> int:
@@ -370,7 +366,7 @@ def _cmd_spectrum(args) -> int:
     witness = bcs_state(bundle, sol.theta)
     if sol.equation == "new":
         witness = _corrected(cfg, bundle, sol, witness)[1]
-    w = _pair_table(bundle, witness)
+    w = pair_table(bundle, witness)
     hm = build_HM(bundle, sol.delta, w)
     ebcs = ebcs_formula(cfg.mt, sol.theta, w)
     dev, spectrum = hm_spectrum_check(hm, cfg.mt, sol.delta, ebcs)
@@ -388,7 +384,7 @@ def _cmd_energy(args) -> int:
     bundle = OperatorBundle(cfg.mt, cfg.kernel)
     psi_ref = bcs_state(bundle, sol.theta)
     corr, psi = _corrected(cfg, bundle, sol, psi_ref)
-    w = _pair_table(bundle, psi_ref)
+    w = pair_table(bundle, psi_ref)
     psi_f = fermi_vacuum(bundle)
     ebcs = ebcs_formula(cfg.mt, sol.theta, w)
     e_bcs_dense = expectation(psi_ref, bundle.H, psi_ref)

@@ -58,35 +58,6 @@ def space_dim(n_modes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bit-level ladder action
-
-
-def apply_annihilate(j: int, bits: int, n_orbitals: int):
-    """Act with the annihilator of spin-orbital j on basis state `bits`.
-
-    Returns (sign, bits') with sign = +-1, or None when orbital j is empty.
-    """
-    if not 0 <= j < n_orbitals:
-        raise ValueError(f"orbital index {j} out of range [0, {n_orbitals})")
-    if not (bits >> j) & 1:
-        return None
-    below = bits & ((1 << j) - 1)
-    sign = -1 if below.bit_count() & 1 else 1
-    return sign, bits ^ (1 << j)
-
-
-def apply_create(j: int, bits: int, n_orbitals: int):
-    """Act with the creator of spin-orbital j; None when j is already filled."""
-    if not 0 <= j < n_orbitals:
-        raise ValueError(f"orbital index {j} out of range [0, {n_orbitals})")
-    if (bits >> j) & 1:
-        return None
-    below = bits & ((1 << j) - 1)
-    sign = -1 if below.bit_count() & 1 else 1
-    return sign, bits | (1 << j)
-
-
-# ---------------------------------------------------------------------------
 # matrix realizations
 
 

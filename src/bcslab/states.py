@@ -6,8 +6,10 @@ independent route exp(i G_B)|0> = exp(K)|0> is
 sea as its Delta = 0 case, the closed-form rotated quasiparticle operators
 gamma, the four-quasiparticle correction vector Phi, and the normalized
 corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.
-`quartet_sum` applies the gamma* four-strings for Phi, its literal
-double-sum oracle and the H' Psi_B expansion.
+`quartet_sum` applies the gamma* four-strings for Phi and the H' Psi_B
+expansion; it reads a gamma* list that its caller forms once per angle
+table.  `pair_table` gives the pair expectations (state, B_k state) that
+the mean-field Hamiltonian and the self-consistency checks read.
 
 The states and the gammas read their ladders and pair creators from an
 `OperatorBundle`.  The same constructions serve the classic and corrected
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .fock import adjoint, vacuum_state
+from .fock import adjoint, expectation, vacuum_state
 from .gapsolve import AngleTable, EPS_GUARD, GapTable
 from .hamiltonian import OperatorBundle
 from .model import Kernel, ModeTable
@@ -53,6 +55,11 @@ def fermi_vacuum(ops: OperatorBundle) -> np.ndarray:
     return bcs_state(ops, AngleTable.from_delta(mt, GapTable(np.zeros(mt.n_modes))))
 
 
+def pair_table(ops: OperatorBundle, state: np.ndarray) -> np.ndarray:
+    """Pair expectations w_k = (state, B_k state) by mode index."""
+    return np.array([expectation(state, b, state) for b in ops.B])
+
+
 def quasi_ops(ops: OperatorBundle, angles: AngleTable) -> list:
     """Quasiparticle annihilators in spin-orbital order: quasi[j] is the rotated C_j,
 
@@ -73,13 +80,15 @@ def quasi_ops(ops: OperatorBundle, angles: AngleTable) -> list:
     return quasi
 
 
-def quartet_sum(mt: ModeTable, quasi: list, terms, psi: np.ndarray) -> np.ndarray:
+def quartet_sum(mt: ModeTable, quasi_dag: list, terms, psi: np.ndarray) -> np.ndarray:
     """sum over (p, p', c) in `terms` of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
 
-    Terms with c = 0 are skipped; the rest accumulate in the order given.
+    `quasi_dag` holds the gamma* in spin-orbital order, quasi_dag[j] =
+    adjoint(quasi[j]).  Terms with c = 0 are skipped; the rest accumulate
+    in the order given.
     """
-    cre_up = [adjoint(quasi[mt.orb_up(i)]) for i in range(mt.n_modes)]
-    cre_dn_neg = [adjoint(quasi[mt.orb_dn(mt.pair[i])]) for i in range(mt.n_modes)]
+    cre_up = [quasi_dag[mt.orb_up(i)] for i in range(mt.n_modes)]
+    cre_dn_neg = [quasi_dag[mt.orb_dn(mt.pair[i])] for i in range(mt.n_modes)]
     out = np.zeros_like(psi)
     for p, pp, c in terms:
         if c == 0.0:
@@ -94,17 +103,14 @@ def quartet_sum(mt: ModeTable, quasi: list, terms, psi: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class CorrectionState:
-    """Four-quasiparticle correction Phi with its overlap and coefficient table.
-
-    coeffs[p, p'] = U_{p,p'} (C_p^2 S_p'^2 + C_p'^2 S_p^2) / (E_p + E_p').
-    """
+    """Four-quasiparticle correction Phi with its overlap (Phi, Phi)."""
 
     phi: np.ndarray
     overlap: float
-    coeffs: np.ndarray
 
 
 def pair_coefficients(mt: ModeTable, kernel: Kernel, angles: AngleTable) -> np.ndarray:
+    """c[p, p'] = U_{p,p'} (C_p^2 S_p'^2 + C_p'^2 S_p^2) / (E_p + E_p')."""
     if angles.energy is None:
         raise ValidationError("angle table must carry quasiparticle energies (build it from a gap)")
     c2 = angles.cos_t**2
@@ -118,34 +124,20 @@ def correction_state(
     mt: ModeTable,
     kernel: Kernel,
     angles: AngleTable,
-    quasi: list,
+    quasi_dag: list,
     psi_ref: np.ndarray,
 ) -> CorrectionState:
     """Phi = 1/2 sum_{p,p'} c_{p,p'} gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} Psi_ref.
 
     The double sum collapses to unordered pairs: the p=p' strings vanish by
     nilpotency and the two orderings contribute equally (even permutation).
+    `quasi_dag` is the gamma* list that `quartet_sum` reads.
     """
     coeffs = pair_coefficients(mt, kernel, angles)
     m = mt.n_modes
     pairs = ((p, pp, coeffs[p, pp]) for p in range(m) for pp in range(p + 1, m))
-    phi = quartet_sum(mt, quasi, pairs, psi_ref)
-    overlap = float(np.vdot(phi, phi))
-    return CorrectionState(phi=phi, overlap=overlap, coeffs=coeffs)
-
-
-def correction_state_literal(
-    mt: ModeTable,
-    kernel: Kernel,
-    angles: AngleTable,
-    quasi: list,
-    psi_ref: np.ndarray,
-) -> np.ndarray:
-    """Literal ordered double sum with the 1/2 prefactor; oracle for the pair-collapsed form."""
-    coeffs = pair_coefficients(mt, kernel, angles)
-    m = mt.n_modes
-    terms = ((p, pp, 0.5 * coeffs[p, pp]) for p in range(m) for pp in range(m))
-    return quartet_sum(mt, quasi, terms, psi_ref)
+    phi = quartet_sum(mt, quasi_dag, pairs, psi_ref)
+    return CorrectionState(phi=phi, overlap=float(np.vdot(phi, phi)))
 
 
 def normalized_psi(psi_ref: np.ndarray, correction: CorrectionState) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Shared fixtures: reference instances, dense-matrix oracles, literal operators and a literal gap loop.
+"""Shared fixtures: reference instances and the oracles that only tests read.
+
+The oracles are the bit-level ladder action, dense-matrix conjugation and
+evolution, the literal operators, the literal double sum for Phi and a
+literal gap loop.
 
 The workhorse instance ("two_mode") is the pair lattice {k, -k} with
 xi = 1.6 and U(k,-k) = -4.  Its gap equation has the closed-form solution
@@ -13,9 +17,11 @@ import pytest
 from scipy.linalg import expm
 
 from bcslab.errors import ConvergenceError
-from bcslab.fock import ladder_matrix
+from bcslab.fock import adjoint, ladder_matrix
+from bcslab.gapsolve import AngleTable, GapTable
 from bcslab.hamiltonian import OperatorBundle
 from bcslab.model import Kernel, explicit_modes
+from bcslab.states import pair_coefficients, quartet_sum, quasi_ops
 
 
 @pytest.fixture
@@ -33,6 +39,49 @@ def three_mode():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)
     kernel = separable_kernel(mt, 3.0)
     return mt, kernel
+
+
+def angles_of(mt, delta):
+    """Angle table of the gap table `delta`."""
+    return AngleTable.from_delta(mt, GapTable(delta=np.asarray(delta, dtype=float)))
+
+
+def quasi_dag_of(ops, angles):
+    """The gamma* list, quasi_dag[j] = adjoint(quasi[j]), that `correction_state` reads."""
+    return [adjoint(g) for g in quasi_ops(ops, angles)]
+
+
+def apply_annihilate(j, bits, n_orbitals):
+    """Oracle: the annihilator of spin-orbital j on basis state `bits`, bit by bit.
+
+    Returns (sign, bits') with sign = +-1, or None when orbital j is empty.
+    """
+    if not 0 <= j < n_orbitals:
+        raise ValueError(f"orbital index {j} out of range [0, {n_orbitals})")
+    if not (bits >> j) & 1:
+        return None
+    below = bits & ((1 << j) - 1)
+    sign = -1 if below.bit_count() & 1 else 1
+    return sign, bits ^ (1 << j)
+
+
+def apply_create(j, bits, n_orbitals):
+    """Oracle: the creator of spin-orbital j; None when j is already filled."""
+    if not 0 <= j < n_orbitals:
+        raise ValueError(f"orbital index {j} out of range [0, {n_orbitals})")
+    if (bits >> j) & 1:
+        return None
+    below = bits & ((1 << j) - 1)
+    sign = -1 if below.bit_count() & 1 else 1
+    return sign, bits | (1 << j)
+
+
+def correction_state_literal(mt, kernel, angles, quasi_dag, psi_ref):
+    """Oracle: Phi as the literal ordered double sum with the 1/2 prefactor, for the pair-collapsed form."""
+    coeffs = pair_coefficients(mt, kernel, angles)
+    m = mt.n_modes
+    terms = ((p, pp, 0.5 * coeffs[p, pp]) for p in range(m) for pp in range(m))
+    return quartet_sum(mt, quasi_dag, terms, psi_ref)
 
 
 def bundle_of(mt, kernel=None):

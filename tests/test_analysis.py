@@ -9,7 +9,6 @@ from scipy.sparse import csr_array
 from bcslab.analysis import (
     TOL_LOOSE,
     condensation_energy,
-    corollary_new_selfconsistency,
     delta_E_formula,
     ebcs_formula,
     free_fermi_energy,
@@ -18,22 +17,17 @@ from bcslab.analysis import (
     phi_hprime_coupling_formula,
     hprime_bcs_expansion,
     run_verification,
-    ssb_witness,
 )
-from bcslab import fock, hamiltonian
+from bcslab import fock, hamiltonian, states
 from bcslab.cli import load_config
 from bcslab.errors import ValidationError
-from bcslab.fock import adjoint, expectation, ladder_matrix, vacuum_state
+from bcslab.fock import adjoint, commutator, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
 from bcslab.hamiltonian import OperatorBundle, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
-from bcslab.states import bcs_state, correction_state, fermi_vacuum, normalized_psi, quasi_ops
+from bcslab.states import bcs_state, correction_state, fermi_vacuum, normalized_psi
 
-from conftest import bundle_of
-
-
-def angles_of(mt, delta):
-    return AngleTable.from_delta(mt, GapTable(delta=np.asarray(delta, dtype=float)))
+from conftest import angles_of, bundle_of, quasi_dag_of
 
 
 @pytest.fixture
@@ -42,10 +36,10 @@ def solved_pair(two_mode):
     angles = angles_of(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    quasi = quasi_ops(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi, psi_b)
+    quasi_dag = quasi_dag_of(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
     psi = normalized_psi(psi_b, corr)
-    return ops, kernel, angles, psi_b, quasi, corr, psi
+    return ops, kernel, angles, psi_b, quasi_dag, corr, psi
 
 
 def test_ebcs_pair_instance(solved_pair):
@@ -211,7 +205,7 @@ def test_condensation_energy_random_instance(three_mode):
 
 
 def test_delta_e_pair_instance(solved_pair):
-    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
     de = delta_E_formula(ops.mt, kernel, angles, corr.overlap)
     # no third mode couples both k and -k, so only the second term survives
     assert de == pytest.approx(-0.093312 / 1.0324, abs=1e-14)
@@ -240,7 +234,7 @@ def test_delta_e_random_instance():
         ops = OperatorBundle(mt, kernel)
         h = ops.H
         psi_b = bcs_state(ops, sol.theta)
-        corr = correction_state(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
+        corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(ops, sol.theta), psi_b)
         psi = normalized_psi(psi_b, corr)
         de = delta_E_formula(mt, kernel, sol.theta, corr.overlap)
         dense = (expectation(psi, h, psi) - expectation(psi_b, h, psi_b)).real
@@ -248,7 +242,7 @@ def test_delta_e_random_instance():
 
 
 def test_hm_expectation_formula(solved_pair):
-    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
     mt = ops.mt
     w = 0.5 * angles.sin2t
     hm = build_HM(ops, GapTable(delta=angles.delta), w)
@@ -259,14 +253,14 @@ def test_hm_expectation_formula(solved_pair):
 
 
 def test_hprime_checks_pair_instance(solved_pair):
-    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
     mt = ops.mt
     hp = build_Hprime(ops, kernel, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-12
     coupling = np.vdot(corr.phi, hp @ psi_b).real
     assert coupling == pytest.approx(-0.1296, abs=1e-12)
     assert phi_hprime_coupling_formula(mt, kernel, angles) == pytest.approx(-0.1296, abs=1e-14)
-    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi, psi_b)
+    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
     assert np.linalg.norm(hp @ psi_b - expansion) <= 1e-10
 
 
@@ -276,22 +270,24 @@ def test_hprime_checks_random_instance(three_mode):
     angles = sol.theta
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    quasi = quasi_ops(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi, psi_b)
+    quasi_dag = quasi_dag_of(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
     hp = build_Hprime(ops, kernel, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-10
     assert np.vdot(corr.phi, hp @ psi_b).real == pytest.approx(
         phi_hprime_coupling_formula(mt, kernel, angles), abs=1e-9
     )
-    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi, psi_b)
+    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
     assert np.linalg.norm(hp @ psi_b - expansion) <= 1e-10
 
 
 def test_ssb_witness_values(solved_pair):
-    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
+    # (state, [G, B_k] state): zero on the vacuum, -2 (Psi_B, B_k Psi_B) = -0.6 on Psi_B
+    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
+    charge_pair = commutator(ops.G, ops.B[0])
     vac = vacuum_state(ops.mt.n_modes)
-    assert ssb_witness(ops, vac, 0) == 0.0
-    val = ssb_witness(ops, psi_b, 0)
+    assert expectation(vac, charge_pair, vac) == 0.0
+    val = expectation(psi_b, charge_pair, psi_b)
     assert val.real == pytest.approx(-0.6, abs=1e-12)
     assert abs(val.imag) <= 1e-14
 
@@ -302,43 +298,51 @@ def test_ssb_witness_corrected_state(two_mode):
     angles = nsol.theta
     ops = OperatorBundle(mt, kernel)
     psi_bt = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_bt)
+    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_bt)
     psi_t = normalized_psi(psi_bt, corr)
     for i in range(2):
-        witness = ssb_witness(ops, psi_t, i)
+        witness = expectation(psi_t, commutator(ops.G, ops.B[i]), psi_t)
         pair_val = expectation(psi_t, ops.B[i], psi_t)
         assert abs(witness + 2.0 * pair_val) <= 1e-11
         assert abs(witness) > 0.1  # symmetry is broken at the solution
+
+
+def selfconsistency_residual(mt, kernel, nsol):
+    """max_k |Delta~_k + sum_k' U_{k,k'} (Psi~, B_k' Psi~)|, with Psi~ built from the corrected solution."""
+    ops = OperatorBundle(mt, kernel)
+    psi_bt = bcs_state(ops, nsol.theta)
+    corr = correction_state(mt, kernel, nsol.theta, quasi_dag_of(ops, nsol.theta), psi_bt)
+    psi_t = normalized_psi(psi_bt, corr)
+    w = np.array([expectation(psi_t, b, psi_t) for b in ops.B])
+    return float(np.max(np.abs(nsol.delta.delta + kernel.u @ w)))
 
 
 def test_corollary_new_selfconsistency(two_mode):
     mt, kernel = two_mode
     tol = 1e-12
     nsol = solve_new_gap(mt, kernel, tol=tol)
-    ops = OperatorBundle(mt, kernel)
-    psi_bt = bcs_state(ops, nsol.theta)
-    corr = correction_state(mt, kernel, nsol.theta, quasi_ops(ops, nsol.theta), psi_bt)
-    psi_t = normalized_psi(psi_bt, corr)
-    assert corollary_new_selfconsistency(ops, kernel, nsol, psi_t) <= 10 * tol
+    assert nsol.converged
+    assert selfconsistency_residual(mt, kernel, nsol) <= 10 * tol
 
 
 def test_corollary_zero_interaction(two_mode):
     mt, _ = two_mode
     kernel = Kernel(u=np.zeros((2, 2)))
     nsol = solve_new_gap(mt, kernel)
-    ops = OperatorBundle(mt, kernel)
-    psi_bt = bcs_state(ops, nsol.theta)
-    corr = correction_state(mt, kernel, nsol.theta, quasi_ops(ops, nsol.theta), psi_bt)
-    psi_t = normalized_psi(psi_bt, corr)
-    assert corollary_new_selfconsistency(ops, kernel, nsol, psi_t) == 0.0
+    assert nsol.converged
+    assert selfconsistency_residual(mt, kernel, nsol) == 0.0
+    row = next(c for c in run_verification(mt, kernel).checks if c.name == "corollary_new_selfconsistency")
+    assert row.passed and row.deviation == 0.0
 
 
 def test_corollary_requires_convergence(two_mode):
+    # an unconverged corrected gap is not certified: the row is skipped, not computed
     mt, kernel = two_mode
-    nsol = solve_new_gap(mt, kernel, max_iter=2)
-    assert not nsol.converged
-    with pytest.raises(ValidationError):
-        corollary_new_selfconsistency(OperatorBundle(mt, kernel), kernel, nsol, vacuum_state(2))
+    report = run_verification(mt, kernel, max_iter=2)
+    assert not report.solutions["new"].converged
+    row = next(c for c in report.checks if c.name == "corollary_new_selfconsistency")
+    assert row.skipped
+    assert row.reason == "corrected equation did not converge"
 
 
 def test_monotone_energy_chain(three_mode):
@@ -348,7 +352,7 @@ def test_monotone_energy_chain(three_mode):
     ops = OperatorBundle(mt, kernel)
     h = ops.H
     psi_b = bcs_state(ops, sol.theta)
-    corr = correction_state(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
+    corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(ops, sol.theta), psi_b)
     psi = normalized_psi(psi_b, corr)
     psi_f = fermi_vacuum(ops)
     e_psi = expectation(psi, h, psi).real
@@ -529,3 +533,37 @@ def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch)
     assert calls["build_GB"] == 1
     # 116 calls when each reader formed its own B*_k (32 of them); the two bundles form one per mode
     assert 0 < calls["adjoint"] <= 116 - 32 + 2 * mt.n_modes
+
+
+def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
+    """The gamma* of each angle table are formed once for the quartets, which Phi and H' Psi_B share.
+
+    `car_deviation` forms its own creators inside the two gamma CAR checks,
+    so the classic and corrected gammas are adjointed twice and the permuted
+    instance's once; the classic ones were adjointed three times when Phi
+    and the expansion each formed their own gamma*.
+    """
+    mt, kernel = three_mode
+    gammas, adjointed = [], []  # held, so no id is reused during the pass
+    originals = {"quasi_ops": states.quasi_ops, "adjoint": fock.adjoint}
+
+    def quasi_ops(*args):
+        out = originals["quasi_ops"](*args)
+        gammas.extend(out)
+        return out
+
+    def adjoint(a):
+        adjointed.append(a)
+        return originals["adjoint"](a)
+
+    for name, module in list(sys.modules.items()):
+        for fn, wrapper in (("quasi_ops", quasi_ops), ("adjoint", adjoint)):
+            if name.startswith("bcslab") and getattr(module, fn, None) is originals[fn]:
+                monkeypatch.setattr(module, fn, wrapper)
+    report = run_verification(mt, kernel, seed=3)
+    assert report.all_passed
+    # classic, corrected and permuted angle tables, in that order
+    n = mt.n_orbitals
+    assert len(gammas) == 3 * n
+    times = [sum(a is g for a in adjointed) for g in gammas]
+    assert times == [2] * (2 * n) + [1] * n

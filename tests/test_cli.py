@@ -395,6 +395,17 @@ def test_readme_command_examples_use_existing_configs():
     assert [p for p in paths if not (root / p).is_file()] == []
 
 
+def test_readme_library_example_runs(capsys):
+    """The README "Library use" block runs as written on the pair instance and its verification passes."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "[1.2 1.2]"
+    assert out[-1] == "True"
+
+
 def test_classic_spectrum_builds_only_the_paired_state(pair_config, monkeypatch, capsys):
     """H_M of the classic equation reads Psi_B's pair table; the gammas and Phi are not built."""
     from bcslab import cli

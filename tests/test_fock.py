@@ -8,8 +8,6 @@ from bcslab.errors import ResourceLimitError
 from bcslab.fock import (
     adjoint,
     anticommutator_check,
-    apply_annihilate,
-    apply_create,
     basis_state,
     car_deviation,
     commutator,
@@ -26,6 +24,8 @@ from bcslab.fock import (
 from bcslab.hamiltonian import OperatorBundle
 
 from conftest import (
+    apply_annihilate,
+    apply_create,
     dense_conjugation,
     dense_evolution,
     random_antisymmetric,
@@ -75,6 +75,19 @@ def test_orbital_index_range_checked(op):
 
 # ---------------------------------------------------------------------------
 # matrix realizations
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ladder_matrix_matches_bit_level_oracle(m):
+    # every column of C_j is the bit-level action on that basis state
+    for j in range(2 * m):
+        c = ladder_matrix(j, m).toarray()
+        for bits in range(space_dim(m)):
+            expected = np.zeros(space_dim(m))
+            hit = apply_annihilate(j, bits, 2 * m)
+            if hit is not None:
+                expected[hit[1]] = hit[0]
+            assert np.array_equal(c[:, bits], expected)
 
 
 def test_ladder_matrix_single_mode_by_hand():

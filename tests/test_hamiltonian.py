@@ -14,19 +14,15 @@ from bcslab.fock import (
     op_norm_inf,
     vacuum_state,
 )
-from bcslab.gapsolve import AngleTable, GapTable
+from bcslab.gapsolve import GapTable
 from bcslab.cli import load_config
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes
 from bcslab.states import bcs_state, fermi_vacuum
 
-from conftest import bundle_of, literal_operators
+from conftest import angles_of, bundle_of, literal_operators
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def angles_of(mt, delta):
-    return AngleTable.from_delta(mt, GapTable(delta=np.asarray(delta, dtype=float)))
 
 
 def test_free_hamiltonian_is_diagonal_occupation_sum():

@@ -10,18 +10,13 @@ from bcslab.states import (
     CorrectionState,
     bcs_state,
     correction_state,
-    correction_state_literal,
     fermi_vacuum,
     normalized_psi,
     pair_coefficients,
     quasi_ops,
 )
 
-from conftest import bundle_of
-
-
-def angles_of(mt, delta):
-    return AngleTable.from_delta(mt, GapTable(delta=np.asarray(delta, dtype=float)))
+from conftest import angles_of, bundle_of, correction_state_literal, quasi_dag_of
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def test_correction_zero_interaction(two_mode):
     angles = angles_of(mt, [1.2, 1.2])
     ops = bundle_of(mt)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, Kernel(u=np.zeros((2, 2))), angles, quasi_ops(ops, angles), psi_b)
+    corr = correction_state(mt, Kernel(u=np.zeros((2, 2))), angles, quasi_dag_of(ops, angles), psi_b)
     assert np.all(corr.phi == 0)
     assert corr.overlap == 0.0
 
@@ -199,11 +194,12 @@ def test_correction_pair_instance_values(two_mode):
     angles = angles_of(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
+    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
     # c = U (C^2 S'^2 + C'^2 S^2)/(E+E') = -4 * 0.18 / 4 = -0.18
-    assert corr.coeffs[0, 1] == pytest.approx(-0.18, abs=1e-15)
-    assert corr.coeffs[1, 0] == pytest.approx(-0.18, abs=1e-15)
-    assert np.all(np.diag(corr.coeffs) == 0)
+    coeffs = pair_coefficients(mt, kernel, angles)
+    assert coeffs[0, 1] == pytest.approx(-0.18, abs=1e-15)
+    assert coeffs[1, 0] == pytest.approx(-0.18, abs=1e-15)
+    assert np.all(np.diag(coeffs) == 0)
     assert corr.overlap == pytest.approx(0.0324, abs=1e-14)
     assert abs(np.vdot(psi_b, corr.phi)) <= 1e-12
 
@@ -213,7 +209,7 @@ def test_correction_matches_literal_double_sum(two_mode):
     angles = angles_of(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    q = quasi_ops(ops, angles)
+    q = quasi_dag_of(ops, angles)
     corr = correction_state(mt, kernel, angles, q, psi_b)
     literal = correction_state_literal(mt, kernel, angles, q, psi_b)
     assert np.linalg.norm(corr.phi - literal) <= 1e-14
@@ -231,7 +227,7 @@ def test_overlap_equals_half_dsum(three_mode):
     sol = solve_gap(mt, kernel, tol=1e-12)
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, sol.theta)
-    corr = correction_state(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
+    corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(ops, sol.theta), psi_b)
     dk, dsum = dk_weights(mt, kernel, sol.delta)
     assert corr.overlap == pytest.approx(0.5 * dsum, abs=1e-10)
 
@@ -247,7 +243,7 @@ def test_normalized_psi_trivial_correction(two_mode):
     mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
     psi_b = bcs_state(OperatorBundle(mt, kernel), angles)
-    corr = CorrectionState(phi=np.zeros(mt.dim, dtype=complex), overlap=0.0, coeffs=np.zeros((2, 2)))
+    corr = CorrectionState(phi=np.zeros(mt.dim, dtype=complex), overlap=0.0)
     assert np.array_equal(normalized_psi(psi_b, corr), psi_b)
 
 
@@ -256,7 +252,7 @@ def test_normalized_psi_pair_instance(two_mode):
     angles = angles_of(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
+    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     assert np.vdot(psi_b, psi).real == pytest.approx(1.0 / np.sqrt(1.0324), abs=1e-12)
@@ -266,7 +262,7 @@ def test_normalized_psi_requires_orthogonality(two_mode):
     mt, kernel = two_mode
     angles = angles_of(mt, [1.2, 1.2])
     psi_b = bcs_state(OperatorBundle(mt, kernel), angles)
-    fake = CorrectionState(phi=psi_b.copy(), overlap=1.0, coeffs=np.zeros((2, 2)))
+    fake = CorrectionState(phi=psi_b.copy(), overlap=1.0)
     with pytest.raises(ValidationError):
         normalized_psi(psi_b, fake)
 
@@ -277,7 +273,7 @@ def test_corrected_pair_expectation_identity(two_mode):
     angles = angles_of(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
+    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
     dk, dsum = dk_weights(mt, kernel, GapTable(delta=np.array([1.2, 1.2])))
     factor = correction_factor(dk, dsum)
@@ -297,7 +293,7 @@ def test_corrected_pair_expectation_identity_random(three_mode):
         gap = GapTable(delta=np.array([d[0], d[1], d[1]]))
         angles = AngleTable.from_delta(mt, gap)
         psi_b = bcs_state(ops, angles)
-        corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
+        corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
         psi = normalized_psi(psi_b, corr)
         dk, dsum = dk_weights(mt, kernel, gap)
         factor = correction_factor(dk, dsum)
@@ -325,7 +321,9 @@ def test_fock_algebra_stays_real(instance, request):
     gb = build_GB(bundle, angles)
     ops += [gb, build_HM(bundle, sol.delta, 0.5 * angles.sin2t), build_Hprime(bundle, kernel, angles)]
     states = [psi_b, evolve_state(gb, vacuum_state(mt.n_modes))]
-    states.append(correction_state(mt, kernel, angles, quasi, psi_b).phi)
+    quasi_dag = [adjoint(g) for g in quasi]
+    ops += quasi_dag
+    states.append(correction_state(mt, kernel, angles, quasi_dag, psi_b).phi)
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
     assert [v.dtype for v in states] == [np.float64] * len(states)
     assert diagonal_conjugate(bundle.H, bundle.G.diagonal(), 0.3).dtype == np.complex128
