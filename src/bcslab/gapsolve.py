@@ -17,17 +17,27 @@ with E_k = sqrt(xi_k^2 + Delta_k^2) and the correction weights
 corrected equation, the entrywise U^2), and computes E once per iterate for
 both Delta/E and the D_k table.
 
-`_solve` is the one damped fixed-point iteration behind `solve_gap` and
-`solve_new_gap`, and `check_solver` the one check of its settings.  Once per
-solve it builds the `_GapMap`, reads the pair map and enters one
-`np.errstate`; a loop pass does only the work that depends on the iterate.
-The iteration keeps Delta >= 0 (the start is >= 0, a negative entry is
-clamped to 0, and the {k,-k} average of nonnegative entries is nonnegative),
-so max Delta is max |Delta| in the trivial-stop test.  It keeps Delta
-constant on {k,-k} orbits and raises ConvergenceError on a non-finite
-iterate.  Every returned solution carries a residual re-evaluated at the
-returned gap, and a corrected solution reports the D_k table of that same
-evaluation.
+`_solve` is the one fixed-point driver behind `solve_gap` and
+`solve_new_gap`, and `check_solver` the one check of its settings.  It takes
+damped steps Delta <- (1-b) Delta + b rhs(Delta) until the residual
+max |Delta - rhs(Delta)| falls to ANDERSON_SWITCH, then Anderson steps of
+depth ANDERSON_DEPTH (Anderson, J. ACM 12, 547, 1965; Walker and Ni, SIAM J.
+Numer. Anal. 49, 1715, 2011) with the same mixing b = damping.  The damped
+start keeps the solve on the branch the damped loop finds: the corrected
+equation can have a second nontrivial solution, which Anderson steps from
+the start value may reach.  The history is cleared whenever the residual is
+above the switch, and an accelerated step with a negative entry or a
+singular least-squares problem is replaced by the damped step.
+
+Once per solve the driver builds the `_GapMap`, reads the pair map and
+enters one `np.errstate`; a loop pass does only the work that depends on the
+iterate.  It keeps Delta >= 0 (the start is >= 0, an accelerated step with a
+negative entry is discarded, a damped step's negative entry is clamped to 0,
+and the {k,-k} average of nonnegative entries is nonnegative), so max Delta
+is max |Delta| in the trivial-stop test.  It keeps Delta constant on {k,-k}
+orbits and raises ConvergenceError on a non-finite iterate.  Every returned
+solution carries a residual re-evaluated at the returned gap, and a
+corrected solution reports the D_k table of that same evaluation.
 """
 
 from __future__ import annotations
@@ -44,6 +54,9 @@ from .model import Kernel, ModeTable
 EPS_GUARD = np.finfo(np.float64).eps
 TRIVIAL_FLOOR = 1e-13
 TRIVIAL_STREAK = 10
+ANDERSON_DEPTH = 3  # difference vectors in the Anderson least-squares problem
+ANDERSON_SWITCH = 1e-2  # residual at and below which the driver takes Anderson steps
+ANDERSON_RIDGE = 1e-10  # Tikhonov weight of the normal equations, relative to their trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,9 +260,39 @@ def check_solver(init, damping, tol, max_iter) -> None:
         raise ValidationError(f"solver.max_iter must be at least 1, got {max_iter!r}")
 
 
+def _anderson_step(history: list):
+    """The Anderson step over `history`, or None when its least-squares problem is singular.
+
+    Each row of `history` (oldest first) is [f, d] for one iterate Delta: its
+    residual f = rhs(Delta) - Delta and its damped step d = (1-b) Delta +
+    b rhs(Delta).  gamma minimizes |f - dF gamma| over the row differences dF
+    of the f's by ridge-regularized normal equations; the step is d - dD gamma
+    for the newest row, with dD the row differences of the d's.
+    """
+    n = len(history[-1]) // 2
+    diff = np.diff(history, axis=0)
+    df = diff[:, :n]
+    gram = df @ df.T
+    gram.flat[:: len(gram) + 1] += ANDERSON_RIDGE * gram.trace()
+    try:
+        gamma = np.linalg.solve(gram, df @ history[-1][:n])
+    except np.linalg.LinAlgError:
+        return None
+    return history[-1][n:] - gamma @ diff[:, n:]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate raises ConvergenceError
 def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
-    """Damped iteration Delta <- (1-l) Delta + l rhs(Delta), clamped and symmetrized."""
+    """Damped steps Delta <- (1-b) Delta + b rhs(Delta), then Anderson steps; clamped and symmetrized.
+
+    While the residual max |Delta - rhs(Delta)| exceeds ANDERSON_SWITCH the
+    step is damped and the history empty.  At or below it each iterate's
+    residual and damped step join a history of at most ANDERSON_DEPTH + 1
+    rows, and the step is the Anderson step over that history.  An Anderson
+    step with a negative entry, or a singular least-squares problem, clears
+    the history and takes the damped step instead; `clamped` reports a damped
+    step clamped to Delta >= 0.
+    """
     check_solver(init, damping, tol, max_iter)
     gm = _GapMap.of(mt, kernel, corrected)
     neg_half_u, pair = gm.neg_half_u, mt.pair
@@ -260,9 +303,11 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
     iterations = 0
     converged = False
     trivial_stop = False
+    history = []  # Anderson rows [f, d], oldest first; see _anderson_step
     for iterations in range(max_iter + 1):
         proposal = neg_half_u @ _weights(gm, delta)[0]
-        residual = float(np.abs(delta - proposal).max())
+        f = proposal - delta
+        residual = float(np.abs(f).max())
         if not math.isfinite(residual):
             raise ConvergenceError(f"gap iterate became non-finite at iteration {iterations}")
         if residual <= tol:
@@ -275,11 +320,25 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
                 break
         else:
             streak = 0
-        delta = (1.0 - damping) * delta + damping * proposal
-        if (delta < 0).any():
-            clamped = True
-            delta = np.maximum(delta, 0.0)
-        delta = 0.5 * (delta + delta[pair])
+        damped = (1.0 - damping) * delta + damping * proposal
+        step = None
+        if residual > ANDERSON_SWITCH:
+            history.clear()
+        else:
+            history.append(np.concatenate((f, damped)))
+            if len(history) > ANDERSON_DEPTH + 1:
+                del history[0]
+            if len(history) > 1:
+                step = _anderson_step(history)
+                if step is None or (step < 0).any():
+                    history.clear()
+                    step = None
+        if step is None:
+            step = damped
+            if (step < 0).any():
+                clamped = True
+                step = np.maximum(step, 0.0)
+        delta = 0.5 * (step + step[pair])
     gap = GapTable(delta=delta)
     theta = AngleTable.from_delta(mt, gap)
     residual, dk, dsum = _residual(gm, delta)
@@ -317,7 +376,7 @@ def solve_gap(
     tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> GapSolution:
-    """Solve the classic gap equation by damped fixed-point iteration.
+    """Solve the classic gap equation by damped, then Anderson-accelerated, iteration.
 
     An all-zero collapse is reported as the trivial solution rather than a
     failure; non-convergence returns the best iterate with converged=False;

@@ -167,11 +167,13 @@ def random_sparse(dim, rng, density=0.2, real=False):
     return csr_array(mat)
 
 
-def solve_literal(mt, kernel, corrected, init=1.0, damping=0.5, tol=1e-10, max_iter=10000):
-    """Oracle: the damped gap iteration written out literally, every value recomputed where used.
+def solve_literal(mt, kernel, corrected, init=1.0, damping=0.5, tol=1e-10, max_iter=10000, accelerate=True):
+    """Oracle: the gap driver written out literally, every value recomputed where used.
 
     Returns the fields of the `GapSolution` that `solve_gap` (corrected False)
-    or `solve_new_gap` (corrected True) should return, as a dict.
+    or `solve_new_gap` (corrected True) should return, as a dict.  With
+    accelerate=False it is the plain damped loop, the reference for which
+    solution branch the accelerated driver must land on.
     """
     xi, u = mt.xi, kernel.u
 
@@ -196,6 +198,28 @@ def solve_literal(mt, kernel, corrected, init=1.0, damping=0.5, tol=1e-10, max_i
             weighted = weighted * (1.0 - 4.0 * dk / (dsum + 2.0))
         return weighted
 
+    def rhs(delta):
+        return -0.5 * u @ weights(delta)
+
+    def anderson(xs):
+        # Anderson(m) over iterates xs, oldest first: gamma minimizes the
+        # residual of the latest iterate minus a combination of residual
+        # differences (ridge 1e-10 relative to the trace), and the step moves
+        # the latest damped step by the same combination of damped-step differences
+        m = len(xs) - 1
+        df = np.array([(rhs(xs[i + 1]) - xs[i + 1]) - (rhs(xs[i]) - xs[i]) for i in range(m)])
+        dd = np.array([
+            ((1.0 - damping) * xs[i + 1] + damping * rhs(xs[i + 1]))
+            - ((1.0 - damping) * xs[i] + damping * rhs(xs[i]))
+            for i in range(m)
+        ])
+        gram = df @ df.T + 1e-10 * np.trace(df @ df.T) * np.eye(m)
+        try:
+            gamma = np.linalg.solve(gram, df @ (rhs(xs[-1]) - xs[-1]))
+        except np.linalg.LinAlgError:
+            return None
+        return (1.0 - damping) * xs[-1] + damping * rhs(xs[-1]) - gamma @ dd
+
     with np.errstate(over="ignore", invalid="ignore"):
         row_mag = np.abs(u).sum(axis=1)
         delta = np.where(row_mag > 0, float(init), 0.0)
@@ -204,9 +228,9 @@ def solve_literal(mt, kernel, corrected, init=1.0, damping=0.5, tol=1e-10, max_i
         iterations = 0
         converged = False
         trivial_stop = False
+        history = []  # iterates since the residual last fell to 1e-2, oldest first, at most 4
         for iterations in range(max_iter + 1):
-            proposal = -0.5 * u @ weights(delta)
-            residual = float(np.max(np.abs(delta - proposal))) if delta.size else 0.0
+            residual = float(np.max(np.abs(delta - rhs(delta)))) if delta.size else 0.0
             if not math.isfinite(residual):
                 raise ConvergenceError("non-finite iterate")
             if residual <= tol:
@@ -219,11 +243,22 @@ def solve_literal(mt, kernel, corrected, init=1.0, damping=0.5, tol=1e-10, max_i
                     break
             else:
                 streak = 0
-            delta = (1.0 - damping) * delta + damping * proposal
-            if np.any(delta < 0):
-                clamped = True
-                delta = np.maximum(delta, 0.0)
-            delta = 0.5 * (delta + delta[mt.pair])
+            step = None
+            if accelerate and residual <= 1e-2:
+                history = (history + [delta])[-4:]
+                if len(history) > 1:
+                    step = anderson(history)
+                    if step is None or np.any(step < 0):
+                        history = []
+                        step = None
+            else:
+                history = []
+            if step is None:
+                step = (1.0 - damping) * delta + damping * rhs(delta)
+                if np.any(step < 0):
+                    clamped = True
+                    step = np.maximum(step, 0.0)
+            delta = 0.5 * (step + step[mt.pair])
         residual_inf = float(np.max(np.abs(delta + 0.5 * u @ weights(delta))))
         if not math.isfinite(residual_inf):
             raise ConvergenceError("non-finite iterate")

@@ -168,7 +168,7 @@ def test_energy_command(pair_config, capsys):
     assert main(["energy", "--config", pair_config]) == 0
     out = capsys.readouterr().out
     assert "-0.080000000000" in out
-    assert "-0.090383572258" in out
+    assert "-0.090383572259" in out
 
 
 def test_verify_command_pass_and_report(pair_config, tmp_path, capsys):
@@ -373,6 +373,34 @@ def test_unconverged_gap_solve_exits_as_convergence_error(tmp_path, capsys):
         assert "new gap equation did not converge" in captured.err
         assert "classic gap equation did not converge" not in captured.err
         assert (out_dir / "report.json").is_file() and (out_dir / "report.csv").is_file()
+
+
+# Modes {0, +-e1} with an attractive kernel whose corrected equation has a
+# solution, Delta = (0.29962, 0.06986, 0.06986), that the damped map with
+# b = 0.5 repels: its gap-map Jacobian has eigenvalues -0.568 +- 3.106i, so
+# (1-b) + b lambda lies outside the unit circle for every b above 0.259
+REPELLING_NEW_GAP = {
+    "lattice": {"modes": [[0, 0, 0], [1, 0, 0], [-1, 0, 0]], "xi": [-0.26, -0.329, -0.329]},
+    "kernel": {"matrix": [[0.0, -2.784, -2.784], [-2.784, 0.0, -0.575], [-2.784, -0.575, 0.0]]},
+}
+
+
+def test_repelling_corrected_solution_exits_as_unconverged(tmp_path, capsys):
+    # the damped start never brings the residual down to the Anderson switch,
+    # so verify reports the corrected equation unconverged; no certificate is relaxed
+    cfg = write_config(tmp_path, "repelling.json", REPELLING_NEW_GAP)
+    assert main(["verify", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "new gap equation did not converge" in captured.err
+    assert "classic gap equation did not converge" not in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert re.search(r"^gap_solution_new .* FAIL$", captured.out, re.M)
+    assert re.search(r"^gap_solution_classic .* PASS$", captured.out, re.M)
+    # a mixing weight below 0.259 makes that solution attracting, and the same driver finds it
+    cfg = load_config(write_config(tmp_path, "damped.json", {**REPELLING_NEW_GAP, "solver": {"damping": 0.2}}))
+    sol = gapsolve.solve_new_gap(cfg.mt, cfg.kernel, **cfg.solver)
+    assert sol.converged and not sol.trivial
+    assert np.allclose(sol.delta.delta, [0.29962219, 0.06985807, 0.06985807], atol=1e-8)
 
 
 GOLDEN = Path(__file__).parent / "golden"

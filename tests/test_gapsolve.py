@@ -273,12 +273,18 @@ def test_degenerate_mode_is_flagged_not_fatal():
     assert np.all(np.isfinite(dk)) and np.isfinite(dsum)
 
 
+def _sweep_table(name):
+    """(mode table, shell) of the benchmark's gap-sweep tables."""
+    if name == "ac10":
+        return explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5), None
+    return build_lambda(2.0 * math.pi, 1.0, mu=1.0), lambda kn: 0.5 <= kn <= 1.5
+
+
 def _literal_cases():
     """(label, mode table, kernel, solver settings) for the bit-for-bit oracle tests."""
     rng = np.random.default_rng(12)
-    ac10 = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5)
-    lattice = build_lambda(2.0 * math.pi, 1.0, mu=1.0)
-    shell = lambda kn: 0.5 <= kn <= 1.5  # noqa: E731
+    ac10, _ = _sweep_table("ac10")
+    lattice, shell = _sweep_table("lattice")
     cases = [(f"ac10 g={g:.3f}", ac10, separable_kernel(ac10, g), {}) for g in rng.uniform(0.1, 4.0, 3)]
     cases += [
         (f"lattice g={g:.3f}", lattice, separable_kernel(lattice, g, shell=shell), {})
@@ -333,3 +339,39 @@ def test_new_solution_reports_the_d_table_at_its_gap(label, mt, kernel, settings
     assert sol.dsum == dsum
     assert sol.max_factor_dev == float(np.max(4.0 * dk / (dsum + 2.0)))
     assert sol.nonpositive_factor == tuple(np.flatnonzero(correction_factor(dk, dsum) <= 0).tolist())
+
+
+# AC-10 couplings where the corrected equation has a second nontrivial
+# solution beside the damped loop's, e.g. (0.40, 0.15, ...) against
+# (1.80, 1.79, ...) at g = 1.0746
+BRANCH_TRAPS = (1.0746, 1.5808)
+
+
+@pytest.mark.parametrize("table", ["ac10", "lattice"])
+def test_accelerated_driver_keeps_the_damped_branch(table):
+    # wherever the plain damped loop converges, the driver converges to the same solution
+    mt, shell = _sweep_table(table)
+    couplings = list(np.linspace(0.1, 4.0, 30)) + list(BRANCH_TRAPS if table == "ac10" else ())
+    compared = 0
+    for g in couplings:
+        kernel = separable_kernel(mt, g, shell=shell)
+        for corrected, solve in ((False, solve_gap), (True, solve_new_gap)):
+            ref = solve_literal(mt, kernel, corrected, accelerate=False)
+            if not ref["converged"]:
+                continue
+            sol = solve(mt, kernel)
+            label = f"{table} g={g:.4f} corrected={corrected}"
+            assert sol.converged, label
+            assert sol.trivial == ref["trivial"], label
+            assert np.max(np.abs(sol.delta.delta - ref["delta"])) <= 1e-8, label
+            compared += 1
+    assert compared >= 2 * len(couplings) - 2
+
+
+@pytest.mark.parametrize("g", [0.2499, 0.25, 0.2501])
+def test_classic_solve_converges_at_the_critical_coupling(g):
+    # AC-10's classic g_c = 0.25, where the linearized gap map has unit gain;
+    # the damped loop alone exhausts 10 000 iterations at all three couplings
+    mt, _ = _sweep_table("ac10")
+    sol = solve_gap(mt, separable_kernel(mt, g))
+    assert sol.converged and sol.iterations <= 200
