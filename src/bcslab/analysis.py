@@ -395,15 +395,16 @@ def run_verification(
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
 
     dev = 0.0
-    for i in range(m):
+    mean_field = [mt.xi[i] * bundle.h[i] - angles.delta[i] * bundle.v[i] for i in range(m)]
+    for i, lhs in enumerate(conjugate_series(mean_field, gb, 1.0, tol=1e-12)):
         xi_i, d_i = mt.xi[i], angles.delta[i]
-        lhs = conjugate_series(xi_i * bundle.h[i] - d_i * bundle.v[i], gb, 1.0, tol=1e-12)
         rhs = (
             (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
             + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
             + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
         )
         dev = max(dev, op_norm_inf(lhs - rhs))
+    del mean_field
     report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
 
     quasi = quasi_ops(bundle, angles)
@@ -413,8 +414,7 @@ def run_verification(
         report.add(_skip("gamma_closed_form_vs_conjugation", dense_skip))
     else:
         dev = 0.0
-        for closed, c_op in zip(quasi, bundle.C):
-            rotated = conjugate_series(c_op, gb, -1.0, tol=1e-11)
+        for closed, rotated in zip(quasi, conjugate_series(bundle.C, gb, -1.0, tol=1e-11)):
             dev = max(dev, op_norm_inf(closed - rotated))
         report.add(_deviation("gamma_closed_form_vs_conjugation", dev, TOL_LOOSE))
     del gb

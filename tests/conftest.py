@@ -1,8 +1,8 @@
 """Shared fixtures: reference instances and the oracles that only tests read.
 
-The oracles are the bit-level ladder action, dense-matrix conjugation and
-evolution, the literal operators, the literal double sum for Phi and a
-literal gap loop.
+The oracles are the bit-level ladder action, the single anticommutator,
+dense-matrix conjugation and evolution, the literal operators, the literal
+double sum for Phi and a literal gap loop.
 
 The workhorse instance ("two_mode") is the pair lattice {k, -k} with
 xi = 1.6 and U(k,-k) = -4.  Its gap equation has the closed-form solution
@@ -130,6 +130,11 @@ def literal_operators(mt, kernel):
                 h = h + kernel.u[k, kp] * (csr_array(pairs[kp].T) @ pairs[k])
     ops.update(G=g, T=t, H=h, I=eye_array(mt.dim))
     return ops
+
+
+def anticommutator(a, b):
+    """{A, B} = AB + BA, one pair at a time."""
+    return a @ b + b @ a
 
 
 def dense_conjugation(a, k, alpha):

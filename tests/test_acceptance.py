@@ -92,10 +92,10 @@ def test_ac2_number_symmetry_covariance():
     for alpha in (0.3, 1.0, math.pi):
         for j in range(mt.n_orbitals):
             c = ladder_matrix(j, mt.n_modes)
-            rotated = conjugate_series(c, igen, alpha, tol=1e-12)
+            rotated = conjugate_series([c], igen, alpha, tol=1e-12)[0]
             worst_c = max(worst_c, op_norm_inf(rotated - np.exp(1j * alpha) * c))
         worst_h = max(
-            worst_h, op_norm_inf(conjugate_series(bundle.H, igen, alpha, tol=1e-12) - bundle.H)
+            worst_h, op_norm_inf(conjugate_series([bundle.H], igen, alpha, tol=1e-12)[0] - bundle.H)
         )
     criterion("AC-2", f"exp(-iaG) C exp(iaG) = exp(ia) C within 1e-9 (got {worst_c:.2e})", worst_c <= 1e-9)
     criterion("AC-2", f"exp(-iaG) H exp(iaG) = H within 1e-9 (got {worst_h:.2e})", worst_h <= 1e-9)

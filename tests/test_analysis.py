@@ -493,6 +493,25 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_run_verification_peak_memory_on_the_ac10_instance():
+    """The M = 5 AC-10 pass allocates at most 1.9 MiB at its peak.
+
+    Unstacked it peaks near 1.2 MiB.  The 4096-row stacks of the series and
+    the CAR check (four operators at dim 1024) bring it near 1.6 MiB, and
+    16384-row stacks near 2.2 MiB.
+    """
+    mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5)
+    kernel = separable_kernel(mt, 1.5)
+    tracemalloc.start()
+    try:
+        report = run_verification(mt, kernel, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 1.9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_run_verification_builds_each_ladder_once(three_mode, monkeypatch):
     """One set of 2M ladders each for the CAR check, the operator bundle and the permuted instance's bundle."""
     mt, kernel = three_mode

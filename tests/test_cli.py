@@ -251,6 +251,8 @@ def test_verify_checks_filter(tmp_path, capsys):
         ({"physics": {"m": 0}}, {}, "mass m"),
         ({"lattice": {"L": 6.283185307179586, "kmax": 1.0}, "physics": {"m": -0.5}}, {}, "mass m"),
         ({"seed": -1}, {}, "seed must be a nonnegative integer"),
+        ({}, {"BCSLAB_DIM_CAP": "0"}, "BCSLAB_DIM_CAP must be at least 1, got '0'"),
+        ({}, {"BCSLAB_DIM_CAP": "-1"}, "BCSLAB_DIM_CAP must be at least 1, got '-1'"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):

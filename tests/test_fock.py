@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array, diags_array
 
-from bcslab.errors import ResourceLimitError
+from bcslab import fock
+from bcslab.errors import ConvergenceError, ResourceLimitError
 from bcslab.fock import (
     adjoint,
     anticommutator_check,
@@ -192,6 +193,63 @@ def test_car_deviation_reads_the_mixed_pair_it_does_not_build():
     assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14)
 
 
+def _car_deviation_pair_loop(ann):
+    """The pairs j' >= j that `car_deviation` builds, one at a time, each read by op_norm_inf."""
+    ident = identity_op(ann[0].shape[0])
+    worst = 0.0
+    for j, a in enumerate(ann):
+        for jp in range(j, len(ann)):
+            b_dag = adjoint(ann[jp])
+            mixed = a @ b_dag + b_dag @ a
+            if j == jp:
+                mixed = mixed - ident
+            worst = max(worst, op_norm_inf(mixed), op_norm_inf(mixed.T), op_norm_inf(a @ ann[jp] + ann[jp] @ a))
+    return worst
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_car_deviation_across_stacks_matches_full_loop(dim, real, monkeypatch):
+    # two operators per stack, so the first j runs three stacks; every stacked
+    # row and column sum adds in the order of the single pair's, so the
+    # deviation equals the pair loop's bit for bit
+    monkeypatch.setattr(fock, "STACK_ROWS", 2 * dim)
+    rng = np.random.default_rng(dim + real + 10)
+    ann = [random_sparse(dim, rng, density=0.3, real=real) for _ in range(5)]
+    assert car_deviation(ann) == _car_deviation_pair_loop(ann)
+    assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("j", range(6))
+def test_car_deviation_detects_a_flipped_sign_in_any_stack(j, monkeypatch):
+    # two of the six M = 3 ladders per stack, so for j = 0 the ladders 4 and 5 run in the third stack
+    monkeypatch.setattr(fock, "STACK_ROWS", 128)
+    ann = [ladder_matrix(i, 3) for i in range(6)]
+    assert car_deviation(ann) == 0.0
+    broken = ann[j].copy()
+    broken.data[-1] = -broken.data[-1]
+    ann[j] = broken
+    assert car_deviation(ann) > 0.0
+
+
+@pytest.mark.parametrize("stack_rows", [fock.STACK_ROWS, 128])
+def test_car_deviation_reads_a_column_defect_inside_a_stack(stack_rows, monkeypatch):
+    # the construction of the test above on M = 3, with P = Y (x) 1 on orbitals 3..5;
+    # C_4 and C_5 carry the parity string over orbitals 0..2, so they anticommute with
+    # P and P*, and the defect {a_0, a*_3} is the last block of the first stack (or of
+    # the second, at two operators per stack): only its column sums reach 2 eps
+    monkeypatch.setattr(fock, "STACK_ROWS", stack_rows)
+    eps = 1e-3
+    rows = [2 + 8 * s for s in range(8) for _ in range(2)]
+    cols = [c + 8 * s for s in range(8) for c in (3, 5)]
+    planted = csr_array((np.full(16, eps), (rows, cols)), shape=(64, 64))
+    ann = [ladder_matrix(0, 3), ladder_matrix(4, 3), ladder_matrix(5, 3), csr_array(ladder_matrix(3, 3) + planted)]
+    cre_3 = adjoint(ann[3])
+    assert op_norm_inf(ann[0] @ cre_3 + cre_3 @ ann[0]) == pytest.approx(eps)
+    assert car_deviation(ann) == pytest.approx(2 * eps, rel=1e-14)
+    assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14)
+
+
 def test_vacuum_annihilation_and_top_state():
     for m in (1, 2, 3):
         vac = vacuum_state(m)
@@ -237,7 +295,7 @@ def test_conjugate_series_alpha_zero_exact():
     rng = np.random.default_rng(0)
     a = random_sparse(16, rng)
     k = random_antisymmetric(16, rng)
-    out = conjugate_series(a, k, 0.0, tol=1e-12)
+    out = conjugate_series([a], k, 0.0, tol=1e-12)[0]
     assert op_norm_inf(out - a) == 0.0
 
 
@@ -246,9 +304,9 @@ def test_conjugate_series_requires_selfadjoint():
     a = random_sparse(8, rng)
     b = random_sparse(8, rng)  # neither selfadjoint nor anti-selfadjoint
     with pytest.raises(ValueError):
-        conjugate_series(a, b, 1.0)
+        conjugate_series([a], b, 1.0)
     with pytest.raises(ValueError):
-        conjugate_series(a, random_antisymmetric(8, rng), 1.0, tol=0.0)
+        conjugate_series([a], random_antisymmetric(8, rng), 1.0, tol=0.0)
 
 
 def test_conjugate_series_matches_dense_exponentials():
@@ -258,9 +316,82 @@ def test_conjugate_series_matches_dense_exponentials():
         a = random_sparse(dim, rng)
         k = 1j * random_selfadjoint(dim, rng, scale=0.5)
         for alpha in (0.3, 1.0):
-            series = conjugate_series(a, k, alpha, tol=1e-12)
+            series = conjugate_series([a], k, alpha, tol=1e-12)[0]
             oracle = dense_conjugation(a, k, alpha)
             assert np.max(np.abs(series.toarray() - oracle)) < 1e-10
+
+
+def _same_arrays(a, b):
+    """The same CSR array bit for bit: shape, dtypes, and each stored entry in its place."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.indices.dtype == b.indices.dtype
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+def _terms_to_stop(a, k, alpha, tol, monkeypatch):
+    """Fewest terms of the series of `a` alone that end without ConvergenceError."""
+    lo, hi = 0, fock.CONJUGATE_MAX_TERMS  # lo fails (no terms), hi succeeds
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "CONJUGATE_MAX_TERMS", mid)
+            try:
+                conjugate_series([a], k, alpha, tol=tol)
+                hi = mid
+            except ConvergenceError:
+                lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("stack_rows", [fock.STACK_ROWS, 32])
+def test_conjugate_series_list_equals_single_operators(stack_rows, monkeypatch):
+    # norms from 0 to 1e3 stop after different numbers of terms, and a stopped
+    # block takes no further term; the complex operator starts a stack of its
+    # own dtype, and at 32 rows every stack holds two operators
+    monkeypatch.setattr(fock, "STACK_ROWS", stack_rows)
+    rng = np.random.default_rng(8)
+    k = random_antisymmetric(16, rng, scale=0.3)
+    base = [random_sparse(16, rng, real=True) for _ in range(2)]
+    ops = [s * a for s in (1e-9, 1.0, 1e3) for a in base]
+    ops += [random_sparse(16, rng), 0.0 * base[0], ladder_matrix(2, 2)]
+    stacked = conjugate_series(ops, k, 0.7, tol=1e-12)
+    assert len(stacked) == len(ops)
+    assert len({_terms_to_stop(a, k, 0.7, 1e-12, monkeypatch) for a in ops}) >= 4
+    for a, out in zip(ops, stacked):
+        assert _same_arrays(out, conjugate_series([a], k, 0.7, tol=1e-12)[0])
+
+
+def test_conjugate_series_stack_keeps_each_blocks_sorted_rows():
+    """A block that scipy would add as canonical keeps its sorted rows in an unsorted stack.
+
+    K stores each row in descending column order, so C_0 K and K C_0 (one
+    entry per row of C_0) come out sorted and their difference is merged
+    sorted, while the random block leaves the whole stack unsorted.  The next
+    term sums each row of the stack in its stored order, so a block stored in
+    another order than its single series would differ in the last bits.
+    """
+    rng = np.random.default_rng(9)
+    k = random_antisymmetric(16, rng, scale=0.3)
+    for r in range(16):
+        lo, hi = k.indptr[r], k.indptr[r + 1]
+        k.indices[lo:hi] = k.indices[lo:hi][::-1].copy()
+        k.data[lo:hi] = k.data[lo:hi][::-1].copy()
+    k = csr_array((k.data, k.indices, k.indptr), shape=k.shape)
+    assert not k.has_canonical_format
+    ops = [ladder_matrix(0, 2), random_sparse(16, rng, density=0.5, real=True)]
+    for a, out in zip(ops, conjugate_series(ops, k, 0.7, tol=1e-12)):
+        assert _same_arrays(out, conjugate_series([a], k, 0.7, tol=1e-12)[0])
+
+
+def test_conjugate_series_rejects_a_mismatched_operator():
+    rng = np.random.default_rng(10)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        conjugate_series([random_sparse(16, rng), random_sparse(8, rng)], random_antisymmetric(16, rng), 1.0)
 
 
 def test_conjugate_series_agrees_with_evolved_states():
@@ -271,7 +402,7 @@ def test_conjugate_series_agrees_with_evolved_states():
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     alpha = 0.7
-    lhs = conjugate_series(a, k, alpha, tol=1e-12) @ v
+    lhs = conjugate_series([a], k, alpha, tol=1e-12)[0] @ v
     rhs = evolve_state(-alpha * k, a @ evolve_state(alpha * k, v))
     assert np.linalg.norm(lhs - rhs) < 1e-9
 
@@ -285,7 +416,7 @@ def test_diagonal_conjugate_matches_series_by_number_operator(instance, request)
     ops = [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)] + [bundle.H]
     for alpha in (0.3, 1.0, math.pi):
         for a in ops:
-            series = conjugate_series(a, 1j * big_g, alpha, tol=1e-12)
+            series = conjugate_series([a], 1j * big_g, alpha, tol=1e-12)[0]
             assert op_norm_inf(diagonal_conjugate(a, g, alpha) - series) <= 1e-12
 
 
@@ -343,7 +474,7 @@ def test_real_conjugation_and_evolution_match_dense_exponentials(instance, reque
     # a real antisymmetric K keeps everything real; K = iG is the number-phase rotation
     for k in (random_antisymmetric(mt.dim, rng, scale=0.3), 1j * bundle.G):
         for alpha in (0.3, -1.0):
-            series = conjugate_series(a, k, alpha, tol=1e-14)
+            series = conjugate_series([a], k, alpha, tol=1e-14)[0]
             assert series.dtype == np.result_type(a.dtype, k.dtype)
             assert np.max(np.abs(series.toarray() - dense_conjugation(a, k, alpha))) <= 1e-12
         w = evolve_state(k, v)
@@ -352,7 +483,7 @@ def test_real_conjugation_and_evolution_match_dense_exponentials(instance, reque
     # a selfadjoint generator is the old exp(i alpha B) convention, not an anti-selfadjoint K
     for hermitian in (bundle.G, bundle.H):
         with pytest.raises(ValueError):
-            conjugate_series(a, hermitian, 1.0)
+            conjugate_series([a], hermitian, 1.0)
         with pytest.raises(ValueError):
             evolve_state(hermitian, v)
 

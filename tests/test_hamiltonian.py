@@ -199,7 +199,7 @@ def test_meanfield_conjugation_identity(two_mode):
     ident = identity_op(mt.dim)
     for i in range(mt.n_modes):
         xi_i, d_i = mt.xi[i], angles.delta[i]
-        lhs = conjugate_series(xi_i * ops.h[i] - d_i * ops.v[i], gb, 1.0, tol=1e-12)
+        lhs = conjugate_series([xi_i * ops.h[i] - d_i * ops.v[i]], gb, 1.0, tol=1e-12)[0]
         rhs = (
             (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * ops.h[i]
             + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * ops.v[i]
@@ -218,11 +218,11 @@ def test_phase_covariance(two_mode):
     for alpha in (0.3, 1.0, math.pi):
         for j in range(mt.n_orbitals):
             c = ladder_matrix(j, mt.n_modes)
-            rotated = conjugate_series(c, igen, alpha, tol=1e-12)
+            rotated = conjugate_series([c], igen, alpha, tol=1e-12)[0]
             assert op_norm_inf(rotated - np.exp(1j * alpha) * c) <= 1e-9
-            rotated_dag = conjugate_series(adjoint(c), igen, alpha, tol=1e-12)
+            rotated_dag = conjugate_series([adjoint(c)], igen, alpha, tol=1e-12)[0]
             assert op_norm_inf(rotated_dag - np.exp(-1j * alpha) * adjoint(c)) <= 1e-9
-        assert op_norm_inf(conjugate_series(bundle.H, igen, alpha, tol=1e-12) - bundle.H) <= 1e-9
+        assert op_norm_inf(conjugate_series([bundle.H], igen, alpha, tol=1e-12)[0] - bundle.H) <= 1e-9
 
 
 def test_pair_number_by_hand(two_mode):

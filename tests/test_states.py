@@ -16,7 +16,7 @@ from bcslab.states import (
     quasi_ops,
 )
 
-from conftest import angles_of, bundle_of, correction_state_literal, quasi_dag_of
+from conftest import angles_of, anticommutator, bundle_of, correction_state_literal, quasi_dag_of
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_quasi_ops_annihilate_bcs(two_mode):
 def test_quasi_ops_car(two_mode):
     mt, kernel = two_mode
     gammas = quasi_ops(OperatorBundle(mt, kernel), angles_of(mt, [1.2, 1.2]))
-    from bcslab.fock import anticommutator, identity_op
+    from bcslab.fock import identity_op
 
     ident = identity_op(mt.dim)
     for a in range(4):
