@@ -5,7 +5,8 @@ matrix-side evaluation (eigendecomposition of H_M block by block over its
 pair sectors, explicit state vectors, sparse operator application); no
 check compares a formula to itself.
 The number-phase covariance checks conjugate by the ladder-built number
-operator G entry by entry (`diagonal_conjugate`), since G is diagonal in the
+operator G entry by entry (`diagonal_conjugate`, for the ladders in row
+stacks through `covariance_deviation`), since G is diagonal in the
 occupation basis; their deviations also count the largest entry of
 G - diag(Re g), so a G that is not a real diagonal fails them.
 `run_verification` bundles all checks for one instance into a deterministic
@@ -43,6 +44,7 @@ from .fock import (
     car_deviation,
     commutator,
     conjugate_series,
+    covariance_deviation,
     diagonal_conjugate,
     evolve_state,
     expectation,
@@ -362,10 +364,7 @@ def run_verification(
     dev_c = g_leak
     dev_h = g_leak
     for alpha in (0.3, 1.0, math.pi):
-        phase = np.exp(1j * alpha)
-        for c_op in bundle.C:
-            rotated = diagonal_conjugate(c_op, g, alpha)
-            dev_c = max(dev_c, op_norm_inf(rotated - phase * c_op))
+        dev_c = max(dev_c, covariance_deviation(bundle.C, g, alpha, np.exp(1j * alpha)))
         dev_h = max(dev_h, op_norm_inf(diagonal_conjugate(bundle.H, g, alpha) - bundle.H))
     report.add(_deviation("number_phase_covariance_c", dev_c, TOL_LOOSE))
     report.add(_deviation("number_phase_covariance_h", dev_h, TOL_LOOSE))
@@ -404,7 +403,7 @@ def run_verification(
             + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
         )
         dev = max(dev, op_norm_inf(lhs - rhs))
-    del mean_field
+    del mean_field, lhs, rhs
     report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
 
     quasi = quasi_ops(bundle, angles)

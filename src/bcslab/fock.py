@@ -92,8 +92,10 @@ def identity_op(dim: int) -> csr_array:
 
 
 def adjoint(a: csr_array) -> csr_array:
-    """a* as CSR: the transpose, conjugated only for complex input, since conj() copies real data too."""
-    return csr_array(a.conj().T if np.iscomplexobj(a) else a.T)
+    """a* as CSR: the arrays of a.tocsc() are the CSR of the transpose, conjugated only for complex input."""
+    t = a.tocsc()
+    data = t.data.conj() if np.iscomplexobj(t.data) else t.data
+    return csr_array((data, t.indices, t.indptr), shape=(a.shape[1], a.shape[0]))
 
 
 def commutator(a, b) -> csr_array:
@@ -120,13 +122,14 @@ def op_norm_inf(a) -> float:
 # every row of both operands is sorted (`_stacked_sum`), and `op_norm_inf`
 # sorts the rows it sums (`_block_norms`).
 #
-# A stack holds at most STACK_ROWS rows, so the dimension decides: M <= 5
-# (d <= 1024) shares products, and from M = 6 (d = 4096) every stack is one
-# operator.  At M >= 6 the arithmetic outweighs the set-up, so a wider
-# stack saves little there, while every stacked intermediate grows with the
-# stack: at M = 5, 16384-row stacks raise the tracemalloc peak of a
-# verification pass from 1.6 to 2.2 MiB, against 1.2 MiB unstacked.
-STACK_ROWS = 4096
+# A stack holds at most STACK_ROWS rows, so the dimension decides: M <= 6
+# (d <= 4096) shares products, eight operators per stack at M = 5 and two
+# at M = 6, and from M = 7 (d = 16384) every stack is one operator.  There
+# the arithmetic outweighs the set-up, so a wider stack saves little, while
+# every stacked intermediate grows with the stack: at M = 5 the tracemalloc
+# peak of a verification pass is about 1.2 MiB unstacked, 1.6 MiB with
+# 4096-row stacks, 1.85 MiB with 8192 rows and 2.1 MiB with 16384.
+STACK_ROWS = 8192
 
 
 def _index_dtype(top: int):
@@ -262,13 +265,12 @@ def car_deviation(ann: list) -> float:
             if lo == j:
                 # the identity of {a_j, a*_j} in the first block only
                 mixed = mixed - _stack([ident] + [zero] * (n - 1))
+            worst = max(worst, _block_norms(mixed, n).max(), _block_column_norms(mixed, n).max())
+            # released before the same-family stack is formed: at M = 5 the two
+            # together would set the tracemalloc peak of a verification pass
+            del mixed, x
             y = _stack(ann[lo:hi])
-            worst = max(
-                worst,
-                _block_norms(mixed, n).max(),
-                _block_column_norms(mixed, n).max(),
-                _block_norms(left @ y + y @ a, n).max(),
-            )
+            worst = max(worst, _block_norms(left @ y + y @ a, n).max())
     return float(worst)
 
 
@@ -294,15 +296,34 @@ def diagonal_conjugate(a, g, alpha: float) -> csr_array:
     `g` is the real diagonal of G.  Entry (r, c) of A picks up the phase
     exp(-i*alpha*(g_r - g_c)); no series is summed and nothing is
     truncated.  Whether the matrix G really is diag(g) is the caller's to
-    check.
+    check.  A may also be a row stack of square blocks (see STACK_ROWS):
+    row r then reads g at r modulo the block size, so each block is
+    conjugated as the operator alone.
     """
     out = csr_array(a, dtype=np.complex128, copy=True)
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (out.shape[0],) or out.shape[0] != out.shape[1]:
+    dim = out.shape[1]
+    if g.shape != (dim,) or out.shape[0] % max(dim, 1):
         raise ValueError(f"dimension mismatch: operator {out.shape}, diagonal {g.shape}")
-    rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
+    rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr)) % dim
     out.data *= np.exp(-1j * alpha * (g[rows] - g[out.indices]))
     return out
+
+
+def covariance_deviation(ops: list, g, alpha: float, phase: complex) -> float:
+    """Max over A in `ops` of op_norm_inf(diagonal_conjugate(A, g, alpha) - phase * A).
+
+    The operators run as stacks of up to STACK_ROWS rows, one conjugation
+    and one difference per stack, and each block reads the deviation of its
+    operator alone, bit for bit.
+    """
+    width = max(1, STACK_ROWS // ops[0].shape[0])
+    worst = 0.0
+    for lo in range(0, len(ops), width):
+        run = ops[lo : lo + width]
+        x = _stack(run)
+        worst = max(worst, _block_norms(diagonal_conjugate(x, g, alpha) - phase * x, len(run)).max())
+    return float(worst)
 
 
 def conjugate_series(ops: list, k, alpha: float, tol: float = 1e-12) -> list:
@@ -355,7 +376,7 @@ def _series_stack(ops: list, k, alpha: float, tol: float) -> list:
         term = _stacked_sum(left, right, width, sign=-1.0)
         del left, right
         coeff *= alpha / n
-        scaled = csr_array(term * coeff)
+        scaled = term * coeff
         total = _stacked_sum(total, scaled, width)
         # two consecutive sub-tol terms guard against an accidental small term
         small = _block_norms(scaled, width) <= tol

@@ -47,16 +47,16 @@ class OperatorBundle:
         numbers = [adjoint(c) @ c for c in self.C]
         up = [mt.orb_up(i) for i in range(m)]
         down = [mt.orb_dn(mt.pair[i]) for i in range(m)]
-        self.B = [csr_array(self.C[down[i]] @ self.C[up[i]]) for i in range(m)]
+        self.B = [self.C[down[i]] @ self.C[up[i]] for i in range(m)]
         self.Bd = [adjoint(b) for b in self.B]
-        self.h = [csr_array(numbers[up[i]] + numbers[down[i]]) for i in range(m)]
-        self.v = [csr_array(b + bd) for b, bd in zip(self.B, self.Bd)]
+        self.h = [numbers[up[i]] + numbers[down[i]] for i in range(m)]
+        self.v = [b + bd for b, bd in zip(self.B, self.Bd)]
         self.I = identity_op(mt.dim)
 
         total = numbers[0]
         for n_j in numbers[1:]:
             total = total + n_j
-        self.G = csr_array(total)
+        self.G = total
 
         t = csr_array((mt.dim, mt.dim))
         for i in range(m):
@@ -70,7 +70,7 @@ class OperatorBundle:
                 u = kernel.u[k, kp]
                 if u != 0.0:
                     h = h + u * (self.Bd[kp] @ self.B[k])
-        self.H = csr_array(h)
+        self.H = h
 
 
 def build_GB(ops: OperatorBundle, angles: AngleTable) -> csr_array:
@@ -110,7 +110,7 @@ def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> csr_array:
 def build_Hprime(ops: OperatorBundle, kernel: Kernel, angles: AngleTable) -> csr_array:
     """Residual interaction H' = H - H_M in its expanded form.
 
-    H' = sum_{k,k'} U_{k,k'} { B*_{k'} B_k - C_{k'} S_{k'} (B*_k + B_k)
+    H' = sum_{k,k'} U_{k,k'} { B*_{k'} B_k - C_{k'} S_{k'} v_k
                                + C_k S_k C_{k'} S_{k'} I }
     with C = cos theta, S = sin theta.
     """
@@ -126,8 +126,8 @@ def build_Hprime(ops: OperatorBundle, kernel: Kernel, angles: AngleTable) -> csr
             if u == 0.0:
                 continue
             hp = hp + u * (ops.Bd[kp] @ ops.B[k])
-            hp = hp - (u * cs[kp]) * (ops.Bd[k] + ops.B[k])
+            hp = hp - (u * cs[kp]) * ops.v[k]
             const += u * cs[k] * cs[kp]
     if const != 0.0:
         hp = hp + const * ops.I
-    return csr_array(hp)
+    return hp

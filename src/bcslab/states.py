@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import ValidationError
 from .fock import adjoint, expectation, vacuum_state
@@ -73,10 +72,10 @@ def quasi_ops(ops: OperatorBundle, angles: AngleTable) -> list:
         c, s = angles.cos_t[i], angles.sin_t[i]
         ann_up = ladders[mt.orb_up(i)]
         cre_dn_partner = adjoint(ladders[mt.orb_dn(mt.pair[i])])
-        quasi.append(csr_array(c * ann_up - s * cre_dn_partner))
+        quasi.append(c * ann_up - s * cre_dn_partner)
         ann_dn = ladders[mt.orb_dn(i)]
         cre_up_partner = adjoint(ladders[mt.orb_up(mt.pair[i])])
-        quasi.append(csr_array(s * cre_up_partner + c * ann_dn))
+        quasi.append(s * cre_up_partner + c * ann_dn)
     return quasi
 
 

@@ -493,12 +493,31 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_run_verification_peak_memory_on_the_six_mode_golden():
+    """The M = 6 golden pass allocates at most 5.5 MiB at its peak.
+
+    Its series and CAR stacks hold two operators of dim 4096 (8192 rows),
+    and it peaks near 5.26 MiB, against 5.03 MiB with one operator per
+    stack; the bound leaves about 5% above the stacked figure.
+    """
+    cfg = load_config(str(Path(__file__).parent / "golden" / "six_mode" / "config.json"))
+    tracemalloc.start()
+    try:
+        report = run_verification(cfg.mt, cfg.kernel, seed=cfg.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 5.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_run_verification_peak_memory_on_the_ac10_instance():
     """The M = 5 AC-10 pass allocates at most 1.9 MiB at its peak.
 
     Unstacked it peaks near 1.2 MiB.  The 4096-row stacks of the series and
-    the CAR check (four operators at dim 1024) bring it near 1.6 MiB, and
-    16384-row stacks near 2.2 MiB.
+    the CAR check (four operators at dim 1024) bring it near 1.6 MiB, the
+    8192-row stacks (eight operators) near 1.85 MiB, and 16384-row stacks
+    near 2.1 MiB.
     """
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5)
     kernel = separable_kernel(mt, 1.5)

@@ -408,7 +408,7 @@ def test_repelling_corrected_solution_exits_as_unconverged(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode"])
+@pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
 def test_verify_matches_golden_report(instance, tmp_path, capsys):
     """Reports stay byte-identical to the committed ones for existing configs."""
     golden = GOLDEN / instance

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array, diags_array
+from scipy.sparse import csr_array, diags_array, vstack
 
 from bcslab import fock
 from bcslab.errors import ConvergenceError, ResourceLimitError
@@ -13,6 +13,7 @@ from bcslab.fock import (
     car_deviation,
     commutator,
     conjugate_series,
+    covariance_deviation,
     diagonal_conjugate,
     evolve_state,
     expectation,
@@ -130,6 +131,39 @@ def test_adjoint_involution():
         adj = adjoint(a)
         assert adj.format == "csr" and adj.dtype == a.dtype
         assert np.array_equal(adj.toarray(), a.toarray().conj().T)
+
+
+def _unsorted(a):
+    """a with the entries of every row stored in reverse order."""
+    data, indices = a.data.copy(), a.indices.copy()
+    for lo, hi in zip(a.indptr[:-1], a.indptr[1:]):
+        data[lo:hi], indices[lo:hi] = data[lo:hi][::-1], indices[lo:hi][::-1]
+    return csr_array((data, indices, a.indptr.copy()), shape=a.shape)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "empty", "rectangular"])
+def test_adjoint_keeps_the_arrays_of_the_transpose_conversion(kind, real):
+    # the conversion route a* = csr_array(conj(a).T) is the reference, array for array
+    rng = np.random.default_rng(7)
+    if kind == "empty":
+        a = csr_array((5, 7), dtype=np.float64 if real else np.complex128)
+    elif kind == "rectangular":
+        a = csr_array(random_sparse(12, rng, density=0.3, real=real)[:6, :11])
+    else:
+        a = random_sparse(16, rng, density=0.3, real=real)
+    if kind == "unsorted":
+        a = _unsorted(a)
+        assert not a.has_sorted_indices
+    assert a.indices.dtype == np.int32
+    adj = adjoint(a)
+    ref = csr_array(a.conj().T if not real else a.T)
+    assert adj.format == "csr" and adj.shape == (a.shape[1], a.shape[0]) and adj.dtype == a.dtype
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(adj, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert adj.indices.dtype == adj.indptr.dtype == np.int32
+    assert np.array_equal(adj.toarray(), a.toarray().conj().T)
 
 
 def test_mode_cap_enforced(monkeypatch):
@@ -437,6 +471,30 @@ def test_diagonal_conjugate_alpha_zero_exact():
     assert np.array_equal(diagonal_conjugate(a, g, 0.0).toarray(), a.toarray())
     with pytest.raises(ValueError):
         diagonal_conjugate(a, g[:-1], 1.0)
+    with pytest.raises(ValueError):  # a row stack needs whole blocks
+        diagonal_conjugate(vstack([a, a[:8]], format="csr"), g, 1.0)
+
+
+@pytest.mark.parametrize("stack_rows", [fock.STACK_ROWS, 32])
+def test_covariance_deviation_equals_the_single_operator_route(stack_rows, monkeypatch):
+    # at 32 rows two of the dim-16 operators share a stack, at the shipped width all five
+    monkeypatch.setattr(fock, "STACK_ROWS", stack_rows)
+    rng = np.random.default_rng(8)
+    dim = 16
+    # rising norms, so each operator sets the deviation of every prefix that ends with it
+    ops = [10.0**i * random_sparse(dim, rng, density=0.3, real=True) for i in range(5)]
+    g = rng.integers(-3, 4, size=dim).astype(np.float64)
+    for alpha in (0.3, 1.0, math.pi):
+        phase = np.exp(1j * alpha)
+        singles = [diagonal_conjugate(a, g, alpha) for a in ops]
+        # each block of a conjugated stack is the conjugation of its operator alone
+        stacked = diagonal_conjugate(vstack(ops, format="csr"), g, alpha)
+        for b, single in enumerate(singles):
+            assert np.array_equal(stacked[b * dim : (b + 1) * dim].toarray(), single.toarray())
+        devs = [op_norm_inf(single - phase * a) for single, a in zip(singles, ops)]
+        assert all(d > 0.0 for d in devs)
+        for i in range(len(ops)):
+            assert covariance_deviation(ops[: i + 1], g, alpha, phase) == max(devs[: i + 1])
 
 
 def test_evolve_state_identity_and_zero():

@@ -237,6 +237,18 @@ def test_pair_number_by_hand(two_mode):
             assert h_i[bits, bits] == occ
 
 
+@pytest.mark.parametrize("name", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
+def test_v_k_is_the_pair_sum_array_for_array(name):
+    # build_Hprime reads v_k for B*_k + B_k, so on the goldens the two are one sparse array
+    cfg = load_config(str(GOLDEN / name / "config.json"))
+    ops = OperatorBundle(cfg.mt, cfg.kernel)
+    for v, bd, b in zip(ops.v, ops.Bd, ops.B):
+        pair_sum = bd + b
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(v, field), getattr(pair_sum, field)), field
+            assert getattr(v, field).dtype == getattr(pair_sum, field).dtype, field
+
+
 @pytest.mark.parametrize("name", ["pair", "three_mode", "seven_mode"])
 def test_bundle_matches_literal_operators(name):
     cfg = load_config(str(GOLDEN / name / "config.json"))
