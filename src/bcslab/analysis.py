@@ -14,16 +14,30 @@ report. It builds each operator, state and expectation once and shares it
 between the checks that read it: one `OperatorBundle` (the ladders, B_k,
 B*_k, h_k, v_k, G, T, H and the identity) that every builder reads, one
 K = i G_B (read by the exponential route to Psi_B, the pairing commutators
-and the conjugations), one gamma* list per angle table, the commutators
-[G, B_k], the dense H-energies and three pair tables w_k = (state, B_k
-state), each one `pair_table` call:
+and the conjugations), the commutators [G, B_k], the dense H-energies and
+three pair tables w_k = (state, B_k state), each one `pair_table` call:
   Psi_B: pair_expectation_half_sin2theta, ssb_witness_commutator, H_M and
          E_BCS, hm_splitting and new_gap_reduction;
   Psi:   corrected_pair_expectation;
   Psi~:  corollary_new_selfconsistency, the corrected H_M of
          new_spectrum_multiset and ssb_witness_corrected_state.
-It releases each large operator after its last reader, so one stage's
-operators do not stack on the next stage's. The dense
+Each Fock operator lives only while a stage reads it, since every one costs
+an array of dimension 2^(2M):
+  G      read by charge_commutes_with_h, the covariance checks and
+         [G, B_k]; deleted from the bundle after [G, B_k];
+  h_k    read by the pairing commutators and the mean-field series
+         (one series stack at a time); deleted from the bundle after it;
+  gamma  the classic list lives through its CAR and annihilation rows,
+         Phi and the H' Psi_B expansion (formed here, as vectors, from
+         the views gamma.T: the gammas are real) and the closed-form
+         conjugation row; released with K before hm_splitting;
+  H_M    from hm_splitting to psi_hm_expectation_formula; H' through
+         hprime_definition and H' Psi_B;
+  gamma~ through its CAR and annihilation rows and Psi~;
+  bundle released after ssb_witness_corrected_state; the permuted
+         instance then builds only B_k and B*_k (`PairOperators`) on the
+         bundle's ladders, which do not depend on the mode table.
+A deleted bundle member raises on a later read; nothing rebuilds it. The dense
 checks are skipped above `DENSE_MODE_CAP`, and the (Phi, Phi) = D/2
 checks are skipped when D diverges. The report also holds the two gap
 solutions it verified (`solutions`), which the report files leave out.
@@ -49,6 +63,7 @@ from .fock import (
     evolve_state,
     expectation,
     op_norm_inf,
+    stack_width,
     vacuum_state,
 )
 from .gapsolve import (
@@ -62,7 +77,7 @@ from .gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
+from .hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
 from .model import Kernel, ModeTable, permuted_instance, validate_kernel
 from .states import (
     bcs_state,
@@ -385,6 +400,7 @@ def run_verification(
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
     charge_pairs = [commutator(bundle.G, b) for b in bundle.B]
+    del bundle.G
     report.add(_deviation("ssb_witness_commutator", _ssb_deviation(psi_b, charge_pairs, w_dense), TOL_EXPECT))
 
     dev = 0.0
@@ -393,21 +409,35 @@ def run_verification(
         dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * angles.theta[i] * (bundle.h[i] - bundle.I)))
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
 
+    # one series stack at a time, so the results of one stack are released
+    # before the next stack's operators are formed
     dev = 0.0
-    mean_field = [mt.xi[i] * bundle.h[i] - angles.delta[i] * bundle.v[i] for i in range(m)]
-    for i, lhs in enumerate(conjugate_series(mean_field, gb, 1.0, tol=1e-12)):
-        xi_i, d_i = mt.xi[i], angles.delta[i]
-        rhs = (
-            (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
-            + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
-            + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
-        )
-        dev = max(dev, op_norm_inf(lhs - rhs))
-    del mean_field, lhs, rhs
+    width = stack_width(mt.dim)
+    for lo in range(0, m, width):
+        modes = range(lo, min(lo + width, m))
+        mean_field = [mt.xi[i] * bundle.h[i] - angles.delta[i] * bundle.v[i] for i in modes]
+        for i, lhs in zip(modes, conjugate_series(mean_field, gb, 1.0, tol=1e-12)):
+            xi_i, d_i = mt.xi[i], angles.delta[i]
+            rhs = (
+                (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
+                + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
+                + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
+            )
+            dev = max(dev, op_norm_inf(lhs - rhs))
+        del mean_field, lhs, rhs
+    del bundle.h
     report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
 
     quasi = quasi_ops(bundle, angles)
     _gamma_checks(report, "gamma", quasi, psi_b)
+    # Phi and the H' Psi_B expansion read the gamma* only on vectors, so the
+    # real gammas give them as transposed views; both vectors are formed here,
+    # and their rows added below, so the gammas (which the views share) are
+    # gone before hm_splitting
+    quasi_dag = [g.T for g in quasi]
+    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
+    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
+    del quasi_dag
 
     if dense_skip:
         report.add(_skip("gamma_closed_form_vs_conjugation", dense_skip))
@@ -416,7 +446,7 @@ def run_verification(
         for closed, rotated in zip(quasi, conjugate_series(bundle.C, gb, -1.0, tol=1e-11)):
             dev = max(dev, op_norm_inf(closed - rotated))
         report.add(_deviation("gamma_closed_form_vs_conjugation", dev, TOL_LOOSE))
-    del gb
+    del gb, quasi
 
     # --- mean-field splitting -----------------------------------------------
     hm = build_HM(bundle, sol.delta, w_dense)
@@ -461,10 +491,6 @@ def run_verification(
         report.add(_skip("condensation_energy", "needs a gap-equation solution"))
 
     # --- corrected state ------------------------------------------------------
-    # the gamma* are formed once, for Phi and the H' Psi_B expansion
-    quasi_dag = [adjoint(g) for g in quasi]
-    del quasi
-    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
     psi = normalized_psi(psi_b, corr)
     report.add(_deviation("bcs_phi_orthogonal", abs(np.vdot(psi_b, corr.phi)), TOL_TIGHT))
 
@@ -474,8 +500,6 @@ def run_verification(
     hprime_psi_b = hprime @ psi_b
     del hprime
     report.add(_deviation("hprime_on_bcs_vanishes", abs(np.vdot(psi_b, hprime_psi_b)), TOL_IDENTITY))
-    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
-    del quasi_dag
     report.add(_deviation("hprime_bcs_expansion", float(np.linalg.norm(hprime_psi_b - expansion)), TOL_IDENTITY))
     report.add(
         _compare(
@@ -524,7 +548,8 @@ def run_verification(
     quasi_t = quasi_ops(bundle, angles_t)
     _gamma_checks(report, "gamma_tilde", quasi_t, psi_bt)
 
-    corr_t = correction_state(mt, kernel, angles_t, [adjoint(g) for g in quasi_t], psi_bt)
+    corr_t = correction_state(mt, kernel, angles_t, [g.T for g in quasi_t], psi_bt)
+    del quasi_t
     psi_t = normalized_psi(psi_bt, corr_t)
     report.add(_overlap_check("new_overlap_identity", kernel, new_sol, corr_t.overlap, new_sol.dsum))
 
@@ -543,16 +568,19 @@ def run_verification(
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
     report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, w_t), TOL_EXPECT))
-    del bundle, quasi_t, charge_pairs
+    # the relabelled instance reads only ladders, B_k and B*_k, and its
+    # ladders are this instance's: ladder_matrix(j, M) ignores the mode table
+    ladders = bundle.C
+    del bundle, charge_pairs
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     mt_p, kernel_p = permuted_instance(mt, kernel, perm)
     sol_p = solve_gap(mt_p, kernel_p, **solver)
-    bundle_p = OperatorBundle(mt_p, kernel_p)
-    psi_bp = bcs_state(bundle_p, sol_p.theta)
-    quasi_dag_p = [adjoint(g) for g in quasi_ops(bundle_p, sol_p.theta)]
+    pairs_p = PairOperators(mt_p, ladders)
+    psi_bp = bcs_state(pairs_p, sol_p.theta)
+    quasi_dag_p = [g.T for g in quasi_ops(pairs_p, sol_p.theta)]
     corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_dag_p, psi_bp)
     new_sol_p = solve_new_gap(mt_p, kernel_p, **solver)
     base = _physical_scalars(mt, kernel, sol, new_sol, corr)

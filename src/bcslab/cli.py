@@ -32,7 +32,7 @@ from .analysis import (
     run_verification,
 )
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .fock import adjoint, expectation
+from .fock import expectation
 from .gapsolve import GapSolution, check_solver, solve_gap, solve_new_gap
 from .hamiltonian import OperatorBundle, build_HM
 from .model import (
@@ -350,7 +350,7 @@ def _cmd_solve(args, equation: str) -> int:
 
 def _corrected(cfg: RunConfig, bundle: OperatorBundle, sol: GapSolution, psi_ref: np.ndarray):
     """Correction Phi on the reference state of `sol`, and the normalized corrected state."""
-    quasi_dag = [adjoint(g) for g in quasi_ops(bundle, sol.theta)]
+    quasi_dag = [g.T for g in quasi_ops(bundle, sol.theta)]  # the real gammas: gamma* as a view
     corr = correction_state(cfg.mt, cfg.kernel, sol.theta, quasi_dag, psi_ref)
     return corr, normalized_psi(psi_ref, corr)
 

@@ -132,6 +132,11 @@ def op_norm_inf(a) -> float:
 STACK_ROWS = 8192
 
 
+def stack_width(dim: int) -> int:
+    """Operators of dimension `dim` per row stack: as many as fit in STACK_ROWS rows, at least one."""
+    return max(1, STACK_ROWS // dim)
+
+
 def _index_dtype(top: int):
     """int32 for indices up to `top`, as scipy picks for its own results."""
     return np.int32 if top <= INT32_MAX else np.int64
@@ -245,32 +250,35 @@ def _block_column_norms(x, n: int) -> np.ndarray:
 def car_deviation(ann: list) -> float:
     """Max deviation of the canonical anticommutation relations of annihilators `ann`.
 
-    Both families are built for j' >= j only: {a_j, a_j'} is symmetric, and
+    Both families are built for j <= j' only: {a_j, a_j'} is symmetric, and
     the row sums of {a_j', a*_j} are the column sums of its adjoint
     {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
-    For each j the a*_j' and the a_j' run as stacks (see STACK_ROWS).
+    The outer loop runs over j' and forms one creator a*_j' at a time; the
+    a_j with j <= j' run as stacks (see STACK_ROWS), X @ a*_j' + kron(I, a*_j') @ X
+    and X @ a_j' + kron(I, a_j') @ X for the stack X, so each block sums
+    a_j a*_j' + a*_j' a_j from its own operands in stored order, as the
+    single pair does.
     """
-    cre = [adjoint(a) for a in ann]
     dim = ann[0].shape[0]
     ident, zero = identity_op(dim), csr_array((dim, dim))
-    width = max(1, STACK_ROWS // dim)
+    width = stack_width(dim)
     worst = 0.0
-    for j, a in enumerate(ann):
-        for lo in range(j, len(ann), width):
-            hi = min(lo + width, len(ann))
+    for jp, a in enumerate(ann):
+        cre = adjoint(a)
+        for lo in range(0, jp + 1, width):
+            hi = min(lo + width, jp + 1)
             n = hi - lo
-            left = _block_diag(a, n)
-            x = _stack(cre[lo:hi])
-            mixed = left @ x + x @ a
-            if lo == j:
-                # the identity of {a_j, a*_j} in the first block only
-                mixed = mixed - _stack([ident] + [zero] * (n - 1))
+            x = _stack(ann[lo:hi])
+            mixed = x @ cre + _block_diag(cre, n) @ x
+            if hi == jp + 1:
+                # the identity of {a_j', a*_j'} in the last block only
+                mixed = mixed - _stack([zero] * (n - 1) + [ident])
             worst = max(worst, _block_norms(mixed, n).max(), _block_column_norms(mixed, n).max())
-            # released before the same-family stack is formed: at M = 5 the two
+            # released before the same-family products are formed: at M = 5 the two
             # together would set the tracemalloc peak of a verification pass
-            del mixed, x
-            y = _stack(ann[lo:hi])
-            worst = max(worst, _block_norms(left @ y + y @ a, n).max())
+            del mixed
+            worst = max(worst, _block_norms(x @ a + _block_diag(a, n) @ x, n).max())
+        del cre
     return float(worst)
 
 
@@ -317,7 +325,7 @@ def covariance_deviation(ops: list, g, alpha: float, phase: complex) -> float:
     and one difference per stack, and each block reads the deviation of its
     operator alone, bit for bit.
     """
-    width = max(1, STACK_ROWS // ops[0].shape[0])
+    width = stack_width(ops[0].shape[0])
     worst = 0.0
     for lo in range(0, len(ops), width):
         run = ops[lo : lo + width]
@@ -349,7 +357,7 @@ def conjugate_series(ops: list, k, alpha: float, tol: float = 1e-12) -> list:
             raise ValueError(f"dimension mismatch: operator {a.shape}, K {k.shape}")
     if alpha == 0.0:
         return [csr_array(a, copy=True) for a in ops]
-    width = max(1, STACK_ROWS // k.shape[0])
+    width = stack_width(k.shape[0])
     out = []
     for _, run in itertools.groupby(ops, key=lambda a: a.dtype):
         run = list(run)

@@ -12,6 +12,10 @@ angle-independent operators, each built once:
   H   = T + sum_{k,k'} U_{k,k'} B*_{k'} B_k
   I                                           (identity)
 
+Its base `PairOperators` holds the ladders, B_k and B*_k alone: what the
+states and the gammas read.  The ladders depend on the pair count only, so
+a relabelled mode table of the same M (the ordering check) builds its
+`PairOperators` from the ladders of the instance it relabels.
 `build_GB`, `build_HM` and `build_Hprime` read their B_k, B*_k, v_k, T
 and I from a bundle.  All constant energy offsets are carried explicitly
 as multiples of the identity; nothing is folded into implicit zero points.
@@ -28,28 +32,43 @@ from .gapsolve import AngleTable, GapTable
 from .model import Kernel, ModeTable, validate_kernel
 
 
-class OperatorBundle:
+class PairOperators:
+    """The ladders of one mode table and the pair operators built from them.
+
+    C[j] is the annihilator of spin-orbital j, and B and Bd hold B_k and
+    B*_k by mode index.  `ladders` are the 2M matrices `ladder_matrix(j, M)`
+    in orbital order; they do not depend on the mode table, so any table
+    with the same pair count reads the same set.
+    """
+
+    def __init__(self, mt: ModeTable, ladders: list):
+        if len(ladders) != mt.n_orbitals or any(c.shape != (mt.dim, mt.dim) for c in ladders):
+            raise ValidationError(f"need {mt.n_orbitals} ladders of dimension {mt.dim}")
+        self.mt = mt
+        self.C = list(ladders)
+        m = mt.n_modes
+        self.B = [self.C[mt.orb_dn(mt.pair[i])] @ self.C[mt.orb_up(i)] for i in range(m)]
+        self.Bd = [adjoint(b) for b in self.B]
+
+
+class OperatorBundle(PairOperators):
     """The Fock operators of one instance, each built once from its ladders.
 
-    C[j] is the annihilator of spin-orbital j; B, Bd, h and v hold B_k,
-    B*_k, h_k and v_k by mode index; G is the number operator, T the kinetic
-    term, H the pairing Hamiltonian of `kernel`, which is validated first,
-    and I the identity.
+    Beyond the ladders, B and Bd of `PairOperators`: h and v hold h_k and
+    v_k by mode index; G is the number operator, T the kinetic term, H the
+    pairing Hamiltonian of `kernel`, which is validated first, and I the
+    identity.  A reader that is done with an operator may `del` it from
+    the bundle; a later read then raises AttributeError, nothing rebuilds it.
     """
 
     def __init__(self, mt: ModeTable, kernel: Kernel):
         violations = validate_kernel(kernel, mt)
         if violations:
             raise ValidationError("; ".join(violations))
-        self.mt = mt
         m = mt.n_modes
-        self.C = [ladder_matrix(j, m) for j in range(mt.n_orbitals)]
+        super().__init__(mt, [ladder_matrix(j, m) for j in range(mt.n_orbitals)])
         numbers = [adjoint(c) @ c for c in self.C]
-        up = [mt.orb_up(i) for i in range(m)]
-        down = [mt.orb_dn(mt.pair[i]) for i in range(m)]
-        self.B = [self.C[down[i]] @ self.C[up[i]] for i in range(m)]
-        self.Bd = [adjoint(b) for b in self.B]
-        self.h = [numbers[up[i]] + numbers[down[i]] for i in range(m)]
+        self.h = [numbers[mt.orb_up(i)] + numbers[mt.orb_dn(mt.pair[i])] for i in range(m)]
         self.v = [b + bd for b, bd in zip(self.B, self.Bd)]
         self.I = identity_op(mt.dim)
 

@@ -8,12 +8,14 @@ gamma, the four-quasiparticle correction vector Phi, and the normalized
 corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.
 `quartet_sum` applies the gamma* four-strings for Phi and the H' Psi_B
 expansion; it reads a gamma* list that its caller forms once per angle
-table.  `pair_table` gives the pair expectations (state, B_k state) that
-the mean-field Hamiltonian and the self-consistency checks read.
+table, as transposed views of the real gammas.  `pair_table` gives the
+pair expectations (state, B_k state) that the mean-field Hamiltonian and
+the self-consistency checks read.
 
-The states and the gammas read their ladders and pair creators from an
-`OperatorBundle`.  The same constructions serve the classic and corrected
-gap equations: feed them an angle table from whichever gap table is in play.
+The states and the gammas read their ladders and pair operators from a
+`PairOperators`, which every `OperatorBundle` is.  The same constructions
+serve the classic and corrected gap equations: feed them an angle table
+from whichever gap table is in play.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 from .errors import ValidationError
 from .fock import adjoint, expectation, vacuum_state
 from .gapsolve import AngleTable, EPS_GUARD, GapTable
-from .hamiltonian import OperatorBundle
+from .hamiltonian import PairOperators
 from .model import Kernel, ModeTable
 
 
-def bcs_state(ops: OperatorBundle, angles: AngleTable) -> np.ndarray:
+def bcs_state(ops: PairOperators, angles: AngleTable) -> np.ndarray:
     """Paired product state prod_k (cos theta_k + sin theta_k C*_{k,up} C*_{-k,dn}) |0>."""
     mt = ops.mt
     angles.validate(mt)
@@ -43,7 +45,7 @@ def bcs_state(ops: OperatorBundle, angles: AngleTable) -> np.ndarray:
     return v
 
 
-def fermi_vacuum(ops: OperatorBundle) -> np.ndarray:
+def fermi_vacuum(ops: PairOperators) -> np.ndarray:
     """Normal state: the paired product state at Delta = 0.
 
     A mode with xi_k <= 0 gets cos theta = 0 and sin theta = 1 exactly
@@ -54,12 +56,12 @@ def fermi_vacuum(ops: OperatorBundle) -> np.ndarray:
     return bcs_state(ops, AngleTable.from_delta(mt, GapTable(np.zeros(mt.n_modes))))
 
 
-def pair_table(ops: OperatorBundle, state: np.ndarray) -> np.ndarray:
+def pair_table(ops: PairOperators, state: np.ndarray) -> np.ndarray:
     """Pair expectations w_k = (state, B_k state) by mode index."""
     return np.array([expectation(state, b, state) for b in ops.B])
 
 
-def quasi_ops(ops: OperatorBundle, angles: AngleTable) -> list:
+def quasi_ops(ops: PairOperators, angles: AngleTable) -> list:
     """Quasiparticle annihilators in spin-orbital order: quasi[j] is the rotated C_j,
 
         gamma_{k,up} = cos theta_k C_{k,up} - sin theta_k C*_{-k,dn}
@@ -82,9 +84,12 @@ def quasi_ops(ops: OperatorBundle, angles: AngleTable) -> list:
 def quartet_sum(mt: ModeTable, quasi_dag: list, terms, psi: np.ndarray) -> np.ndarray:
     """sum over (p, p', c) in `terms` of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
 
-    `quasi_dag` holds the gamma* in spin-orbital order, quasi_dag[j] =
-    adjoint(quasi[j]).  Terms with c = 0 are skipped; the rest accumulate
-    in the order given.
+    `quasi_dag` holds the gamma* in spin-orbital order, each applied to
+    vectors only: adjoint(quasi[j]), or for the real gammas of `quasi_ops`
+    the view quasi[j].T, which copies nothing.  The CSC product of the view
+    adds each output entry's terms in the row order of adjoint(quasi[j]),
+    so both give the same vector bit for bit.  Terms with c = 0 are
+    skipped; the rest accumulate in the order given.
     """
     cre_up = [quasi_dag[mt.orb_up(i)] for i in range(mt.n_modes)]
     cre_dn_neg = [quasi_dag[mt.orb_dn(mt.pair[i])] for i in range(mt.n_modes)]

@@ -18,16 +18,18 @@ from bcslab.analysis import (
     hprime_bcs_expansion,
     run_verification,
 )
-from bcslab import fock, hamiltonian, states
+from bcslab import analysis, fock, hamiltonian, states
 from bcslab.cli import load_config
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, commutator, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
-from bcslab.hamiltonian import OperatorBundle, build_HM, build_Hprime
+from bcslab.hamiltonian import OperatorBundle, PairOperators, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
-from bcslab.states import bcs_state, correction_state, fermi_vacuum, normalized_psi
+from bcslab.states import bcs_state, correction_state, fermi_vacuum, normalized_psi, quartet_sum, quasi_ops
 
-from conftest import angles_of, bundle_of, quasi_dag_of
+from conftest import angles_of, bundle_of, quasi_dag_of, random_sparse
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -477,10 +479,16 @@ def test_run_verification_skips_d_checks_when_d_undefined():
 
 
 def test_run_verification_peak_memory_on_the_seven_mode_lattice():
-    """The M = 7 golden pass allocates at most 28 MiB at its peak.
+    """The M = 7 golden pass allocates at most 17 MiB at its peak.
 
     With int64 sparse indices it peaks near 37.5 MiB. int32 indices bring it
-    near 26 MiB, and releasing each operator after its last reader near 20.
+    near 26 MiB, and releasing each large operator after its last reader near
+    20.3 MiB, in `hm_splitting`. Holding each operator only while a stage reads
+    it brings it to 14.95 MiB: G and the h_k released after their last
+    readers, Phi and the H' Psi_B expansion formed before `hm_splitting` from
+    transposed views of the gammas, one creator at a time in `car_deviation`,
+    a mean-field series stack released before the next, and only the pair
+    operators for the permuted instance.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "seven_mode" / "config.json"))
     tracemalloc.start()
@@ -490,7 +498,7 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     finally:
         tracemalloc.stop()
     assert report.all_passed
-    assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 17 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_run_verification_peak_memory_on_the_six_mode_golden():
@@ -532,7 +540,10 @@ def test_run_verification_peak_memory_on_the_ac10_instance():
 
 
 def test_run_verification_builds_each_ladder_once(three_mode, monkeypatch):
-    """One set of 2M ladders each for the CAR check, the operator bundle and the permuted instance's bundle."""
+    """One set of 2M ladders each for the CAR check and the operator bundle; the permuted instance reads the bundle's.
+
+    A pass built 3 x 2M when the permuted instance had a bundle of its own.
+    """
     mt, kernel = three_mode
     built = []
     original = fock.ladder_matrix
@@ -546,7 +557,8 @@ def test_run_verification_builds_each_ladder_once(three_mode, monkeypatch):
             monkeypatch.setattr(module, "ladder_matrix", counted)
     report = run_verification(mt, kernel, seed=3)
     assert report.all_passed
-    assert 0 < len(built) <= 3 * mt.n_orbitals
+    assert 0 < len(built) <= 2 * mt.n_orbitals
+    assert sorted(built) == sorted(2 * list(range(mt.n_orbitals)))
 
 
 def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch):
@@ -574,11 +586,12 @@ def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch)
 
 
 def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
-    """The gamma* of each angle table are formed once for the quartets, which Phi and H' Psi_B share.
+    """No gamma* copy outside `car_deviation`: Phi and H' Psi_B read transposed views.
 
-    `car_deviation` forms its own creators inside the two gamma CAR checks,
-    so the classic and corrected gammas are adjointed twice and the permuted
-    instance's once; the classic ones were adjointed three times when Phi
+    `car_deviation` forms one creator per gamma inside the two gamma CAR
+    checks, so the classic and corrected gammas are adjointed once and the
+    permuted instance's never.  Each was adjointed once more while the
+    quartets read `adjoint` copies, and the classic ones three times when Phi
     and the expansion each formed their own gamma*.
     """
     mt, kernel = three_mode
@@ -604,4 +617,141 @@ def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
     n = mt.n_orbitals
     assert len(gammas) == 3 * n
     times = [sum(a is g for a in adjointed) for g in gammas]
-    assert times == [2] * (2 * n) + [1] * n
+    assert times == [1] * (2 * n) + [0] * n
+
+
+def test_run_verification_releases_g_and_h_and_builds_pair_operators_for_the_permutation(three_mode, monkeypatch):
+    """One bundle per pass; G and the h_k are gone before the gammas, and the permuted instance has pair operators only.
+
+    The bundle's G and h_k are deleted after their last readers (`charge_pairs`
+    and the mean-field series), so every later stage sees neither and a read
+    raises instead of rebuilding them.  The permuted instance is a
+    `PairOperators` on the bundle's own ladders: no h, v, G, T, H or I.
+    """
+    mt, kernel = three_mode
+    bundles, pairs, seen = [], [], []
+    bundle_init, pairs_init = OperatorBundle.__init__, PairOperators.__init__
+
+    def bundle_counted(self, *args):
+        bundles.append(self)
+        bundle_init(self, *args)
+
+    def pairs_counted(self, *args):
+        pairs.append(self)
+        pairs_init(self, *args)
+
+    def watching(fn):
+        def watched(ops, *args):
+            if ops is bundles[0]:
+                seen.append((fn.__name__, hasattr(ops, "G"), hasattr(ops, "h")))
+            return fn(ops, *args)
+
+        return watched
+
+    monkeypatch.setattr(OperatorBundle, "__init__", bundle_counted)
+    monkeypatch.setattr(PairOperators, "__init__", pairs_counted)
+    for name in ("quasi_ops", "build_HM", "build_Hprime", "pair_table"):
+        monkeypatch.setattr(analysis, name, watching(getattr(analysis, name)))
+    report = run_verification(mt, kernel, seed=3)
+    assert report.all_passed
+    assert len(bundles) == 1
+    bundle = bundles[0]
+    assert len(pairs) == 2 and pairs[0] is bundle
+    permuted = pairs[1]
+    assert type(permuted) is PairOperators and permuted.mt is not bundle.mt
+    for name in ("h", "v", "G", "T", "H", "I"):
+        assert not hasattr(permuted, name), name
+    assert len(permuted.C) == mt.n_orbitals
+    assert all(a is b for a, b in zip(permuted.C, bundle.C))
+    # every bundle reader from the classic gammas on: both gamma lists, both H_M, H' and two pair tables
+    names = [name for name, _, _ in seen]
+    assert names.count("quasi_ops") == 2 and names.count("build_HM") == 2 and names.count("build_Hprime") == 1
+    late = seen[names.index("quasi_ops"):]
+    assert [name for name, _, _ in late].count("pair_table") == 2
+    assert not any(has_g or has_h for _, has_g, has_h in late)
+    for name in ("G", "h"):
+        with pytest.raises(AttributeError):
+            getattr(bundle, name)
+
+
+def _gamma_dag_routes(mt, kernel, angles, quasi, psi):
+    """quartet_sum, correction_state and hprime_bcs_expansion through gamma.T views and through adjoint copies."""
+    m = mt.n_modes
+    rng = np.random.default_rng(m)
+    terms = [(p, pp, rng.standard_normal()) for p in range(m) for pp in range(m)]
+    routes = []
+    for quasi_dag in ([g.T for g in quasi], [adjoint(g) for g in quasi]):
+        corr = correction_state(mt, kernel, angles, quasi_dag, psi)
+        routes.append((
+            quartet_sum(mt, quasi_dag, terms, psi),
+            corr.phi,
+            corr.overlap,
+            hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi),
+        ))
+    return routes
+
+
+@pytest.mark.parametrize("unsorted", [False, True])
+def test_gamma_dag_views_equal_adjoint_copies_on_random_operators(three_mode, unsorted):
+    # the CSC product of g.T adds each output entry in the row order of adjoint(g),
+    # also when g stores its rows unsorted, so both routes give the same bits
+    mt, kernel = three_mode
+    rng = np.random.default_rng(11 + unsorted)
+    quasi = [random_sparse(mt.dim, rng, density=0.2, real=True) for _ in range(mt.n_orbitals)]
+    if unsorted:
+        for g in quasi:
+            for lo, hi in zip(g.indptr[:-1], g.indptr[1:]):
+                g.indices[lo:hi] = g.indices[lo:hi][::-1].copy()
+                g.data[lo:hi] = g.data[lo:hi][::-1].copy()
+            g.has_sorted_indices = False
+        assert not all(g.has_sorted_indices for g in quasi)
+    psi = rng.standard_normal(mt.dim)
+    angles = angles_of(mt, [0.7, 0.4, 0.4])
+    (views, copies) = _gamma_dag_routes(mt, kernel, angles, quasi, psi)
+    for a, b in zip(views, copies):
+        assert np.any(a != 0)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["pair", "three_mode", "ac10"])
+def test_gamma_dag_views_equal_adjoint_copies_on_the_goldens(name):
+    cfg = load_config(str(GOLDEN / name / "config.json"))
+    mt, kernel = cfg.mt, cfg.kernel
+    sol = solve_gap(mt, kernel, tol=1e-12)
+    ops = OperatorBundle(mt, kernel)
+    psi_b = bcs_state(ops, sol.theta)
+    views, copies = _gamma_dag_routes(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
+    assert views[2] > 0.0  # a nonzero Phi
+    for a, b in zip(views, copies):
+        assert np.array_equal(a, b)
+
+
+# ROADMAP item 2: AngleTable.from_delta takes cos_t from (1 + cos2t)/2, which
+# rounds to exactly 0 for xi < 0 at a near-trivial gap, while sin2t does not.
+# With the default solver settings the driver stops at Delta_0 = 1.8e-11 and
+# the three rows read 78%, 61% and 61% of their bars; from init 0.5 with
+# damping 0.85 it stops at Delta_0 = 3.2e-11, where they fail.
+COS_T_ZERO_ROWS = {"pair_expectation_half_sin2theta", "hm_splitting", "hprime_definition"}
+
+
+@pytest.fixture(scope="module")
+def cos_t_zero_report():
+    mt = explicit_modes(
+        [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+        xi_override=[-1.156, 0.28, 0.28, 1.928, 1.928],
+    )
+    u = np.zeros((5, 5))
+    for i, j, value in [(0, 1, -0.147), (0, 2, -0.147), (0, 3, -1.699), (0, 4, -1.699),
+                        (1, 4, -0.326), (2, 3, -0.326), (3, 4, -0.648)]:
+        u[i, j] = u[j, i] = value
+    return run_verification(mt, Kernel(u=u), init=0.5, damping=0.85)
+
+
+def test_cos_t_zero_instance_fails_no_row_beyond_the_known_three(cos_t_zero_report):
+    assert cos_t_zero_report.metadata["classic"]["trivial"]
+    assert {c.name for c in cos_t_zero_report.failures()} <= COS_T_ZERO_ROWS
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="cos_t = 0 at xi < 0 and a near-trivial gap (ROADMAP item 2)")
+def test_cos_t_zero_instance_passes_every_row(cos_t_zero_report):
+    assert [c.name for c in cos_t_zero_report.failures()] == []

@@ -228,35 +228,50 @@ def test_car_deviation_reads_the_mixed_pair_it_does_not_build():
 
 
 def _car_deviation_pair_loop(ann):
-    """The pairs j' >= j that `car_deviation` builds, one at a time, each read by op_norm_inf."""
+    """The pairs j <= j' that `car_deviation` builds, one at a time, each read by op_norm_inf."""
     ident = identity_op(ann[0].shape[0])
     worst = 0.0
-    for j, a in enumerate(ann):
-        for jp in range(j, len(ann)):
-            b_dag = adjoint(ann[jp])
+    for jp, b in enumerate(ann):
+        b_dag = adjoint(b)
+        for j in range(jp + 1):
+            a = ann[j]
             mixed = a @ b_dag + b_dag @ a
             if j == jp:
                 mixed = mixed - ident
-            worst = max(worst, op_norm_inf(mixed), op_norm_inf(mixed.T), op_norm_inf(a @ ann[jp] + ann[jp] @ a))
+            worst = max(worst, op_norm_inf(mixed), op_norm_inf(mixed.T), op_norm_inf(a @ b + b @ a))
     return worst
 
 
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("dim", [16, 64])
 def test_car_deviation_across_stacks_matches_full_loop(dim, real, monkeypatch):
-    # two operators per stack, so the first j runs three stacks; every stacked
+    # one to five operators per stack: at two, the last j' runs three stacks of
+    # a_j, and at three the last stack of j' = 3 holds one block; every stacked
     # row and column sum adds in the order of the single pair's, so the
-    # deviation equals the pair loop's bit for bit
-    monkeypatch.setattr(fock, "STACK_ROWS", 2 * dim)
+    # deviation equals the pair loop's bit for bit, and each operator is
+    # adjointed once per call, as the one creator its j' reads
     rng = np.random.default_rng(dim + real + 10)
     ann = [random_sparse(dim, rng, density=0.3, real=real) for _ in range(5)]
-    assert car_deviation(ann) == _car_deviation_pair_loop(ann)
-    assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14, abs=0.0)
+    expected = _car_deviation_pair_loop(ann)
+    assert expected == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14, abs=0.0)
+    adjointed = []
+
+    def counted(a):
+        adjointed.append(a)
+        return adjoint(a)
+
+    monkeypatch.setattr(fock, "adjoint", counted)
+    for width in (1, 2, 3, 5):
+        monkeypatch.setattr(fock, "STACK_ROWS", width * dim)
+        adjointed.clear()
+        assert car_deviation(ann) == expected, width
+        assert [sum(a is b for b in adjointed) for a in ann] == [1] * len(ann), width
+        assert len(adjointed) == len(ann), width
 
 
 @pytest.mark.parametrize("j", range(6))
 def test_car_deviation_detects_a_flipped_sign_in_any_stack(j, monkeypatch):
-    # two of the six M = 3 ladders per stack, so for j = 0 the ladders 4 and 5 run in the third stack
+    # two of the six M = 3 ladders per stack, so for j' = 5 the ladders 4 and 5 run in the third stack
     monkeypatch.setattr(fock, "STACK_ROWS", 128)
     ann = [ladder_matrix(i, 3) for i in range(6)]
     assert car_deviation(ann) == 0.0
@@ -270,8 +285,8 @@ def test_car_deviation_detects_a_flipped_sign_in_any_stack(j, monkeypatch):
 def test_car_deviation_reads_a_column_defect_inside_a_stack(stack_rows, monkeypatch):
     # the construction of the test above on M = 3, with P = Y (x) 1 on orbitals 3..5;
     # C_4 and C_5 carry the parity string over orbitals 0..2, so they anticommute with
-    # P and P*, and the defect {a_0, a*_3} is the last block of the first stack (or of
-    # the second, at two operators per stack): only its column sums reach 2 eps
+    # P and P*, and the defect {a_0, a*_3} is the first block of the j' = 3 stack of
+    # four blocks (or of two, at two operators per stack): only its column sums reach 2 eps
     monkeypatch.setattr(fock, "STACK_ROWS", stack_rows)
     eps = 1e-3
     rows = [2 + 8 * s for s in range(8) for _ in range(2)]

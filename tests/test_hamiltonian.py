@@ -16,8 +16,8 @@ from bcslab.fock import (
 )
 from bcslab.gapsolve import GapTable
 from bcslab.cli import load_config
-from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
-from bcslab.model import Kernel, explicit_modes
+from bcslab.hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
+from bcslab.model import Kernel, explicit_modes, permuted_instance
 from bcslab.states import bcs_state, fermi_vacuum
 
 from conftest import angles_of, bundle_of, literal_operators
@@ -247,6 +247,26 @@ def test_v_k_is_the_pair_sum_array_for_array(name):
         for field in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(v, field), getattr(pair_sum, field)), field
             assert getattr(v, field).dtype == getattr(pair_sum, field).dtype, field
+
+
+@pytest.mark.parametrize("name", ["three_mode", "ac10"])
+def test_pair_operators_on_the_ladders_of_another_table_equal_its_own_bundles(name):
+    # ladder_matrix(j, M) ignores the mode table, so a relabelled table reads
+    # the original bundle's ladders and builds the B_k and B*_k of its own bundle
+    cfg = load_config(str(GOLDEN / name / "config.json"))
+    mt_p, kernel_p = permuted_instance(cfg.mt, cfg.kernel, np.random.default_rng(3).permutation(cfg.mt.n_modes))
+    ladders = OperatorBundle(cfg.mt, cfg.kernel).C
+    pairs = PairOperators(mt_p, ladders)
+    own = OperatorBundle(mt_p, kernel_p)
+    assert pairs.mt is mt_p and all(a is b for a, b in zip(pairs.C, ladders))
+    for key in ("B", "Bd"):
+        for a, b in zip(getattr(pairs, key), getattr(own, key), strict=True):
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
+    with pytest.raises(ValidationError):
+        PairOperators(mt_p, ladders[:-1])
+    with pytest.raises(ValidationError):
+        PairOperators(explicit_modes([(1, 0, 0), (-1, 0, 0)]), ladders[:4])
 
 
 @pytest.mark.parametrize("name", ["pair", "three_mode", "seven_mode"])
