@@ -9,14 +9,7 @@ matrix computation.
 """
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .fock import (
-    anticommutator_check,
-    conjugate_series,
-    evolve_state,
-    expectation,
-    ladder_matrix,
-    vacuum_state,
-)
+from .fock import anticommutator_check, expectation, ladder_matrix, vacuum_state
 from .gapsolve import (
     AngleTable,
     GapSolution,
@@ -45,6 +38,7 @@ from .states import (
     pair_table,
     quasi_ops,
 )
+from .sectors import PairSectors
 from .analysis import (
     VerificationReport,
     condensation_energy,

@@ -8,14 +8,20 @@ The number-phase covariance checks conjugate by the ladder-built number
 operator G entry by entry (`diagonal_conjugate`, for the ladders in row
 stacks through `covariance_deviation`), since G is diagonal in the
 occupation basis; their deviations also count the largest entry of
-G - diag(Re g), so a G that is not a real diagonal fails them.
+G - diag(Re g), so a G that is not a real diagonal fails them, and so do
+the two SSB rows, which form [G, B_k] state on vectors from the same g.
+The rotation exp(i G_B) = exp(K) is exact as well: K conserves every pair
+difference d_k, so `PairSectors` exponentiates it block by block over the
+3^M pair sectors, and the rows that read exp(K) rotate one sector block,
+or one block pair for a ladder, at a time.
 `run_verification` bundles all checks for one instance into a deterministic
 report. It builds each operator, state and expectation once and shares it
 between the checks that read it: one `OperatorBundle` (the ladders, B_k,
 B*_k, h_k, v_k, G, T, H and the identity) that every builder reads, one
-K = i G_B (read by the exponential route to Psi_B, the pairing commutators
-and the conjugations), the commutators [G, B_k], the dense H-energies and
-three pair tables w_k = (state, B_k state), each one `pair_table` call:
+`PairSectors` map (read by exp(K) and both H_M spectra), one K = i G_B
+(read by exp(K) and the pairing commutators), the diagonal g of G, the
+dense H-energies and three pair tables w_k = (state, B_k state), each one
+`pair_table` call:
   Psi_B: pair_expectation_half_sin2theta, ssb_witness_commutator, H_M and
          E_BCS, hm_splitting and new_gap_reduction;
   Psi:   corrected_pair_expectation;
@@ -23,14 +29,18 @@ three pair tables w_k = (state, B_k state), each one `pair_table` call:
          new_spectrum_multiset and ssb_witness_corrected_state.
 Each Fock operator lives only while a stage reads it, since every one costs
 an array of dimension 2^(2M):
-  G      read by charge_commutes_with_h, the covariance checks and
-         [G, B_k]; deleted from the bundle after [G, B_k];
-  h_k    read by the pairing commutators and the mean-field series
-         (one series stack at a time); deleted from the bundle after it;
+  G      read by charge_commutes_with_h and the covariance checks, which
+         also take its diagonal g for both SSB rows; deleted after them;
+  K      read by exp(K) and the pairing commutators; deleted after them;
+  exp(K) 6^M numbers (2.2 MiB at M = 7), from build_GB to its last reader,
+         the closed-form conjugation, which is formed before the gamma
+         rows (the mean-field conjugation when that row is skipped);
+  h_k    read by the pairing commutators and the mean-field conjugation;
+         deleted from the bundle after it;
   gamma  the classic list lives through its CAR and annihilation rows,
          Phi and the H' Psi_B expansion (formed here, as vectors, from
          the views gamma.T: the gammas are real) and the closed-form
-         conjugation row; released with K before hm_splitting;
+         conjugation row; released before hm_splitting;
   H_M    from hm_splitting to psi_hm_expectation_formula; H' through
          hprime_definition and H' Psi_B;
   gamma~ through its CAR and annihilation rows and Psi~;
@@ -57,14 +67,10 @@ from .fock import (
     anticommutator_check,
     car_deviation,
     commutator,
-    conjugate_series,
     covariance_deviation,
     diagonal_conjugate,
-    evolve_state,
     expectation,
     op_norm_inf,
-    stack_width,
-    vacuum_state,
 )
 from .gapsolve import (
     AngleTable,
@@ -79,6 +85,7 @@ from .gapsolve import (
 )
 from .hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
 from .model import Kernel, ModeTable, permuted_instance, validate_kernel
+from .sectors import PairSectors
 from .states import (
     bcs_state,
     correction_state,
@@ -171,68 +178,27 @@ def condensation_energy(mt: ModeTable, gap: GapTable) -> float:
     return float(-0.5 * np.sum(terms))
 
 
-def _sector_spectrum(hm, mt: ModeTable) -> tuple:
-    """(ascending spectrum, largest |entry| coupling two sectors) of H_M, one pair sector at a time.
-
-    Mode i conserves d_i = n(k_i up) - n(-k_i dn), so the basis splits into
-    3^M sectors labelled by the d-vector; a sector with z zero entries holds
-    2^z states.  The labels come from the occupation bits alone, never from
-    the quasiparticle formula.  The stored entries of `hm` are scattered
-    into one stack of blocks per sector size, and each stack is
-    diagonalized in one call.
-    """
-    m = mt.n_modes
-    idx = np.arange(mt.dim, dtype=np.int64)
-    label = np.zeros(mt.dim, dtype=np.int64)
-    zeros = np.zeros(mt.dim, dtype=np.int64)
-    for i in range(m):
-        d = ((idx >> mt.orb_up(i)) & 1) - ((idx >> mt.orb_dn(mt.pair[i])) & 1)
-        label = 3 * label + d + 1
-        zeros += d == 0
-    # rank of each state within its size class, ordered by sector then index:
-    # every sector of that class has 2^z states, so rank splits into (block, position)
-    order = np.lexsort((label, zeros))
-    n_class = np.bincount(zeros, minlength=m + 1)
-    rank = np.empty_like(idx)
-    rank[order] = idx - (np.cumsum(n_class) - n_class)[zeros[order]]
-    block = rank >> zeros
-    pos = rank & ((1 << zeros) - 1)
-
-    coo = hm.tocoo()
-    coo.sum_duplicates()
-    row, col, val = coo.row, coo.col, coo.data
-    inside = label[row] == label[col]
-    leak = float(np.max(np.abs(val[~inside]), initial=0.0))
-    row, col, val = row[inside], col[inside], val[inside]
-    eigs = []
-    for z in range(m + 1):
-        size = 1 << z
-        here = zeros[row] == z
-        r, c = row[here], col[here]
-        blocks = np.zeros((n_class[z] // size, size, size), dtype=val.dtype)
-        blocks[block[r], pos[r], pos[c]] = val[here]
-        eigs.append(np.linalg.eigvalsh(blocks).ravel())
-    return np.sort(np.concatenate(eigs)), leak
-
-
-def hm_spectrum_check(hm, mt: ModeTable, gap: GapTable, ebcs: float) -> tuple:
+def hm_spectrum_check(hm, sectors: PairSectors, gap: GapTable, ebcs: float) -> tuple:
     """(max deviation, ascending spectrum) of sigma(H_M) against the quasiparticle multiset.
 
     Formula side: { sum_k E_k (N_k,up + N_k,dn) + E_BCS } over all
-    occupation patterns.  Matrix side: `hm` diagonalized block by block
-    over its pair sectors (`_sector_spectrum`).  The deviation also
-    counts the largest entry coupling two sectors and ||H_M - H_M*||, so
+    occupation patterns.  Matrix side: the stored entries of `hm` scattered
+    into its pair-sector blocks (`PairSectors.blocks`), one stack per block
+    size, and each stack diagonalized in one `eigvalsh` call.  The deviation
+    also counts the largest entry coupling two sectors and ||H_M - H_M*||, so
     a matrix that is not block diagonal or not selfadjoint fails instead
     of being truncated to the triangle and blocks that `eigvalsh` reads.
     It has no size limit of its own: the largest block holds 2^M states.
     """
+    mt = sectors.mt
     energy = np.hypot(mt.xi, gap.delta)
     orb_energy = np.repeat(energy, 2)  # orbital j belongs to mode j//2
     idx = np.arange(mt.dim, dtype=np.int64)
     formula = np.full(mt.dim, ebcs)
     for j in range(mt.n_orbitals):
         formula += orb_energy[j] * ((idx >> j) & 1)
-    spectrum, leak = _sector_spectrum(hm, mt)
+    blocks, leak = sectors.blocks(hm)
+    spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
     dev = max(float(np.max(np.abs(np.sort(formula) - spectrum))), leak, op_norm_inf(hm - adjoint(hm)))
     return dev, spectrum
 
@@ -301,10 +267,14 @@ def _certificate(name, residual, tol, sol) -> CheckResult:
     return CheckResult(name, 0.0, cert, cert, tol, bool(cert <= tol), reason=reason)
 
 
-def _ssb_deviation(state, charge_pairs, pairs) -> float:
-    """max_k |(state, [G, B_k] state) + 2 (state, B_k state)|, given [G, B_k] and the pair table."""
+def _ssb_deviation(ops, g, state, pairs) -> float:
+    """max_k |(state, [G, B_k] state) + 2 (state, B_k state)| for G = diag(g), given the pair table.
+
+    [G, B_k] state is formed on vectors, as g * (B_k state) - B_k (g * state).
+    """
+    charged = g * state
     return max(
-        (abs(expectation(state, cp, state) + 2.0 * p) for cp, p in zip(charge_pairs, pairs)),
+        (abs(np.vdot(state, g * (b @ state) - b @ charged) + 2.0 * p) for b, p in zip(ops.B, pairs)),
         default=0.0,
     )
 
@@ -372,10 +342,12 @@ def run_verification(
     bundle = OperatorBundle(mt, kernel)
     report.add(_deviation("charge_commutes_with_h", op_norm_inf(commutator(bundle.G, bundle.H)), TOL_TIGHT))
 
-    # G conjugates entry by entry only as a real diagonal; any other entry of it
-    # counts in both deviations, as the leak term of `_sector_spectrum` does
+    # G conjugates entry by entry, and forms [G, B_k] on vectors, only as a real
+    # diagonal; any other entry of it counts in both covariance deviations and
+    # both SSB rows, as the leak term of `hm_spectrum_check` does
     g = bundle.G.diagonal().real
     g_leak = float(abs(bundle.G - diags_array(g)).max())
+    del bundle.G
     dev_c = g_leak
     dev_h = g_leak
     for alpha in (0.3, 1.0, math.pi):
@@ -389,46 +361,51 @@ def run_verification(
     report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, sol.delta), tol, sol))
     angles = sol.theta
 
+    # exp(K) lives from here to its last reader, the closed-form conjugation;
+    # every row that reads it also counts the entries of K that couple two sectors
+    sectors = PairSectors(mt)
     gb = build_GB(bundle, angles)
+    expk, k_leak = sectors.exponential(gb)
     psi_b = bcs_state(bundle, angles)
-    psi_b_exp = evolve_state(gb, vacuum_state(m))
-    report.add(_deviation("bcs_product_vs_exponential", float(np.linalg.norm(psi_b - psi_b_exp)), TOL_IDENTITY))
-    psi_f = fermi_vacuum(bundle)
+    dev = float(np.linalg.norm(psi_b - sectors.column(expk, 0))) + k_leak
+    report.add(_deviation("bcs_product_vs_exponential", dev, TOL_IDENTITY))
 
     w_dense = pair_table(bundle, psi_b)
     dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, angles.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
-    charge_pairs = [commutator(bundle.G, b) for b in bundle.B]
-    del bundle.G
-    report.add(_deviation("ssb_witness_commutator", _ssb_deviation(psi_b, charge_pairs, w_dense), TOL_EXPECT))
+    dev = _ssb_deviation(bundle, g, psi_b, w_dense) + g_leak
+    report.add(_deviation("ssb_witness_commutator", dev, TOL_EXPECT))
 
     dev = 0.0
     for i in range(m):
         dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * angles.theta[i] * bundle.v[i]))
         dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * angles.theta[i] * (bundle.h[i] - bundle.I)))
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
+    del gb
 
-    # one series stack at a time, so the results of one stack are released
-    # before the next stack's operators are formed
+    # exp(-K) A exp(K) = E^T A E for each mean-field term A, against its closed form
     dev = 0.0
-    width = stack_width(mt.dim)
-    for lo in range(0, m, width):
-        modes = range(lo, min(lo + width, m))
-        mean_field = [mt.xi[i] * bundle.h[i] - angles.delta[i] * bundle.v[i] for i in modes]
-        for i, lhs in zip(modes, conjugate_series(mean_field, gb, 1.0, tol=1e-12)):
-            xi_i, d_i = mt.xi[i], angles.delta[i]
-            rhs = (
-                (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
-                + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
-                + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
-            )
-            dev = max(dev, op_norm_inf(lhs - rhs))
-        del mean_field, lhs, rhs
-    del bundle.h
-    report.add(_deviation("meanfield_conjugation", dev, TOL_LOOSE))
+    for i in range(m):
+        xi_i, d_i = mt.xi[i], angles.delta[i]
+        rhs = (
+            (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
+            + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
+            + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
+        )
+        dev = max(dev, sectors.conjugation_deviation(expk, xi_i * bundle.h[i] - d_i * bundle.v[i], rhs))
+    del bundle.h, rhs
+    report.add(_deviation("meanfield_conjugation", dev + k_leak, TOL_LOOSE))
 
     quasi = quasi_ops(bundle, angles)
+    # exp(K) C_j exp(-K) = E C_j E^T against gamma_j; formed before the gamma
+    # rows and added in its place below, so exp(K) is gone before them
+    if dense_skip:
+        closed_form = _skip("gamma_closed_form_vs_conjugation", dense_skip)
+    else:
+        dev = max(sectors.conjugation_deviation(expk, c, gamma, inverse=True) for c, gamma in zip(bundle.C, quasi))
+        closed_form = _deviation("gamma_closed_form_vs_conjugation", dev + k_leak, TOL_LOOSE)
+    del expk
     _gamma_checks(report, "gamma", quasi, psi_b)
     # Phi and the H' Psi_B expansion read the gamma* only on vectors, so the
     # real gammas give them as transposed views; both vectors are formed here,
@@ -439,14 +416,8 @@ def run_verification(
     expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
     del quasi_dag
 
-    if dense_skip:
-        report.add(_skip("gamma_closed_form_vs_conjugation", dense_skip))
-    else:
-        dev = 0.0
-        for closed, rotated in zip(quasi, conjugate_series(bundle.C, gb, -1.0, tol=1e-11)):
-            dev = max(dev, op_norm_inf(closed - rotated))
-        report.add(_deviation("gamma_closed_form_vs_conjugation", dev, TOL_LOOSE))
-    del gb, quasi
+    report.add(closed_form)
+    del quasi
 
     # --- mean-field splitting -----------------------------------------------
     hm = build_HM(bundle, sol.delta, w_dense)
@@ -467,6 +438,7 @@ def run_verification(
     report.add(_deviation("hprime_definition", op_norm_inf(hprime - (bundle.H - hm)), TOL_IDENTITY))
 
     # --- energies ------------------------------------------------------------
+    psi_f = fermi_vacuum(bundle)
     e_f = expectation(psi_f, bundle.H, psi_f)
     e_b = expectation(psi_b, bundle.H, psi_b)
     ebcs = ebcs_formula(mt, angles, w_dense)
@@ -481,7 +453,7 @@ def run_verification(
         report.add(_skip("hm_spectrum_multiset", dense_skip))
         report.add(_skip("hm_ground_equals_ebcs", dense_skip))
     else:
-        dev, spectrum = hm_spectrum_check(hm, mt, sol.delta, ebcs)
+        dev, spectrum = hm_spectrum_check(hm, sectors, sol.delta, ebcs)
         report.add(_deviation("hm_spectrum_multiset", dev, TOL_LOOSE))
         report.add(_compare("hm_ground_equals_ebcs", ebcs, float(spectrum[0]), TOL_LOOSE))
 
@@ -564,14 +536,15 @@ def run_verification(
         report.add(_skip("new_spectrum_multiset", dense_skip))
     else:
         ebcs_t = ebcs_formula(mt, angles_t, w_t)
-        dev, _ = hm_spectrum_check(build_HM(bundle, new_sol.delta, w_t), mt, new_sol.delta, ebcs_t)
+        dev, _ = hm_spectrum_check(build_HM(bundle, new_sol.delta, w_t), sectors, new_sol.delta, ebcs_t)
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
-    report.add(_deviation("ssb_witness_corrected_state", _ssb_deviation(psi_t, charge_pairs, w_t), TOL_EXPECT))
+    dev = _ssb_deviation(bundle, g, psi_t, w_t) + g_leak
+    report.add(_deviation("ssb_witness_corrected_state", dev, TOL_EXPECT))
     # the relabelled instance reads only ladders, B_k and B*_k, and its
     # ladders are this instance's: ladder_matrix(j, M) ignores the mode table
     ladders = bundle.C
-    del bundle, charge_pairs
+    del bundle, sectors
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)

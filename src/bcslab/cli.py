@@ -43,6 +43,7 @@ from .model import (
     separable_kernel,
     validate_kernel,
 )
+from .sectors import PairSectors
 from .states import bcs_state, correction_state, fermi_vacuum, normalized_psi, pair_table, quasi_ops
 
 EXIT_OK = 0
@@ -369,7 +370,7 @@ def _cmd_spectrum(args) -> int:
     w = pair_table(bundle, witness)
     hm = build_HM(bundle, sol.delta, w)
     ebcs = ebcs_formula(cfg.mt, sol.theta, w)
-    dev, spectrum = hm_spectrum_check(hm, cfg.mt, sol.delta, ebcs)
+    dev, spectrum = hm_spectrum_check(hm, PairSectors(cfg.mt), sol.delta, ebcs)
     print(f"equation={sol.equation}  E_BCS={ebcs:.12f}  ground={spectrum[0]:.12f}")
     print(f"spectrum multiset deviation = {dev:.3e} (tolerance {TOL_LOOSE:g})")
     return EXIT_OK if dev <= TOL_LOOSE else EXIT_CHECK_FAILURES

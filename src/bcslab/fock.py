@@ -16,15 +16,13 @@ width, which halves the index memory of each operator against int64.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 import os
 
 import numpy as np
 from scipy.sparse import csr_array, eye_array
 
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_MODE_CAP = 7
 
@@ -113,22 +111,19 @@ def op_norm_inf(a) -> float:
 # row stacks: n square operators of dimension d as one (n*d, d) CSR array
 #
 # Below a few thousand rows scipy spends more per sparse result on Python
-# set-up (index dtypes, format checks) than on arithmetic, so the commutator
-# series and the CAR check run a stack of operators through each product:
-# X @ B holds every A_i @ B, and kron(I, B) @ X every B @ A_i.  Each row of
-# a product sums in the stored order of its own block, so a block reads
-# exactly what the single product gives.  Two things see the whole stack and
-# are redone per block: scipy adds with its sorted-merge kernel only when
-# every row of both operands is sorted (`_stacked_sum`), and `op_norm_inf`
-# sorts the rows it sums (`_block_norms`).
+# set-up (index dtypes, format checks) than on arithmetic, so the CAR check
+# runs a stack of operators through each product, and the covariance check
+# conjugates a stack at once: X @ B holds every A_i @ B, and kron(I, B) @ X
+# every B @ A_i.  Each row of a product sums in the stored order of its own
+# block, so a block reads exactly what the single product gives;
+# `op_norm_inf` sorts the rows it sums, and so does `_block_norms` for each
+# block.
 #
 # A stack holds at most STACK_ROWS rows, so the dimension decides: M <= 6
 # (d <= 4096) shares products, eight operators per stack at M = 5 and two
 # at M = 6, and from M = 7 (d = 16384) every stack is one operator.  There
 # the arithmetic outweighs the set-up, so a wider stack saves little, while
-# every stacked intermediate grows with the stack: at M = 5 the tracemalloc
-# peak of a verification pass is about 1.2 MiB unstacked, 1.6 MiB with
-# 4096-row stacks, 1.85 MiB with 8192 rows and 2.1 MiB with 16384.
+# every stacked intermediate grows with the stack.
 STACK_ROWS = 8192
 
 
@@ -154,20 +149,6 @@ def _stack(ops) -> csr_array:
     return csr_array((data, indices, indptr), shape=(len(ops) * ops[0].shape[0], ops[0].shape[1]))
 
 
-def _unstack(x, n: int) -> list:
-    """The n row blocks of the stack x, each with arrays of its own, which do not keep x; one block is x."""
-    if n == 1:
-        return [x]
-    rows = x.shape[0] // n
-    out = []
-    for b in range(n):
-        ptr = x.indptr[b * rows : (b + 1) * rows + 1]
-        lo, hi = ptr[0], ptr[-1]
-        block = (x.data[lo:hi].copy(), x.indices[lo:hi].copy(), ptr - lo)
-        out.append(csr_array(block, shape=(rows, x.shape[1])))
-    return out
-
-
 def _block_diag(b, n: int) -> csr_array:
     """kron(I_n, B), each block's rows in the stored order of B's."""
     if n == 1:
@@ -182,37 +163,6 @@ def _block_diag(b, n: int) -> csr_array:
 def _block_starts(x, n: int) -> np.ndarray:
     """Offsets into x.data of the n row blocks, and the end."""
     return x.indptr[:: x.shape[0] // n]
-
-
-def _canonical_blocks(x, n: int) -> np.ndarray:
-    """Which row blocks of x scipy reads as canonical: every row strictly increasing."""
-    if x.has_canonical_format:
-        return np.ones(n, dtype=bool)
-    falls = x.indices[1:] <= x.indices[:-1]  # entry p + 1 does not follow entry p
-    row_starts = x.indptr[1:-1]
-    falls[row_starts[(row_starts > 0) & (row_starts < x.nnz)] - 1] = False
-    starts = _block_starts(x, n)
-    return np.array([not falls[lo : hi - 1].any() for lo, hi in zip(starts[:-1], starts[1:])])
-
-
-def _stacked_sum(x, y, n: int, sign: float = 1.0) -> csr_array:
-    """x + sign * y over stacks of n blocks, each block as the single sum stores it.
-
-    scipy merges sorted rows, and so stores them sorted, only when both whole
-    operands are canonical; otherwise it stores each row in reverse order of
-    first appearance.  Where the stack took that general route, the blocks
-    whose own operands are canonical get their rows sorted back.
-    """
-    out = x + y if sign > 0 else x - y
-    if n > 1 and (canonical := _canonical_blocks(x, n)).any():
-        canonical &= _canonical_blocks(y, n)
-        if canonical.any() and not canonical.all():
-            pos = np.flatnonzero(np.repeat(canonical, np.diff(_block_starts(out, n))))
-            rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))[pos]
-            order = pos[np.lexsort((out.indices[pos], rows))]
-            out.indices[pos] = out.indices[order]
-            out.data[pos] = out.data[order]
-    return out
 
 
 def _block_norms(x, n: int) -> np.ndarray:
@@ -288,14 +238,7 @@ def anticommutator_check(n_modes: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exponential conjugation (exact entry-wise phases for a diagonal generator,
-# the nested-commutator series otherwise) and state evolution (scaled
-# Taylor polynomial)
-
-CONJUGATE_MAX_TERMS = 200
-# degree of the Taylor polynomial of exp(K/s) with ||K/s|| <= 1: the
-# remainder sum_{n>18} 1/n! ~ 9e-18 lies below double precision
-EVOLVE_DEGREE = 18
+# number-phase conjugation: exact entry-wise phases for a diagonal generator
 
 
 def diagonal_conjugate(a, g, alpha: float) -> csr_array:
@@ -332,105 +275,6 @@ def covariance_deviation(ops: list, g, alpha: float, phase: complex) -> float:
         x = _stack(run)
         worst = max(worst, _block_norms(diagonal_conjugate(x, g, alpha) - phase * x, len(run)).max())
     return float(worst)
-
-
-def conjugate_series(ops: list, k, alpha: float, tol: float = 1e-12) -> list:
-    """exp(-alpha*K) A exp(alpha*K) for each A in `ops`, via the nested-commutator series.
-
-    Sums the real alpha^n / n! [..[A,K],..,K] and truncates once two
-    consecutive appended terms drop below `tol` in infinity-norm; the result
-    then matches the exact conjugation within 10*tol.  K must be
-    anti-selfadjoint (K* = -K), which is checked once per call.
-
-    Consecutive operators of one dtype run as stacks of up to STACK_ROWS
-    rows, one term T @ K - kron(I, K) @ T per step for the whole stack T.
-    Each operator stops on its own terms and then takes no further term, so
-    every result equals the series of that operator alone, bit for bit.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    k = csr_array(k)
-    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
-        raise ValueError("K must be anti-selfadjoint for conjugation by exp(alpha*K)")
-    for a in ops:
-        if a.shape != k.shape:
-            raise ValueError(f"dimension mismatch: operator {a.shape}, K {k.shape}")
-    if alpha == 0.0:
-        return [csr_array(a, copy=True) for a in ops]
-    width = stack_width(k.shape[0])
-    out = []
-    for _, run in itertools.groupby(ops, key=lambda a: a.dtype):
-        run = list(run)
-        for lo in range(0, len(run), width):
-            out += _series_stack(run[lo : lo + width], k, alpha, tol)
-    return out
-
-
-def _series_stack(ops: list, k, alpha: float, tol: float) -> list:
-    """The conjugation series of one stack of operators; see `conjugate_series`."""
-    total = term = _stack(ops)
-    live = list(range(len(ops)))  # the operator of each block still summing
-    streak = np.zeros(len(ops), dtype=int)
-    out = [None] * len(ops)
-    kron = _block_diag(k, len(ops))  # kron(I, K), rebuilt when the stack narrows
-    coeff = 1.0
-    for n in range(1, CONJUGATE_MAX_TERMS + 1):
-        width = len(live)
-        # drop the old term before the new one is formed, and each product and
-        # the scaled term once read: at M = 5 these stacks are the largest
-        # arrays of a verification pass
-        left, right = term @ k, kron @ term
-        term = None
-        term = _stacked_sum(left, right, width, sign=-1.0)
-        del left, right
-        coeff *= alpha / n
-        scaled = term * coeff
-        total = _stacked_sum(total, scaled, width)
-        # two consecutive sub-tol terms guard against an accidental small term
-        small = _block_norms(scaled, width) <= tol
-        del scaled
-        streak[live] = np.where(small, streak[live] + 1, 0)
-        done = streak[live] >= 2
-        if done.any():
-            totals, terms = _unstack(total, width), _unstack(term, width)
-            for block, i in enumerate(live):
-                if done[block]:
-                    out[i] = totals[block]
-            if done.all():
-                return out
-            kept = np.flatnonzero(~done)
-            live = [live[block] for block in kept]
-            total = _stack([totals[block] for block in kept])
-            term = _stack([terms[block] for block in kept])
-            kron = _block_diag(k, len(live))
-    raise ConvergenceError(
-        f"commutator series did not reach tol={tol} within {CONJUGATE_MAX_TERMS} terms"
-    )
-
-
-def evolve_state(k, v: np.ndarray) -> np.ndarray:
-    """Apply exp(K) to the vector v as s steps of exp(K/s), s = ceil(||K||).
-
-    Each step applies the degree-EVOLVE_DEGREE Taylor polynomial of an
-    argument of norm at most 1, so each step is accurate to double
-    precision at any ||K|| (the scaling of Al-Mohy and Higham, SIAM J. Sci.
-    Comput. 33, 488, 2011, at a fixed degree).  scipy's `expm_multiply`
-    adapts the degree, but importing it loads scipy.linalg, about 0.2 s and
-    10 MB per process.  K must be anti-selfadjoint, so its infinity-norm
-    equals its 1-norm and the result keeps the norm of v.
-    """
-    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
-        raise ValueError("K must be anti-selfadjoint for exp(K)")
-    if k.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {k.shape}, state {v.shape}")
-    steps = max(1, math.ceil(op_norm_inf(k)))
-    out = np.asarray(v)
-    for _ in range(steps):
-        term = out
-        for n in range(1, EVOLVE_DEGREE + 1):
-            term = (1.0 / (n * steps)) * (k @ term)
-            out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------

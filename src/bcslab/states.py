@@ -1,8 +1,8 @@
 """Reference states and quasiparticle operators.
 
 Builds the paired product state from the bundle's pair creators B*_k (the
-independent route exp(i G_B)|0> = exp(K)|0> is
-`evolve_state(build_GB(ops, angles), vacuum_state(M))`), the filled Fermi
+independent route exp(i G_B)|0> = exp(K)|0> is the vacuum column of
+`PairSectors(mt).exponential(build_GB(ops, angles))`), the filled Fermi
 sea as its Delta = 0 case, the closed-form rotated quasiparticle operators
 gamma, the four-quasiparticle correction vector Phi, and the normalized
 corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.

@@ -1,8 +1,10 @@
 """Shared fixtures: reference instances and the oracles that only tests read.
 
 The oracles are the bit-level ladder action, the single anticommutator,
-dense-matrix conjugation and evolution, the literal operators, the literal
-double sum for Phi and a literal gap loop.
+dense-matrix conjugation and evolution, the nested-commutator series and
+the scaled Taylor evolution (the sparse routes that the verification pass
+ran before its sector-block exponential), the literal operators, the
+literal double sum for Phi and a literal gap loop.
 
 The workhorse instance ("two_mode") is the pair lattice {k, -k} with
 xi = 1.6 and U(k,-k) = -4.  Its gap equation has the closed-form solution
@@ -17,7 +19,7 @@ import pytest
 from scipy.linalg import expm
 
 from bcslab.errors import ConvergenceError
-from bcslab.fock import adjoint, ladder_matrix
+from bcslab.fock import SELFADJOINT_TOL, adjoint, ladder_matrix, op_norm_inf
 from bcslab.gapsolve import AngleTable, GapTable
 from bcslab.hamiltonian import OperatorBundle
 from bcslab.model import Kernel, explicit_modes
@@ -49,6 +51,17 @@ def angles_of(mt, delta):
 def quasi_dag_of(ops, angles):
     """The gamma* list, quasi_dag[j] = adjoint(quasi[j]), that `correction_state` reads."""
     return [adjoint(g) for g in quasi_ops(ops, angles)]
+
+
+def vacuum_exponential(ops, angles):
+    """exp(K)|0> for K = i G_B, read by the verification pass's route: the vacuum column of exp(K)'s sector blocks."""
+    from bcslab.sectors import PairSectors
+    from bcslab.hamiltonian import build_GB
+
+    sectors = PairSectors(ops.mt)
+    expk, leak = sectors.exponential(build_GB(ops, angles))
+    assert leak == 0.0
+    return sectors.column(expk, 0)
 
 
 def apply_annihilate(j, bits, n_orbitals):
@@ -146,6 +159,65 @@ def dense_conjugation(a, k, alpha):
 def dense_evolution(k, v):
     """Oracle: exp(K) v by dense matrix exponential."""
     return expm(k.toarray()) @ v
+
+
+SERIES_MAX_TERMS = 200
+# degree of the Taylor polynomial of exp(K/s) with ||K/s|| <= 1: the
+# remainder sum_{n>18} 1/n! ~ 9e-18 lies below double precision
+TAYLOR_DEGREE = 18
+
+
+def conjugate_series(a, k, alpha, tol=1e-12):
+    """Oracle: exp(-alpha K) A exp(alpha K) by the nested-commutator series, one sparse operator.
+
+    Sums alpha^n / n! [..[A,K],..,K] and stops once two consecutive terms
+    fall below `tol` in infinity-norm; the result then matches the exact
+    conjugation within 10*tol.  K must be anti-selfadjoint (K* = -K).
+    """
+    from scipy.sparse import csr_array
+
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    k = csr_array(k)
+    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
+        raise ValueError("K must be anti-selfadjoint for conjugation by exp(alpha*K)")
+    if a.shape != k.shape:
+        raise ValueError(f"dimension mismatch: operator {a.shape}, K {k.shape}")
+    total = term = csr_array(a, copy=True)
+    if alpha == 0.0:
+        return total
+    coeff, small = 1.0, 0
+    for n in range(1, SERIES_MAX_TERMS + 1):
+        term = term @ k - k @ term
+        coeff *= alpha / n
+        scaled = term * coeff
+        total = total + scaled
+        small = small + 1 if op_norm_inf(scaled) <= tol else 0
+        if small == 2:
+            return total
+    raise ConvergenceError(f"commutator series did not reach tol={tol} within {SERIES_MAX_TERMS} terms")
+
+
+def evolve_state(k, v):
+    """Oracle: exp(K) v as s steps of exp(K/s), s = ceil(||K||), each a degree-18 Taylor polynomial.
+
+    Each step's argument has norm at most 1, so each step is accurate to
+    double precision at any ||K|| (the scaling of Al-Mohy and Higham, SIAM
+    J. Sci. Comput. 33, 488, 2011, at a fixed degree).  K must be
+    anti-selfadjoint, so the result keeps the norm of v.
+    """
+    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
+        raise ValueError("K must be anti-selfadjoint for exp(K)")
+    if k.shape[1] != v.shape[0]:
+        raise ValueError(f"dimension mismatch: operator {k.shape}, state {v.shape}")
+    steps = max(1, math.ceil(op_norm_inf(k)))
+    out = np.asarray(v)
+    for _ in range(steps):
+        term = out
+        for n in range(1, TAYLOR_DEGREE + 1):
+            term = (1.0 / (n * steps)) * (k @ term)
+            out = out + term
+    return out
 
 
 def random_selfadjoint(dim, rng, scale=1.0):

@@ -23,8 +23,6 @@ from bcslab.fock import (
     adjoint,
     anticommutator_check,
     commutator,
-    conjugate_series,
-    evolve_state,
     expectation,
     ladder_matrix,
     op_norm_inf,
@@ -41,6 +39,7 @@ from bcslab.gapsolve import (
 )
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
+from bcslab.sectors import PairSectors
 from bcslab.states import (
     bcs_state,
     correction_state,
@@ -49,7 +48,7 @@ from bcslab.states import (
     pair_table,
 )
 
-from conftest import quasi_dag_of
+from conftest import conjugate_series, quasi_dag_of, vacuum_exponential
 
 
 def criterion(tag, description, passed):
@@ -92,10 +91,10 @@ def test_ac2_number_symmetry_covariance():
     for alpha in (0.3, 1.0, math.pi):
         for j in range(mt.n_orbitals):
             c = ladder_matrix(j, mt.n_modes)
-            rotated = conjugate_series([c], igen, alpha, tol=1e-12)[0]
+            rotated = conjugate_series(c, igen, alpha, tol=1e-12)
             worst_c = max(worst_c, op_norm_inf(rotated - np.exp(1j * alpha) * c))
         worst_h = max(
-            worst_h, op_norm_inf(conjugate_series([bundle.H], igen, alpha, tol=1e-12)[0] - bundle.H)
+            worst_h, op_norm_inf(conjugate_series(bundle.H, igen, alpha, tol=1e-12) - bundle.H)
         )
     criterion("AC-2", f"exp(-iaG) C exp(iaG) = exp(ia) C within 1e-9 (got {worst_c:.2e})", worst_c <= 1e-9)
     criterion("AC-2", f"exp(-iaG) H exp(iaG) = H within 1e-9 (got {worst_h:.2e})", worst_h <= 1e-9)
@@ -120,7 +119,7 @@ def test_ac3_gap_solver():
 def test_ac4_state_equivalence():
     mt, kernel, sol = solved_pair()
     ops = OperatorBundle(mt, kernel)
-    exponential = evolve_state(build_GB(ops, sol.theta), vacuum_state(mt.n_modes))
+    exponential = vacuum_exponential(ops, sol.theta)
     worst = float(np.linalg.norm(bcs_state(ops, sol.theta) - exponential))
     mt3, kern3 = three_mode_instance()
     ops3 = OperatorBundle(mt3, kern3)
@@ -128,7 +127,7 @@ def test_ac4_state_equivalence():
     for _ in range(20):
         t0, t1 = rng.uniform(0.0, 0.5 * math.pi, size=2)
         angles = AngleTable.from_theta(mt3, [t0, t1, t1])
-        exponential = evolve_state(build_GB(ops3, angles), vacuum_state(mt3.n_modes))
+        exponential = vacuum_exponential(ops3, angles)
         dev = float(np.linalg.norm(bcs_state(ops3, angles) - exponential))
         worst = max(worst, dev)
     criterion(
@@ -166,7 +165,7 @@ def test_ac6_meanfield_diagonalization():
     w = np.array([expectation(psi_b, b, psi_b).real for b in ops.B])
     hm = build_HM(ops, sol.delta, w)
     ebcs = ebcs_formula(mt, sol.theta, w)
-    dev, spectrum = hm_spectrum_check(hm, mt, sol.delta, ebcs)
+    dev, spectrum = hm_spectrum_check(hm, PairSectors(mt), sol.delta, ebcs)
     ground = float(spectrum[0])
     criterion("AC-6", f"pair-instance sigma(H_M) multiset within 1e-9 (got {dev:.2e})", dev <= 1e-9)
     criterion(
@@ -181,7 +180,7 @@ def test_ac6_meanfield_diagonalization():
     angles3 = AngleTable.from_delta(mt3, gap3)
     w3 = 0.5 * angles3.sin2t
     hm3 = build_HM(OperatorBundle(mt3, kern3), gap3, w3)
-    dev3, _ = hm_spectrum_check(hm3, mt3, gap3, ebcs_formula(mt3, angles3, w3))
+    dev3, _ = hm_spectrum_check(hm3, PairSectors(mt3), gap3, ebcs_formula(mt3, angles3, w3))
     criterion("AC-6", f"random M=3 sigma(H_M) multiset within 1e-9 (got {dev3:.2e})", dev3 <= 1e-9)
 
 

@@ -18,16 +18,17 @@ from bcslab.analysis import (
     hprime_bcs_expansion,
     run_verification,
 )
-from bcslab import analysis, fock, hamiltonian, states
+from bcslab import analysis, fock, hamiltonian, sectors as sector_module, states
 from bcslab.cli import load_config
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, commutator, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
-from bcslab.hamiltonian import OperatorBundle, PairOperators, build_HM, build_Hprime
+from bcslab.hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
+from bcslab.sectors import PairSectors
 from bcslab.states import bcs_state, correction_state, fermi_vacuum, normalized_psi, quartet_sum, quasi_ops
 
-from conftest import angles_of, bundle_of, quasi_dag_of, random_sparse
+from conftest import angles_of, bundle_of, conjugate_series, evolve_state, quasi_dag_of, random_sparse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,7 +72,7 @@ def test_hm_spectrum_pair_instance(solved_pair):
     gap = GapTable(delta=angles.delta)
     hm = build_HM(ops, gap, w)
     ebcs = ebcs_formula(mt, angles, w)
-    dev, eigs = hm_spectrum_check(hm, mt, gap, ebcs)
+    dev, eigs = hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)
     assert dev <= 1e-9
     assert eigs[0] == pytest.approx(-0.08, abs=1e-12)
     assert eigs[1] == pytest.approx(-0.08 + 2.0, abs=1e-12)  # one quasiparticle costs E = 2
@@ -83,7 +84,7 @@ def test_hm_spectrum_free_limit():
     hm = build_HM(bundle_of(mt), gap, np.zeros(3))
     angles = angles_of(mt, np.zeros(3))
     ebcs = ebcs_formula(mt, angles, np.zeros(3))
-    dev, _ = hm_spectrum_check(hm, mt, gap, ebcs)
+    dev, _ = hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)
     assert dev <= 1e-12
 
 
@@ -114,7 +115,7 @@ def test_hm_sector_spectrum_matches_dense_oracle(name, variant):
     rng = np.random.default_rng(17)
     for _ in range(3):
         mt, gap, hm, ebcs = random_hm(SECTOR_INSTANCES[name], rng, variant)
-        dev, spectrum = hm_spectrum_check(hm, mt, gap, ebcs)
+        dev, spectrum = hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)
         oracle = np.linalg.eigvalsh(hm.toarray())
         assert spectrum.shape == (mt.dim,)
         assert np.max(np.abs(spectrum - oracle)) <= 1e-12
@@ -129,14 +130,14 @@ def test_hm_spectrum_detects_sector_leak():
     b = ladder_matrix(mt.orb_up(1), mt.n_modes)
     eps = 1e-6
     leaky = csr_array(hm + eps * (adjoint(a) @ b + adjoint(b) @ a))
-    assert hm_spectrum_check(hm, mt, gap, ebcs)[0] <= 1e-12
-    dev, _ = hm_spectrum_check(leaky, mt, gap, ebcs)
+    assert hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)[0] <= 1e-12
+    dev, _ = hm_spectrum_check(leaky, PairSectors(mt), gap, ebcs)
     assert dev >= eps > TOL_LOOSE  # the spectrum check fails
 
 
 @pytest.mark.parametrize("planted", ["off_diagonal", "non_real_diagonal"])
 def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
-    """A G that is not a real diagonal fails both covariance checks instead of being read as one."""
+    """A G that is not a real diagonal fails both covariance checks and both SSB rows instead of being read as one."""
     mt, kernel = two_mode
     eps = 1e-6
     # vacuum <-> orbital 0 filled, kept selfadjoint; or a complex number on one diagonal entry
@@ -150,7 +151,12 @@ def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
     monkeypatch.setattr(OperatorBundle, "__init__", planted_init)
     report = run_verification(mt, kernel, seed=3)
     by_name = {c.name: c for c in report.checks}
-    for name in ("number_phase_covariance_c", "number_phase_covariance_h"):
+    for name in (
+        "number_phase_covariance_c",
+        "number_phase_covariance_h",
+        "ssb_witness_commutator",
+        "ssb_witness_corrected_state",
+    ):
         assert by_name[name].deviation >= eps > TOL_LOOSE
         assert not by_name[name].passed
 
@@ -162,7 +168,7 @@ def test_hm_spectrum_reads_both_triangles():
     # their entry is zero and an entry placed above the diagonal only is not selfadjoint
     eps = 1e-6
     upper = csr_array(([eps], ([0], [mt.dim - 1])), shape=hm.shape)
-    dev, _ = hm_spectrum_check(csr_array(hm + upper), mt, gap, ebcs)
+    dev, _ = hm_spectrum_check(csr_array(hm + upper), PairSectors(mt), gap, ebcs)
     assert dev >= eps > TOL_LOOSE
 
 
@@ -173,9 +179,161 @@ def test_hm_spectrum_block_size_stays_within_sector(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-    dev, spectrum = hm_spectrum_check(hm, mt, gap, ebcs)
+    dev, spectrum = hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)
     assert dev <= 1e-9 and spectrum.shape == (1024,)
     assert shapes and max(s[-1] for s in shapes) <= 2**mt.n_modes
+
+
+# ---------------------------------------------------------------------------
+# the sector-block exponential exp(K), K = i G_B
+
+SECTOR_GOLDENS = ["pair", "three_mode", "ac10", "six_mode", "seven_mode"]
+
+
+def golden_k(name):
+    """(bundle, classic angle table, K = i G_B) of a golden config."""
+    cfg = load_config(str(GOLDEN / name / "config.json"))
+    angles = solve_gap(cfg.mt, cfg.kernel, tol=1e-12).theta
+    bundle = OperatorBundle(cfg.mt, cfg.kernel)
+    return bundle, angles, build_GB(bundle, angles)
+
+
+def sector_states(sectors):
+    """The states of each sector, in block order."""
+    return [
+        sectors.order[lo : lo + (1 << z)].astype(np.int64)
+        for lo, z in zip(sectors.offset, sectors.z)
+    ]
+
+
+@pytest.mark.parametrize("name", SECTOR_GOLDENS)
+def test_sector_exponential_blocks_match_expm(name):
+    # each block against scipy's expm of the block sliced from K by the sector's own states
+    from scipy.linalg import expm
+
+    bundle, _, k = golden_k(name)
+    sectors = PairSectors(bundle.mt)
+    expk, leak = sectors.exponential(k)
+    assert leak == 0.0
+    assert sum(b.size for b in expk) == 6**bundle.mt.n_modes
+    blocks = [b for per_class in expk for b in per_class]
+    states = sector_states(sectors)
+    assert len(blocks) == len(states) == 3**bundle.mt.n_modes
+    assert sorted(np.concatenate(states).tolist()) == list(range(bundle.mt.dim))
+    worst = max(float(np.max(np.abs(e - expm(k[s][:, s].toarray())))) for e, s in zip(blocks, states))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("name", SECTOR_GOLDENS)
+def test_sector_exponential_columns_match_the_taylor_oracle(name):
+    bundle, _, k = golden_k(name)
+    sectors = PairSectors(bundle.mt)
+    expk, _ = sectors.exponential(k)
+    dim = bundle.mt.dim
+    for j in (0, dim // 3, dim - 1):  # the vacuum, a state of another sector, the filled state
+        v = np.zeros(dim)
+        v[j] = 1.0
+        assert np.linalg.norm(sectors.column(expk, j) - evolve_state(k, v)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", SECTOR_GOLDENS)
+def test_sector_conjugations_match_the_series_oracle(name):
+    # the two conjugations of a verification pass: E^T A E for each mean-field term, E C_j E^T for each ladder
+    bundle, angles, k = golden_k(name)
+    mt = bundle.mt
+    sectors = PairSectors(mt)
+    expk, _ = sectors.exponential(k)
+    for i in range(mt.n_modes):
+        a = mt.xi[i] * bundle.h[i] - angles.delta[i] * bundle.v[i]
+        assert sectors.conjugation_deviation(expk, a, conjugate_series(a, k, 1.0)) <= 1e-11
+    for c in bundle.C:
+        assert sectors.conjugation_deviation(expk, c, conjugate_series(c, k, -1.0), inverse=True) <= 1e-11
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_conjugation_deviation_is_the_norm_of_the_whole_difference(three_mode, inverse):
+    # random A and Y store entries in every sector pair, so every entry that couples
+    # two sectors, of the rotated operator or of the closed form, counts
+    from scipy.linalg import expm
+
+    mt, kernel = three_mode
+    bundle = OperatorBundle(mt, kernel)
+    k = build_GB(bundle, angles_of(mt, [0.7, 0.4, 0.4]))
+    sectors = PairSectors(mt)
+    expk, _ = sectors.exponential(k)
+    e = expm(k.toarray())
+    rng = np.random.default_rng(21 + inverse)
+    for a in (bundle.C[1], random_sparse(mt.dim, rng, density=0.05, real=True)):
+        y = random_sparse(mt.dim, rng, density=0.05, real=True)
+        rotated = e @ a.toarray() @ e.T if inverse else e.T @ a.toarray() @ e
+        dense = float(np.max(np.abs(rotated - y.toarray()).sum(axis=1)))
+        assert sectors.conjugation_deviation(expk, a, y, inverse=inverse) == pytest.approx(dense, rel=1e-13)
+
+
+def test_sector_exponential_runs_are_exact_at_any_chunk(monkeypatch):
+    bundle, angles, k = golden_k("six_mode")
+    sectors = PairSectors(bundle.mt)
+    expk, _ = sectors.exponential(k)
+    a = bundle.mt.xi[0] * bundle.h[0] - angles.delta[0] * bundle.v[0]
+    dev = sectors.conjugation_deviation(expk, a, bundle.h[0])
+    monkeypatch.setattr(sector_module, "SECTOR_CHUNK", 1)  # one block per batched call
+    for one, chunked in zip(sectors.exponential(k)[0], expk):
+        assert np.array_equal(one, chunked)
+    assert sectors.conjugation_deviation(expk, a, bundle.h[0]) == dev
+
+
+def test_sector_exponential_rejects_a_k_that_is_not_real_antisymmetric(two_mode):
+    mt, kernel = two_mode
+    bundle = OperatorBundle(mt, kernel)
+    k = build_GB(bundle, angles_of(mt, [1.2, 1.2]))
+    sectors = PairSectors(mt)
+    skew = csr_array(k + csr_array(([1e-9], ([0], [mt.dim - 1])), shape=k.shape))
+    for bad in (bundle.H, skew, 1j * bundle.G):
+        with pytest.raises(ValueError, match="anti-selfadjoint"):
+            sectors.exponential(bad)
+
+
+def test_run_verification_raises_on_a_k_that_is_not_antisymmetric(three_mode, monkeypatch):
+    mt, kernel = three_mode
+    build = analysis.build_GB
+    monkeypatch.setattr(analysis, "build_GB", lambda ops, angles: csr_array(build(ops, angles) + 1e-9 * ops.I))
+    with pytest.raises(ValueError, match="anti-selfadjoint"):
+        run_verification(mt, kernel, seed=3)
+
+
+def test_an_inter_sector_entry_in_k_fails_every_row_that_reads_exp_k(three_mode, monkeypatch):
+    mt, kernel = three_mode
+    eps = 1e-6
+    build = analysis.build_GB
+
+    def planted(ops, angles):
+        # the vacuum and one filled orbital differ in d, so the entry couples two sectors; K stays antisymmetric
+        k = build(ops, angles)
+        return csr_array(k + csr_array(([eps, -eps], ([0, 1], [1, 0])), shape=k.shape))
+
+    monkeypatch.setattr(analysis, "build_GB", planted)
+    by_name = {c.name: c for c in run_verification(mt, kernel, seed=3).checks}
+    for name in ("bcs_product_vs_exponential", "meanfield_conjugation", "gamma_closed_form_vs_conjugation"):
+        assert by_name[name].deviation >= eps > by_name[name].tolerance
+        assert not by_name[name].passed
+
+
+def test_an_inter_sector_entry_in_a_closed_form_fails_its_row(three_mode, monkeypatch):
+    # gamma_0 lowers d_0, so an entry from the vacuum to orbital 0 filled, which raises it,
+    # lies in a sector pair that neither gamma_0 nor E C_0 E^T reaches
+    mt, kernel = three_mode
+    eps = 1e-6
+    quasi = analysis.quasi_ops
+
+    def planted(ops, angles):
+        out = quasi(ops, angles)
+        out[0] = csr_array(out[0] + csr_array(([eps], ([1], [0])), shape=out[0].shape))
+        return out
+
+    monkeypatch.setattr(analysis, "quasi_ops", planted)
+    row = {c.name: c for c in run_verification(mt, kernel, seed=3).checks}["gamma_closed_form_vs_conjugation"]
+    assert row.deviation >= eps > row.tolerance
+    assert not row.passed
 
 
 def test_condensation_energy_values(two_mode):
@@ -488,7 +646,9 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     readers, Phi and the H' Psi_B expansion formed before `hm_splitting` from
     transposed views of the gammas, one creator at a time in `car_deviation`,
     a mean-field series stack released before the next, and only the pair
-    operators for the permuted instance.
+    operators for the permuted instance. The sector-block exp(K) in place of
+    the commutator series, and the SSB rows read on vectors in place of the
+    [G, B_k] table, bring it to 13.84 MiB.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "seven_mode" / "config.json"))
     tracemalloc.start()
@@ -504,9 +664,10 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
 def test_run_verification_peak_memory_on_the_six_mode_golden():
     """The M = 6 golden pass allocates at most 5.5 MiB at its peak.
 
-    Its series and CAR stacks hold two operators of dim 4096 (8192 rows),
-    and it peaks near 5.26 MiB, against 5.03 MiB with one operator per
-    stack; the bound leaves about 5% above the stacked figure.
+    Its CAR stacks hold two operators of dim 4096 (8192 rows). While the
+    commutator series ran in such stacks too, it peaked near 5.26 MiB (5.03
+    MiB with one operator per stack), and 4.62 MiB once each operator lived
+    only while a stage read it; the sector-block exp(K) brings it to 3.52 MiB.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "six_mode" / "config.json"))
     tracemalloc.start()
@@ -522,10 +683,11 @@ def test_run_verification_peak_memory_on_the_six_mode_golden():
 def test_run_verification_peak_memory_on_the_ac10_instance():
     """The M = 5 AC-10 pass allocates at most 1.9 MiB at its peak.
 
-    Unstacked it peaks near 1.2 MiB.  The 4096-row stacks of the series and
-    the CAR check (four operators at dim 1024) bring it near 1.6 MiB, the
+    Unstacked it peaked near 1.2 MiB.  The 4096-row stacks of the series and
+    the CAR check (four operators at dim 1024) brought it near 1.6 MiB, the
     8192-row stacks (eight operators) near 1.85 MiB, and 16384-row stacks
-    near 2.1 MiB.
+    near 2.1 MiB.  With the sector-block exp(K) in place of the series, and
+    8192-row CAR stacks, it peaks near 1.36 MiB.
     """
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5)
     kernel = separable_kernel(mt, 1.5)
@@ -623,9 +785,9 @@ def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
 def test_run_verification_releases_g_and_h_and_builds_pair_operators_for_the_permutation(three_mode, monkeypatch):
     """One bundle per pass; G and the h_k are gone before the gammas, and the permuted instance has pair operators only.
 
-    The bundle's G and h_k are deleted after their last readers (`charge_pairs`
-    and the mean-field series), so every later stage sees neither and a read
-    raises instead of rebuilding them.  The permuted instance is a
+    The bundle's G and h_k are deleted after their last readers (the
+    covariance rows and the mean-field conjugation), so every later stage
+    sees neither and a read raises instead of rebuilding them.  The permuted instance is a
     `PairOperators` on the bundle's own ladders: no h, v, G, T, H or I.
     """
     mt, kernel = three_mode

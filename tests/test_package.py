@@ -1,6 +1,9 @@
 """The package holds one construction per quantity, and nothing that only tests read."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bcslab
@@ -31,3 +34,17 @@ def test_every_public_name_is_read_in_the_package():
                 unread.append(f"{module}:{node.name}")
     assert trees
     assert unread == []
+
+
+def test_importing_the_package_and_cli_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs about 0.2 s of start-up and 10 MB per process; the sector-block
+    # exponential reads numpy's eigh instead, and the sparse algebra needs only scipy.sparse
+    code = "import sys, bcslab, bcslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.strip() == "[]"

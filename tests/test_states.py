@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from bcslab.errors import ValidationError
-from bcslab.fock import adjoint, evolve_state, expectation, ladder_matrix, op_norm_inf, vacuum_state
+from bcslab.fock import adjoint, expectation, ladder_matrix, op_norm_inf, vacuum_state
 from bcslab.gapsolve import AngleTable, GapTable, correction_factor, dk_weights, solve_gap
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes
+from bcslab.sectors import PairSectors
 from bcslab.states import (
     CorrectionState,
     bcs_state,
@@ -16,7 +17,14 @@ from bcslab.states import (
     quasi_ops,
 )
 
-from conftest import angles_of, anticommutator, bundle_of, correction_state_literal, quasi_dag_of
+from conftest import (
+    angles_of,
+    anticommutator,
+    bundle_of,
+    correction_state_literal,
+    quasi_dag_of,
+    vacuum_exponential,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +66,7 @@ def test_bcs_state_zero_angles_is_vacuum(two_mode):
     ops = OperatorBundle(mt, kernel)
     assert np.array_equal(bcs_state(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
     # exponential route: G_B vanishes, so exp(iG_B)|0> is |0> exactly
-    gb = build_GB(ops, angles_of(mt, [0.0, 0.0]))
-    assert np.array_equal(evolve_state(gb, vacuum_state(2)), vacuum_state(2))
+    assert np.array_equal(vacuum_exponential(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
 
 
 def test_bcs_state_gapless_limit_is_fermi_vacuum():
@@ -88,7 +95,7 @@ def test_product_matches_exponential_pair_instance(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
     angles = angles_of(mt, [1.2, 1.2])
-    exponential = evolve_state(build_GB(ops, angles), vacuum_state(mt.n_modes))
+    exponential = vacuum_exponential(ops, angles)
     assert np.linalg.norm(bcs_state(ops, angles) - exponential) <= 1e-10
 
 
@@ -99,7 +106,7 @@ def test_product_matches_exponential_random_angles():
     for _ in range(10):
         t0, t1 = rng.uniform(0.0, 0.5 * np.pi, size=2)
         angles = AngleTable.from_theta(mt, [t0, t1, t1])
-        exponential = evolve_state(build_GB(ops, angles), vacuum_state(mt.n_modes))
+        exponential = vacuum_exponential(ops, angles)
         assert np.linalg.norm(bcs_state(ops, angles) - exponential) <= 1e-10
 
 
@@ -320,7 +327,9 @@ def test_fock_algebra_stays_real(instance, request):
     ops = [bundle.H, bundle.G, bundle.T, *bundle.C, *bundle.B, *bundle.h, *bundle.v, *quasi]
     gb = build_GB(bundle, angles)
     ops += [gb, build_HM(bundle, sol.delta, 0.5 * angles.sin2t), build_Hprime(bundle, kernel, angles)]
-    states = [psi_b, evolve_state(gb, vacuum_state(mt.n_modes))]
+    sectors = PairSectors(mt)
+    expk, _ = sectors.exponential(gb)
+    states = [psi_b, sectors.column(expk, 0), *expk]
     quasi_dag = [adjoint(g) for g in quasi]
     ops += quasi_dag
     states.append(correction_state(mt, kernel, angles, quasi_dag, psi_b).phi)
