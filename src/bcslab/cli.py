@@ -428,19 +428,18 @@ def _cmd_verify(args, include_solutions: bool = False) -> int:
             _print_solution(cfg.mt, sol)
         print("--- verification ---")
     _print_check_table(report)
-    failures = report.failures()
     if cfg.out_dir:
         written = emit_report(report, cfg.out_dir, cfg.formats)
         for path in written:
             print(f"wrote {path}")
-    if failures:
-        print(f"{len(failures)} check(s) failed", file=sys.stderr)
+    if not report.all_passed:
+        print(f"{len(report.failures())} check(s) failed", file=sys.stderr)
     unsolved = [equation for equation, sol in report.solutions.items() if not sol.converged]
     for equation in unsolved:
         print(f"{equation} gap equation did not converge", file=sys.stderr)
     if unsolved:
         return EXIT_RESOURCE
-    return EXIT_CHECK_FAILURES if failures else EXIT_OK
+    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURES
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,9 +9,13 @@ Fermionic signs are (-1)^(number of occupied orbitals below j) and are
 computed in exact integer arithmetic; floating point only enters through
 amplitudes.  Operators are scipy CSR arrays and states 1-d numpy arrays,
 both real (float64); only `diagonal_conjugate`, a phase rotation, is complex.
-The ladders carry int32 `indices`/`indptr` up to dimension 2^31 - 1
-(M <= 15), and every product, sum and transpose built from them keeps that
-width, which halves the index memory of each operator against int64.
+Every sparse index is int32: `ladder_matrix` (and `PairSectors`, through
+the same `check_index_width`) raises ResourceLimitError above dimension
+2^31 - 1, so M <= 15, and every product, sum and transpose built from the
+ladders keeps that width.  There is no int64 route: at M = 16 one state
+vector alone takes 32 GiB.  Every infinity norm is the row sum of
+`_block_norms`, whose one-block case is `op_norm_inf`, and the CAR check of
+the bare ladders reads the ladders it is given.
 """
 
 from __future__ import annotations
@@ -59,6 +63,14 @@ def space_dim(n_modes: int) -> int:
     return 1 << (2 * n_modes)
 
 
+def check_index_width(dim: int) -> None:
+    """Raise ResourceLimitError unless int32 indices reach every row of dimension `dim`."""
+    if dim > INT32_MAX:
+        raise ResourceLimitError(
+            f"dimension {dim} is beyond the int32 sparse indices (at most {INT32_MAX}, M <= 15)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # matrix realizations
 
@@ -76,7 +88,8 @@ def ladder_matrix(j: int, n_modes: int) -> csr_array:
     if not 0 <= j < n_orb:
         raise ValueError(f"orbital index {j} out of range [0, {n_orb})")
     dim = space_dim(n_modes)
-    src = np.arange(dim, dtype=np.int32 if dim <= INT32_MAX else np.int64)
+    check_index_width(dim)
+    src = np.arange(dim, dtype=np.int32)
     occupied = (src >> j) & 1 == 1
     cols = src[occupied]
     rows = cols ^ (1 << j)
@@ -101,10 +114,8 @@ def commutator(a, b) -> csr_array:
 
 
 def op_norm_inf(a) -> float:
-    """Operator infinity-norm (max absolute row sum)."""
-    if a.nnz == 0:
-        return 0.0
-    return float(abs(a).sum(axis=1).max())
+    """Operator infinity-norm (max absolute row sum) of a sparse array, by `_block_norms`."""
+    return float(_block_norms(a.tocsr(), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +126,9 @@ def op_norm_inf(a) -> float:
 # runs a stack of operators through each product, and the covariance check
 # conjugates a stack at once: X @ B holds every A_i @ B, and kron(I, B) @ X
 # every B @ A_i.  Each row of a product sums in the stored order of its own
-# block, so a block reads exactly what the single product gives;
-# `op_norm_inf` sorts the rows it sums, and so does `_block_norms` for each
-# block.
+# block, so a block reads exactly what the single product gives, and
+# `_block_norms` sums the rows of each block as `op_norm_inf`, which is its
+# one-block case, sums a whole operator.
 #
 # A stack holds at most STACK_ROWS rows, so the dimension decides: M <= 6
 # (d <= 4096) shares products, eight operators per stack at M = 5 and two
@@ -132,19 +143,13 @@ def stack_width(dim: int) -> int:
     return max(1, STACK_ROWS // dim)
 
 
-def _index_dtype(top: int):
-    """int32 for indices up to `top`, as scipy picks for its own results."""
-    return np.int32 if top <= INT32_MAX else np.int64
-
-
 def _stack(ops) -> csr_array:
     """vstack(ops) from their own arrays, so every row keeps its stored order; one operator is itself."""
     if len(ops) == 1:
         return ops[0]
     offsets = np.cumsum([0] + [a.nnz for a in ops])
-    idx = _index_dtype(max(offsets[-1], len(ops) * ops[0].shape[0]))
-    indptr = np.concatenate([[0]] + [a.indptr[1:] + off for a, off in zip(ops, offsets)], dtype=idx)
-    indices = np.concatenate([a.indices for a in ops], dtype=idx)
+    indptr = np.concatenate([[0]] + [a.indptr[1:] + off for a, off in zip(ops, offsets)], dtype=np.int32)
+    indices = np.concatenate([a.indices for a in ops], dtype=np.int32)
     data = np.concatenate([a.data for a in ops])
     return csr_array((data, indices, indptr), shape=(len(ops) * ops[0].shape[0], ops[0].shape[1]))
 
@@ -154,9 +159,9 @@ def _block_diag(b, n: int) -> csr_array:
     if n == 1:
         return b
     dim = b.shape[0]
-    shift = np.arange(n, dtype=_index_dtype(n * max(dim, b.nnz)))[:, None]
+    shift = np.arange(n, dtype=np.int32)[:, None]
     indices = (shift * dim + b.indices).ravel()
-    indptr = np.concatenate(([0], (shift * b.nnz + b.indptr[1:]).ravel()), dtype=shift.dtype)
+    indptr = np.concatenate(([0], (shift * b.nnz + b.indptr[1:]).ravel()), dtype=np.int32)
     return csr_array((np.tile(b.data, n), indices, indptr), shape=(n * dim, n * dim))
 
 
@@ -166,11 +171,14 @@ def _block_starts(x, n: int) -> np.ndarray:
 
 
 def _block_norms(x, n: int) -> np.ndarray:
-    """op_norm_inf of each of the n row blocks of x.
+    """Max absolute row sum of each of the n row blocks of the CSR array x.
 
-    Sorts the rows of x in place first, as `op_norm_inf` does through
-    scipy's abs(), and sums each row with the np.add.reduceat that scipy's
-    sum(axis=1) runs, so every block reads the single call's value bit for bit.
+    The one row-sum routine of the package: `op_norm_inf` is its n = 1 case,
+    and the CAR and covariance stacks read it per block.  It sorts the rows
+    of x in place first and adds each row with np.add.reduceat in that
+    order, so a block of a stack reads the value of its operator alone bit
+    for bit.  Its operands are scipy products, sums and transposes, which
+    store no duplicate entries.
     """
     if x.nnz == 0:  # most anticommutators of a CAR check vanish
         return np.zeros(n)
@@ -232,9 +240,9 @@ def car_deviation(ann: list) -> float:
     return float(worst)
 
 
-def anticommutator_check(n_modes: int) -> float:
-    """CAR deviation of the bare ladder operators at pair count M; exactly 0.0."""
-    return car_deviation([ladder_matrix(j, n_modes) for j in range(2 * n_modes)])
+def anticommutator_check(ladders: list) -> float:
+    """CAR deviation of the bare ladder operators C_j, all 2M of them in orbital order; exactly 0.0."""
+    return car_deviation(ladders)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ with E_k = sqrt(xi_k^2 + Delta_k^2) and the correction weights
 
 `_weights` is the one place each w is written; the iteration, the residuals
 `gap_residual` / `new_gap_residual` and `dk_weights` share it.  It reads a
-`_GapMap`, the values fixed for one solve (xi, U/2, -U/2 and, for the
+`_GapMap`, the values fixed for one solve (xi, -U/2 and, for the
 corrected equation, the entrywise U^2), and computes E once per iterate for
 both Delta/E and the D_k table.
 
@@ -88,9 +88,10 @@ def _ratio(delta: np.ndarray, energy: np.ndarray) -> np.ndarray:
 class AngleTable:
     """Pairing angles theta_k in [0, pi/2] with cached trigonometry.
 
+    Built from a gap table by `from_delta`, its one constructor:
     sin2t = Delta/E and cos2t = xi/E whenever E > 0; the degenerate mode
-    xi = Delta = 0 takes theta = pi/2.  `energy` is E_k; `delta` is kept
-    for tables derived from a gap, None for raw-angle tables.
+    xi = Delta = 0 takes theta = pi/2.  `energy` is E_k and `delta` the gap
+    it was built from.
     """
 
     theta: np.ndarray
@@ -98,8 +99,8 @@ class AngleTable:
     cos_t: np.ndarray
     sin2t: np.ndarray
     cos2t: np.ndarray
-    energy: np.ndarray | None = None
-    delta: np.ndarray | None = None
+    energy: np.ndarray
+    delta: np.ndarray
 
     @classmethod
     def from_delta(cls, mt: ModeTable, gap: GapTable) -> "AngleTable":
@@ -118,25 +119,6 @@ class AngleTable:
         return cls(
             theta=theta, sin_t=sin_t, cos_t=cos_t, sin2t=sin2t, cos2t=cos2t,
             energy=energy, delta=delta,
-        )
-
-    @classmethod
-    def from_theta(cls, mt: ModeTable, theta) -> "AngleTable":
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (mt.n_modes,):
-            raise ValidationError(
-                f"angle table has {theta.size} entries for {mt.n_modes} modes"
-            )
-        if np.any(theta < 0) or np.any(theta > 0.5 * math.pi):
-            raise ValidationError("angles must lie in [0, pi/2]")
-        if np.any(theta != theta[mt.pair]):
-            raise ValidationError("angle table must satisfy theta(-k) = theta(k)")
-        return cls(
-            theta=theta,
-            sin_t=np.sin(theta),
-            cos_t=np.cos(theta),
-            sin2t=np.sin(2.0 * theta),
-            cos2t=np.cos(2.0 * theta),
         )
 
     def validate(self, mt: ModeTable) -> None:
@@ -169,18 +151,19 @@ class GapSolution:
 class _GapMap:
     """What the gap maps read that one solve never changes.
 
-    `u2` is the entrywise U^2 of the D_k table, None for the classic equation.
+    `neg_half_u` is -U/2, the one matrix of both the right-hand side -U w / 2
+    and the residual Delta - (-U/2) w; negation is exact, so the residual
+    equals Delta + (U/2) w bit for bit.  `u2` is the entrywise U^2 of the
+    D_k table, None for the classic equation.
     """
 
     xi: np.ndarray
-    half_u: np.ndarray  # U/2, for the residual Delta + U w / 2
-    neg_half_u: np.ndarray  # -U/2, for the right-hand side -U w / 2; equal to -0.5 * U bit for bit
+    neg_half_u: np.ndarray
     u2: np.ndarray | None
 
     @classmethod
     def of(cls, mt: ModeTable, kernel: Kernel, corrected: bool) -> "_GapMap":
-        half_u = 0.5 * kernel.u
-        return cls(mt.xi, half_u, -half_u, kernel.u**2 if corrected else None)
+        return cls(mt.xi, -0.5 * kernel.u, kernel.u**2 if corrected else None)
 
 
 def _dk_table(xi: np.ndarray, u2: np.ndarray, energy: np.ndarray) -> tuple:
@@ -209,7 +192,7 @@ def _weights(gm: _GapMap, delta: np.ndarray) -> tuple:
 def _residual(gm: _GapMap, delta: np.ndarray) -> tuple:
     """(r, dk, dsum): r_k = Delta_k + 1/2 sum_k' U_{k,k'} w_k' and the D table of w."""
     weighted, dk, dsum = _weights(gm, delta)
-    return delta + gm.half_u @ weighted, dk, dsum
+    return delta - gm.neg_half_u @ weighted, dk, dsum
 
 
 def gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:

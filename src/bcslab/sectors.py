@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import INT32_MAX, SELFADJOINT_TOL, adjoint, op_norm_inf
+from .fock import SELFADJOINT_TOL, adjoint, check_index_width, op_norm_inf
 from .model import ModeTable
 
 # a run of blocks through one batched eigendecomposition or product holds at
@@ -45,6 +45,7 @@ class PairSectors:
 
     def __init__(self, mt: ModeTable):
         m = mt.n_modes
+        check_index_width(mt.dim)
         idx = np.arange(mt.dim, dtype=np.int64)
         label = np.zeros(mt.dim, dtype=np.int64)
         zeros = np.zeros(mt.dim, dtype=np.int64)
@@ -63,10 +64,9 @@ class PairSectors:
         rank[order] = idx
         within = rank - start[zeros]
         # held per state for the whole pass, so at the width of the ladders' indices
-        width = np.int32 if mt.dim <= INT32_MAX else np.int64
-        self.order = order.astype(width)
-        self.sector = (self.first[zeros] + (within >> zeros)).astype(width)
-        self.pos = (within & ((1 << zeros) - 1)).astype(width)
+        self.order = order.astype(np.int32)
+        self.sector = (self.first[zeros] + (within >> zeros)).astype(np.int32)
+        self.pos = (within & ((1 << zeros) - 1)).astype(np.int32)
         local = np.arange(len(self.z)) - self.first[self.z]  # place of each sector in its class
         self.offset = start[self.z] + (local << self.z)
         # the blocks of every sector, class by class, as one flat array: class z

@@ -115,8 +115,6 @@ class CorrectionState:
 
 def pair_coefficients(mt: ModeTable, kernel: Kernel, angles: AngleTable) -> np.ndarray:
     """c[p, p'] = U_{p,p'} (C_p^2 S_p'^2 + C_p'^2 S_p^2) / (E_p + E_p')."""
-    if angles.energy is None:
-        raise ValidationError("angle table must carry quasiparticle energies (build it from a gap)")
     c2 = angles.cos_t**2
     s2 = angles.sin_t**2
     num = kernel.u * (np.outer(c2, s2) + np.outer(s2, c2))

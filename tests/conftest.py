@@ -4,7 +4,8 @@ The oracles are the bit-level ladder action, the single anticommutator,
 dense-matrix conjugation and evolution, the nested-commutator series and
 the scaled Taylor evolution (the sparse routes that the verification pass
 ran before its sector-block exponential), the literal operators, the
-literal double sum for Phi and a literal gap loop.
+literal double sum for Phi and a literal gap loop.  `angles_from_theta`
+gives the raw-angle tables that only the angle-reading routes take.
 
 The workhorse instance ("two_mode") is the pair lattice {k, -k} with
 xi = 1.6 and U(k,-k) = -4.  Its gap equation has the closed-form solution
@@ -46,6 +47,32 @@ def three_mode():
 def angles_of(mt, delta):
     """Angle table of the gap table `delta`."""
     return AngleTable.from_delta(mt, GapTable(delta=np.asarray(delta, dtype=float)))
+
+
+def angles_from_theta(mt, theta):
+    """A raw-angle table, for routes that read only the angles (the states and K = i G_B).
+
+    No gap underlies it, so its `energy` and `delta` are NaN: a route that
+    reads them gives NaN instead of a number.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    unset = np.full(theta.shape, np.nan)
+    angles = AngleTable(
+        theta=theta,
+        sin_t=np.sin(theta),
+        cos_t=np.cos(theta),
+        sin2t=np.sin(2.0 * theta),
+        cos2t=np.cos(2.0 * theta),
+        energy=unset,
+        delta=unset,
+    )
+    angles.validate(mt)
+    return angles
+
+
+def ladders_of(n_modes):
+    """The 2M bare ladders C_j in orbital order, as `OperatorBundle.C` holds them."""
+    return [ladder_matrix(j, n_modes) for j in range(2 * n_modes)]
 
 
 def quasi_dag_of(ops, angles):

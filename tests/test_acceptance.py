@@ -48,7 +48,7 @@ from bcslab.states import (
     pair_table,
 )
 
-from conftest import conjugate_series, quasi_dag_of, vacuum_exponential
+from conftest import angles_from_theta, conjugate_series, ladders_of, quasi_dag_of, vacuum_exponential
 
 
 def criterion(tag, description, passed):
@@ -75,7 +75,7 @@ def solved_pair(tol=1e-13):
 
 def test_ac1_car_suite():
     start = time.perf_counter()
-    worst = max(anticommutator_check(m) for m in (1, 2, 3, 4))
+    worst = max(anticommutator_check(ladders_of(m)) for m in (1, 2, 3, 4))
     elapsed = time.perf_counter() - start
     criterion("AC-1", f"CAR deviation exactly 0 for M in 1..4 (got {worst})", worst == 0.0)
     criterion("AC-1", f"CAR suite runtime {elapsed:.2f}s < 5s", elapsed < 5.0)
@@ -126,7 +126,7 @@ def test_ac4_state_equivalence():
     rng = np.random.default_rng(42)
     for _ in range(20):
         t0, t1 = rng.uniform(0.0, 0.5 * math.pi, size=2)
-        angles = AngleTable.from_theta(mt3, [t0, t1, t1])
+        angles = angles_from_theta(mt3, [t0, t1, t1])
         exponential = vacuum_exponential(ops3, angles)
         dev = float(np.linalg.norm(bcs_state(ops3, angles) - exponential))
         worst = max(worst, dev)

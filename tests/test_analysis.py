@@ -701,12 +701,13 @@ def test_run_verification_peak_memory_on_the_ac10_instance():
     assert peak < 1.9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_run_verification_builds_each_ladder_once(three_mode, monkeypatch):
-    """One set of 2M ladders each for the CAR check and the operator bundle; the permuted instance reads the bundle's.
+def test_run_verification_builds_each_ladder_once(monkeypatch):
+    """One set of 2M ladders per pass: the bundle's, which the CAR check and the permuted instance read.
 
-    A pass built 3 x 2M when the permuted instance had a bundle of its own.
+    14 `ladder_matrix` calls on the seven_mode golden; a CAR check with a
+    set of its own would make 28, and a bundle for the permuted instance 42.
     """
-    mt, kernel = three_mode
+    cfg = load_config(str(Path(__file__).parent / "golden" / "seven_mode" / "config.json"))
     built = []
     original = fock.ladder_matrix
 
@@ -717,10 +718,9 @@ def test_run_verification_builds_each_ladder_once(three_mode, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("bcslab") and getattr(module, "ladder_matrix", None) is original:
             monkeypatch.setattr(module, "ladder_matrix", counted)
-    report = run_verification(mt, kernel, seed=3)
+    report = run_verification(cfg.mt, cfg.kernel, seed=cfg.seed)
     assert report.all_passed
-    assert 0 < len(built) <= 2 * mt.n_orbitals
-    assert sorted(built) == sorted(2 * list(range(mt.n_orbitals)))
+    assert sorted(built) == list(range(cfg.mt.n_orbitals)) == list(range(14))
 
 
 def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch):

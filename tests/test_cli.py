@@ -417,6 +417,27 @@ def test_verify_matches_golden_report(instance, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+# the stdout of energy and spectrum on each golden, in <stem>.out, and their exit codes, in exit_codes.json
+GOLDEN_COMMANDS = {
+    "energy": ["energy"],
+    "spectrum-classic": ["spectrum", "--equation", "classic"],
+    "spectrum-new": ["spectrum", "--equation", "new"],
+}
+
+
+@pytest.mark.parametrize("stem", list(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
+def test_energy_and_spectrum_match_golden_stdout(instance, stem, capsys):
+    """energy and both spectrum equations print the committed stdout and exit with the committed code.
+
+    The printed spectrum deviation reads `op_norm_inf`, so this also pins the one row-sum routine.
+    """
+    golden = GOLDEN / instance
+    code = main([*GOLDEN_COMMANDS[stem], "--config", str(golden / "config.json")])
+    assert capsys.readouterr().out == (golden / f"{stem}.out").read_text()
+    assert code == json.loads((golden / "exit_codes.json").read_text())[stem]
+
+
 def test_readme_command_examples_use_existing_configs():
     root = Path(__file__).resolve().parents[1]
     block = (root / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]

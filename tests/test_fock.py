@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from bcslab.fock import (
     vacuum_state,
 )
 from bcslab.hamiltonian import OperatorBundle
+from bcslab.model import explicit_modes
+from bcslab.sectors import PairSectors
 
 from conftest import (
     apply_annihilate,
@@ -32,6 +35,7 @@ from conftest import (
     evolve_state,
     random_antisymmetric,
     random_selfadjoint,
+    ladders_of,
     random_sparse,
 )
 
@@ -174,9 +178,32 @@ def test_mode_cap_enforced(monkeypatch):
     ladder_matrix(0, 3)  # allowed again
 
 
+def test_int32_index_limit_raises_before_allocating(monkeypatch):
+    """Past dimension 2^31 - 1 (M = 16) no int32 index reaches every row, and there is no int64 route.
+
+    With the mode cap lifted to 16, the ladders and the pair-sector map raise
+    ResourceLimitError through one check, before any array of the 2^32-state
+    space exists; one state vector there would take 32 GiB.
+    """
+    monkeypatch.setenv("BCSLAB_DIM_CAP", "16")
+    half = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1)]
+    mt = explicit_modes(half + [tuple(-c for c in n) for n in half])
+    assert mt.n_modes == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="int32"):
+            ladder_matrix(0, 16)
+        with pytest.raises(ResourceLimitError, match="int32"):
+            PairSectors(mt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_car_exact(m):
-    assert anticommutator_check(m) == 0.0
+    assert anticommutator_check(ladders_of(m)) == 0.0
 
 
 @pytest.mark.parametrize("j", range(4))

@@ -56,18 +56,6 @@ def test_theta_ratio_invariant_random():
         assert np.all((0.0 <= angles.theta) & (angles.theta <= 0.5 * math.pi))
 
 
-def test_angle_table_from_theta_validation(two_mode):
-    mt, _ = two_mode
-    with pytest.raises(ValidationError):
-        AngleTable.from_theta(mt, [0.1, 0.2])
-    with pytest.raises(ValidationError):
-        AngleTable.from_theta(mt, [-0.1, -0.1])
-    with pytest.raises(ValidationError):
-        AngleTable.from_theta(mt, [2.0, 2.0])
-    ok = AngleTable.from_theta(mt, [0.3, 0.3])
-    assert ok.energy is None
-
-
 def test_gap_table_validation(two_mode):
     mt, _ = two_mode
     with pytest.raises(ValidationError):

@@ -11,11 +11,24 @@ import bcslab
 PACKAGE = Path(bcslab.__file__).parent
 
 
+def _public_definitions(tree):
+    """The public module-level functions and classes of `tree`, and the public methods of those classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                item for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+
+
 def test_every_public_name_is_read_in_the_package():
-    # a public module-level function or class must be loaded somewhere in
-    # src/bcslab outside its own definition; __init__'s re-exports and
-    # string literals (check names) do not count, so an oracle or twin that
-    # only tests call belongs in tests/conftest.py
+    # a public module-level function or class, or a public method or property
+    # of a public class, must be loaded somewhere in src/bcslab outside its
+    # own definition; __init__'s re-exports and string literals (check names)
+    # do not count, so an oracle, twin or constructor that only tests call
+    # belongs in tests/conftest.py
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
     loads = []
     for module, tree in trees.items():
@@ -26,9 +39,7 @@ def test_every_public_name_is_read_in_the_package():
                 loads.append((module, node.attr, node.lineno))
     unread = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for node in _public_definitions(tree):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(name == node.name and not (m == module and line in own) for m, name, line in loads):
                 unread.append(f"{module}:{node.name}")

@@ -18,6 +18,7 @@ from bcslab.states import (
 )
 
 from conftest import (
+    angles_from_theta,
     angles_of,
     anticommutator,
     bundle_of,
@@ -105,7 +106,7 @@ def test_product_matches_exponential_random_angles():
     ops = bundle_of(mt)
     for _ in range(10):
         t0, t1 = rng.uniform(0.0, 0.5 * np.pi, size=2)
-        angles = AngleTable.from_theta(mt, [t0, t1, t1])
+        angles = angles_from_theta(mt, [t0, t1, t1])
         exponential = vacuum_exponential(ops, angles)
         assert np.linalg.norm(bcs_state(ops, angles) - exponential) <= 1e-10
 
@@ -237,13 +238,6 @@ def test_overlap_equals_half_dsum(three_mode):
     corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(ops, sol.theta), psi_b)
     dk, dsum = dk_weights(mt, kernel, sol.delta)
     assert corr.overlap == pytest.approx(0.5 * dsum, abs=1e-10)
-
-
-def test_angle_table_without_energy_rejected(two_mode):
-    mt, kernel = two_mode
-    raw = AngleTable.from_theta(mt, [0.3, 0.3])
-    with pytest.raises(ValidationError):
-        pair_coefficients(mt, kernel, raw)
 
 
 def test_normalized_psi_trivial_correction(two_mode):
