@@ -11,7 +11,6 @@ matrix computation.
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .fock import anticommutator_check, expectation, ladder_matrix, vacuum_state
 from .gapsolve import (
-    AngleTable,
     GapSolution,
     GapTable,
     dk_weights,

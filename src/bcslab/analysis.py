@@ -4,6 +4,8 @@ Every scalar produced by a formula here is paired with an independent
 matrix-side evaluation (eigendecomposition of H_M block by block over its
 pair sectors, explicit state vectors, sparse operator application); no
 check compares a formula to itself.
+Every closed form reads Delta_k, E_k and the pairing angles from the one
+`GapTable` of the gap it is evaluated at, and forms none of them again.
 The number-phase covariance checks conjugate by the ladder-built number
 operator G entry by entry, since G is diagonal in the occupation basis.
 Both rows share one route, `covariance_deviation` (the ladders in row
@@ -40,9 +42,9 @@ an array of dimension 2^(2M):
   h_k    read by the pairing commutators and the mean-field conjugation;
          deleted from the bundle after it;
   gamma  the classic list lives through its CAR and annihilation rows,
-         Phi and the H' Psi_B expansion (formed here, as vectors, from
-         the views gamma.T: the gammas are real) and the closed-form
-         conjugation row; released before hm_splitting;
+         Phi and the H' Psi_B expansion (formed here, as vectors, by
+         `quartet_sum`, which reads each gamma* as the view gamma.T) and
+         the closed-form conjugation row; released before hm_splitting;
   H_M    from hm_splitting to psi_hm_expectation_formula; H' through
          hprime_definition and H' Psi_B;
   gamma~ through its CAR and annihilation rows and Psi~;
@@ -74,7 +76,6 @@ from .fock import (
     op_norm_inf,
 )
 from .gapsolve import (
-    AngleTable,
     GapTable,
     check_solver,
     correction_factor,
@@ -158,10 +159,10 @@ def _skip(name, reason) -> CheckResult:
 # closed-form scalars
 
 
-def ebcs_formula(mt: ModeTable, angles: AngleTable, w) -> float:
+def ebcs_formula(mt: ModeTable, gap: GapTable, w) -> float:
     """Ground energy of the mean-field Hamiltonian: sum_k (xi - E + Delta w)."""
     w = np.asarray(w, dtype=np.float64)
-    return float(np.sum(mt.xi - angles.energy + angles.delta * w))
+    return float(np.sum(mt.xi - gap.energy + gap.delta * w))
 
 
 def free_fermi_energy(mt: ModeTable) -> float:
@@ -172,9 +173,8 @@ def free_fermi_energy(mt: ModeTable) -> float:
 def condensation_energy(mt: ModeTable, gap: GapTable) -> float:
     """-1/2 sum_k (E - |xi|)^2 / E, the pairing energy gain over the normal state."""
     gap.validate(mt)
-    energy = np.hypot(mt.xi, gap.delta)
-    num = (energy - np.abs(mt.xi)) ** 2
-    terms = np.divide(num, energy, out=np.zeros_like(energy), where=energy > 0)
+    num = (gap.energy - np.abs(mt.xi)) ** 2
+    terms = np.divide(num, gap.energy, out=np.zeros_like(num), where=gap.energy > 0)
     return float(-0.5 * np.sum(terms))
 
 
@@ -191,8 +191,7 @@ def hm_spectrum_check(hm, sectors: PairSectors, gap: GapTable, ebcs: float) -> t
     It has no size limit of its own: the largest block holds 2^M states.
     """
     mt = sectors.mt
-    energy = np.hypot(mt.xi, gap.delta)
-    orb_energy = np.repeat(energy, 2)  # orbital j belongs to mode j//2
+    orb_energy = np.repeat(gap.energy, 2)  # orbital j belongs to mode j//2
     idx = np.arange(mt.dim, dtype=np.int64)
     formula = np.full(mt.dim, ebcs)
     for j in range(mt.n_orbitals):
@@ -203,51 +202,51 @@ def hm_spectrum_check(hm, sectors: PairSectors, gap: GapTable, ebcs: float) -> t
     return dev, spectrum
 
 
-def delta_E_formula(mt: ModeTable, kernel: Kernel, angles: AngleTable, overlap: float) -> float:
+def delta_E_formula(mt: ModeTable, kernel: Kernel, gap: GapTable, overlap: float) -> float:
     """Energy gain of the corrected state over the paired product state.
 
     Both contributions are nonpositive for an attractive kernel; the result
     must match the dense difference (Psi, H Psi) - (Psi_B, H Psi_B).
     """
-    c = pair_coefficients(mt, kernel, angles)
-    c2 = angles.cos_t**2
-    s2 = angles.sin_t**2
-    cs = angles.cos_t * angles.sin_t
+    c = pair_coefficients(mt, kernel, gap)
+    c2 = gap.cos_t**2
+    s2 = gap.sin_t**2
+    cs = gap.cos_t * gap.sin_t
     norm = 1.0 + overlap
     first = np.sum(kernel.u * (np.outer(c2, c2) + np.outer(s2, s2)) * (c @ c.T)) / norm
     second = 4.0 * np.sum(kernel.u * np.outer(cs, cs) * c**2) / norm
     return float(first + second)
 
 
-def _coupling_sum(mt: ModeTable, kernel: Kernel, angles: AngleTable) -> float:
+def _coupling_sum(mt: ModeTable, kernel: Kernel, gap: GapTable) -> float:
     """sum_{p,p'} U^2 (C^2 S'^2 + C'^2 S^2)^2 / (E_p + E_p')."""
-    c = pair_coefficients(mt, kernel, angles)
-    esum = angles.energy[:, None] + angles.energy[None, :]
+    c = pair_coefficients(mt, kernel, gap)
+    esum = gap.energy[:, None] + gap.energy[None, :]
     return float(np.sum(c**2 * esum))
 
 
 def lemma_hm_expectation_formula(
-    mt: ModeTable, kernel: Kernel, angles: AngleTable, overlap: float, ebcs: float
+    mt: ModeTable, kernel: Kernel, gap: GapTable, overlap: float, ebcs: float
 ) -> float:
     """(Psi, H_M Psi) = E_BCS + [sum_{p,p'} U^2 (...)^2/(E_p+E_p')] / (1 + (Phi,Phi))."""
-    return ebcs + _coupling_sum(mt, kernel, angles) / (1.0 + overlap)
+    return ebcs + _coupling_sum(mt, kernel, gap) / (1.0 + overlap)
 
 
-def phi_hprime_coupling_formula(mt: ModeTable, kernel: Kernel, angles: AngleTable) -> float:
+def phi_hprime_coupling_formula(mt: ModeTable, kernel: Kernel, gap: GapTable) -> float:
     """(Phi, H' Psi_B) = -1/2 sum_{p,p'} U^2 (...)^2 / (E_p + E_p')."""
-    return -0.5 * _coupling_sum(mt, kernel, angles)
+    return -0.5 * _coupling_sum(mt, kernel, gap)
 
 
 def hprime_bcs_expansion(
-    mt: ModeTable, kernel: Kernel, angles: AngleTable, quasi_dag: list, psi_b: np.ndarray
+    mt: ModeTable, kernel: Kernel, gap: GapTable, quasi: list, psi_b: np.ndarray
 ) -> np.ndarray:
-    """H' Psi_B = - sum_{k,k'} U_{k,k'} S_k^2 C_k'^2 gamma*4-string Psi_B, with the gamma* of `quartet_sum`."""
+    """H' Psi_B = - sum_{k,k'} U_{k,k'} S_k^2 C_k'^2 gamma*4-string Psi_B, over the gammas as `quartet_sum` reads them."""
     m = mt.n_modes
-    s2 = angles.sin_t**2
-    c2 = angles.cos_t**2
+    s2 = gap.sin_t**2
+    c2 = gap.cos_t**2
     terms = ((k, kp, -(kernel.u[k, kp] * s2[k] * c2[kp]))
              for k in range(m) for kp in range(m) if k != kp)
-    return quartet_sum(mt, quasi_dag, terms, psi_b)
+    return quartet_sum(mt, quasi, terms, psi_b)
 
 
 def _selfconsistency(gap: GapTable, kernel: Kernel, pair_expect: np.ndarray) -> float:
@@ -298,9 +297,9 @@ def _overlap_check(name, kernel, sol, overlap, dsum) -> CheckResult:
 def _physical_scalars(mt, kernel, sol, new_sol, corr) -> np.ndarray:
     """Order-independent scalars of a solved instance, for the permutation check."""
     scalars = [
-        ebcs_formula(mt, sol.theta, 0.5 * sol.theta.sin2t),
+        ebcs_formula(mt, sol.delta, 0.5 * sol.delta.sin2t),
         condensation_energy(mt, sol.delta),
-        delta_E_formula(mt, kernel, sol.theta, corr.overlap),
+        delta_E_formula(mt, kernel, sol.delta, corr.overlap),
     ]
     return np.concatenate((scalars, np.sort(sol.delta.delta), np.sort(new_sol.delta.delta)))
 
@@ -366,20 +365,20 @@ def run_verification(
 
     # --- classic gap equation and states ------------------------------------
     sol = solve_gap(mt, kernel, **solver)
-    report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, sol.delta), tol, sol))
-    angles = sol.theta
+    gap = sol.delta
+    report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, gap), tol, sol))
 
     # exp(K) lives from here to its last reader, the closed-form conjugation;
     # every row that reads it also counts the entries of K that couple two sectors
     sectors = PairSectors(mt)
-    gb = build_GB(bundle, angles)
+    gb = build_GB(bundle, gap)
     expk, k_leak = sectors.exponential(gb)
-    psi_b = bcs_state(bundle, angles)
+    psi_b = bcs_state(bundle, gap)
     dev = float(np.linalg.norm(psi_b - sectors.column(expk, 0))) + k_leak
     report.add(_deviation("bcs_product_vs_exponential", dev, TOL_IDENTITY))
 
     w_dense = pair_table(bundle, psi_b)
-    dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, angles.sin2t)), default=0.0)
+    dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, gap.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
     dev = _ssb_deviation(bundle, g, psi_b, w_dense) + g_leak
@@ -387,25 +386,25 @@ def run_verification(
 
     dev = 0.0
     for i in range(m):
-        dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * angles.theta[i] * bundle.v[i]))
-        dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * angles.theta[i] * (bundle.h[i] - bundle.I)))
+        dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * gap.theta[i] * bundle.v[i]))
+        dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * gap.theta[i] * (bundle.h[i] - bundle.I)))
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
     del gb
 
     # exp(-K) A exp(K) = E^T A E for each mean-field term A, against its closed form
     dev = 0.0
     for i in range(m):
-        xi_i, d_i = mt.xi[i], angles.delta[i]
+        xi_i, d_i = mt.xi[i], gap.delta[i]
         rhs = (
-            (xi_i * angles.cos2t[i] + d_i * angles.sin2t[i]) * bundle.h[i]
-            + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * bundle.v[i]
-            + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * bundle.I
+            (xi_i * gap.cos2t[i] + d_i * gap.sin2t[i]) * bundle.h[i]
+            + (xi_i * gap.sin2t[i] - d_i * gap.cos2t[i]) * bundle.v[i]
+            + (2.0 * xi_i * gap.sin_t[i] ** 2 - d_i * gap.sin2t[i]) * bundle.I
         )
         dev = max(dev, sectors.conjugation_deviation(expk, xi_i * bundle.h[i] - d_i * bundle.v[i], rhs))
     del bundle.h, rhs
     report.add(_deviation("meanfield_conjugation", dev + k_leak, TOL_LOOSE))
 
-    quasi = quasi_ops(bundle, angles)
+    quasi = quasi_ops(bundle, gap)
     # exp(K) C_j exp(-K) = E C_j E^T against gamma_j; formed before the gamma
     # rows and added in its place below, so exp(K) is gone before them
     if dense_skip:
@@ -415,20 +414,16 @@ def run_verification(
         closed_form = _deviation("gamma_closed_form_vs_conjugation", dev + k_leak, TOL_LOOSE)
     del expk
     _gamma_checks(report, "gamma", quasi, psi_b)
-    # Phi and the H' Psi_B expansion read the gamma* only on vectors, so the
-    # real gammas give them as transposed views; both vectors are formed here,
-    # and their rows added below, so the gammas (which the views share) are
-    # gone before hm_splitting
-    quasi_dag = [g.T for g in quasi]
-    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
-    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
-    del quasi_dag
+    # Phi and the H' Psi_B expansion are formed here, and their rows added
+    # below, so the gammas are gone before hm_splitting
+    corr = correction_state(mt, kernel, gap, quasi, psi_b)
+    expansion = hprime_bcs_expansion(mt, kernel, gap, quasi, psi_b)
 
     report.add(closed_form)
     del quasi
 
     # --- mean-field splitting -----------------------------------------------
-    hm = build_HM(bundle, sol.delta, w_dense)
+    hm = build_HM(bundle, gap, w_dense)
     fluct = 0.0 * bundle.I
     for kp in range(m):
         bdag = bundle.Bd[kp] - w_dense[kp] * bundle.I
@@ -442,14 +437,14 @@ def run_verification(
     # later stage builds do not stack on it
     del fluct
 
-    hprime = build_Hprime(bundle, kernel, angles)
+    hprime = build_Hprime(bundle, kernel, gap)
     report.add(_deviation("hprime_definition", op_norm_inf(hprime - (bundle.H - hm)), TOL_IDENTITY))
 
     # --- energies ------------------------------------------------------------
     psi_f = fermi_vacuum(bundle)
     e_f = expectation(psi_f, bundle.H, psi_f)
     e_b = expectation(psi_b, bundle.H, psi_b)
-    ebcs = ebcs_formula(mt, angles, w_dense)
+    ebcs = ebcs_formula(mt, gap, w_dense)
     report.add(_compare("ebcs_formula_vs_dense_hm", ebcs, expectation(psi_b, hm, psi_b), TOL_IDENTITY))
     if sol.converged:
         report.add(_compare("ebcs_formula_vs_dense_h", ebcs, e_b, TOL_IDENTITY))
@@ -461,12 +456,12 @@ def run_verification(
         report.add(_skip("hm_spectrum_multiset", dense_skip))
         report.add(_skip("hm_ground_equals_ebcs", dense_skip))
     else:
-        dev, spectrum = hm_spectrum_check(hm, sectors, sol.delta, ebcs)
+        dev, spectrum = hm_spectrum_check(hm, sectors, gap, ebcs)
         report.add(_deviation("hm_spectrum_multiset", dev, TOL_LOOSE))
         report.add(_compare("hm_ground_equals_ebcs", ebcs, float(spectrum[0]), TOL_LOOSE))
 
     if sol.converged:
-        report.add(_compare("condensation_energy", condensation_energy(mt, sol.delta), e_b - e_f, TOL_IDENTITY))
+        report.add(_compare("condensation_energy", condensation_energy(mt, gap), e_b - e_f, TOL_IDENTITY))
     else:
         report.add(_skip("condensation_energy", "needs a gap-equation solution"))
 
@@ -474,7 +469,7 @@ def run_verification(
     psi = normalized_psi(psi_b, corr)
     report.add(_deviation("bcs_phi_orthogonal", abs(np.vdot(psi_b, corr.phi)), TOL_TIGHT))
 
-    dk, dsum = dk_weights(mt, kernel, sol.delta)
+    dk, dsum = dk_weights(mt, kernel, gap)
     report.add(_overlap_check("phi_overlap_equals_half_dsum", kernel, sol, corr.overlap, dsum))
 
     hprime_psi_b = hprime @ psi_b
@@ -484,7 +479,7 @@ def run_verification(
     report.add(
         _compare(
             "phi_hprime_bcs_formula",
-            phi_hprime_coupling_formula(mt, kernel, angles),
+            phi_hprime_coupling_formula(mt, kernel, gap),
             np.vdot(corr.phi, hprime_psi_b),
             TOL_LOOSE,
         )
@@ -492,7 +487,7 @@ def run_verification(
     report.add(
         _compare(
             "psi_hm_expectation_formula",
-            lemma_hm_expectation_formula(mt, kernel, angles, corr.overlap, ebcs),
+            lemma_hm_expectation_formula(mt, kernel, gap, corr.overlap, ebcs),
             expectation(psi, hm, psi),
             TOL_LOOSE,
         )
@@ -500,7 +495,7 @@ def run_verification(
     del hm
 
     e_psi = expectation(psi, bundle.H, psi)
-    denergy = delta_E_formula(mt, kernel, angles, corr.overlap)
+    denergy = delta_E_formula(mt, kernel, gap, corr.overlap)
     report.add(_compare("delta_e_formula_vs_dense", denergy, e_psi - e_b, TOL_LOOSE))
 
     offdiag = np.any(kernel.u != 0.0)
@@ -511,7 +506,7 @@ def run_verification(
         report.add(_skip("energy_ordering_chain", "needs a nontrivial gap and nonzero coupling"))
 
     shrink = correction_factor(dk, dsum)
-    expected = 0.5 * angles.sin2t * shrink
+    expected = 0.5 * gap.sin2t * shrink
     dev = max((abs(p - e) for p, e in zip(pair_table(bundle, psi), expected)), default=0.0)
     report.add(_deviation("corrected_pair_expectation", dev, TOL_IDENTITY))
 
@@ -521,21 +516,21 @@ def run_verification(
 
     # the classic twin of the corollary_new_selfconsistency row: Delta_k
     # against the dense pair expectations of Psi_B
-    report.add(_deviation("new_gap_reduction", _selfconsistency(sol.delta, kernel, w_dense), 10.0 * tol))
+    report.add(_deviation("new_gap_reduction", _selfconsistency(gap, kernel, w_dense), 10.0 * tol))
 
-    angles_t = new_sol.theta
-    psi_bt = bcs_state(bundle, angles_t)
-    quasi_t = quasi_ops(bundle, angles_t)
+    gap_t = new_sol.delta
+    psi_bt = bcs_state(bundle, gap_t)
+    quasi_t = quasi_ops(bundle, gap_t)
     _gamma_checks(report, "gamma_tilde", quasi_t, psi_bt)
 
-    corr_t = correction_state(mt, kernel, angles_t, [g.T for g in quasi_t], psi_bt)
+    corr_t = correction_state(mt, kernel, gap_t, quasi_t, psi_bt)
     del quasi_t
     psi_t = normalized_psi(psi_bt, corr_t)
     report.add(_overlap_check("new_overlap_identity", kernel, new_sol, corr_t.overlap, new_sol.dsum))
 
     w_t = pair_table(bundle, psi_t)
     if new_sol.converged:
-        dev = _selfconsistency(new_sol.delta, kernel, w_t)
+        dev = _selfconsistency(gap_t, kernel, w_t)
         report.add(_deviation("corollary_new_selfconsistency", dev, max(TOL_LOOSE, 10.0 * tol)))
     else:
         report.add(_skip("corollary_new_selfconsistency", "corrected equation did not converge"))
@@ -543,8 +538,8 @@ def run_verification(
     if dense_skip:
         report.add(_skip("new_spectrum_multiset", dense_skip))
     else:
-        ebcs_t = ebcs_formula(mt, angles_t, w_t)
-        dev, _ = hm_spectrum_check(build_HM(bundle, new_sol.delta, w_t), sectors, new_sol.delta, ebcs_t)
+        ebcs_t = ebcs_formula(mt, gap_t, w_t)
+        dev, _ = hm_spectrum_check(build_HM(bundle, gap_t, w_t), sectors, gap_t, ebcs_t)
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
     dev = _ssb_deviation(bundle, g, psi_t, w_t) + g_leak
@@ -560,9 +555,8 @@ def run_verification(
     mt_p, kernel_p = permuted_instance(mt, kernel, perm)
     sol_p = solve_gap(mt_p, kernel_p, **solver)
     pairs_p = PairOperators(mt_p, ladders)
-    psi_bp = bcs_state(pairs_p, sol_p.theta)
-    quasi_dag_p = [g.T for g in quasi_ops(pairs_p, sol_p.theta)]
-    corr_p = correction_state(mt_p, kernel_p, sol_p.theta, quasi_dag_p, psi_bp)
+    psi_bp = bcs_state(pairs_p, sol_p.delta)
+    corr_p = correction_state(mt_p, kernel_p, sol_p.delta, quasi_ops(pairs_p, sol_p.delta), psi_bp)
     new_sol_p = solve_new_gap(mt_p, kernel_p, **solver)
     base = _physical_scalars(mt, kernel, sol, new_sol, corr)
     moved = _physical_scalars(mt_p, kernel_p, sol_p, new_sol_p, corr_p)

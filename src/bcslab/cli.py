@@ -188,9 +188,9 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError(f"solver.equation must be 'classic' or 'new', got {equation!r}")
     checks = raw.get("checks", "all")
     if checks not in ("all", None) and not (
-        isinstance(checks, list) and all(isinstance(c, str) for c in checks)
+        isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)
     ):
-        raise ValidationError(f"checks must be \"all\" or a list of check names, got {checks!r}")
+        raise ValidationError(f"checks must be \"all\" or a nonempty list of check names, got {checks!r}")
 
     output = _section(raw, "output", "output")
     out_dir = output.get("dir")
@@ -323,11 +323,11 @@ def _print_solution(mt: ModeTable, sol: GapSolution) -> None:
     if sol.dk is not None:
         header += f" {'D_k':>12}"
     print(header)
-    energy = np.hypot(mt.xi, sol.delta.delta)
+    gap = sol.delta
     for i, n in enumerate(mt.nvecs):
         row = (
-            f"{i:>4} {str(n):>12} {mt.xi[i]:>10.4f} {sol.delta.delta[i]:>14.10f} "
-            f"{sol.theta.theta[i]:>10.6f} {energy[i]:>12.8f}"
+            f"{i:>4} {str(n):>12} {mt.xi[i]:>10.4f} {gap.delta[i]:>14.10f} "
+            f"{gap.theta[i]:>10.6f} {gap.energy[i]:>12.8f}"
         )
         if sol.dk is not None:
             row += f" {sol.dk[i]:>12.4e}"
@@ -351,8 +351,7 @@ def _cmd_solve(args, equation: str) -> int:
 
 def _corrected(cfg: RunConfig, bundle: OperatorBundle, sol: GapSolution, psi_ref: np.ndarray):
     """Correction Phi on the reference state of `sol`, and the normalized corrected state."""
-    quasi_dag = [g.T for g in quasi_ops(bundle, sol.theta)]  # the real gammas: gamma* as a view
-    corr = correction_state(cfg.mt, cfg.kernel, sol.theta, quasi_dag, psi_ref)
+    corr = correction_state(cfg.mt, cfg.kernel, sol.delta, quasi_ops(bundle, sol.delta), psi_ref)
     return corr, normalized_psi(psi_ref, corr)
 
 
@@ -364,12 +363,12 @@ def _cmd_spectrum(args) -> int:
         return EXIT_RESOURCE
     bundle = OperatorBundle(cfg.mt, cfg.kernel)
     # H_M reads the pair table of the state its equation pairs: Psi_B or Psi
-    witness = bcs_state(bundle, sol.theta)
+    witness = bcs_state(bundle, sol.delta)
     if sol.equation == "new":
         witness = _corrected(cfg, bundle, sol, witness)[1]
     w = pair_table(bundle, witness)
     hm = build_HM(bundle, sol.delta, w)
-    ebcs = ebcs_formula(cfg.mt, sol.theta, w)
+    ebcs = ebcs_formula(cfg.mt, sol.delta, w)
     dev, spectrum = hm_spectrum_check(hm, PairSectors(cfg.mt), sol.delta, ebcs)
     print(f"equation={sol.equation}  E_BCS={ebcs:.12f}  ground={spectrum[0]:.12f}")
     print(f"spectrum multiset deviation = {dev:.3e} (tolerance {TOL_LOOSE:g})")
@@ -383,16 +382,16 @@ def _cmd_energy(args) -> int:
         print("gap equation did not converge; no energy table", file=sys.stderr)
         return EXIT_RESOURCE
     bundle = OperatorBundle(cfg.mt, cfg.kernel)
-    psi_ref = bcs_state(bundle, sol.theta)
+    psi_ref = bcs_state(bundle, sol.delta)
     corr, psi = _corrected(cfg, bundle, sol, psi_ref)
     w = pair_table(bundle, psi_ref)
     psi_f = fermi_vacuum(bundle)
-    ebcs = ebcs_formula(cfg.mt, sol.theta, w)
+    ebcs = ebcs_formula(cfg.mt, sol.delta, w)
     e_bcs_dense = expectation(psi_ref, bundle.H, psi_ref)
     e_f_dense = expectation(psi_f, bundle.H, psi_f)
     e_psi_dense = expectation(psi, bundle.H, psi)
     cond = condensation_energy(cfg.mt, sol.delta)
-    denergy = delta_E_formula(cfg.mt, cfg.kernel, sol.theta, corr.overlap)
+    denergy = delta_E_formula(cfg.mt, cfg.kernel, sol.delta, corr.overlap)
     rows = [
         ("E_BCS (formula)", ebcs, "(Psi_B, H Psi_B)", e_bcs_dense),
         ("free sea (formula)", free_fermi_energy(cfg.mt), "(Psi_F, H Psi_F)", e_f_dense),
@@ -459,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--tol", type=float)
         p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--seed", type=int)
         if out:
+            p.add_argument("--seed", type=int)
             p.add_argument("--out")
             p.add_argument("--format")
 

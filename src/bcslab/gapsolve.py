@@ -11,6 +11,12 @@ with E_k = sqrt(xi_k^2 + Delta_k^2) and the correction weights
   D_k' = 1/4 sum_p U_{k',p}^2 / (E_k' + E_p)^2 (1 - xi_k' xi_p / (E_k' E_p))^2,
   D = sum_k' D_k'.
 
+`GapTable` holds one gap table and what it fixes: E_k, the pairing angle
+theta_k with sin 2theta = Delta/E, cos 2theta = xi/E, and its half angles.
+`GapTable.from_delta` is its one constructor and checks Delta once; every
+reader of Delta, E or theta in the package takes the table, and
+`validate` checks it against the reader's mode table.
+
 `_weights` is the one place each w is written; the iteration, the residuals
 `gap_residual` / `new_gap_residual` and `dk_weights` share it.  It reads a
 `_GapMap`, the values fixed for one solve (xi, -U/2 and, for the
@@ -36,8 +42,9 @@ negative entry is discarded, a damped step's negative entry is clamped to 0,
 and the {k,-k} average of nonnegative entries is nonnegative), so max Delta
 is max |Delta| in the trivial-stop test.  It keeps Delta constant on {k,-k}
 orbits and raises ConvergenceError on a non-finite iterate.  Every returned
-solution carries a residual re-evaluated at the returned gap, and a
-corrected solution reports the D_k table of that same evaluation.
+solution carries its `GapTable` as `delta`, built once after the residual
+re-evaluated at the returned gap, and a corrected solution reports the D_k
+table of that same evaluation.
 """
 
 from __future__ import annotations
@@ -59,73 +66,61 @@ ANDERSON_SWITCH = 1e-2  # residual at and below which the driver takes Anderson 
 ANDERSON_RIDGE = 1e-10  # Tikhonov weight of the normal equations, relative to their trace
 
 
-@dataclass(frozen=True, eq=False)
-class GapTable:
-    """Gap values Delta_k per mode (nonnegative, even in k)."""
-
-    delta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float64))
-
-    def validate(self, mt: ModeTable) -> None:
-        if self.delta.shape != (mt.n_modes,):
-            raise ValidationError(
-                f"gap table has {self.delta.size} entries for {mt.n_modes} modes"
-            )
-        if np.any(self.delta < 0):
-            raise ValidationError("gap values must be nonnegative")
-        if np.any(self.delta != self.delta[mt.pair]):
-            raise ValidationError("gap table must satisfy Delta(-k) = Delta(k)")
-
-
 def _ratio(delta: np.ndarray, energy: np.ndarray) -> np.ndarray:
     """Delta/E with the 0/0 mode (xi = Delta = 0) sent to 0."""
     return np.divide(delta, energy, out=np.zeros(delta.shape), where=energy > 0)
 
 
 @dataclass(frozen=True, eq=False)
-class AngleTable:
-    """Pairing angles theta_k in [0, pi/2] with cached trigonometry.
+class GapTable:
+    """Gap values Delta_k per mode with the energies and pairing angles they fix.
 
-    Built from a gap table by `from_delta`, its one constructor:
-    sin2t = Delta/E and cos2t = xi/E whenever E > 0; the degenerate mode
-    xi = Delta = 0 takes theta = pi/2.  `energy` is E_k and `delta` the gap
-    it was built from.
+    Built by `from_delta`, its one constructor, which checks Delta (one
+    nonnegative entry per mode, even in k) and forms the rest once:
+    E = sqrt(xi^2 + Delta^2), theta in [0, pi/2] with sin2t = Delta/E and
+    cos2t = xi/E whenever E > 0, and the half angles sin_t, cos_t; the
+    degenerate mode xi = Delta = 0 takes theta = pi/2.
     """
 
+    delta: np.ndarray
+    energy: np.ndarray
     theta: np.ndarray
     sin_t: np.ndarray
     cos_t: np.ndarray
     sin2t: np.ndarray
     cos2t: np.ndarray
-    energy: np.ndarray
-    delta: np.ndarray
 
     @classmethod
-    def from_delta(cls, mt: ModeTable, gap: GapTable) -> "AngleTable":
-        gap.validate(mt)
-        xi = mt.xi
-        delta = gap.delta
-        energy = np.hypot(xi, delta)
+    def from_delta(cls, mt: ModeTable, delta) -> "GapTable":
+        delta = np.asarray(delta, dtype=np.float64)
+        if delta.shape != (mt.n_modes,):
+            raise ValidationError(f"gap table has {delta.size} entries for {mt.n_modes} modes")
+        if np.any(delta < 0):
+            raise ValidationError("gap values must be nonnegative")
+        if np.any(delta != delta[mt.pair]):
+            raise ValidationError("gap table must satisfy Delta(-k) = Delta(k)")
+        energy = np.hypot(mt.xi, delta)
         pos = energy > 0
-        sin2t = _ratio(delta, energy)
-        cos2t = np.divide(xi, energy, out=-np.ones_like(xi), where=pos)
-        theta = 0.5 * np.arctan2(delta, xi)
+        cos2t = np.divide(mt.xi, energy, out=-np.ones_like(mt.xi), where=pos)
+        theta = 0.5 * np.arctan2(delta, mt.xi)
         theta[~pos] = 0.5 * math.pi  # xi = Delta = 0 convention
         # half-angle forms keep sin, cos >= 0 exactly on [0, pi/2]
-        cos_t = np.sqrt(np.clip((1.0 + cos2t) / 2.0, 0.0, 1.0))
-        sin_t = np.sqrt(np.clip((1.0 - cos2t) / 2.0, 0.0, 1.0))
         return cls(
-            theta=theta, sin_t=sin_t, cos_t=cos_t, sin2t=sin2t, cos2t=cos2t,
-            energy=energy, delta=delta,
+            delta=delta,
+            energy=energy,
+            theta=theta,
+            sin_t=np.sqrt(np.clip((1.0 - cos2t) / 2.0, 0.0, 1.0)),
+            cos_t=np.sqrt(np.clip((1.0 + cos2t) / 2.0, 0.0, 1.0)),
+            sin2t=_ratio(delta, energy),
+            cos2t=cos2t,
         )
 
     def validate(self, mt: ModeTable) -> None:
+        """Raise ValidationError unless the table belongs to a mode table like `mt`."""
         if self.theta.shape != (mt.n_modes,):
-            raise ValidationError("angle table does not match the mode table")
+            raise ValidationError("gap table does not match the mode table")
         if np.any(self.theta != self.theta[mt.pair]):
-            raise ValidationError("angle table must satisfy theta(-k) = theta(k)")
+            raise ValidationError("gap table must satisfy theta(-k) = theta(k)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +129,6 @@ class GapSolution:
 
     equation: str  # "classic" | "new"
     delta: GapTable
-    theta: AngleTable
     residual_inf: float
     iterations: int
     converged: bool
@@ -322,12 +316,11 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
                 clamped = True
                 step = np.maximum(step, 0.0)
         delta = 0.5 * (step + step[pair])
-    gap = GapTable(delta=delta)
-    theta = AngleTable.from_delta(mt, gap)
     residual, dk, dsum = _residual(gm, delta)
     residual_inf = float(np.abs(residual).max())
     if not math.isfinite(residual_inf):
         raise ConvergenceError("gap iterate became non-finite in the last update")
+    gap = GapTable.from_delta(mt, delta)
     converged = converged or residual_inf <= tol
     corrected_fields = {}
     if corrected:
@@ -340,13 +333,12 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
     return GapSolution(
         equation="new" if corrected else "classic",
         delta=gap,
-        theta=theta,
         residual_inf=residual_inf,
         iterations=iterations,
         converged=converged,
         trivial=trivial_stop or (converged and float(delta.max()) <= 100.0 * tol),
         clamped=clamped,
-        degenerate_modes=tuple(np.flatnonzero(theta.energy == 0).tolist()),
+        degenerate_modes=tuple(np.flatnonzero(gap.energy == 0).tolist()),
         **corrected_fields,
     )
 

@@ -28,7 +28,7 @@ from scipy.sparse import csr_array
 
 from .errors import ValidationError
 from .fock import adjoint, identity_op, ladder_matrix
-from .gapsolve import AngleTable, GapTable
+from .gapsolve import GapTable
 from .model import Kernel, ModeTable, validate_kernel
 
 
@@ -92,13 +92,13 @@ class OperatorBundle(PairOperators):
         self.H = h
 
 
-def build_GB(ops: OperatorBundle, angles: AngleTable) -> csr_array:
+def build_GB(ops: OperatorBundle, gap: GapTable) -> csr_array:
     """Real antisymmetric K = i G_B = sum_k theta_k (B*_k - B_k); the rotation exp(i G_B) is exp(K)."""
     mt = ops.mt
-    angles.validate(mt)
+    gap.validate(mt)
     k = csr_array((mt.dim, mt.dim))
     for i in range(mt.n_modes):
-        t = angles.theta[i]
+        t = gap.theta[i]
         if t != 0.0:
             k = k + t * (ops.Bd[i] - ops.B[i])
     return k
@@ -126,7 +126,7 @@ def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> csr_array:
     return csr_array(hm)
 
 
-def build_Hprime(ops: OperatorBundle, kernel: Kernel, angles: AngleTable) -> csr_array:
+def build_Hprime(ops: OperatorBundle, kernel: Kernel, gap: GapTable) -> csr_array:
     """Residual interaction H' = H - H_M in its expanded form.
 
     H' = sum_{k,k'} U_{k,k'} { B*_{k'} B_k - C_{k'} S_{k'} v_k
@@ -134,9 +134,9 @@ def build_Hprime(ops: OperatorBundle, kernel: Kernel, angles: AngleTable) -> csr
     with C = cos theta, S = sin theta.
     """
     mt = ops.mt
-    angles.validate(mt)
+    gap.validate(mt)
     m = mt.n_modes
-    cs = angles.cos_t * angles.sin_t
+    cs = gap.cos_t * gap.sin_t
     hp = csr_array((mt.dim, mt.dim))
     const = 0.0
     for kp in range(m):

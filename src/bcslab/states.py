@@ -2,20 +2,20 @@
 
 Builds the paired product state from the bundle's pair creators B*_k (the
 independent route exp(i G_B)|0> = exp(K)|0> is the vacuum column of
-`PairSectors(mt).exponential(build_GB(ops, angles))`), the filled Fermi
+`PairSectors(mt).exponential(build_GB(ops, gap))`), the filled Fermi
 sea as its Delta = 0 case, the closed-form rotated quasiparticle operators
 gamma, the four-quasiparticle correction vector Phi, and the normalized
 corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.
 `quartet_sum` applies the gamma* four-strings for Phi and the H' Psi_B
-expansion; it reads a gamma* list that its caller forms once per angle
-table, as transposed views of the real gammas.  `pair_table` gives the
-pair expectations (state, B_k state) that the mean-field Hamiltonian and
-the self-consistency checks read.
+expansion; it takes the gamma list and reads each gamma* as the
+transposed view gamma.T, which the real gammas allow.  `pair_table` gives
+the pair expectations (state, B_k state) that the mean-field Hamiltonian
+and the self-consistency checks read.
 
 The states and the gammas read their ladders and pair operators from a
-`PairOperators`, which every `OperatorBundle` is.  The same constructions
-serve the classic and corrected gap equations: feed them an angle table
-from whichever gap table is in play.
+`PairOperators`, which every `OperatorBundle` is, and their angles from a
+`GapTable`.  The same constructions serve the classic and corrected gap
+equations: feed them whichever gap table is in play.
 """
 
 from __future__ import annotations
@@ -26,18 +26,18 @@ import numpy as np
 
 from .errors import ValidationError
 from .fock import adjoint, expectation, vacuum_state
-from .gapsolve import AngleTable, EPS_GUARD, GapTable
+from .gapsolve import EPS_GUARD, GapTable
 from .hamiltonian import PairOperators
 from .model import Kernel, ModeTable
 
 
-def bcs_state(ops: PairOperators, angles: AngleTable) -> np.ndarray:
+def bcs_state(ops: PairOperators, gap: GapTable) -> np.ndarray:
     """Paired product state prod_k (cos theta_k + sin theta_k C*_{k,up} C*_{-k,dn}) |0>."""
     mt = ops.mt
-    angles.validate(mt)
+    gap.validate(mt)
     v = vacuum_state(mt.n_modes)
     for i in reversed(range(mt.n_modes)):
-        c, s = angles.cos_t[i], angles.sin_t[i]
+        c, s = gap.cos_t[i], gap.sin_t[i]
         if s == 0.0:
             v = c * v
             continue
@@ -53,7 +53,7 @@ def fermi_vacuum(ops: PairOperators) -> np.ndarray:
     C*_{k,up} C*_{-k,dn}; every other mode stays empty.
     """
     mt = ops.mt
-    return bcs_state(ops, AngleTable.from_delta(mt, GapTable(np.zeros(mt.n_modes))))
+    return bcs_state(ops, GapTable.from_delta(mt, np.zeros(mt.n_modes)))
 
 
 def pair_table(ops: PairOperators, state: np.ndarray) -> np.ndarray:
@@ -61,17 +61,17 @@ def pair_table(ops: PairOperators, state: np.ndarray) -> np.ndarray:
     return np.array([expectation(state, b, state) for b in ops.B])
 
 
-def quasi_ops(ops: PairOperators, angles: AngleTable) -> list:
+def quasi_ops(ops: PairOperators, gap: GapTable) -> list:
     """Quasiparticle annihilators in spin-orbital order: quasi[j] is the rotated C_j,
 
         gamma_{k,up} = cos theta_k C_{k,up} - sin theta_k C*_{-k,dn}
         gamma_{k,dn} = sin theta_k C*_{-k,up} + cos theta_k C_{k,dn}
     """
     mt, ladders = ops.mt, ops.C
-    angles.validate(mt)
+    gap.validate(mt)
     quasi = []
     for i in range(mt.n_modes):
-        c, s = angles.cos_t[i], angles.sin_t[i]
+        c, s = gap.cos_t[i], gap.sin_t[i]
         ann_up = ladders[mt.orb_up(i)]
         cre_dn_partner = adjoint(ladders[mt.orb_dn(mt.pair[i])])
         quasi.append(c * ann_up - s * cre_dn_partner)
@@ -81,18 +81,18 @@ def quasi_ops(ops: PairOperators, angles: AngleTable) -> list:
     return quasi
 
 
-def quartet_sum(mt: ModeTable, quasi_dag: list, terms, psi: np.ndarray) -> np.ndarray:
+def quartet_sum(mt: ModeTable, quasi: list, terms, psi: np.ndarray) -> np.ndarray:
     """sum over (p, p', c) in `terms` of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
 
-    `quasi_dag` holds the gamma* in spin-orbital order, each applied to
-    vectors only: adjoint(quasi[j]), or for the real gammas of `quasi_ops`
-    the view quasi[j].T, which copies nothing.  The CSC product of the view
-    adds each output entry's terms in the row order of adjoint(quasi[j]),
-    so both give the same vector bit for bit.  Terms with c = 0 are
-    skipped; the rest accumulate in the order given.
+    `quasi` holds the real gammas of `quasi_ops` in spin-orbital order.
+    Each gamma* is applied to vectors only, as the view quasi[j].T, which
+    copies nothing; the CSC product of the view adds each output entry's
+    terms in the row order of adjoint(quasi[j]), so both give the same
+    vector bit for bit.  Terms with c = 0 are skipped; the rest accumulate
+    in the order given.
     """
-    cre_up = [quasi_dag[mt.orb_up(i)] for i in range(mt.n_modes)]
-    cre_dn_neg = [quasi_dag[mt.orb_dn(mt.pair[i])] for i in range(mt.n_modes)]
+    cre_up = [quasi[mt.orb_up(i)].T for i in range(mt.n_modes)]
+    cre_dn_neg = [quasi[mt.orb_dn(mt.pair[i])].T for i in range(mt.n_modes)]
     out = np.zeros_like(psi)
     for p, pp, c in terms:
         if c == 0.0:
@@ -113,32 +113,32 @@ class CorrectionState:
     overlap: float
 
 
-def pair_coefficients(mt: ModeTable, kernel: Kernel, angles: AngleTable) -> np.ndarray:
+def pair_coefficients(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """c[p, p'] = U_{p,p'} (C_p^2 S_p'^2 + C_p'^2 S_p^2) / (E_p + E_p')."""
-    c2 = angles.cos_t**2
-    s2 = angles.sin_t**2
+    c2 = gap.cos_t**2
+    s2 = gap.sin_t**2
     num = kernel.u * (np.outer(c2, s2) + np.outer(s2, c2))
-    denom = np.maximum(angles.energy[:, None] + angles.energy[None, :], EPS_GUARD)
+    denom = np.maximum(gap.energy[:, None] + gap.energy[None, :], EPS_GUARD)
     return num / denom
 
 
 def correction_state(
     mt: ModeTable,
     kernel: Kernel,
-    angles: AngleTable,
-    quasi_dag: list,
+    gap: GapTable,
+    quasi: list,
     psi_ref: np.ndarray,
 ) -> CorrectionState:
     """Phi = 1/2 sum_{p,p'} c_{p,p'} gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} Psi_ref.
 
     The double sum collapses to unordered pairs: the p=p' strings vanish by
     nilpotency and the two orderings contribute equally (even permutation).
-    `quasi_dag` is the gamma* list that `quartet_sum` reads.
+    `quasi` is the gamma list that `quartet_sum` reads.
     """
-    coeffs = pair_coefficients(mt, kernel, angles)
+    coeffs = pair_coefficients(mt, kernel, gap)
     m = mt.n_modes
     pairs = ((p, pp, coeffs[p, pp]) for p in range(m) for pp in range(p + 1, m))
-    phi = quartet_sum(mt, quasi_dag, pairs, psi_ref)
+    phi = quartet_sum(mt, quasi, pairs, psi_ref)
     return CorrectionState(phi=phi, overlap=float(np.vdot(phi, phi)))
 
 

@@ -4,8 +4,9 @@ The oracles are the bit-level ladder action, the single anticommutator,
 dense-matrix conjugation and evolution, the nested-commutator series and
 the scaled Taylor evolution (the sparse routes that the verification pass
 ran before its sector-block exponential), the literal operators, the
-literal double sum for Phi and a literal gap loop.  `angles_from_theta`
-gives the raw-angle tables that only the angle-reading routes take.
+literal gamma* four-strings over adjoint copies, the literal double sum
+for Phi and a literal gap loop.  `angles_from_theta` gives the raw-angle
+gap tables that only the angle-reading routes take.
 
 The workhorse instance ("two_mode") is the pair lattice {k, -k} with
 xi = 1.6 and U(k,-k) = -4.  Its gap equation has the closed-form solution
@@ -21,10 +22,10 @@ from scipy.linalg import expm
 
 from bcslab.errors import ConvergenceError
 from bcslab.fock import SELFADJOINT_TOL, adjoint, ladder_matrix, op_norm_inf
-from bcslab.gapsolve import AngleTable, GapTable
+from bcslab.gapsolve import GapTable
 from bcslab.hamiltonian import OperatorBundle
 from bcslab.model import Kernel, explicit_modes
-from bcslab.states import pair_coefficients, quartet_sum, quasi_ops
+from bcslab.states import pair_coefficients
 
 
 @pytest.fixture
@@ -44,27 +45,23 @@ def three_mode():
     return mt, kernel
 
 
-def angles_of(mt, delta):
-    """Angle table of the gap table `delta`."""
-    return AngleTable.from_delta(mt, GapTable(delta=np.asarray(delta, dtype=float)))
-
-
 def angles_from_theta(mt, theta):
-    """A raw-angle table, for routes that read only the angles (the states and K = i G_B).
+    """A raw-angle gap table, for routes that read only the angles (the states and K = i G_B).
 
-    No gap underlies it, so its `energy` and `delta` are NaN: a route that
-    reads them gives NaN instead of a number.
+    It bypasses `GapTable.from_delta`: no gap underlies it, so its `energy`
+    and `delta` are NaN, and a route that reads them gives NaN instead of a
+    number.
     """
     theta = np.asarray(theta, dtype=np.float64)
     unset = np.full(theta.shape, np.nan)
-    angles = AngleTable(
+    angles = GapTable(
+        delta=unset,
+        energy=unset,
         theta=theta,
         sin_t=np.sin(theta),
         cos_t=np.cos(theta),
         sin2t=np.sin(2.0 * theta),
         cos2t=np.cos(2.0 * theta),
-        energy=unset,
-        delta=unset,
     )
     angles.validate(mt)
     return angles
@@ -73,11 +70,6 @@ def angles_from_theta(mt, theta):
 def ladders_of(n_modes):
     """The 2M bare ladders C_j in orbital order, as `OperatorBundle.C` holds them."""
     return [ladder_matrix(j, n_modes) for j in range(2 * n_modes)]
-
-
-def quasi_dag_of(ops, angles):
-    """The gamma* list, quasi_dag[j] = adjoint(quasi[j]), that `correction_state` reads."""
-    return [adjoint(g) for g in quasi_ops(ops, angles)]
 
 
 def vacuum_exponential(ops, angles):
@@ -116,12 +108,31 @@ def apply_create(j, bits, n_orbitals):
     return sign, bits | (1 << j)
 
 
-def correction_state_literal(mt, kernel, angles, quasi_dag, psi_ref):
+def quartet_literal(mt, quasi, terms, psi):
+    """Oracle: sum over (p, p', c) of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
+
+    Each gamma* is the copy adjoint(quasi[j]), not a view.  Terms with c = 0
+    are skipped and the rest accumulate in the order given, as in
+    `quartet_sum`, so on real gammas both routes agree bit for bit.
+    """
+    dag = [adjoint(g) for g in quasi]
+    out = np.zeros_like(psi)
+    for p, pp, c in terms:
+        if c == 0.0:
+            continue
+        w = psi
+        for j in (mt.orb_dn(mt.pair[pp]), mt.orb_up(pp), mt.orb_dn(mt.pair[p]), mt.orb_up(p)):
+            w = dag[j] @ w
+        out += c * w
+    return out
+
+
+def correction_state_literal(mt, kernel, angles, quasi, psi_ref):
     """Oracle: Phi as the literal ordered double sum with the 1/2 prefactor, for the pair-collapsed form."""
     coeffs = pair_coefficients(mt, kernel, angles)
     m = mt.n_modes
     terms = ((p, pp, 0.5 * coeffs[p, pp]) for p in range(m) for pp in range(m))
-    return quartet_sum(mt, quasi_dag, terms, psi_ref)
+    return quartet_literal(mt, quasi, terms, psi_ref)
 
 
 def bundle_of(mt, kernel=None):

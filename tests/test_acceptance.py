@@ -29,7 +29,6 @@ from bcslab.fock import (
     vacuum_state,
 )
 from bcslab.gapsolve import (
-    AngleTable,
     GapTable,
     dk_weights,
     gap_residual,
@@ -46,9 +45,10 @@ from bcslab.states import (
     fermi_vacuum,
     normalized_psi,
     pair_table,
+    quasi_ops,
 )
 
-from conftest import angles_from_theta, conjugate_series, ladders_of, quasi_dag_of, vacuum_exponential
+from conftest import angles_from_theta, conjugate_series, ladders_of, vacuum_exponential
 
 
 def criterion(tag, description, passed):
@@ -119,8 +119,8 @@ def test_ac3_gap_solver():
 def test_ac4_state_equivalence():
     mt, kernel, sol = solved_pair()
     ops = OperatorBundle(mt, kernel)
-    exponential = vacuum_exponential(ops, sol.theta)
-    worst = float(np.linalg.norm(bcs_state(ops, sol.theta) - exponential))
+    exponential = vacuum_exponential(ops, sol.delta)
+    worst = float(np.linalg.norm(bcs_state(ops, sol.delta) - exponential))
     mt3, kern3 = three_mode_instance()
     ops3 = OperatorBundle(mt3, kern3)
     rng = np.random.default_rng(42)
@@ -141,7 +141,7 @@ def test_ac4_state_equivalence():
 def test_ac5_expectation_identities():
     mt, kernel, sol = solved_pair()
     ops = OperatorBundle(mt, kernel)
-    psi_b = bcs_state(ops, sol.theta)
+    psi_b = bcs_state(ops, sol.delta)
     worst_pair = 0.0
     worst_ssb = 0.0
     for b in ops.B:
@@ -161,10 +161,10 @@ def test_ac5_expectation_identities():
 def test_ac6_meanfield_diagonalization():
     mt, kernel, sol = solved_pair()
     ops = OperatorBundle(mt, kernel)
-    psi_b = bcs_state(ops, sol.theta)
+    psi_b = bcs_state(ops, sol.delta)
     w = np.array([expectation(psi_b, b, psi_b).real for b in ops.B])
     hm = build_HM(ops, sol.delta, w)
-    ebcs = ebcs_formula(mt, sol.theta, w)
+    ebcs = ebcs_formula(mt, sol.delta, w)
     dev, spectrum = hm_spectrum_check(hm, PairSectors(mt), sol.delta, ebcs)
     ground = float(spectrum[0])
     criterion("AC-6", f"pair-instance sigma(H_M) multiset within 1e-9 (got {dev:.2e})", dev <= 1e-9)
@@ -176,20 +176,19 @@ def test_ac6_meanfield_diagonalization():
     mt3, kern3 = three_mode_instance()
     rng = np.random.default_rng(8)
     d = rng.uniform(0.2, 1.8, size=2)
-    gap3 = GapTable(delta=np.array([d[0], d[1], d[1]]))
-    angles3 = AngleTable.from_delta(mt3, gap3)
-    w3 = 0.5 * angles3.sin2t
+    gap3 = GapTable.from_delta(mt3, [d[0], d[1], d[1]])
+    w3 = 0.5 * gap3.sin2t
     hm3 = build_HM(OperatorBundle(mt3, kern3), gap3, w3)
-    dev3, _ = hm_spectrum_check(hm3, PairSectors(mt3), gap3, ebcs_formula(mt3, angles3, w3))
+    dev3, _ = hm_spectrum_check(hm3, PairSectors(mt3), gap3, ebcs_formula(mt3, gap3, w3))
     criterion("AC-6", f"random M=3 sigma(H_M) multiset within 1e-9 (got {dev3:.2e})", dev3 <= 1e-9)
 
 
 def test_ac7_energy_chain():
     mt, kernel, sol = solved_pair()
     bundle = OperatorBundle(mt, kernel)
-    psi_b = bcs_state(bundle, sol.theta)
+    psi_b = bcs_state(bundle, sol.delta)
     psi_f = fermi_vacuum(bundle)
-    corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(bundle, sol.theta), psi_b)
+    corr = correction_state(mt, kernel, sol.delta, quasi_ops(bundle, sol.delta), psi_b)
     psi = normalized_psi(psi_b, corr)
     e_b = expectation(psi_b, bundle.H, psi_b).real
     e_f = expectation(psi_f, bundle.H, psi_f).real
@@ -203,7 +202,7 @@ def test_ac7_energy_chain():
         f"(got dev {dev_cond:.2e})",
         dev_cond <= 1e-10 and abs(cond + 0.08) <= 1e-10,
     )
-    de = delta_E_formula(mt, kernel, sol.theta, corr.overlap)
+    de = delta_E_formula(mt, kernel, sol.delta, corr.overlap)
     dev_de = abs(de - (e_psi - e_b))
     criterion(
         "AC-7",
@@ -220,10 +219,10 @@ def test_ac7_energy_chain():
 
 def test_ac8_correction_lemma_suite():
     mt, kernel, sol = solved_pair()
-    angles = sol.theta
+    angles = sol.delta
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
     hp = build_Hprime(ops, kernel, angles)
     w = 0.5 * angles.sin2t
@@ -266,8 +265,8 @@ def test_ac9_new_gap_equation():
         bool(np.all(nsol.delta.delta > 0) and np.all(nsol.delta.delta < 1.2)),
     )
     ops = OperatorBundle(mt, kernel)
-    psi_bt = bcs_state(ops, nsol.theta)
-    corr_t = correction_state(mt, kernel, nsol.theta, quasi_dag_of(ops, nsol.theta), psi_bt)
+    psi_bt = bcs_state(ops, nsol.delta)
+    corr_t = correction_state(mt, kernel, nsol.delta, quasi_ops(ops, nsol.delta), psi_bt)
     overlap_dev = abs(corr_t.overlap - 0.5 * nsol.dsum)
     criterion(
         "AC-9",
@@ -286,8 +285,8 @@ def test_ac9_new_gap_equation():
     mt3, kern3 = three_mode_instance()
     nsol3 = solve_new_gap(mt3, kern3, tol=tol)
     ops3 = OperatorBundle(mt3, kern3)
-    psi_bt3 = bcs_state(ops3, nsol3.theta)
-    corr3 = correction_state(mt3, kern3, nsol3.theta, quasi_dag_of(ops3, nsol3.theta), psi_bt3)
+    psi_bt3 = bcs_state(ops3, nsol3.delta)
+    corr3 = correction_state(mt3, kern3, nsol3.delta, quasi_ops(ops3, nsol3.delta), psi_bt3)
     psi_t3 = normalized_psi(psi_bt3, corr3)
     flagship3 = float(np.max(np.abs(nsol3.delta.delta + kern3.u @ pair_table(ops3, psi_t3))))
     criterion(

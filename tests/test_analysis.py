@@ -22,13 +22,21 @@ from bcslab import analysis, fock, hamiltonian, sectors as sector_module, states
 from bcslab.cli import load_config
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, commutator, expectation, ladder_matrix, vacuum_state
-from bcslab.gapsolve import AngleTable, GapTable, solve_gap, solve_new_gap
+from bcslab.gapsolve import GapTable, solve_gap, solve_new_gap
 from bcslab.hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
 from bcslab.sectors import PairSectors
-from bcslab.states import bcs_state, correction_state, fermi_vacuum, normalized_psi, quartet_sum, quasi_ops
+from bcslab.states import (
+    bcs_state,
+    correction_state,
+    fermi_vacuum,
+    normalized_psi,
+    pair_coefficients,
+    quartet_sum,
+    quasi_ops,
+)
 
-from conftest import angles_of, bundle_of, conjugate_series, evolve_state, quasi_dag_of, random_sparse
+from conftest import bundle_of, conjugate_series, evolve_state, quartet_literal, random_sparse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,13 +44,13 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.fixture
 def solved_pair(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    quasi_dag = quasi_dag_of(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
+    quasi = quasi_ops(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi, psi_b)
     psi = normalized_psi(psi_b, corr)
-    return ops, kernel, angles, psi_b, quasi_dag, corr, psi
+    return ops, kernel, angles, psi_b, quasi, corr, psi
 
 
 def test_ebcs_pair_instance(solved_pair):
@@ -51,16 +59,16 @@ def test_ebcs_pair_instance(solved_pair):
     ebcs = ebcs_formula(ops.mt, angles, w)
     assert ebcs == pytest.approx(-0.08, abs=1e-14)  # 2 (1.6 - 2 + 1.2 * 0.3)
     assert expectation(psi_b, ops.H, psi_b).real == pytest.approx(ebcs, abs=1e-12)
-    hm = build_HM(ops, GapTable(delta=angles.delta), w)
+    hm = build_HM(ops, angles, w)
     assert expectation(psi_b, hm, psi_b).real == pytest.approx(ebcs, abs=1e-12)
 
 
 def test_ebcs_gapless_limits():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[0.7, 0.7])
-    angles = angles_of(mt, [0.0, 0.0])
+    angles = GapTable.from_delta(mt, [0.0, 0.0])
     assert ebcs_formula(mt, angles, np.zeros(2)) == 0.0
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)
-    angles = angles_of(mt, np.zeros(3))
+    angles = GapTable.from_delta(mt, np.zeros(3))
     assert ebcs_formula(mt, angles, np.zeros(3)) == pytest.approx(free_fermi_energy(mt), abs=1e-14)
     assert free_fermi_energy(mt) == pytest.approx(-1.0, abs=1e-15)  # 2 xi_0 = -1
 
@@ -69,10 +77,9 @@ def test_hm_spectrum_pair_instance(solved_pair):
     ops, kernel, angles, psi_b, *_ = solved_pair
     mt = ops.mt
     w = 0.5 * angles.sin2t
-    gap = GapTable(delta=angles.delta)
-    hm = build_HM(ops, gap, w)
+    hm = build_HM(ops, angles, w)
     ebcs = ebcs_formula(mt, angles, w)
-    dev, eigs = hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)
+    dev, eigs = hm_spectrum_check(hm, PairSectors(mt), angles, ebcs)
     assert dev <= 1e-9
     assert eigs[0] == pytest.approx(-0.08, abs=1e-12)
     assert eigs[1] == pytest.approx(-0.08 + 2.0, abs=1e-12)  # one quasiparticle costs E = 2
@@ -80,10 +87,9 @@ def test_hm_spectrum_pair_instance(solved_pair):
 
 def test_hm_spectrum_free_limit():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=0.5)
-    gap = GapTable(delta=np.zeros(3))
+    gap = GapTable.from_delta(mt, np.zeros(3))
     hm = build_HM(bundle_of(mt), gap, np.zeros(3))
-    angles = angles_of(mt, np.zeros(3))
-    ebcs = ebcs_formula(mt, angles, np.zeros(3))
+    ebcs = ebcs_formula(mt, gap, np.zeros(3))
     dev, _ = hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)
     assert dev <= 1e-12
 
@@ -103,10 +109,9 @@ def random_hm(modes, rng, variant):
     """
     mt = explicit_modes(modes, mu=0.5)
     delta = rng.uniform(0.2, 1.8, size=mt.n_modes)
-    gap = GapTable(delta=0.5 * (delta + delta[mt.pair]))
-    angles = AngleTable.from_delta(mt, gap)
-    w = 0.5 * angles.sin2t if variant == "classic" else rng.uniform(-0.5, 0.5, size=mt.n_modes)
-    return mt, gap, build_HM(bundle_of(mt), gap, w), ebcs_formula(mt, angles, w)
+    gap = GapTable.from_delta(mt, 0.5 * (delta + delta[mt.pair]))
+    w = 0.5 * gap.sin2t if variant == "classic" else rng.uniform(-0.5, 0.5, size=mt.n_modes)
+    return mt, gap, build_HM(bundle_of(mt), gap, w), ebcs_formula(mt, gap, w)
 
 
 @pytest.mark.parametrize("variant", ["classic", "corrected"])
@@ -193,7 +198,7 @@ SECTOR_GOLDENS = ["pair", "three_mode", "ac10", "six_mode", "seven_mode"]
 def golden_k(name):
     """(bundle, classic angle table, K = i G_B) of a golden config."""
     cfg = load_config(str(GOLDEN / name / "config.json"))
-    angles = solve_gap(cfg.mt, cfg.kernel, tol=1e-12).theta
+    angles = solve_gap(cfg.mt, cfg.kernel, tol=1e-12).delta
     bundle = OperatorBundle(cfg.mt, cfg.kernel)
     return bundle, angles, build_GB(bundle, angles)
 
@@ -258,7 +263,7 @@ def test_conjugation_deviation_is_the_norm_of_the_whole_difference(three_mode, i
 
     mt, kernel = three_mode
     bundle = OperatorBundle(mt, kernel)
-    k = build_GB(bundle, angles_of(mt, [0.7, 0.4, 0.4]))
+    k = build_GB(bundle, GapTable.from_delta(mt, [0.7, 0.4, 0.4]))
     sectors = PairSectors(mt)
     expk, _ = sectors.exponential(k)
     e = expm(k.toarray())
@@ -285,7 +290,7 @@ def test_sector_exponential_runs_are_exact_at_any_chunk(monkeypatch):
 def test_sector_exponential_rejects_a_k_that_is_not_real_antisymmetric(two_mode):
     mt, kernel = two_mode
     bundle = OperatorBundle(mt, kernel)
-    k = build_GB(bundle, angles_of(mt, [1.2, 1.2]))
+    k = build_GB(bundle, GapTable.from_delta(mt, [1.2, 1.2]))
     sectors = PairSectors(mt)
     skew = csr_array(k + csr_array(([1e-9], ([0], [mt.dim - 1])), shape=k.shape))
     for bad in (bundle.H, skew, 1j * bundle.G):
@@ -338,11 +343,11 @@ def test_an_inter_sector_entry_in_a_closed_form_fails_its_row(three_mode, monkey
 
 def test_condensation_energy_values(two_mode):
     mt, kernel = two_mode
-    assert condensation_energy(mt, GapTable(delta=np.zeros(2))) == 0.0
-    cond = condensation_energy(mt, GapTable(delta=np.array([1.2, 1.2])))
+    assert condensation_energy(mt, GapTable.from_delta(mt, np.zeros(2))) == 0.0
+    cond = condensation_energy(mt, GapTable.from_delta(mt, np.array([1.2, 1.2])))
     assert cond == pytest.approx(-0.08, abs=1e-15)  # -1/2 * 2 * 0.4^2 / 2
     # dense oracle at the solution
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     h = ops.H
     psi_b = bcs_state(ops, angles)
@@ -358,14 +363,14 @@ def test_condensation_energy_random_instance(three_mode):
     assert sol.converged and not sol.trivial
     ops = OperatorBundle(mt, kernel)
     h = ops.H
-    psi_b = bcs_state(ops, sol.theta)
+    psi_b = bcs_state(ops, sol.delta)
     psi_f = fermi_vacuum(ops)
     dense = (expectation(psi_b, h, psi_b) - expectation(psi_f, h, psi_f)).real
     assert condensation_energy(mt, sol.delta) == pytest.approx(dense, abs=1e-10)
 
 
 def test_delta_e_pair_instance(solved_pair):
-    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
     de = delta_E_formula(ops.mt, kernel, angles, corr.overlap)
     # no third mode couples both k and -k, so only the second term survives
     assert de == pytest.approx(-0.093312 / 1.0324, abs=1e-14)
@@ -378,7 +383,7 @@ def test_delta_e_pair_instance(solved_pair):
 
 def test_delta_e_zero_interaction(two_mode):
     mt, _ = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     assert delta_E_formula(mt, Kernel(u=np.zeros((2, 2))), angles, 0.0) == 0.0
 
 
@@ -393,19 +398,19 @@ def test_delta_e_random_instance():
         assert sol.converged and not sol.trivial
         ops = OperatorBundle(mt, kernel)
         h = ops.H
-        psi_b = bcs_state(ops, sol.theta)
-        corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(ops, sol.theta), psi_b)
+        psi_b = bcs_state(ops, sol.delta)
+        corr = correction_state(mt, kernel, sol.delta, quasi_ops(ops, sol.delta), psi_b)
         psi = normalized_psi(psi_b, corr)
-        de = delta_E_formula(mt, kernel, sol.theta, corr.overlap)
+        de = delta_E_formula(mt, kernel, sol.delta, corr.overlap)
         dense = (expectation(psi, h, psi) - expectation(psi_b, h, psi_b)).real
         assert de == pytest.approx(dense, abs=1e-9)
 
 
 def test_hm_expectation_formula(solved_pair):
-    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
     mt = ops.mt
     w = 0.5 * angles.sin2t
-    hm = build_HM(ops, GapTable(delta=angles.delta), w)
+    hm = build_HM(ops, angles, w)
     ebcs = ebcs_formula(mt, angles, w)
     predicted = lemma_hm_expectation_formula(mt, kernel, angles, corr.overlap, ebcs)
     assert predicted == pytest.approx(-0.08 + 0.2592 / 1.0324, abs=1e-14)
@@ -413,37 +418,37 @@ def test_hm_expectation_formula(solved_pair):
 
 
 def test_hprime_checks_pair_instance(solved_pair):
-    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
     mt = ops.mt
     hp = build_Hprime(ops, kernel, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-12
     coupling = np.vdot(corr.phi, hp @ psi_b).real
     assert coupling == pytest.approx(-0.1296, abs=1e-12)
     assert phi_hprime_coupling_formula(mt, kernel, angles) == pytest.approx(-0.1296, abs=1e-14)
-    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
+    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi, psi_b)
     assert np.linalg.norm(hp @ psi_b - expansion) <= 1e-10
 
 
 def test_hprime_checks_random_instance(three_mode):
     mt, kernel = three_mode
     sol = solve_gap(mt, kernel, tol=1e-12)
-    angles = sol.theta
+    angles = sol.delta
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    quasi_dag = quasi_dag_of(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_dag, psi_b)
+    quasi = quasi_ops(ops, angles)
+    corr = correction_state(mt, kernel, angles, quasi, psi_b)
     hp = build_Hprime(ops, kernel, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-10
     assert np.vdot(corr.phi, hp @ psi_b).real == pytest.approx(
         phi_hprime_coupling_formula(mt, kernel, angles), abs=1e-9
     )
-    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi_b)
+    expansion = hprime_bcs_expansion(mt, kernel, angles, quasi, psi_b)
     assert np.linalg.norm(hp @ psi_b - expansion) <= 1e-10
 
 
 def test_ssb_witness_values(solved_pair):
     # (state, [G, B_k] state): zero on the vacuum, -2 (Psi_B, B_k Psi_B) = -0.6 on Psi_B
-    ops, kernel, angles, psi_b, quasi_dag, corr, psi = solved_pair
+    ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
     charge_pair = commutator(ops.G, ops.B[0])
     vac = vacuum_state(ops.mt.n_modes)
     assert expectation(vac, charge_pair, vac) == 0.0
@@ -455,10 +460,10 @@ def test_ssb_witness_values(solved_pair):
 def test_ssb_witness_corrected_state(two_mode):
     mt, kernel = two_mode
     nsol = solve_new_gap(mt, kernel, tol=1e-12)
-    angles = nsol.theta
+    angles = nsol.delta
     ops = OperatorBundle(mt, kernel)
     psi_bt = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_bt)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_bt)
     psi_t = normalized_psi(psi_bt, corr)
     for i in range(2):
         witness = expectation(psi_t, commutator(ops.G, ops.B[i]), psi_t)
@@ -470,8 +475,8 @@ def test_ssb_witness_corrected_state(two_mode):
 def selfconsistency_residual(mt, kernel, nsol):
     """max_k |Delta~_k + sum_k' U_{k,k'} (Psi~, B_k' Psi~)|, with Psi~ built from the corrected solution."""
     ops = OperatorBundle(mt, kernel)
-    psi_bt = bcs_state(ops, nsol.theta)
-    corr = correction_state(mt, kernel, nsol.theta, quasi_dag_of(ops, nsol.theta), psi_bt)
+    psi_bt = bcs_state(ops, nsol.delta)
+    corr = correction_state(mt, kernel, nsol.delta, quasi_ops(ops, nsol.delta), psi_bt)
     psi_t = normalized_psi(psi_bt, corr)
     w = np.array([expectation(psi_t, b, psi_t) for b in ops.B])
     return float(np.max(np.abs(nsol.delta.delta + kernel.u @ w)))
@@ -511,8 +516,8 @@ def test_monotone_energy_chain(three_mode):
     assert not sol.trivial
     ops = OperatorBundle(mt, kernel)
     h = ops.H
-    psi_b = bcs_state(ops, sol.theta)
-    corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(ops, sol.theta), psi_b)
+    psi_b = bcs_state(ops, sol.delta)
+    corr = correction_state(mt, kernel, sol.delta, quasi_ops(ops, sol.delta), psi_b)
     psi = normalized_psi(psi_b, corr)
     psi_f = fermi_vacuum(ops)
     e_psi = expectation(psi, h, psi).real
@@ -837,20 +842,29 @@ def test_run_verification_releases_g_and_h_and_builds_pair_operators_for_the_per
 
 
 def _gamma_dag_routes(mt, kernel, angles, quasi, psi):
-    """quartet_sum, correction_state and hprime_bcs_expansion through gamma.T views and through adjoint copies."""
+    """quartet_sum, correction_state and hprime_bcs_expansion, and the literal quartet over adjoint copies."""
     m = mt.n_modes
     rng = np.random.default_rng(m)
     terms = [(p, pp, rng.standard_normal()) for p in range(m) for pp in range(m)]
-    routes = []
-    for quasi_dag in ([g.T for g in quasi], [adjoint(g) for g in quasi]):
-        corr = correction_state(mt, kernel, angles, quasi_dag, psi)
-        routes.append((
-            quartet_sum(mt, quasi_dag, terms, psi),
-            corr.phi,
-            corr.overlap,
-            hprime_bcs_expansion(mt, kernel, angles, quasi_dag, psi),
-        ))
-    return routes
+    coeffs = pair_coefficients(mt, kernel, angles)
+    pairs = [(p, pp, coeffs[p, pp]) for p in range(m) for pp in range(p + 1, m)]
+    s2, c2 = angles.sin_t**2, angles.cos_t**2
+    expansion = [(k, kp, -(kernel.u[k, kp] * s2[k] * c2[kp])) for k in range(m) for kp in range(m) if k != kp]
+    corr = correction_state(mt, kernel, angles, quasi, psi)
+    package = (
+        quartet_sum(mt, quasi, terms, psi),
+        corr.phi,
+        corr.overlap,
+        hprime_bcs_expansion(mt, kernel, angles, quasi, psi),
+    )
+    phi = quartet_literal(mt, quasi, pairs, psi)
+    literal = (
+        quartet_literal(mt, quasi, terms, psi),
+        phi,
+        float(np.vdot(phi, phi)),
+        quartet_literal(mt, quasi, expansion, psi),
+    )
+    return package, literal
 
 
 @pytest.mark.parametrize("unsorted", [False, True])
@@ -868,9 +882,9 @@ def test_gamma_dag_views_equal_adjoint_copies_on_random_operators(three_mode, un
             g.has_sorted_indices = False
         assert not all(g.has_sorted_indices for g in quasi)
     psi = rng.standard_normal(mt.dim)
-    angles = angles_of(mt, [0.7, 0.4, 0.4])
-    (views, copies) = _gamma_dag_routes(mt, kernel, angles, quasi, psi)
-    for a, b in zip(views, copies):
+    angles = GapTable.from_delta(mt, [0.7, 0.4, 0.4])
+    package, literal = _gamma_dag_routes(mt, kernel, angles, quasi, psi)
+    for a, b in zip(package, literal):
         assert np.any(a != 0)
         assert np.array_equal(a, b)
 
@@ -881,10 +895,10 @@ def test_gamma_dag_views_equal_adjoint_copies_on_the_goldens(name):
     mt, kernel = cfg.mt, cfg.kernel
     sol = solve_gap(mt, kernel, tol=1e-12)
     ops = OperatorBundle(mt, kernel)
-    psi_b = bcs_state(ops, sol.theta)
-    views, copies = _gamma_dag_routes(mt, kernel, sol.theta, quasi_ops(ops, sol.theta), psi_b)
-    assert views[2] > 0.0  # a nonzero Phi
-    for a, b in zip(views, copies):
+    psi_b = bcs_state(ops, sol.delta)
+    package, literal = _gamma_dag_routes(mt, kernel, sol.delta, quasi_ops(ops, sol.delta), psi_b)
+    assert package[2] > 0.0  # a nonzero Phi
+    for a, b in zip(package, literal):
         assert np.array_equal(a, b)
 
 

@@ -253,6 +253,7 @@ def test_verify_checks_filter(tmp_path, capsys):
         ({"seed": -1}, {}, "seed must be a nonnegative integer"),
         ({}, {"BCSLAB_DIM_CAP": "0"}, "BCSLAB_DIM_CAP must be at least 1, got '0'"),
         ({}, {"BCSLAB_DIM_CAP": "-1"}, "BCSLAB_DIM_CAP must be at least 1, got '-1'"),
+        ({"checks": []}, {}, "checks"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
@@ -269,6 +270,15 @@ def test_negative_seed_override_is_config_error(pair_config, capsys, command):
     assert main([command, "--config", pair_config, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "seed must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("command", ["solve-gap", "solve-new-gap", "spectrum", "energy"])
+def test_seed_option_only_on_the_commands_that_read_it(pair_config, capsys, command):
+    # only verify and report run the ordering check that the seed drives
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", pair_config, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "solve-gap"])

@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bcslab.errors import ConvergenceError, ValidationError
 from bcslab.gapsolve import (
-    AngleTable,
     GapTable,
     correction_factor,
     dk_weights,
@@ -21,26 +21,26 @@ from conftest import solve_literal
 
 def test_theta_three_four_five(two_mode):
     mt, _ = two_mode
-    angles = AngleTable.from_delta(mt, GapTable(delta=np.array([1.2, 1.2])))
-    assert np.allclose(angles.sin2t, 0.6, atol=1e-15)
-    assert np.allclose(angles.cos2t, 0.8, atol=1e-15)
-    assert np.allclose(angles.energy, 2.0, atol=1e-15)
+    gap = GapTable.from_delta(mt, np.array([1.2, 1.2]))
+    assert np.allclose(gap.sin2t, 0.6, atol=1e-15)
+    assert np.allclose(gap.cos2t, 0.8, atol=1e-15)
+    assert np.allclose(gap.energy, 2.0, atol=1e-15)
     # cached half-angle values are consistent
-    assert np.allclose(2.0 * angles.sin_t * angles.cos_t, angles.sin2t, atol=1e-15)
-    assert np.allclose(angles.cos_t**2 - angles.sin_t**2, angles.cos2t, atol=1e-15)
+    assert np.allclose(2.0 * gap.sin_t * gap.cos_t, gap.sin2t, atol=1e-15)
+    assert np.allclose(gap.cos_t**2 - gap.sin_t**2, gap.cos2t, atol=1e-15)
 
 
 def test_theta_gapless_conventions():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[-1.0, -1.0])
-    angles = AngleTable.from_delta(mt, GapTable(delta=np.zeros(2)))
-    assert np.all(angles.theta == 0.5 * math.pi)
+    gap = GapTable.from_delta(mt, np.zeros(2))
+    assert np.all(gap.theta == 0.5 * math.pi)
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1.0, 1.0])
-    angles = AngleTable.from_delta(mt, GapTable(delta=np.zeros(2)))
-    assert np.all(angles.theta == 0.0)
+    gap = GapTable.from_delta(mt, np.zeros(2))
+    assert np.all(gap.theta == 0.0)
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[0.0, 0.0])
-    angles = AngleTable.from_delta(mt, GapTable(delta=np.zeros(2)))
-    assert np.all(angles.theta == 0.5 * math.pi)
-    assert np.all(angles.cos2t == -1.0)
+    gap = GapTable.from_delta(mt, np.zeros(2))
+    assert np.all(gap.theta == 0.5 * math.pi)
+    assert np.all(gap.cos2t == -1.0)
 
 
 def test_theta_ratio_invariant_random():
@@ -48,38 +48,46 @@ def test_theta_ratio_invariant_random():
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], mu=rng.uniform(0.2, 1.0))
     for _ in range(10):
         d = rng.uniform(0.0, 3.0, size=2)
-        gap = GapTable(delta=np.array([d[0], d[1], d[1]]))
-        angles = AngleTable.from_delta(mt, gap)
+        gap = GapTable.from_delta(mt, [d[0], d[1], d[1]])
         energy = np.hypot(mt.xi, gap.delta)
-        assert np.allclose(angles.sin2t * energy, gap.delta, atol=1e-14)
-        assert np.allclose(angles.cos2t * energy, mt.xi, atol=1e-14)
-        assert np.all((0.0 <= angles.theta) & (angles.theta <= 0.5 * math.pi))
+        assert np.array_equal(gap.energy, energy)
+        assert np.allclose(gap.sin2t * energy, gap.delta, atol=1e-14)
+        assert np.allclose(gap.cos2t * energy, mt.xi, atol=1e-14)
+        assert np.all((0.0 <= gap.theta) & (gap.theta <= 0.5 * math.pi))
 
 
 def test_gap_table_validation(two_mode):
     mt, _ = two_mode
-    with pytest.raises(ValidationError):
-        GapTable(delta=np.array([-1.0, -1.0])).validate(mt)
-    with pytest.raises(ValidationError):
-        GapTable(delta=np.array([1.0, 2.0])).validate(mt)
-    with pytest.raises(ValidationError):
-        GapTable(delta=np.array([1.0])).validate(mt)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        GapTable.from_delta(mt, [-1.0, -1.0])
+    with pytest.raises(ValidationError, match="Delta"):
+        GapTable.from_delta(mt, [1.0, 2.0])
+    with pytest.raises(ValidationError, match="1 entries for 2 modes"):
+        GapTable.from_delta(mt, [1.0])
+    # a table checks against the mode table of its consumer
+    gap = GapTable.from_delta(mt, [1.2, 1.2])
+    gap.validate(mt)
+    three = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)])
+    with pytest.raises(ValidationError, match="does not match"):
+        gap.validate(three)
+    with pytest.raises(ValidationError, match="theta"):
+        replace(gap, theta=np.array([0.1, 0.5])).validate(mt)
 
 
 def test_residual_zero_gap(two_mode):
     mt, kernel = two_mode
-    assert np.all(gap_residual(mt, kernel, GapTable(delta=np.zeros(2))) == 0.0)
+    assert np.all(gap_residual(mt, kernel, GapTable.from_delta(mt, np.zeros(2))) == 0.0)
 
 
 def test_residual_at_solution(two_mode):
     mt, kernel = two_mode
-    r = gap_residual(mt, kernel, GapTable(delta=np.array([1.2, 1.2])))
+    r = gap_residual(mt, kernel, GapTable.from_delta(mt, np.array([1.2, 1.2])))
     assert np.max(np.abs(r)) <= 1e-15
 
 
 def test_residual_off_solution_arithmetic(two_mode):
     mt, kernel = two_mode
-    r = gap_residual(mt, kernel, GapTable(delta=np.ones(2)))
+    r = gap_residual(mt, kernel, GapTable.from_delta(mt, np.ones(2)))
     expected = 1.0 - 2.0 / math.sqrt(2.56 + 1.0)
     assert np.allclose(r, expected, atol=1e-15)
     assert expected == pytest.approx(-0.06, abs=1e-4)
@@ -178,7 +186,7 @@ def test_unconverged_returns_best_iterate(two_mode):
 
 def test_dk_weights_pair_instance(two_mode):
     mt, kernel = two_mode
-    dk, dsum = dk_weights(mt, kernel, GapTable(delta=np.array([1.2, 1.2])))
+    dk, dsum = dk_weights(mt, kernel, GapTable.from_delta(mt, np.array([1.2, 1.2])))
     assert np.allclose(dk, 0.0324, atol=1e-15)
     assert dsum == pytest.approx(0.0648, abs=1e-15)
     factor = correction_factor(dk, dsum)
@@ -188,7 +196,7 @@ def test_dk_weights_pair_instance(two_mode):
 
 def test_dk_weights_zero_kernel(two_mode):
     mt, _ = two_mode
-    dk, dsum = dk_weights(mt, Kernel(u=np.zeros((2, 2))), GapTable(delta=np.array([1.2, 1.2])))
+    dk, dsum = dk_weights(mt, Kernel(u=np.zeros((2, 2))), GapTable.from_delta(mt, np.array([1.2, 1.2])))
     assert np.all(dk == 0) and dsum == 0
     assert np.all(correction_factor(dk, dsum) == 1.0)
 
@@ -218,7 +226,7 @@ def test_new_residual_is_classic_plus_correction(three_mode):
     rng = np.random.default_rng(7)
     for _ in range(20):
         origin, shell = rng.uniform(0.0, 3.0, size=2)
-        gap = GapTable(delta=[origin, shell, shell])
+        gap = GapTable.from_delta(mt, [origin, shell, shell])
         dk, dsum = dk_weights(mt, kernel, gap)
         ratio = gap.delta / np.hypot(mt.xi, gap.delta)
         term = -0.5 * kernel.u @ (ratio * 4.0 * dk / (dsum + 2.0))
@@ -301,7 +309,7 @@ def test_solve_matches_literal_loop_bit_for_bit(label, mt, kernel, settings):
         ref = solve_literal(mt, kernel, corrected, **settings)
         assert np.array_equal(sol.delta.delta, ref["delta"])
         for name in ("theta", "sin2t", "cos2t", "energy"):
-            assert np.array_equal(getattr(sol.theta, name), ref[name]), name
+            assert np.array_equal(getattr(sol.delta, name), ref[name]), name
         for name in ("iterations", "residual_inf", "converged", "trivial", "clamped", "degenerate_modes"):
             assert getattr(sol, name) == ref[name], name
         if corrected:

@@ -19,7 +19,7 @@ from bcslab.hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM
 from bcslab.model import Kernel, explicit_modes, permuted_instance
 from bcslab.states import bcs_state, fermi_vacuum
 
-from conftest import angles_of, bundle_of, conjugate_series, literal_operators
+from conftest import bundle_of, conjugate_series, literal_operators
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,14 +83,14 @@ def test_charge_pair_commutator(two_mode):
 
 def test_gb_zero_angles(two_mode):
     mt, kernel = two_mode
-    gb = build_GB(OperatorBundle(mt, kernel), angles_of(mt, [0.0, 0.0]))
+    gb = build_GB(OperatorBundle(mt, kernel), GapTable.from_delta(mt, [0.0, 0.0]))
     assert op_norm_inf(gb) == 0.0
 
 
 def test_gb_selfadjoint(two_mode):
     # build_GB is the real K = iG_B; G_B selfadjoint means K* = -K
     mt, kernel = two_mode
-    gb = build_GB(OperatorBundle(mt, kernel), angles_of(mt, [1.2, 1.2]))
+    gb = build_GB(OperatorBundle(mt, kernel), GapTable.from_delta(mt, [1.2, 1.2]))
     assert gb.dtype == np.float64
     assert op_norm_inf(gb + adjoint(gb)) <= 1e-12
     assert op_norm_inf(gb) > 0
@@ -98,7 +98,7 @@ def test_gb_selfadjoint(two_mode):
 
 def test_gb_rejects_asymmetric_angles():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1.6, 1.6])
-    good = angles_of(mt, [1.2, 1.2])
+    good = GapTable.from_delta(mt, [1.2, 1.2])
     from dataclasses import replace
 
     bad = replace(good, theta=np.array([0.1, 0.5]))
@@ -108,7 +108,7 @@ def test_gb_rejects_asymmetric_angles():
 
 def test_hm_free_limit(two_mode):
     mt, kernel = two_mode
-    hm = build_HM(OperatorBundle(mt, kernel), GapTable(delta=np.zeros(2)), np.zeros(2))
+    hm = build_HM(OperatorBundle(mt, kernel), GapTable.from_delta(mt, np.zeros(2)), np.zeros(2))
     free = bundle_of(mt).H
     assert op_norm_inf(hm - free) == 0.0
 
@@ -116,21 +116,20 @@ def test_hm_free_limit(two_mode):
 def test_hm_validation(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
-    with pytest.raises(ValidationError):
-        build_HM(ops, GapTable(delta=np.array([-0.1, -0.1])), np.zeros(2))
-    with pytest.raises(ValidationError):
-        build_HM(ops, GapTable(delta=np.array([1.0, 2.0])), np.zeros(2))
-    with pytest.raises(ValidationError):
-        build_HM(ops, GapTable(delta=np.ones(2)), np.zeros(3))
+    three = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0)])
+    with pytest.raises(ValidationError, match="does not match"):
+        build_HM(ops, GapTable.from_delta(three, np.ones(3)), np.zeros(2))
+    with pytest.raises(ValidationError, match="expectation table"):
+        build_HM(ops, GapTable.from_delta(mt, np.ones(2)), np.zeros(3))
 
 
 def test_mean_field_split_identity(two_mode):
     # H = H_M + sum U b*_{k'} b_k with b_k = B_k - w_k, at w = half sin 2theta
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     w = 0.5 * angles.sin2t
     ops = OperatorBundle(mt, kernel)
-    hm = build_HM(ops, GapTable(delta=angles.delta), w)
+    hm = build_HM(ops, angles, w)
     ident = identity_op(mt.dim)
     fluct = None
     for kp in range(mt.n_modes):
@@ -146,24 +145,24 @@ def test_mean_field_split_identity(two_mode):
 
 def test_hprime_zero_interaction(two_mode):
     mt, _ = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     hp = build_Hprime(bundle_of(mt), Kernel(u=np.zeros((2, 2))), angles)
     assert op_norm_inf(hp) == 0.0
 
 
 def test_hprime_equals_h_minus_hm(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     w = 0.5 * angles.sin2t
     ops = OperatorBundle(mt, kernel)
-    hm = build_HM(ops, GapTable(delta=angles.delta), w)
+    hm = build_HM(ops, angles, w)
     hp = build_Hprime(ops, kernel, angles)
     assert op_norm_inf(hp - (ops.H - hm)) <= 1e-10
 
 
 def test_hprime_annihilates_bcs_in_expectation(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
     hp = build_Hprime(ops, kernel, angles)
@@ -178,7 +177,7 @@ def test_pairing_commutator_identities():
     for _ in range(3):
         delta = np.repeat(rng.uniform(0.0, 2.0), 3)
         delta = np.array([delta[0], delta[1], delta[1]])
-        angles = angles_of(mt, delta)
+        angles = GapTable.from_delta(mt, delta)
         gb = build_GB(ops, angles)
         ident = identity_op(mt.dim)
         for i in range(mt.n_modes):
@@ -193,7 +192,7 @@ def test_meanfield_conjugation_identity(two_mode):
     # exp(-iG_B)(xi h - Delta v)exp(iG_B) = exp(-K)(...)exp(K) in terms of h, v and a constant
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     gb = build_GB(ops, angles)
     ident = identity_op(mt.dim)
     for i in range(mt.n_modes):

@@ -3,7 +3,7 @@ import pytest
 
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, expectation, ladder_matrix, op_norm_inf, vacuum_state
-from bcslab.gapsolve import AngleTable, GapTable, correction_factor, dk_weights, solve_gap
+from bcslab.gapsolve import GapTable, correction_factor, dk_weights, solve_gap
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes
 from bcslab.sectors import PairSectors
@@ -19,11 +19,9 @@ from bcslab.states import (
 
 from conftest import (
     angles_from_theta,
-    angles_of,
     anticommutator,
     bundle_of,
     correction_state_literal,
-    quasi_dag_of,
     vacuum_exponential,
 )
 
@@ -65,9 +63,9 @@ def test_fermi_vacuum_negative_pair_fills_all_four():
 def test_bcs_state_zero_angles_is_vacuum(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
-    assert np.array_equal(bcs_state(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
+    assert np.array_equal(bcs_state(ops, GapTable.from_delta(mt, [0.0, 0.0])), vacuum_state(2))
     # exponential route: G_B vanishes, so exp(iG_B)|0> is |0> exactly
-    assert np.array_equal(vacuum_exponential(ops, angles_of(mt, [0.0, 0.0])), vacuum_state(2))
+    assert np.array_equal(vacuum_exponential(ops, GapTable.from_delta(mt, [0.0, 0.0])), vacuum_state(2))
 
 
 def test_bcs_state_gapless_limit_is_fermi_vacuum():
@@ -76,14 +74,14 @@ def test_bcs_state_gapless_limit_is_fermi_vacuum():
     expected = np.zeros(mt.dim, dtype=complex)
     expected[0b000011] = 1.0  # both spin-orbitals of k = 0, sign +1
     ops = bundle_of(mt)
-    assert np.array_equal(bcs_state(ops, angles_of(mt, np.zeros(3))), expected)
+    assert np.array_equal(bcs_state(ops, GapTable.from_delta(mt, np.zeros(3))), expected)
     assert np.array_equal(fermi_vacuum(ops), expected)
 
 
 def test_bcs_pair_expectation(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     psi_b = bcs_state(ops, angles)
     assert abs(np.linalg.norm(psi_b) - 1.0) <= 1e-12
     for b in ops.B:
@@ -95,7 +93,7 @@ def test_bcs_pair_expectation(two_mode):
 def test_product_matches_exponential_pair_instance(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     exponential = vacuum_exponential(ops, angles)
     assert np.linalg.norm(bcs_state(ops, angles) - exponential) <= 1e-10
 
@@ -117,7 +115,7 @@ def test_product_matches_exponential_random_angles():
 
 def test_quasi_ops_zero_angle_are_bare(two_mode):
     mt, kernel = two_mode
-    q = quasi_ops(OperatorBundle(mt, kernel), angles_of(mt, [0.0, 0.0]))
+    q = quasi_ops(OperatorBundle(mt, kernel), GapTable.from_delta(mt, [0.0, 0.0]))
     for i in range(2):
         assert op_norm_inf(q[mt.orb_up(i)] - ladder_matrix(mt.orb_up(i), 2)) == 0.0
         assert op_norm_inf(q[mt.orb_dn(i)] - ladder_matrix(mt.orb_dn(i), 2)) == 0.0
@@ -125,7 +123,7 @@ def test_quasi_ops_zero_angle_are_bare(two_mode):
 
 def test_quasi_ops_half_pi_is_particle_hole():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[-1.0, -1.0])
-    q = quasi_ops(bundle_of(mt), angles_of(mt, [0.0, 0.0]))  # theta = pi/2 from xi < 0
+    q = quasi_ops(bundle_of(mt), GapTable.from_delta(mt, [0.0, 0.0]))  # theta = pi/2 from xi < 0
     for i in range(2):
         cre_dn_partner = adjoint(ladder_matrix(mt.orb_dn(mt.pair[i]), 2))
         assert op_norm_inf(q[mt.orb_up(i)] + cre_dn_partner) == 0.0
@@ -134,7 +132,7 @@ def test_quasi_ops_half_pi_is_particle_hole():
 def test_quasi_ops_annihilate_bcs(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     psi_b = bcs_state(ops, angles)
     for g in quasi_ops(ops, angles):
         assert np.linalg.norm(g @ psi_b) <= 1e-10
@@ -142,7 +140,7 @@ def test_quasi_ops_annihilate_bcs(two_mode):
 
 def test_quasi_ops_car(two_mode):
     mt, kernel = two_mode
-    gammas = quasi_ops(OperatorBundle(mt, kernel), angles_of(mt, [1.2, 1.2]))
+    gammas = quasi_ops(OperatorBundle(mt, kernel), GapTable.from_delta(mt, [1.2, 1.2]))
     from bcslab.fock import identity_op
 
     ident = identity_op(mt.dim)
@@ -159,7 +157,7 @@ def test_quasi_inverse_relations(two_mode):
     # C_{k,up} = cos gamma_{k,up} + sin gamma*_{-k,dn};
     # C_{-k,dn} = -sin gamma*_{k,up} + cos gamma_{-k,dn}
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     q = quasi_ops(OperatorBundle(mt, kernel), angles)
     for i in range(2):
         c, s = angles.cos_t[i], angles.sin_t[i]
@@ -175,7 +173,7 @@ def test_quasi_inverse_relations(two_mode):
 
 def test_quasi_ops_self_paired_mode():
     mt = explicit_modes([(0, 0, 0)], mu=0.3)
-    angles = angles_of(mt, [0.9])
+    angles = GapTable.from_delta(mt, [0.9])
     ops = bundle_of(mt)
     q = quasi_ops(ops, angles)
     psi_b = bcs_state(ops, angles)
@@ -189,20 +187,20 @@ def test_quasi_ops_self_paired_mode():
 
 def test_correction_zero_interaction(two_mode):
     mt, _ = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = bundle_of(mt)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, Kernel(u=np.zeros((2, 2))), angles, quasi_dag_of(ops, angles), psi_b)
+    corr = correction_state(mt, Kernel(u=np.zeros((2, 2))), angles, quasi_ops(ops, angles), psi_b)
     assert np.all(corr.phi == 0)
     assert corr.overlap == 0.0
 
 
 def test_correction_pair_instance_values(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     # c = U (C^2 S'^2 + C'^2 S^2)/(E+E') = -4 * 0.18 / 4 = -0.18
     coeffs = pair_coefficients(mt, kernel, angles)
     assert coeffs[0, 1] == pytest.approx(-0.18, abs=1e-15)
@@ -214,10 +212,10 @@ def test_correction_pair_instance_values(two_mode):
 
 def test_correction_matches_literal_double_sum(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    q = quasi_dag_of(ops, angles)
+    q = quasi_ops(ops, angles)
     corr = correction_state(mt, kernel, angles, q, psi_b)
     literal = correction_state_literal(mt, kernel, angles, q, psi_b)
     assert np.linalg.norm(corr.phi - literal) <= 1e-14
@@ -226,7 +224,7 @@ def test_correction_matches_literal_double_sum(two_mode):
 def test_correction_coefficient_symmetry(three_mode):
     mt, kernel = three_mode
     sol = solve_gap(mt, kernel, tol=1e-12)
-    c = pair_coefficients(mt, kernel, sol.theta)
+    c = pair_coefficients(mt, kernel, sol.delta)
     assert np.array_equal(c, c.T)
 
 
@@ -234,15 +232,15 @@ def test_overlap_equals_half_dsum(three_mode):
     mt, kernel = three_mode
     sol = solve_gap(mt, kernel, tol=1e-12)
     ops = OperatorBundle(mt, kernel)
-    psi_b = bcs_state(ops, sol.theta)
-    corr = correction_state(mt, kernel, sol.theta, quasi_dag_of(ops, sol.theta), psi_b)
+    psi_b = bcs_state(ops, sol.delta)
+    corr = correction_state(mt, kernel, sol.delta, quasi_ops(ops, sol.delta), psi_b)
     dk, dsum = dk_weights(mt, kernel, sol.delta)
     assert corr.overlap == pytest.approx(0.5 * dsum, abs=1e-10)
 
 
 def test_normalized_psi_trivial_correction(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     psi_b = bcs_state(OperatorBundle(mt, kernel), angles)
     corr = CorrectionState(phi=np.zeros(mt.dim, dtype=complex), overlap=0.0)
     assert np.array_equal(normalized_psi(psi_b, corr), psi_b)
@@ -250,10 +248,10 @@ def test_normalized_psi_trivial_correction(two_mode):
 
 def test_normalized_psi_pair_instance(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     assert np.vdot(psi_b, psi).real == pytest.approx(1.0 / np.sqrt(1.0324), abs=1e-12)
@@ -261,7 +259,7 @@ def test_normalized_psi_pair_instance(two_mode):
 
 def test_normalized_psi_requires_orthogonality(two_mode):
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     psi_b = bcs_state(OperatorBundle(mt, kernel), angles)
     fake = CorrectionState(phi=psi_b.copy(), overlap=1.0)
     with pytest.raises(ValidationError):
@@ -271,12 +269,12 @@ def test_normalized_psi_requires_orthogonality(two_mode):
 def test_corrected_pair_expectation_identity(two_mode):
     # (Psi, B_k Psi) = 1/2 sin 2theta (1 - 4 D_k / (D + 2))
     mt, kernel = two_mode
-    angles = angles_of(mt, [1.2, 1.2])
+    angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
+    corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
-    dk, dsum = dk_weights(mt, kernel, GapTable(delta=np.array([1.2, 1.2])))
+    dk, dsum = dk_weights(mt, kernel, GapTable.from_delta(mt, np.array([1.2, 1.2])))
     factor = correction_factor(dk, dsum)
     for i in range(2):
         val = expectation(psi, ops.B[i], psi).real
@@ -291,16 +289,15 @@ def test_corrected_pair_expectation_identity_random(three_mode):
     ops = OperatorBundle(mt, kernel)
     for _ in range(5):
         d = rng.uniform(0.1, 2.0, size=2)
-        gap = GapTable(delta=np.array([d[0], d[1], d[1]]))
-        angles = AngleTable.from_delta(mt, gap)
-        psi_b = bcs_state(ops, angles)
-        corr = correction_state(mt, kernel, angles, quasi_dag_of(ops, angles), psi_b)
+        gap = GapTable.from_delta(mt, [d[0], d[1], d[1]])
+        psi_b = bcs_state(ops, gap)
+        corr = correction_state(mt, kernel, gap, quasi_ops(ops, gap), psi_b)
         psi = normalized_psi(psi_b, corr)
         dk, dsum = dk_weights(mt, kernel, gap)
         factor = correction_factor(dk, dsum)
         for i in range(3):
             val = expectation(psi, ops.B[i], psi).real
-            assert val == pytest.approx(0.5 * angles.sin2t[i] * factor[i], abs=1e-10)
+            assert val == pytest.approx(0.5 * gap.sin2t[i] * factor[i], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +311,7 @@ def test_fock_algebra_stays_real(instance, request):
 
     mt, kernel = request.getfixturevalue(instance)
     sol = solve_gap(mt, kernel, tol=1e-12)
-    angles = sol.theta
+    angles = sol.delta
     bundle = OperatorBundle(mt, kernel)
     psi_b = bcs_state(bundle, angles)
     quasi = quasi_ops(bundle, angles)
@@ -324,9 +321,8 @@ def test_fock_algebra_stays_real(instance, request):
     sectors = PairSectors(mt)
     expk, _ = sectors.exponential(gb)
     states = [psi_b, sectors.column(expk, 0), *expk]
-    quasi_dag = [adjoint(g) for g in quasi]
-    ops += quasi_dag
-    states.append(correction_state(mt, kernel, angles, quasi_dag, psi_b).phi)
+    ops += [adjoint(g) for g in quasi]
+    states.append(correction_state(mt, kernel, angles, quasi, psi_b).phi)
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
     assert [v.dtype for v in states] == [np.float64] * len(states)
     assert diagonal_conjugate(bundle.H, bundle.G.diagonal(), 0.3).dtype == np.complex128
