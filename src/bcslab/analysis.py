@@ -6,13 +6,14 @@ pair sectors, explicit state vectors, sparse operator application); no
 check compares a formula to itself.
 Every closed form reads Delta_k, E_k and the pairing angles from the one
 `GapTable` of the gap it is evaluated at, and forms none of them again.
-The number-phase covariance checks conjugate by the ladder-built number
-operator G entry by entry, since G is diagonal in the occupation basis.
-Both rows share one route, `covariance_deviation` (the ladders in row
-stacks, H as a stack of one), and every infinity norm of a pass is the one
-row sum of `fock._block_norms`.  Their deviations also count the largest
-entry of G - diag(Re g), so a G that is not a real diagonal fails them, and so do
-the two SSB rows, which form [G, B_k] state on vectors from the same g.
+The ladder-built number operator G is diagonal in the occupation basis,
+and every row that reads it reads its diagonal g: `charge_commutes_with_h`
+and both number-phase covariance rows scale each entry A_rc by a function
+of g_r - g_c (`diagonal_commutator_norm`, which ends in `op_norm_inf`, so
+every infinity norm of a pass is the one row sum of `fock._block_norms`),
+and the two SSB rows form [G, B_k] state on vectors from the same g.  All
+five also count the largest entry of G - diag(Re g), so a G that is not a
+real diagonal fails them.
 The rotation exp(i G_B) = exp(K) is exact as well: K conserves every pair
 difference d_k, so `PairSectors` exponentiates it block by block over the
 3^M pair sectors, and the rows that read exp(K) rotate one sector block,
@@ -33,8 +34,9 @@ dense H-energies and three pair tables w_k = (state, B_k state), each one
          new_spectrum_multiset and ssb_witness_corrected_state.
 Each Fock operator lives only while a stage reads it, since every one costs
 an array of dimension 2^(2M):
-  G      read by charge_commutes_with_h and the covariance checks, which
-         also take its diagonal g for both SSB rows; deleted after them;
+  G      read once for its diagonal g and the leak term; deleted before
+         charge_commutes_with_h, which reads g, as the covariance checks
+         and both SSB rows do;
   K      read by exp(K) and the pairing commutators; deleted after them;
   exp(K) 6^M numbers (2.2 MiB at M = 7), from build_GB to its last reader,
          the closed-form conjugation, which is formed before the gamma
@@ -45,8 +47,9 @@ an array of dimension 2^(2M):
          Phi and the H' Psi_B expansion (formed here, as vectors, by
          `quartet_sum`, which reads each gamma* as the view gamma.T) and
          the closed-form conjugation row; released before hm_splitting;
-  H_M    from hm_splitting to psi_hm_expectation_formula; H' through
-         hprime_definition and H' Psi_B;
+  H_M    from hm_splitting to psi_hm_expectation_formula; H - H_M, read
+         by both splitting rows, and H' through hprime_definition, H' on to
+         H' Psi_B;
   gamma~ through its CAR and annihilation rows and Psi~;
   bundle released after ssb_witness_corrected_state; the permuted
          instance then builds only B_k and B*_k (`PairOperators`) on the
@@ -71,7 +74,7 @@ from .fock import (
     anticommutator_check,
     car_deviation,
     commutator,
-    covariance_deviation,
+    diagonal_commutator_norm,
     expectation,
     op_norm_inf,
 )
@@ -161,6 +164,7 @@ def _skip(name, reason) -> CheckResult:
 
 def ebcs_formula(mt: ModeTable, gap: GapTable, w) -> float:
     """Ground energy of the mean-field Hamiltonian: sum_k (xi - E + Delta w)."""
+    gap.validate(mt)
     w = np.asarray(w, dtype=np.float64)
     return float(np.sum(mt.xi - gap.energy + gap.delta * w))
 
@@ -191,6 +195,7 @@ def hm_spectrum_check(hm, sectors: PairSectors, gap: GapTable, ebcs: float) -> t
     It has no size limit of its own: the largest block holds 2^M states.
     """
     mt = sectors.mt
+    gap.validate(mt)
     orb_energy = np.repeat(gap.energy, 2)  # orbital j belongs to mode j//2
     idx = np.arange(mt.dim, dtype=np.int64)
     formula = np.full(mt.dim, ebcs)
@@ -241,6 +246,7 @@ def hprime_bcs_expansion(
     mt: ModeTable, kernel: Kernel, gap: GapTable, quasi: list, psi_b: np.ndarray
 ) -> np.ndarray:
     """H' Psi_B = - sum_{k,k'} U_{k,k'} S_k^2 C_k'^2 gamma*4-string Psi_B, over the gammas as `quartet_sum` reads them."""
+    gap.validate(mt)
     m = mt.n_modes
     s2 = gap.sin_t**2
     c2 = gap.cos_t**2
@@ -347,19 +353,20 @@ def run_verification(
     # --- operator algebra ---------------------------------------------------
     bundle = OperatorBundle(mt, kernel)
     report.add(_deviation("car_relations", anticommutator_check(bundle.C), 0.0))
-    report.add(_deviation("charge_commutes_with_h", op_norm_inf(commutator(bundle.G, bundle.H)), TOL_TIGHT))
 
-    # G conjugates entry by entry, and forms [G, B_k] on vectors, only as a real
-    # diagonal; any other entry of it counts in both covariance deviations and
-    # both SSB rows, as the leak term of `hm_spectrum_check` does
+    # G commutes, conjugates and forms [G, B_k] on vectors only as its real
+    # diagonal g; any other entry of it counts in all five charge rows, as the
+    # leak term of `hm_spectrum_check` does
     g = bundle.G.diagonal().real
     g_leak = float(abs(bundle.G - diags_array(g)).max())
     del bundle.G
-    dev_c = g_leak
-    dev_h = g_leak
+    report.add(_deviation("charge_commutes_with_h", max(g_leak, diagonal_commutator_norm(bundle.H, g)), TOL_TIGHT))
+    dev_c = dev_h = g_leak
     for alpha in (0.3, 1.0, math.pi):
-        dev_c = max(dev_c, covariance_deviation(bundle.C, g, alpha, np.exp(1j * alpha)))
-        dev_h = max(dev_h, covariance_deviation([bundle.H], g, alpha, 1.0))
+        phase = np.exp(1j * alpha)
+        for c in bundle.C:
+            dev_c = max(dev_c, diagonal_commutator_norm(c, g, lambda q: np.exp(-1j * alpha * q) - phase))
+        dev_h = max(dev_h, diagonal_commutator_norm(bundle.H, g, lambda q: np.exp(-1j * alpha * q) - 1.0))
     report.add(_deviation("number_phase_covariance_c", dev_c, TOL_LOOSE))
     report.add(_deviation("number_phase_covariance_h", dev_h, TOL_LOOSE))
 
@@ -432,13 +439,16 @@ def run_verification(
             if u == 0.0:
                 continue
             fluct = fluct + u * (bdag @ (bundle.B[k] - w_dense[k] * bundle.I))
-    report.add(_deviation("hm_splitting", op_norm_inf(bundle.H - hm - fluct), TOL_IDENTITY))
+    # H - H_M, read by both splitting rows
+    split = bundle.H - hm
+    report.add(_deviation("hm_splitting", op_norm_inf(split - fluct), TOL_IDENTITY))
     # each large operator is released after its last reader, so the ones a
     # later stage builds do not stack on it
     del fluct
 
     hprime = build_Hprime(bundle, kernel, gap)
-    report.add(_deviation("hprime_definition", op_norm_inf(hprime - (bundle.H - hm)), TOL_IDENTITY))
+    report.add(_deviation("hprime_definition", op_norm_inf(hprime - split), TOL_IDENTITY))
+    del split
 
     # --- energies ------------------------------------------------------------
     psi_f = fermi_vacuum(bundle)

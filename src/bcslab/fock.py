@@ -8,7 +8,8 @@ its bit pattern (vacuum = index 0, fully filled = index 2^(2M)-1).
 Fermionic signs are (-1)^(number of occupied orbitals below j) and are
 computed in exact integer arithmetic; floating point only enters through
 amplitudes.  Operators are scipy CSR arrays and states 1-d numpy arrays,
-both real (float64); only `diagonal_conjugate`, a phase rotation, is complex.
+both real (float64), and no complex operator is formed: the number-phase
+rotation enters through `diagonal_commutator_norm` as entry-wise factors.
 Every sparse index is int32: `ladder_matrix` (and `PairSectors`, through
 the same `check_index_width`) raises ResourceLimitError above dimension
 2^31 - 1, so M <= 15, and every product, sum and transpose built from the
@@ -122,13 +123,13 @@ def op_norm_inf(a) -> float:
 # row stacks: n square operators of dimension d as one (n*d, d) CSR array
 #
 # Below a few thousand rows scipy spends more per sparse result on Python
-# set-up (index dtypes, format checks) than on arithmetic, so the CAR check
-# runs a stack of operators through each product, and the covariance check
-# conjugates a stack at once: X @ B holds every A_i @ B, and kron(I, B) @ X
-# every B @ A_i.  Each row of a product sums in the stored order of its own
-# block, so a block reads exactly what the single product gives, and
-# `_block_norms` sums the rows of each block as `op_norm_inf`, which is its
-# one-block case, sums a whole operator.
+# set-up (index dtypes, format checks) than on arithmetic, so the CAR check,
+# the one reader of the stacks, runs a stack of operators through each
+# product: X @ B holds every A_i @ B, and kron(I, B) @ X every B @ A_i.
+# Each row of a product sums in the stored order of its own block, so a
+# block reads exactly what the single product gives, and `_block_norms`
+# sums the rows of each block as `op_norm_inf`, which is its one-block
+# case, sums a whole operator.
 #
 # A stack holds at most STACK_ROWS rows, so the dimension decides: M <= 6
 # (d <= 4096) shares products, eight operators per stack at M = 5 and two
@@ -136,11 +137,6 @@ def op_norm_inf(a) -> float:
 # the arithmetic outweighs the set-up, so a wider stack saves little, while
 # every stacked intermediate grows with the stack.
 STACK_ROWS = 8192
-
-
-def stack_width(dim: int) -> int:
-    """Operators of dimension `dim` per row stack: as many as fit in STACK_ROWS rows, at least one."""
-    return max(1, STACK_ROWS // dim)
 
 
 def _stack(ops) -> csr_array:
@@ -174,11 +170,11 @@ def _block_norms(x, n: int) -> np.ndarray:
     """Max absolute row sum of each of the n row blocks of the CSR array x.
 
     The one row-sum routine of the package: `op_norm_inf` is its n = 1 case,
-    and the CAR and covariance stacks read it per block.  It sorts the rows
-    of x in place first and adds each row with np.add.reduceat in that
-    order, so a block of a stack reads the value of its operator alone bit
-    for bit.  Its operands are scipy products, sums and transposes, which
-    store no duplicate entries.
+    and the CAR stacks read it per block.  It sorts the rows of x in place
+    first and adds each row with np.add.reduceat in that order, so a block
+    of a stack reads the value of its operator alone bit for bit.  Its
+    operands are scipy products, sums and transposes, and the entry-wise
+    moduli of `diagonal_commutator_norm`, which store no duplicate entries.
     """
     if x.nnz == 0:  # most anticommutators of a CAR check vanish
         return np.zeros(n)
@@ -219,7 +215,7 @@ def car_deviation(ann: list) -> float:
     """
     dim = ann[0].shape[0]
     ident, zero = identity_op(dim), csr_array((dim, dim))
-    width = stack_width(dim)
+    width = max(1, STACK_ROWS // dim)  # operators per stack, at least one
     worst = 0.0
     for jp, a in enumerate(ann):
         cre = adjoint(a)
@@ -246,43 +242,27 @@ def anticommutator_check(ladders: list) -> float:
 
 
 # ---------------------------------------------------------------------------
-# number-phase conjugation: exact entry-wise phases for a diagonal generator
+# diagonal generators: exact entry-wise factors
 
 
-def diagonal_conjugate(a, g, alpha: float) -> csr_array:
-    """exp(-i*alpha*G) A exp(i*alpha*G) for the diagonal G = diag(g), exactly.
+def diagonal_commutator_norm(a, g, f=lambda q: q) -> float:
+    """op_norm_inf of the operator with entries f(g_r - g_c) A_rc, for the diagonal D = diag(g).
 
-    `g` is the real diagonal of G.  Entry (r, c) of A picks up the phase
-    exp(-i*alpha*(g_r - g_c)); no series is summed and nothing is
-    truncated.  Whether the matrix G really is diag(g) is the caller's to
-    check.  A may also be a row stack of square blocks (see STACK_ROWS):
-    row r then reads g at r modulo the block size, so each block is
-    conjugated as the operator alone.
+    `g` is the real diagonal of D.  The default f(q) = q gives ||[D, A]||;
+    f(q) = exp(-i*alpha*q) - phase gives ||exp(-i*alpha*D) A exp(i*alpha*D) - phase A||
+    exactly: no series is summed, nothing is truncated, and a complex factor
+    meets the entries only as a vector, since the norm reads their moduli.
+    Whether a matrix really is diag(g) is the caller's to check.  Sorts the
+    indices of a CSR A in place, as `op_norm_inf` does, and the moduli share them.
     """
-    out = csr_array(a, dtype=np.complex128, copy=True)
+    a = a.tocsr()
     g = np.asarray(g, dtype=np.float64)
-    dim = out.shape[1]
-    if g.shape != (dim,) or out.shape[0] % max(dim, 1):
-        raise ValueError(f"dimension mismatch: operator {out.shape}, diagonal {g.shape}")
-    rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr)) % dim
-    out.data *= np.exp(-1j * alpha * (g[rows] - g[out.indices]))
-    return out
-
-
-def covariance_deviation(ops: list, g, alpha: float, phase: complex) -> float:
-    """Max over A in `ops` of op_norm_inf(diagonal_conjugate(A, g, alpha) - phase * A).
-
-    The operators run as stacks of up to STACK_ROWS rows, one conjugation
-    and one difference per stack, and each block reads the deviation of its
-    operator alone, bit for bit.
-    """
-    width = stack_width(ops[0].shape[0])
-    worst = 0.0
-    for lo in range(0, len(ops), width):
-        run = ops[lo : lo + width]
-        x = _stack(run)
-        worst = max(worst, _block_norms(diagonal_conjugate(x, g, alpha) - phase * x, len(run)).max())
-    return float(worst)
+    if g.ndim != 1 or a.shape != (g.size, g.size):
+        raise ValueError(f"dimension mismatch: operator {a.shape}, diagonal {g.shape}")
+    a.sort_indices()
+    # g_r of each stored entry is g repeated by the row lengths
+    moduli = np.abs(a.data * f(g.repeat(np.diff(a.indptr)) - g[a.indices]))
+    return op_norm_inf(csr_array((moduli, a.indices, a.indptr), shape=a.shape))
 
 
 # ---------------------------------------------------------------------------

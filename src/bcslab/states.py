@@ -115,6 +115,7 @@ class CorrectionState:
 
 def pair_coefficients(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """c[p, p'] = U_{p,p'} (C_p^2 S_p'^2 + C_p'^2 S_p^2) / (E_p + E_p')."""
+    gap.validate(mt)
     c2 = gap.cos_t**2
     s2 = gap.sin_t**2
     num = kernel.u * (np.outer(c2, s2) + np.outer(s2, c2))

@@ -1,12 +1,13 @@
 """Shared fixtures: reference instances and the oracles that only tests read.
 
 The oracles are the bit-level ladder action, the single anticommutator,
-dense-matrix conjugation and evolution, the nested-commutator series and
-the scaled Taylor evolution (the sparse routes that the verification pass
-ran before its sector-block exponential), the literal operators, the
-literal gamma* four-strings over adjoint copies, the literal double sum
-for Phi and a literal gap loop.  `angles_from_theta` gives the raw-angle
-gap tables that only the angle-reading routes take.
+dense-matrix conjugation and evolution, the dense commutator with a
+diagonal, the nested-commutator series and the scaled Taylor evolution
+(the sparse routes that the verification pass ran before its sector-block
+exponential), the literal operators, the literal gamma* four-strings over
+adjoint copies, the literal double sum for Phi and a literal gap loop.
+`angles_from_theta` gives the raw-angle gap tables that only the
+angle-reading routes take.
 
 The workhorse instance ("two_mode") is the pair lattice {k, -k} with
 xi = 1.6 and U(k,-k) = -4.  Its gap equation has the closed-form solution
@@ -192,6 +193,12 @@ def dense_conjugation(a, k, alpha):
     """Oracle: exp(-alpha K) A exp(alpha K) by dense matrix exponentials."""
     kd = k.toarray()
     return expm(-alpha * kd) @ a.toarray() @ expm(alpha * kd)
+
+
+def dense_diagonal_commutator(a, g):
+    """Oracle: [diag(g), A] = diag(g) A - A diag(g) by dense matrix products."""
+    d, ad = np.diag(g), a.toarray()
+    return d @ ad - ad @ d
 
 
 def dense_evolution(k, v):

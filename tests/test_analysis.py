@@ -142,7 +142,7 @@ def test_hm_spectrum_detects_sector_leak():
 
 @pytest.mark.parametrize("planted", ["off_diagonal", "non_real_diagonal"])
 def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
-    """A G that is not a real diagonal fails both covariance checks and both SSB rows instead of being read as one."""
+    """A G that is not a real diagonal fails every row that reads its diagonal instead of being read as one."""
     mt, kernel = two_mode
     eps = 1e-6
     # vacuum <-> orbital 0 filled, kept selfadjoint; or a complex number on one diagonal entry
@@ -157,6 +157,7 @@ def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
     report = run_verification(mt, kernel, seed=3)
     by_name = {c.name: c for c in report.checks}
     for name in (
+        "charge_commutes_with_h",
         "number_phase_covariance_c",
         "number_phase_covariance_h",
         "ssb_witness_commutator",
@@ -164,6 +165,28 @@ def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
     ):
         assert by_name[name].deviation >= eps > TOL_LOOSE
         assert not by_name[name].passed
+
+
+GAP_READERS = {
+    "ebcs_formula": lambda mt, kernel, gap: ebcs_formula(mt, gap, np.zeros(mt.n_modes)),
+    "condensation_energy": lambda mt, kernel, gap: condensation_energy(mt, gap),
+    "hm_spectrum_check": lambda mt, kernel, gap: hm_spectrum_check(csr_array((mt.dim, mt.dim)), PairSectors(mt), gap, 0.0),
+    "pair_coefficients": pair_coefficients,
+    "delta_E_formula": lambda mt, kernel, gap: delta_E_formula(mt, kernel, gap, 0.0),
+    "lemma_hm_expectation_formula": lambda mt, kernel, gap: lemma_hm_expectation_formula(mt, kernel, gap, 0.0, 0.0),
+    "phi_hprime_coupling_formula": phi_hprime_coupling_formula,
+    "hprime_bcs_expansion": lambda mt, kernel, gap: hprime_bcs_expansion(mt, kernel, gap, [], vacuum_state(mt.n_modes)),
+    "correction_state": lambda mt, kernel, gap: correction_state(mt, kernel, gap, [], vacuum_state(mt.n_modes)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(GAP_READERS))
+def test_gap_readers_reject_a_table_of_another_mode_table(two_mode, three_mode, reader):
+    """A 2-mode gap table read against a 3-mode table raises ValidationError, not an index or shape error."""
+    gap = GapTable.from_delta(two_mode[0], [1.2, 1.2])
+    mt, kernel = three_mode
+    with pytest.raises(ValidationError, match="does not match"):
+        GAP_READERS[reader](mt, kernel, gap)
 
 
 def test_hm_spectrum_reads_both_triangles():

@@ -13,8 +13,7 @@ from bcslab.fock import (
     basis_state,
     car_deviation,
     commutator,
-    covariance_deviation,
-    diagonal_conjugate,
+    diagonal_commutator_norm,
     expectation,
     identity_op,
     ladder_matrix,
@@ -31,6 +30,7 @@ from conftest import (
     apply_create,
     conjugate_series,
     dense_conjugation,
+    dense_diagonal_commutator,
     dense_evolution,
     evolve_state,
     random_antisymmetric,
@@ -417,60 +417,74 @@ def test_conjugate_series_agrees_with_evolved_states():
     assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
+def dense_norm(x):
+    """Max absolute row sum of a dense matrix."""
+    return float(np.max(np.abs(x).sum(axis=1)))
+
+
+def covariance(alpha, phase):
+    """f(q) = exp(-i alpha q) - phase, the factor of the number-phase covariance deviation."""
+    return lambda q: np.exp(-1j * alpha * q) - phase
+
+
 @pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
-def test_diagonal_conjugate_matches_series_by_number_operator(instance, request):
+def test_diagonal_commutator_norm_matches_series_by_number_operator(instance, request):
     mt, kernel = request.getfixturevalue(instance)
     bundle = OperatorBundle(mt, kernel)
     big_g = bundle.G
     g = big_g.diagonal()
     ops = [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)] + [bundle.H]
+    assert diagonal_commutator_norm(bundle.H, g) == op_norm_inf(commutator(big_g, bundle.H)) == 0.0
     for alpha in (0.3, 1.0, math.pi):
         for a in ops:
             series = conjugate_series(a, 1j * big_g, alpha, tol=1e-12)
-            assert op_norm_inf(diagonal_conjugate(a, g, alpha) - series) <= 1e-12
+            # against the unrotated A, so a ladder deviates by |exp(i alpha) - 1| per row
+            dev = diagonal_commutator_norm(a, g, covariance(alpha, 1.0))
+            assert abs(dev - op_norm_inf(series - a)) <= 1e-12
 
 
-def test_diagonal_conjugate_matches_dense_exponentials():
+def test_diagonal_commutator_norm_matches_dense_oracles():
     rng = np.random.default_rng(4)
     for dim in (4, 16, 64):
-        a = random_sparse(dim, rng)
-        g = rng.integers(-3, 4, size=dim).astype(np.float64)
-        for alpha in (0.3, 1.0, math.pi):
-            oracle = dense_conjugation(a, 1j * diags_array(g), alpha)
-            assert np.max(np.abs(diagonal_conjugate(a, g, alpha).toarray() - oracle)) <= 1e-12
+        for real in (True, False):
+            a = random_sparse(dim, rng, real=real)
+            g = rng.integers(-3, 4, size=dim).astype(np.float64)
+            expected = dense_norm(dense_diagonal_commutator(a, g))
+            assert expected > 0.0
+            assert abs(diagonal_commutator_norm(a, g) - expected) <= 1e-12 * expected
+            assert diagonal_commutator_norm(a.tocsc(), g) == diagonal_commutator_norm(a, g)
+            for alpha in (0.3, 1.0, math.pi):
+                phase = np.exp(1j * alpha)
+                oracle = dense_conjugation(a, 1j * diags_array(g), alpha) - phase * a.toarray()
+                assert abs(diagonal_commutator_norm(a, g, covariance(alpha, phase)) - dense_norm(oracle)) <= 1e-12
 
 
-def test_diagonal_conjugate_alpha_zero_exact():
+def test_diagonal_commutator_norm_alpha_zero_exact():
     rng = np.random.default_rng(5)
     a = random_sparse(16, rng)
     g = rng.integers(0, 5, size=16).astype(np.float64)
-    assert np.array_equal(diagonal_conjugate(a, g, 0.0).toarray(), a.toarray())
-    with pytest.raises(ValueError):
-        diagonal_conjugate(a, g[:-1], 1.0)
-    with pytest.raises(ValueError):  # a row stack needs whole blocks
-        diagonal_conjugate(vstack([a, a[:8]], format="csr"), g, 1.0)
+    assert diagonal_commutator_norm(a, g, covariance(0.0, 1.0)) == 0.0
+    assert diagonal_commutator_norm(a, np.full(16, 3.0)) == 0.0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        diagonal_commutator_norm(a, g[:-1])
+    with pytest.raises(ValueError, match="dimension mismatch"):  # a row stack is not an operator
+        diagonal_commutator_norm(vstack([a, a], format="csr"), g)
 
 
-@pytest.mark.parametrize("stack_rows", [fock.STACK_ROWS, 32])
-def test_covariance_deviation_equals_the_single_operator_route(stack_rows, monkeypatch):
-    # at 32 rows two of the dim-16 operators share a stack, at the shipped width all five
-    monkeypatch.setattr(fock, "STACK_ROWS", stack_rows)
-    rng = np.random.default_rng(8)
-    dim = 16
-    # rising norms, so each operator sets the deviation of every prefix that ends with it
-    ops = [10.0**i * random_sparse(dim, rng, density=0.3, real=True) for i in range(5)]
-    g = rng.integers(-3, 4, size=dim).astype(np.float64)
-    for alpha in (0.3, 1.0, math.pi):
-        phase = np.exp(1j * alpha)
-        singles = [diagonal_conjugate(a, g, alpha) for a in ops]
-        # each block of a conjugated stack is the conjugation of its operator alone
-        stacked = diagonal_conjugate(vstack(ops, format="csr"), g, alpha)
-        for b, single in enumerate(singles):
-            assert np.array_equal(stacked[b * dim : (b + 1) * dim].toarray(), single.toarray())
-        devs = [op_norm_inf(single - phase * a) for single, a in zip(singles, ops)]
-        assert all(d > 0.0 for d in devs)
-        for i in range(len(ops)):
-            assert covariance_deviation(ops[: i + 1], g, alpha, phase) == max(devs[: i + 1])
+def test_diagonal_commutator_norm_reads_unsorted_rows():
+    # the moduli share the index arrays of A, so A must be sorted with its data, not after
+    rng = np.random.default_rng(7)
+    a = random_sparse(16, rng, density=0.4, real=True)
+    g = rng.integers(-3, 4, size=16).astype(np.float64)
+    expected = dense_norm(dense_diagonal_commutator(a, g))
+    dense = a.toarray()
+    # each row's entries in reverse column order
+    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in zip(a.indptr[:-1], a.indptr[1:])])
+    flipped = csr_array((a.data[order], a.indices[order], a.indptr), shape=a.shape)
+    assert not flipped.has_sorted_indices
+    assert np.array_equal(flipped.toarray(), dense)
+    assert abs(diagonal_commutator_norm(flipped, g) - expected) <= 1e-12 * expected
+    assert np.array_equal(flipped.toarray(), dense)
 
 
 def test_evolve_state_identity_and_zero():

@@ -307,8 +307,6 @@ def test_corrected_pair_expectation_identity_random(three_mode):
 @pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
 def test_fock_algebra_stays_real(instance, request):
     # a silent complex upcast or int64 index anywhere would add to the memory and time of every check
-    from bcslab.fock import diagonal_conjugate
-
     mt, kernel = request.getfixturevalue(instance)
     sol = solve_gap(mt, kernel, tol=1e-12)
     angles = sol.delta
@@ -325,7 +323,6 @@ def test_fock_algebra_stays_real(instance, request):
     states.append(correction_state(mt, kernel, angles, quasi, psi_b).phi)
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
     assert [v.dtype for v in states] == [np.float64] * len(states)
-    assert diagonal_conjugate(bundle.H, bundle.G.diagonal(), 0.3).dtype == np.complex128
     # and int32 sparse indices: an int64 ladder index would widen every operator built from it
     ops.append(ladder_matrix(np.int64(1), mt.n_modes))
     assert [(op.indices.dtype, op.indptr.dtype) for op in ops] == [(np.int32, np.int32)] * len(ops)
