@@ -18,46 +18,53 @@ The rotation exp(i G_B) = exp(K) is exact as well: K conserves every pair
 difference d_k, so `PairSectors` exponentiates it block by block over the
 3^M pair sectors, and the rows that read exp(K) rotate one sector block,
 or one block pair for a ladder, at a time.
+An `Instance` holds the operators, states and scalars of one instance at
+one solver setting, each built from its one `_BUILD` entry the first time a
+row or a printer reads it: `bundle` (the `OperatorBundle` of the ladders,
+B_k, B*_k, h_k, v_k, G, T, H and the identity), `sol` and `new_sol`, their
+gap tables `gap` and `gap_t`, `sectors` (the `PairSectors` map), the states
+`psi_b`, `psi`, `psi_f`, `psi_bt` and `psi_t`, the gammas `quasi` and
+`quasi_t`, the corrections `corr` and `corr_t`, the pair tables
+w_k = (state, B_k state) `w` (of Psi_B) and `w_t` (of Psi~), H_M as `hm` and
+`hm_t`, E_BCS as `ebcs` and `ebcs_t`, and the dense energies `e_f`, `e_b`
+and `e_psi`.  A name ending in _t belongs to the corrected gap equation.
+`energy` and `spectrum` print from an `Instance` at the config's solver
+settings, and so build only what they print.
 `run_verification` bundles all checks for one instance into a deterministic
-report. It builds each operator, state and expectation once and shares it
-between the checks that read it: one `OperatorBundle` (the ladders, B_k,
-B*_k, h_k, v_k, G, T, H and the identity), built right after the kernel
-check, whose 2M ladders `car_relations` reads and every builder reads, one
-`PairSectors` map (read by exp(K) and both H_M spectra), one K = i G_B
-(read by exp(K) and the pairing commutators), the diagonal g of G, the
-dense H-energies and three pair tables w_k = (state, B_k state), each one
-`pair_table` call:
-  Psi_B: pair_expectation_half_sin2theta, ssb_witness_commutator, H_M and
-         E_BCS, hm_splitting and new_gap_reduction;
-  Psi:   corrected_pair_expectation;
-  Psi~:  corollary_new_selfconsistency, the corrected H_M of
-         new_spectrum_multiset and ssb_witness_corrected_state.
-Each Fock operator lives only while a stage reads it, since every one costs
-an array of dimension 2^(2M):
-  G      read once for its diagonal g and the leak term; deleted before
-         charge_commutes_with_h, which reads g, as the covariance checks
-         and both SSB rows do;
-  K      read by exp(K) and the pairing commutators; deleted after them;
-  exp(K) 6^M numbers (2.2 MiB at M = 7), from build_GB to its last reader,
-         the closed-form conjugation, which is formed before the gamma
-         rows (the mean-field conjugation when that row is skipped);
-  h_k    read by the pairing commutators and the mean-field conjugation;
-         deleted from the bundle after it;
-  gamma  the classic list lives through its CAR and annihilation rows,
-         Phi and the H' Psi_B expansion (formed here, as vectors, by
-         `quartet_sum`, which reads each gamma* as the view gamma.T) and
-         the closed-form conjugation row; released before hm_splitting;
-  H_M    from hm_splitting to psi_hm_expectation_formula; H - H_M, read
-         by both splitting rows, and H' through hprime_definition, H' on to
-         H' Psi_B;
-  gamma~ through its CAR and annihilation rows and Psi~;
-  bundle released after ssb_witness_corrected_state; the permuted
-         instance then builds only B_k and B*_k (`PairOperators`) on the
-         bundle's ladders, which do not depend on the mode table.
-A deleted bundle member raises on a later read; nothing rebuilds it. The dense
-checks are skipped above `DENSE_MODE_CAP`, and the (Phi, Phi) = D/2
-checks are skipped when D diverges. The report also holds the two gap
-solutions it verified (`solutions`), which the report files leave out.
+report, read from one `Instance` solved at min(tol, 1e-12).  Beside it the
+pass forms one K = i G_B (read by exp(K) and the pairing commutators) and
+the diagonal g of G.  Each Fock operator lives only while a stage reads it,
+since every one costs an array of dimension 2^(2M):
+  G        (bundle.G) read once for its diagonal g and the leak term;
+           deleted before charge_commutes_with_h, which reads g, as the
+           covariance checks and both SSB rows do;
+  K        read by exp(K) and the pairing commutators; deleted after them;
+  exp(K)   6^M numbers (2.2 MiB at M = 7), from build_GB to its last
+           reader, the closed-form conjugation, which is formed before the
+           gamma rows (the mean-field conjugation when that row is skipped);
+  h_k      (bundle.h) read by the pairing commutators and the mean-field
+           conjugation; deleted from the bundle after it;
+  quasi    lives through its CAR and annihilation rows, `corr` and the
+           H' Psi_B expansion (formed here, as vectors, by `quartet_sum`,
+           which reads each gamma* as the view gamma.T) and the closed-form
+           conjugation row; released before hm_splitting;
+  hm       from hm_splitting to psi_hm_expectation_formula; H - H_M, read
+           by both splitting rows, and H' through hprime_definition, H' on
+           to H' Psi_B;
+  quasi_t  through its CAR and annihilation rows and `corr_t`;
+  hm_t     read by new_spectrum_multiset only;
+  bundle   released with `sectors` after ssb_witness_corrected_state; the
+           permuted instance is a second `Instance` whose `bundle` is
+           assigned: only B_k and B*_k (`PairOperators`) on this bundle's
+           ladders, which do not depend on the mode table.
+A deleted bundle member raises on a later read; nothing rebuilds it.  A
+released instance quantity is built again by a later read, so a pass builds
+each one at most once only because every release follows its last reader;
+`test_run_verification_builds_each_instance_quantity_at_most_once` pins it.
+The dense checks are skipped above `DENSE_MODE_CAP`, and the
+(Phi, Phi) = D/2 checks are skipped when D diverges. The report also holds
+the two gap solutions it verified (`solutions`), which the report files
+leave out.
 """
 
 from __future__ import annotations
@@ -300,14 +307,14 @@ def _overlap_check(name, kernel, sol, overlap, dsum) -> CheckResult:
     return _compare(name, overlap, 0.5 * dsum, TOL_IDENTITY)
 
 
-def _physical_scalars(mt, kernel, sol, new_sol, corr) -> np.ndarray:
+def _physical_scalars(inst) -> np.ndarray:
     """Order-independent scalars of a solved instance, for the permutation check."""
     scalars = [
-        ebcs_formula(mt, sol.delta, 0.5 * sol.delta.sin2t),
-        condensation_energy(mt, sol.delta),
-        delta_E_formula(mt, kernel, sol.delta, corr.overlap),
+        ebcs_formula(inst.mt, inst.gap, 0.5 * inst.gap.sin2t),
+        condensation_energy(inst.mt, inst.gap),
+        delta_E_formula(inst.mt, inst.kernel, inst.gap, inst.corr.overlap),
     ]
-    return np.concatenate((scalars, np.sort(sol.delta.delta), np.sort(new_sol.delta.delta)))
+    return np.concatenate((scalars, np.sort(inst.gap.delta), np.sort(inst.gap_t.delta)))
 
 
 def _solution_metadata(sol) -> dict:
@@ -317,6 +324,53 @@ def _solution_metadata(sol) -> dict:
     if sol.dk is not None:
         block.update(dk=sol.dk.tolist(), dsum=sol.dsum, max_factor_dev=sol.max_factor_dev)
     return block
+
+
+# one builder per `Instance` quantity, each reading the quantities it needs from the instance
+_BUILD = {
+    "bundle": lambda s: OperatorBundle(s.mt, s.kernel),
+    "sol": lambda s: solve_gap(s.mt, s.kernel, **s.solver),
+    "new_sol": lambda s: solve_new_gap(s.mt, s.kernel, **s.solver),
+    "gap": lambda s: s.sol.delta,
+    "gap_t": lambda s: s.new_sol.delta,
+    "sectors": lambda s: PairSectors(s.mt),
+    "psi_b": lambda s: bcs_state(s.bundle, s.gap),
+    "psi_bt": lambda s: bcs_state(s.bundle, s.gap_t),
+    "w": lambda s: pair_table(s.bundle, s.psi_b),
+    "w_t": lambda s: pair_table(s.bundle, s.psi_t),
+    "quasi": lambda s: quasi_ops(s.bundle, s.gap),
+    "quasi_t": lambda s: quasi_ops(s.bundle, s.gap_t),
+    "corr": lambda s: correction_state(s.mt, s.kernel, s.gap, s.quasi, s.psi_b),
+    "corr_t": lambda s: correction_state(s.mt, s.kernel, s.gap_t, s.quasi_t, s.psi_bt),
+    "psi": lambda s: normalized_psi(s.psi_b, s.corr),
+    "psi_t": lambda s: normalized_psi(s.psi_bt, s.corr_t),
+    "psi_f": lambda s: fermi_vacuum(s.bundle),
+    "hm": lambda s: build_HM(s.bundle, s.gap, s.w),
+    "hm_t": lambda s: build_HM(s.bundle, s.gap_t, s.w_t),
+    "ebcs": lambda s: ebcs_formula(s.mt, s.gap, s.w),
+    "ebcs_t": lambda s: ebcs_formula(s.mt, s.gap_t, s.w_t),
+    "e_f": lambda s: expectation(s.psi_f, s.bundle.H, s.psi_f),
+    "e_b": lambda s: expectation(s.psi_b, s.bundle.H, s.psi_b),
+    "e_psi": lambda s: expectation(s.psi, s.bundle.H, s.psi),
+}
+
+
+class Instance:
+    """The operators, states and scalars of one instance at one solver setting.
+
+    Each name of `_BUILD` is built the first time it is read and kept;
+    `del inst.name` releases it, and a later read builds it again.  `solver`
+    holds the keyword arguments of both gap solvers.
+    """
+
+    def __init__(self, mt: ModeTable, kernel: Kernel, solver: dict):
+        self.mt, self.kernel, self.solver = mt, kernel, solver
+
+    def __getattr__(self, name):
+        if name not in _BUILD:
+            raise AttributeError(f"{type(self).__name__} has no quantity {name!r}")
+        value = self.__dict__[name] = _BUILD[name](self)
+        return value
 
 
 def run_verification(
@@ -349,9 +403,10 @@ def run_verification(
     report.add(_deviation("kernel_constraints", float(len(violations)), 0.0))
     if violations:
         raise ValidationError("kernel violates structural constraints: " + "; ".join(violations))
+    inst = Instance(mt, kernel, solver)
 
     # --- operator algebra ---------------------------------------------------
-    bundle = OperatorBundle(mt, kernel)
+    bundle = inst.bundle
     report.add(_deviation("car_relations", anticommutator_check(bundle.C), 0.0))
 
     # G commutes, conjugates and forms [G, B_k] on vectors only as its real
@@ -371,20 +426,19 @@ def run_verification(
     report.add(_deviation("number_phase_covariance_h", dev_h, TOL_LOOSE))
 
     # --- classic gap equation and states ------------------------------------
-    sol = solve_gap(mt, kernel, **solver)
-    gap = sol.delta
+    sol, gap = inst.sol, inst.gap
     report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, gap), tol, sol))
 
     # exp(K) lives from here to its last reader, the closed-form conjugation;
     # every row that reads it also counts the entries of K that couple two sectors
-    sectors = PairSectors(mt)
+    sectors = inst.sectors
     gb = build_GB(bundle, gap)
     expk, k_leak = sectors.exponential(gb)
-    psi_b = bcs_state(bundle, gap)
+    psi_b = inst.psi_b
     dev = float(np.linalg.norm(psi_b - sectors.column(expk, 0))) + k_leak
     report.add(_deviation("bcs_product_vs_exponential", dev, TOL_IDENTITY))
 
-    w_dense = pair_table(bundle, psi_b)
+    w_dense = inst.w
     dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, gap.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
@@ -411,26 +465,24 @@ def run_verification(
     del bundle.h, rhs
     report.add(_deviation("meanfield_conjugation", dev + k_leak, TOL_LOOSE))
 
-    quasi = quasi_ops(bundle, gap)
     # exp(K) C_j exp(-K) = E C_j E^T against gamma_j; formed before the gamma
     # rows and added in its place below, so exp(K) is gone before them
     if dense_skip:
         closed_form = _skip("gamma_closed_form_vs_conjugation", dense_skip)
     else:
-        dev = max(sectors.conjugation_deviation(expk, c, gamma, inverse=True) for c, gamma in zip(bundle.C, quasi))
+        dev = max(sectors.conjugation_deviation(expk, c, gamma, inverse=True) for c, gamma in zip(bundle.C, inst.quasi))
         closed_form = _deviation("gamma_closed_form_vs_conjugation", dev + k_leak, TOL_LOOSE)
     del expk
-    _gamma_checks(report, "gamma", quasi, psi_b)
+    _gamma_checks(report, "gamma", inst.quasi, psi_b)
     # Phi and the H' Psi_B expansion are formed here, and their rows added
     # below, so the gammas are gone before hm_splitting
-    corr = correction_state(mt, kernel, gap, quasi, psi_b)
-    expansion = hprime_bcs_expansion(mt, kernel, gap, quasi, psi_b)
+    corr = inst.corr
+    expansion = hprime_bcs_expansion(mt, kernel, gap, inst.quasi, psi_b)
 
     report.add(closed_form)
-    del quasi
+    del inst.quasi
 
     # --- mean-field splitting -----------------------------------------------
-    hm = build_HM(bundle, gap, w_dense)
     fluct = 0.0 * bundle.I
     for kp in range(m):
         bdag = bundle.Bd[kp] - w_dense[kp] * bundle.I
@@ -440,7 +492,7 @@ def run_verification(
                 continue
             fluct = fluct + u * (bdag @ (bundle.B[k] - w_dense[k] * bundle.I))
     # H - H_M, read by both splitting rows
-    split = bundle.H - hm
+    split = bundle.H - inst.hm
     report.add(_deviation("hm_splitting", op_norm_inf(split - fluct), TOL_IDENTITY))
     # each large operator is released after its last reader, so the ones a
     # later stage builds do not stack on it
@@ -451,11 +503,8 @@ def run_verification(
     del split
 
     # --- energies ------------------------------------------------------------
-    psi_f = fermi_vacuum(bundle)
-    e_f = expectation(psi_f, bundle.H, psi_f)
-    e_b = expectation(psi_b, bundle.H, psi_b)
-    ebcs = ebcs_formula(mt, gap, w_dense)
-    report.add(_compare("ebcs_formula_vs_dense_hm", ebcs, expectation(psi_b, hm, psi_b), TOL_IDENTITY))
+    e_f, e_b, ebcs = inst.e_f, inst.e_b, inst.ebcs
+    report.add(_compare("ebcs_formula_vs_dense_hm", ebcs, expectation(psi_b, inst.hm, psi_b), TOL_IDENTITY))
     if sol.converged:
         report.add(_compare("ebcs_formula_vs_dense_h", ebcs, e_b, TOL_IDENTITY))
     else:
@@ -466,7 +515,7 @@ def run_verification(
         report.add(_skip("hm_spectrum_multiset", dense_skip))
         report.add(_skip("hm_ground_equals_ebcs", dense_skip))
     else:
-        dev, spectrum = hm_spectrum_check(hm, sectors, gap, ebcs)
+        dev, spectrum = hm_spectrum_check(inst.hm, sectors, gap, ebcs)
         report.add(_deviation("hm_spectrum_multiset", dev, TOL_LOOSE))
         report.add(_compare("hm_ground_equals_ebcs", ebcs, float(spectrum[0]), TOL_LOOSE))
 
@@ -476,7 +525,6 @@ def run_verification(
         report.add(_skip("condensation_energy", "needs a gap-equation solution"))
 
     # --- corrected state ------------------------------------------------------
-    psi = normalized_psi(psi_b, corr)
     report.add(_deviation("bcs_phi_orthogonal", abs(np.vdot(psi_b, corr.phi)), TOL_TIGHT))
 
     dk, dsum = dk_weights(mt, kernel, gap)
@@ -498,13 +546,13 @@ def run_verification(
         _compare(
             "psi_hm_expectation_formula",
             lemma_hm_expectation_formula(mt, kernel, gap, corr.overlap, ebcs),
-            expectation(psi, hm, psi),
+            expectation(inst.psi, inst.hm, inst.psi),
             TOL_LOOSE,
         )
     )
-    del hm
+    del inst.hm
 
-    e_psi = expectation(psi, bundle.H, psi)
+    e_psi = inst.e_psi
     denergy = delta_E_formula(mt, kernel, gap, corr.overlap)
     report.add(_compare("delta_e_formula_vs_dense", denergy, e_psi - e_b, TOL_LOOSE))
 
@@ -517,30 +565,23 @@ def run_verification(
 
     shrink = correction_factor(dk, dsum)
     expected = 0.5 * gap.sin2t * shrink
-    dev = max((abs(p - e) for p, e in zip(pair_table(bundle, psi), expected)), default=0.0)
+    dev = max((abs(p - e) for p, e in zip(pair_table(bundle, inst.psi), expected)), default=0.0)
     report.add(_deviation("corrected_pair_expectation", dev, TOL_IDENTITY))
 
     # --- corrected gap equation ------------------------------------------------
-    new_sol = solve_new_gap(mt, kernel, **solver)
-    report.add(_certificate("gap_solution_new", new_gap_residual(mt, kernel, new_sol.delta), tol, new_sol))
+    new_sol, gap_t = inst.new_sol, inst.gap_t
+    report.add(_certificate("gap_solution_new", new_gap_residual(mt, kernel, gap_t), tol, new_sol))
 
     # the classic twin of the corollary_new_selfconsistency row: Delta_k
     # against the dense pair expectations of Psi_B
     report.add(_deviation("new_gap_reduction", _selfconsistency(gap, kernel, w_dense), 10.0 * tol))
 
-    gap_t = new_sol.delta
-    psi_bt = bcs_state(bundle, gap_t)
-    quasi_t = quasi_ops(bundle, gap_t)
-    _gamma_checks(report, "gamma_tilde", quasi_t, psi_bt)
+    _gamma_checks(report, "gamma_tilde", inst.quasi_t, inst.psi_bt)
+    report.add(_overlap_check("new_overlap_identity", kernel, new_sol, inst.corr_t.overlap, new_sol.dsum))
+    del inst.quasi_t
 
-    corr_t = correction_state(mt, kernel, gap_t, quasi_t, psi_bt)
-    del quasi_t
-    psi_t = normalized_psi(psi_bt, corr_t)
-    report.add(_overlap_check("new_overlap_identity", kernel, new_sol, corr_t.overlap, new_sol.dsum))
-
-    w_t = pair_table(bundle, psi_t)
     if new_sol.converged:
-        dev = _selfconsistency(gap_t, kernel, w_t)
+        dev = _selfconsistency(gap_t, kernel, inst.w_t)
         report.add(_deviation("corollary_new_selfconsistency", dev, max(TOL_LOOSE, 10.0 * tol)))
     else:
         report.add(_skip("corollary_new_selfconsistency", "corrected equation did not converge"))
@@ -548,29 +589,24 @@ def run_verification(
     if dense_skip:
         report.add(_skip("new_spectrum_multiset", dense_skip))
     else:
-        ebcs_t = ebcs_formula(mt, gap_t, w_t)
-        dev, _ = hm_spectrum_check(build_HM(bundle, gap_t, w_t), sectors, gap_t, ebcs_t)
+        dev, _ = hm_spectrum_check(inst.hm_t, sectors, gap_t, inst.ebcs_t)
+        del inst.hm_t
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
-    dev = _ssb_deviation(bundle, g, psi_t, w_t) + g_leak
+    dev = _ssb_deviation(bundle, g, inst.psi_t, inst.w_t) + g_leak
     report.add(_deviation("ssb_witness_corrected_state", dev, TOL_EXPECT))
     # the relabelled instance reads only ladders, B_k and B*_k, and its
     # ladders are this instance's: ladder_matrix(j, M) ignores the mode table
     ladders = bundle.C
-    del bundle, sectors
+    del bundle, sectors, inst.bundle, inst.sectors
 
     # --- ordering invariance -----------------------------------------------------
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
-    mt_p, kernel_p = permuted_instance(mt, kernel, perm)
-    sol_p = solve_gap(mt_p, kernel_p, **solver)
-    pairs_p = PairOperators(mt_p, ladders)
-    psi_bp = bcs_state(pairs_p, sol_p.delta)
-    corr_p = correction_state(mt_p, kernel_p, sol_p.delta, quasi_ops(pairs_p, sol_p.delta), psi_bp)
-    new_sol_p = solve_new_gap(mt_p, kernel_p, **solver)
-    base = _physical_scalars(mt, kernel, sol, new_sol, corr)
-    moved = _physical_scalars(mt_p, kernel_p, sol_p, new_sol_p, corr_p)
-    report.add(_deviation("ordering_invariance", float(np.max(np.abs(base - moved))), TOL_IDENTITY))
+    moved = Instance(*permuted_instance(mt, kernel, perm), solver)
+    moved.bundle = PairOperators(moved.mt, ladders)
+    dev = float(np.max(np.abs(_physical_scalars(inst) - _physical_scalars(moved))))
+    report.add(_deviation("ordering_invariance", dev, TOL_IDENTITY))
 
     report.solutions = {"classic": sol, "new": new_sol}
     report.metadata = {

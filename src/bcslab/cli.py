@@ -23,18 +23,16 @@ import numpy as np
 
 from .analysis import (
     TOL_LOOSE,
+    Instance,
     VerificationReport,
     condensation_energy,
     delta_E_formula,
-    ebcs_formula,
     free_fermi_energy,
     hm_spectrum_check,
     run_verification,
 )
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .fock import expectation
 from .gapsolve import GapSolution, check_solver, solve_gap, solve_new_gap
-from .hamiltonian import OperatorBundle, build_HM
 from .model import (
     Kernel,
     ModeTable,
@@ -43,8 +41,6 @@ from .model import (
     separable_kernel,
     validate_kernel,
 )
-from .sectors import PairSectors
-from .states import bcs_state, correction_state, fermi_vacuum, normalized_psi, pair_table, quasi_ops
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -309,10 +305,6 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _solve(cfg: RunConfig, equation: str) -> GapSolution:
-    return (solve_new_gap if equation == "new" else solve_gap)(cfg.mt, cfg.kernel, **cfg.solver)
-
-
 def _print_solution(mt: ModeTable, sol: GapSolution) -> None:
     label = "trivial" if sol.trivial else ("converged" if sol.converged else "NOT CONVERGED")
     print(
@@ -344,32 +336,22 @@ def _print_solution(mt: ModeTable, sol: GapSolution) -> None:
 
 def _cmd_solve(args, equation: str) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    sol = _solve(cfg, equation)
+    sol = (solve_new_gap if equation == "new" else solve_gap)(cfg.mt, cfg.kernel, **cfg.solver)
     _print_solution(cfg.mt, sol)
     return EXIT_OK if sol.converged else EXIT_RESOURCE
 
 
-def _corrected(cfg: RunConfig, bundle: OperatorBundle, sol: GapSolution, psi_ref: np.ndarray):
-    """Correction Phi on the reference state of `sol`, and the normalized corrected state."""
-    corr = correction_state(cfg.mt, cfg.kernel, sol.delta, quasi_ops(bundle, sol.delta), psi_ref)
-    return corr, normalized_psi(psi_ref, corr)
-
-
 def _cmd_spectrum(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    sol = _solve(cfg, cfg.equation)
+    inst = Instance(cfg.mt, cfg.kernel, cfg.solver)
+    # H_M reads the pair table of the state its equation pairs: Psi_B or Psi~
+    new = cfg.equation == "new"
+    sol = inst.new_sol if new else inst.sol
     if not sol.converged:
         print("gap equation did not converge; no spectrum check", file=sys.stderr)
         return EXIT_RESOURCE
-    bundle = OperatorBundle(cfg.mt, cfg.kernel)
-    # H_M reads the pair table of the state its equation pairs: Psi_B or Psi
-    witness = bcs_state(bundle, sol.delta)
-    if sol.equation == "new":
-        witness = _corrected(cfg, bundle, sol, witness)[1]
-    w = pair_table(bundle, witness)
-    hm = build_HM(bundle, sol.delta, w)
-    ebcs = ebcs_formula(cfg.mt, sol.delta, w)
-    dev, spectrum = hm_spectrum_check(hm, PairSectors(cfg.mt), sol.delta, ebcs)
+    gap, hm, ebcs = (inst.gap_t, inst.hm_t, inst.ebcs_t) if new else (inst.gap, inst.hm, inst.ebcs)
+    dev, spectrum = hm_spectrum_check(hm, inst.sectors, gap, ebcs)
     print(f"equation={sol.equation}  E_BCS={ebcs:.12f}  ground={spectrum[0]:.12f}")
     print(f"spectrum multiset deviation = {dev:.3e} (tolerance {TOL_LOOSE:g})")
     return EXIT_OK if dev <= TOL_LOOSE else EXIT_CHECK_FAILURES
@@ -377,33 +359,24 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    sol = _solve(cfg, "classic")
-    if not sol.converged:
+    inst = Instance(cfg.mt, cfg.kernel, cfg.solver)
+    if not inst.sol.converged:
         print("gap equation did not converge; no energy table", file=sys.stderr)
         return EXIT_RESOURCE
-    bundle = OperatorBundle(cfg.mt, cfg.kernel)
-    psi_ref = bcs_state(bundle, sol.delta)
-    corr, psi = _corrected(cfg, bundle, sol, psi_ref)
-    w = pair_table(bundle, psi_ref)
-    psi_f = fermi_vacuum(bundle)
-    ebcs = ebcs_formula(cfg.mt, sol.delta, w)
-    e_bcs_dense = expectation(psi_ref, bundle.H, psi_ref)
-    e_f_dense = expectation(psi_f, bundle.H, psi_f)
-    e_psi_dense = expectation(psi, bundle.H, psi)
-    cond = condensation_energy(cfg.mt, sol.delta)
-    denergy = delta_E_formula(cfg.mt, cfg.kernel, sol.delta, corr.overlap)
+    mt, gap, e_b, e_f = cfg.mt, inst.gap, inst.e_b, inst.e_f
+    denergy = delta_E_formula(mt, cfg.kernel, gap, inst.corr.overlap)
     rows = [
-        ("E_BCS (formula)", ebcs, "(Psi_B, H Psi_B)", e_bcs_dense),
-        ("free sea (formula)", free_fermi_energy(cfg.mt), "(Psi_F, H Psi_F)", e_f_dense),
-        ("condensation (formula)", cond, "dense difference", e_bcs_dense - e_f_dense),
-        ("Delta-E (formula)", denergy, "dense difference", e_psi_dense - e_bcs_dense),
+        ("E_BCS (formula)", inst.ebcs, "(Psi_B, H Psi_B)", e_b),
+        ("free sea (formula)", free_fermi_energy(mt), "(Psi_F, H Psi_F)", e_f),
+        ("condensation (formula)", condensation_energy(mt, gap), "dense difference", e_b - e_f),
+        ("Delta-E (formula)", denergy, "dense difference", inst.e_psi - e_b),
     ]
     worst = 0.0
     for name, formula, brutename, brute in rows:
         dev = abs(formula - brute)
         worst = max(worst, dev)
         print(f"{name:<24} {formula:>20.12f}   {brutename:<18} {brute:>20.12f}   dev {dev:.3e}")
-    print(f"(Psi, H Psi) = {e_psi_dense:.12f}")
+    print(f"(Psi, H Psi) = {inst.e_psi:.12f}")
     return EXIT_OK if worst <= TOL_LOOSE else EXIT_CHECK_FAILURES
 
 

@@ -123,9 +123,9 @@ def _pair_map(nvecs) -> np.ndarray:
 
 
 def _check_scales(L: float, mass: float) -> None:
-    """The box size and the mass divide xi = hbar^2 |k|^2 / (2m) - mu, so both must be positive."""
-    if not L > 0:
-        raise ValidationError(f"box size L must be positive, got {L!r}")
+    """The box size and the mass divide xi = hbar^2 |k|^2 / (2m) - mu, so both must be positive, and L finite."""
+    if not (math.isfinite(L) and L > 0):
+        raise ValidationError(f"box size L must be positive and finite, got {L!r}")
     if not mass > 0:
         raise ValidationError(f"mass m must be positive, got {mass!r}")
 
@@ -143,8 +143,8 @@ def build_lambda(
     box sizes (e.g. L = 6.2831853 for 2*pi) keep their boundary shells.
     """
     _check_scales(L, mass)
-    if not kmax > 0:
-        raise ValidationError(f"kmax must be positive, got {kmax!r}")
+    if not (math.isfinite(kmax) and kmax > 0):
+        raise ValidationError(f"kmax must be positive and finite, got {kmax!r}")
     kcut = kmax * (1.0 + 1e-8)
     reach = kcut * L / TWO_PI
     cap = mode_cap()

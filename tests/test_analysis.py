@@ -751,6 +751,42 @@ def test_run_verification_builds_each_ladder_once(monkeypatch):
     assert sorted(built) == list(range(cfg.mt.n_orbitals)) == list(range(14))
 
 
+@pytest.mark.parametrize("instance", ["three_mode", "seven_mode"])
+def test_run_verification_builds_each_instance_quantity_at_most_once(instance, monkeypatch):
+    """A pass reads every quantity of its two `Instance`s through one build each.
+
+    A release point placed before a later reader would rebuild the quantity
+    silently; this counts every `_BUILD` call per instance.  The M = 3 pass
+    builds all names on its own instance, and the M = 7 pass all but the
+    corrected H_M and E_BCS, which only its skipped dense row reads.  The
+    permuted instance solves, builds Psi_B, its gammas and Phi, and reads its
+    assigned pair operators instead of building a bundle.
+    """
+    cfg = load_config(str(GOLDEN / instance / "config.json"))
+    built = []  # (instance, name); holding the instances keeps their ids apart
+
+    def counting(name, build):
+        def counted(inst):
+            built.append((inst, name))
+            return build(inst)
+
+        return counted
+
+    for name, build in list(analysis._BUILD.items()):
+        monkeypatch.setitem(analysis._BUILD, name, counting(name, build))
+    report = run_verification(cfg.mt, cfg.kernel, seed=cfg.seed)
+    assert report.all_passed
+    keys = [(id(inst), name) for inst, name in built]
+    assert len(keys) == len(set(keys))
+    own, moved = built[0][0], built[-1][0]
+    assert own is not moved and {inst for inst, _ in built} == {own, moved}
+    names = {name for inst, name in built if inst is own}
+    skipped = {"hm_t", "ebcs_t"} if cfg.mt.n_modes > analysis.DENSE_MODE_CAP else set()
+    assert names == set(analysis._BUILD) - skipped
+    permuted = {name for inst, name in built if inst is moved}
+    assert permuted == {"sol", "new_sol", "gap", "gap_t", "quasi", "psi_b", "corr"}
+
+
 def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch):
     """One K = i G_B per pass, and each B*_k formed once, by the bundle, instead of at every reader."""
     mt, kernel = three_mode

@@ -106,6 +106,15 @@ def test_lattice_command(capsys):
     assert "M = 7" in out
 
 
+@pytest.mark.parametrize("argv", [["--L", "inf", "--kmax", "1"], ["--L", "6.28", "--kmax", "inf"]])
+def test_lattice_non_finite_scale_is_config_error(argv, capsys):
+    """A non-finite L or kmax is a config error, as it is from a config, not a mode-count overflow."""
+    assert main(["lattice", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "positive and finite" in err
+    assert "Traceback" not in err
+
+
 def test_lattice_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["lattice", "--bogus"])
@@ -427,25 +436,41 @@ def test_verify_matches_golden_report(instance, tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
-# the stdout of energy and spectrum on each golden, in <stem>.out, and their exit codes, in exit_codes.json
+# the stdout of each command on each golden, in <stem>.out, and its exit code, in exit_codes.json;
+# verify and report write no report files here
 GOLDEN_COMMANDS = {
     "energy": ["energy"],
     "spectrum-classic": ["spectrum", "--equation", "classic"],
     "spectrum-new": ["spectrum", "--equation", "new"],
+    "solve-gap": ["solve-gap"],
+    "solve-new-gap": ["solve-new-gap"],
+    "verify": ["verify"],
+    "report": ["report"],
 }
 
 
-@pytest.mark.parametrize("stem", list(GOLDEN_COMMANDS))
+def _matches_golden_stdout(instance, stem, capsys):
+    golden = GOLDEN / instance
+    code = main([*GOLDEN_COMMANDS[stem], "--config", str(golden / "config.json")])
+    assert capsys.readouterr().out == (golden / f"{stem}.out").read_text()
+    assert code == json.loads((golden / "exit_codes.json").read_text())[stem]
+
+
+@pytest.mark.parametrize("stem", ["energy", "spectrum-classic", "spectrum-new"])
 @pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
 def test_energy_and_spectrum_match_golden_stdout(instance, stem, capsys):
     """energy and both spectrum equations print the committed stdout and exit with the committed code.
 
     The printed spectrum deviation reads `op_norm_inf`, so this also pins the one row-sum routine.
     """
-    golden = GOLDEN / instance
-    code = main([*GOLDEN_COMMANDS[stem], "--config", str(golden / "config.json")])
-    assert capsys.readouterr().out == (golden / f"{stem}.out").read_text()
-    assert code == json.loads((golden / "exit_codes.json").read_text())[stem]
+    _matches_golden_stdout(instance, stem, capsys)
+
+
+@pytest.mark.parametrize("stem", ["solve-gap", "solve-new-gap", "verify", "report"])
+@pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
+def test_solve_verify_and_report_match_golden_stdout(instance, stem, capsys):
+    """Both solve commands, and verify and report without --out, print the committed stdout and exit code."""
+    _matches_golden_stdout(instance, stem, capsys)
 
 
 def test_readme_command_examples_use_existing_configs():
@@ -467,17 +492,38 @@ def test_readme_library_example_runs(capsys):
     assert out[-1] == "True"
 
 
+def _forbid(monkeypatch, *names):
+    """Make every bcslab binding of each named function or class raise when called."""
+    for name in names:
+        original = getattr(bcslab.analysis, name)
+
+        def unread(*args, name=name):
+            raise AssertionError(f"{name} was called by a command that does not print it")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("bcslab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, unread)
+
+
 def test_classic_spectrum_builds_only_the_paired_state(pair_config, monkeypatch, capsys):
     """H_M of the classic equation reads Psi_B's pair table; the gammas and Phi are not built."""
-    from bcslab import cli
-
-    def unread(*args):
-        raise AssertionError("spectrum --equation classic built a state it does not print")
-
-    monkeypatch.setattr(cli, "quasi_ops", unread)
-    monkeypatch.setattr(cli, "correction_state", unread)
+    _forbid(monkeypatch, "quasi_ops", "correction_state")
     assert main(["spectrum", "--config", pair_config, "--equation", "classic"]) == 0
     assert "(tolerance 1e-09)" in capsys.readouterr().out
+
+
+def test_new_spectrum_never_solves_the_classic_equation(pair_config, monkeypatch, capsys):
+    """spectrum --equation new reads the corrected solution, its Psi~ and H_M only."""
+    _forbid(monkeypatch, "solve_gap")
+    assert main(["spectrum", "--config", pair_config, "--equation", "new"]) == 0
+    assert capsys.readouterr().out.startswith("equation=new ")
+
+
+def test_energy_builds_no_mean_field_or_corrected_equation(pair_config, monkeypatch, capsys):
+    """energy prints classic energies only: no corrected solve, K, pair sectors or H_M."""
+    _forbid(monkeypatch, "solve_new_gap", "build_GB", "PairSectors", "build_HM")
+    assert main(["energy", "--config", pair_config]) == 0
+    assert "(Psi, H Psi) = " in capsys.readouterr().out
 
 
 def test_report_command(pair_config, tmp_path, capsys):
