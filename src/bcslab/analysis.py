@@ -21,45 +21,60 @@ or one block pair for a ladder, at a time.
 An `Instance` holds the operators, states and scalars of one instance at
 one solver setting, each built from its one `_BUILD` entry the first time a
 row or a printer reads it: `bundle` (the `OperatorBundle` of the ladders,
-B_k, B*_k, h_k, v_k, G, T, H and the identity), `sol` and `new_sol`, their
-gap tables `gap` and `gap_t`, `sectors` (the `PairSectors` map), the states
+B_k, B*_k, h_k, v_k, G, T, H and the identity) and its `ladders`, the
+diagonal `g` of G and its leak term `g_leak`, `sol` and `new_sol`, their gap
+tables `gap` and `gap_t`, `sectors` (the `PairSectors` map), the states
 `psi_b`, `psi`, `psi_f`, `psi_bt` and `psi_t`, the gammas `quasi` and
-`quasi_t`, the corrections `corr` and `corr_t`, the pair tables
-w_k = (state, B_k state) `w` (of Psi_B) and `w_t` (of Psi~), H_M as `hm` and
-`hm_t`, E_BCS as `ebcs` and `ebcs_t`, and the dense energies `e_f`, `e_b`
-and `e_psi`.  A name ending in _t belongs to the corrected gap equation.
-`energy` and `spectrum` print from an `Instance` at the config's solver
-settings, and so build only what they print.
-`run_verification` bundles all checks for one instance into a deterministic
-report, read from one `Instance` solved at min(tol, 1e-12).  Beside it the
-pass forms one K = i G_B (read by exp(K) and the pairing commutators) and
-the diagonal g of G.  Each Fock operator lives only while a stage reads it,
-since every one costs an array of dimension 2^(2M):
-  G        (bundle.G) read once for its diagonal g and the leak term;
-           deleted before charge_commutes_with_h, which reads g, as the
-           covariance checks and both SSB rows do;
-  K        read by exp(K) and the pairing commutators; deleted after them;
-  exp(K)   6^M numbers (2.2 MiB at M = 7), from build_GB to its last
-           reader, the closed-form conjugation, which is formed before the
-           gamma rows (the mean-field conjugation when that row is skipped);
-  h_k      (bundle.h) read by the pairing commutators and the mean-field
-           conjugation; deleted from the bundle after it;
-  quasi    lives through its CAR and annihilation rows, `corr` and the
-           H' Psi_B expansion (formed here, as vectors, by `quartet_sum`,
-           which reads each gamma* as the view gamma.T) and the closed-form
-           conjugation row; released before hm_splitting;
-  hm       from hm_splitting to psi_hm_expectation_formula; H - H_M, read
-           by both splitting rows, and H' through hprime_definition, H' on
-           to H' Psi_B;
-  quasi_t  through its CAR and annihilation rows and `corr_t`;
-  hm_t     read by new_spectrum_multiset only;
-  bundle   released with `sectors` after ssb_witness_corrected_state; the
-           permuted instance is a second `Instance` whose `bundle` is
-           assigned: only B_k and B*_k (`PairOperators`) on this bundle's
-           ladders, which do not depend on the mode table.
-A deleted bundle member raises on a later read; nothing rebuilds it.  A
-released instance quantity is built again by a later read, so a pass builds
-each one at most once only because every release follows its last reader;
+`quasi_t`, the corrections `corr` and `corr_t`, the H' Psi_B `expansion`,
+the pair tables w_k = (state, B_k state) `w` (of Psi_B) and `w_t` (of
+Psi~), H_M as `hm` and `hm_t`, H' as `hprime`, E_BCS as `ebcs` and
+`ebcs_t`, and the dense energies `e_f`, `e_b` and `e_psi`.  A name ending
+in _t belongs to the corrected gap equation.  `energy` and `spectrum` print
+from an `Instance` at the config's solver settings, and so build only what
+they print.
+`run_verification` bundles the checks of one instance into a deterministic
+report, read from one `Instance` solved at min(tol, 1e-12).  After the
+kernel_constraints row it runs seven private stages in report order, and
+`_STAGES` names the rows that each one adds.  A `checks` list is checked
+against that table before any operator is built, runs only the stages that
+own its rows and keeps only those rows; both gap equations are still solved,
+for the metadata and the exit code.  A stage reads what it needs from the
+`Instance`, so it never needs the stages before it.  Each Fock operator
+lives only while a stage reads it, since every one costs an array of
+dimension 2^(2M); a full pass releases them as follows:
+  operator algebra      builds the bundle; reads G once, for g and g_leak,
+                        and deletes it from the bundle before
+                        charge_commutes_with_h, which reads g, as the
+                        covariance checks and both SSB rows do;
+  classic state         forms K = i G_B, read by exp(K) and the pairing
+                        commutators and deleted after them, and exp(K), 6^M
+                        numbers (2.2 MiB at M = 7), whose last reader is the
+                        closed-form conjugation, formed before the gamma rows
+                        (the mean-field conjugation when that row is
+                        skipped); deletes the h_k from the bundle after the
+                        mean-field conjugation; `quasi` lives through its CAR
+                        and annihilation rows, `corr` and the `expansion`
+                        (both built here, as vectors, by `quartet_sum`, which
+                        reads each gamma* as the view gamma.T) and the
+                        closed-form row, and is released before hm_splitting;
+  mean-field splitting  builds `hm` and `hprime`; H - H_M, read by both
+                        splitting rows, lives in this stage only;
+  energies              reads `hm`;
+  corrected state       releases `hprime` after H' Psi_B, and `hm` after
+                        psi_hm_expectation_formula;
+  corrected equation    `quasi_t` lives through its CAR and annihilation
+                        rows and `corr_t`; `hm_t` is read by
+                        new_spectrum_multiset only;
+  ordering              releases the bundle and `sectors`; the permuted
+                        instance is a second `Instance` whose `bundle` is
+                        assigned: only B_k and B*_k (`PairOperators`) on this
+                        instance's `ladders`, which do not depend on the mode
+                        table.
+A filtered run makes the releases of the stages it runs; releasing a
+quantity that the run never built does nothing.  A deleted bundle member
+raises on a later read; nothing rebuilds it.  A released instance quantity
+is built again by a later read, so a pass builds each one at most once only
+because every release follows its last reader;
 `test_run_verification_builds_each_instance_quantity_at_most_once` pins it.
 The dense checks are skipped above `DENSE_MODE_CAP`, and the
 (Phi, Phi) = D/2 checks are skipped when D diverges. The report also holds
@@ -329,6 +344,12 @@ def _solution_metadata(sol) -> dict:
 # one builder per `Instance` quantity, each reading the quantities it needs from the instance
 _BUILD = {
     "bundle": lambda s: OperatorBundle(s.mt, s.kernel),
+    "ladders": lambda s: s.bundle.C,
+    # G commutes, conjugates and forms [G, B_k] on vectors only as its real
+    # diagonal g; any other entry of it counts in all five charge rows, as the
+    # leak term of `hm_spectrum_check` does
+    "g": lambda s: s.bundle.G.diagonal().real,
+    "g_leak": lambda s: float(abs(s.bundle.G - diags_array(s.g)).max()),
     "sol": lambda s: solve_gap(s.mt, s.kernel, **s.solver),
     "new_sol": lambda s: solve_new_gap(s.mt, s.kernel, **s.solver),
     "gap": lambda s: s.sol.delta,
@@ -342,11 +363,13 @@ _BUILD = {
     "quasi_t": lambda s: quasi_ops(s.bundle, s.gap_t),
     "corr": lambda s: correction_state(s.mt, s.kernel, s.gap, s.quasi, s.psi_b),
     "corr_t": lambda s: correction_state(s.mt, s.kernel, s.gap_t, s.quasi_t, s.psi_bt),
+    "expansion": lambda s: hprime_bcs_expansion(s.mt, s.kernel, s.gap, s.quasi, s.psi_b),
     "psi": lambda s: normalized_psi(s.psi_b, s.corr),
     "psi_t": lambda s: normalized_psi(s.psi_bt, s.corr_t),
     "psi_f": lambda s: fermi_vacuum(s.bundle),
     "hm": lambda s: build_HM(s.bundle, s.gap, s.w),
     "hm_t": lambda s: build_HM(s.bundle, s.gap_t, s.w_t),
+    "hprime": lambda s: build_Hprime(s.bundle, s.kernel, s.gap),
     "ebcs": lambda s: ebcs_formula(s.mt, s.gap, s.w),
     "ebcs_t": lambda s: ebcs_formula(s.mt, s.gap_t, s.w_t),
     "e_f": lambda s: expectation(s.psi_f, s.bundle.H, s.psi_f),
@@ -359,8 +382,9 @@ class Instance:
     """The operators, states and scalars of one instance at one solver setting.
 
     Each name of `_BUILD` is built the first time it is read and kept;
-    `del inst.name` releases it, and a later read builds it again.  `solver`
-    holds the keyword arguments of both gap solvers.
+    `del inst.name` releases it, and a later read builds it again.  Releasing
+    a quantity that was never built does nothing.  `solver` holds the keyword
+    arguments of both gap solvers.
     """
 
     def __init__(self, mt: ModeTable, kernel: Kernel, solver: dict):
@@ -372,48 +396,25 @@ class Instance:
         value = self.__dict__[name] = _BUILD[name](self)
         return value
 
+    def __delattr__(self, name):
+        self.__dict__.pop(name, None)
 
-def run_verification(
-    mt: ModeTable,
-    kernel: Kernel,
-    init: float = 1.0,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> VerificationReport:
-    """Run every identity check for one instance, in a fixed documented order.
 
-    Check failures are recorded in the report, never raised; infrastructure
-    errors (bad kernel or seed, dimension cap) abort with context.
-    """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    # the solves below run at min(tol, 1e-12), so `tol` itself is checked here
-    check_solver(init, damping, tol, max_iter)
-    report = VerificationReport()
-    m = mt.n_modes
-    dense_skip = f"M={m} above dense cap" if m > DENSE_MODE_CAP else ""
-    # several identities hold exactly only at a gap-equation solution, with
-    # deviations proportional to the solver residual; solving tighter than the
-    # certified tolerance keeps that amplification far below the check bars
-    solver = {"init": init, "damping": damping, "tol": min(tol, 1e-12), "max_iter": max_iter}
+# ---------------------------------------------------------------------------
+# the verification stages, in report order: each adds its rows of `_STAGES`
+# from the quantities of one `Instance` and releases what it read last
 
-    violations = validate_kernel(kernel, mt)
-    report.add(_deviation("kernel_constraints", float(len(violations)), 0.0))
-    if violations:
-        raise ValidationError("kernel violates structural constraints: " + "; ".join(violations))
-    inst = Instance(mt, kernel, solver)
 
-    # --- operator algebra ---------------------------------------------------
+def _dense_skip(mt: ModeTable) -> str:
+    """The reason the dense checks are skipped on this mode table, or "" when they run."""
+    return f"M={mt.n_modes} above dense cap" if mt.n_modes > DENSE_MODE_CAP else ""
+
+
+def _operator_algebra(report, inst) -> None:
+    """CAR of the ladders; H and the ladders against the number operator G."""
     bundle = inst.bundle
     report.add(_deviation("car_relations", anticommutator_check(bundle.C), 0.0))
-
-    # G commutes, conjugates and forms [G, B_k] on vectors only as its real
-    # diagonal g; any other entry of it counts in all five charge rows, as the
-    # leak term of `hm_spectrum_check` does
-    g = bundle.G.diagonal().real
-    g_leak = float(abs(bundle.G - diags_array(g)).max())
+    g, g_leak = inst.g, inst.g_leak
     del bundle.G
     report.add(_deviation("charge_commutes_with_h", max(g_leak, diagonal_commutator_norm(bundle.H, g)), TOL_TIGHT))
     dev_c = dev_h = g_leak
@@ -425,13 +426,15 @@ def run_verification(
     report.add(_deviation("number_phase_covariance_c", dev_c, TOL_LOOSE))
     report.add(_deviation("number_phase_covariance_h", dev_h, TOL_LOOSE))
 
-    # --- classic gap equation and states ------------------------------------
-    sol, gap = inst.sol, inst.gap
-    report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, gap), tol, sol))
+
+def _classic_state(report, inst) -> None:
+    """The classic gap solution; Psi_B against exp(K)|0>, its pair table and SSB witness, K and the gammas."""
+    mt, kernel, sol, gap = inst.mt, inst.kernel, inst.sol, inst.gap
+    report.add(_certificate("gap_solution_classic", gap_residual(mt, kernel, gap), report.metadata["solver"]["tol"], sol))
 
     # exp(K) lives from here to its last reader, the closed-form conjugation;
     # every row that reads it also counts the entries of K that couple two sectors
-    sectors = inst.sectors
+    bundle, sectors = inst.bundle, inst.sectors
     gb = build_GB(bundle, gap)
     expk, k_leak = sectors.exponential(gb)
     psi_b = inst.psi_b
@@ -442,11 +445,11 @@ def run_verification(
     dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, gap.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
-    dev = _ssb_deviation(bundle, g, psi_b, w_dense) + g_leak
+    dev = _ssb_deviation(bundle, inst.g, psi_b, w_dense) + inst.g_leak
     report.add(_deviation("ssb_witness_commutator", dev, TOL_EXPECT))
 
     dev = 0.0
-    for i in range(m):
+    for i in range(mt.n_modes):
         dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * gap.theta[i] * bundle.v[i]))
         dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * gap.theta[i] * (bundle.h[i] - bundle.I)))
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
@@ -454,7 +457,7 @@ def run_verification(
 
     # exp(-K) A exp(K) = E^T A E for each mean-field term A, against its closed form
     dev = 0.0
-    for i in range(m):
+    for i in range(mt.n_modes):
         xi_i, d_i = mt.xi[i], gap.delta[i]
         rhs = (
             (xi_i * gap.cos2t[i] + d_i * gap.sin2t[i]) * bundle.h[i]
@@ -467,22 +470,23 @@ def run_verification(
 
     # exp(K) C_j exp(-K) = E C_j E^T against gamma_j; formed before the gamma
     # rows and added in its place below, so exp(K) is gone before them
-    if dense_skip:
+    if dense_skip := _dense_skip(mt):
         closed_form = _skip("gamma_closed_form_vs_conjugation", dense_skip)
     else:
         dev = max(sectors.conjugation_deviation(expk, c, gamma, inverse=True) for c, gamma in zip(bundle.C, inst.quasi))
         closed_form = _deviation("gamma_closed_form_vs_conjugation", dev + k_leak, TOL_LOOSE)
     del expk
     _gamma_checks(report, "gamma", inst.quasi, psi_b)
-    # Phi and the H' Psi_B expansion are formed here, and their rows added
-    # below, so the gammas are gone before hm_splitting
-    corr = inst.corr
-    expansion = hprime_bcs_expansion(mt, kernel, gap, inst.quasi, psi_b)
-
+    # Phi and the H' Psi_B expansion read the gammas; the corrected-state rows
+    # read them, and they are formed here so the gammas are gone before hm_splitting
+    inst.corr, inst.expansion
     report.add(closed_form)
     del inst.quasi
 
-    # --- mean-field splitting -----------------------------------------------
+
+def _meanfield_splitting(report, inst) -> None:
+    """H - H_M as the pair-fluctuation sum, and as H' in its expanded form."""
+    bundle, kernel, w_dense, m = inst.bundle, inst.kernel, inst.w, inst.mt.n_modes
     fluct = 0.0 * bundle.I
     for kp in range(m):
         bdag = bundle.Bd[kp] - w_dense[kp] * bundle.I
@@ -497,12 +501,12 @@ def run_verification(
     # each large operator is released after its last reader, so the ones a
     # later stage builds do not stack on it
     del fluct
+    report.add(_deviation("hprime_definition", op_norm_inf(inst.hprime - split), TOL_IDENTITY))
 
-    hprime = build_Hprime(bundle, kernel, gap)
-    report.add(_deviation("hprime_definition", op_norm_inf(hprime - split), TOL_IDENTITY))
-    del split
 
-    # --- energies ------------------------------------------------------------
+def _energies(report, inst) -> None:
+    """E_BCS, the Fermi-sea energy and the condensation energy against dense expectations and sigma(H_M)."""
+    mt, sol, gap, psi_b = inst.mt, inst.sol, inst.gap, inst.psi_b
     e_f, e_b, ebcs = inst.e_f, inst.e_b, inst.ebcs
     report.add(_compare("ebcs_formula_vs_dense_hm", ebcs, expectation(psi_b, inst.hm, psi_b), TOL_IDENTITY))
     if sol.converged:
@@ -511,11 +515,11 @@ def run_verification(
         report.add(_skip("ebcs_formula_vs_dense_h", "needs a gap-equation solution"))
     report.add(_compare("fermi_vacuum_energy", free_fermi_energy(mt), e_f, TOL_IDENTITY))
 
-    if dense_skip:
+    if dense_skip := _dense_skip(mt):
         report.add(_skip("hm_spectrum_multiset", dense_skip))
         report.add(_skip("hm_ground_equals_ebcs", dense_skip))
     else:
-        dev, spectrum = hm_spectrum_check(inst.hm, sectors, gap, ebcs)
+        dev, spectrum = hm_spectrum_check(inst.hm, inst.sectors, gap, ebcs)
         report.add(_deviation("hm_spectrum_multiset", dev, TOL_LOOSE))
         report.add(_compare("hm_ground_equals_ebcs", ebcs, float(spectrum[0]), TOL_LOOSE))
 
@@ -524,16 +528,19 @@ def run_verification(
     else:
         report.add(_skip("condensation_energy", "needs a gap-equation solution"))
 
-    # --- corrected state ------------------------------------------------------
+
+def _corrected_state(report, inst) -> None:
+    """Phi, H' Psi_B and Psi: the correction lemma and the energy gain of Psi over Psi_B."""
+    mt, kernel, sol, gap, psi_b, corr = inst.mt, inst.kernel, inst.sol, inst.gap, inst.psi_b, inst.corr
     report.add(_deviation("bcs_phi_orthogonal", abs(np.vdot(psi_b, corr.phi)), TOL_TIGHT))
 
     dk, dsum = dk_weights(mt, kernel, gap)
     report.add(_overlap_check("phi_overlap_equals_half_dsum", kernel, sol, corr.overlap, dsum))
 
-    hprime_psi_b = hprime @ psi_b
-    del hprime
+    hprime_psi_b = inst.hprime @ psi_b
+    del inst.hprime
     report.add(_deviation("hprime_on_bcs_vanishes", abs(np.vdot(psi_b, hprime_psi_b)), TOL_IDENTITY))
-    report.add(_deviation("hprime_bcs_expansion", float(np.linalg.norm(hprime_psi_b - expansion)), TOL_IDENTITY))
+    report.add(_deviation("hprime_bcs_expansion", float(np.linalg.norm(hprime_psi_b - inst.expansion)), TOL_IDENTITY))
     report.add(
         _compare(
             "phi_hprime_bcs_formula",
@@ -545,14 +552,14 @@ def run_verification(
     report.add(
         _compare(
             "psi_hm_expectation_formula",
-            lemma_hm_expectation_formula(mt, kernel, gap, corr.overlap, ebcs),
+            lemma_hm_expectation_formula(mt, kernel, gap, corr.overlap, inst.ebcs),
             expectation(inst.psi, inst.hm, inst.psi),
             TOL_LOOSE,
         )
     )
     del inst.hm
 
-    e_psi = inst.e_psi
+    e_psi, e_b, e_f = inst.e_psi, inst.e_b, inst.e_f
     denergy = delta_E_formula(mt, kernel, gap, corr.overlap)
     report.add(_compare("delta_e_formula_vs_dense", denergy, e_psi - e_b, TOL_LOOSE))
 
@@ -565,16 +572,19 @@ def run_verification(
 
     shrink = correction_factor(dk, dsum)
     expected = 0.5 * gap.sin2t * shrink
-    dev = max((abs(p - e) for p, e in zip(pair_table(bundle, inst.psi), expected)), default=0.0)
+    dev = max((abs(p - e) for p, e in zip(pair_table(inst.bundle, inst.psi), expected)), default=0.0)
     report.add(_deviation("corrected_pair_expectation", dev, TOL_IDENTITY))
 
-    # --- corrected gap equation ------------------------------------------------
-    new_sol, gap_t = inst.new_sol, inst.gap_t
+
+def _corrected_equation(report, inst) -> None:
+    """The corrected gap solution, its gammas, Psi~ and the mean-field spectrum it pairs."""
+    mt, kernel, new_sol, gap_t = inst.mt, inst.kernel, inst.new_sol, inst.gap_t
+    tol = report.metadata["solver"]["tol"]
     report.add(_certificate("gap_solution_new", new_gap_residual(mt, kernel, gap_t), tol, new_sol))
 
     # the classic twin of the corollary_new_selfconsistency row: Delta_k
     # against the dense pair expectations of Psi_B
-    report.add(_deviation("new_gap_reduction", _selfconsistency(gap, kernel, w_dense), 10.0 * tol))
+    report.add(_deviation("new_gap_reduction", _selfconsistency(inst.gap, kernel, inst.w), 10.0 * tol))
 
     _gamma_checks(report, "gamma_tilde", inst.quasi_t, inst.psi_bt)
     report.add(_overlap_check("new_overlap_identity", kernel, new_sol, inst.corr_t.overlap, new_sol.dsum))
@@ -586,36 +596,98 @@ def run_verification(
     else:
         report.add(_skip("corollary_new_selfconsistency", "corrected equation did not converge"))
 
-    if dense_skip:
+    if dense_skip := _dense_skip(mt):
         report.add(_skip("new_spectrum_multiset", dense_skip))
     else:
-        dev, _ = hm_spectrum_check(inst.hm_t, sectors, gap_t, inst.ebcs_t)
+        dev, _ = hm_spectrum_check(inst.hm_t, inst.sectors, gap_t, inst.ebcs_t)
         del inst.hm_t
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
-    dev = _ssb_deviation(bundle, g, inst.psi_t, inst.w_t) + g_leak
+    dev = _ssb_deviation(inst.bundle, inst.g, inst.psi_t, inst.w_t) + inst.g_leak
     report.add(_deviation("ssb_witness_corrected_state", dev, TOL_EXPECT))
+
+
+def _ordering(report, inst) -> None:
+    """Order-independent scalars against those of a relabelled instance."""
+    scalars = _physical_scalars(inst)
     # the relabelled instance reads only ladders, B_k and B*_k, and its
     # ladders are this instance's: ladder_matrix(j, M) ignores the mode table
-    ladders = bundle.C
-    del bundle, sectors, inst.bundle, inst.sectors
-
-    # --- ordering invariance -----------------------------------------------------
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m)
-    moved = Instance(*permuted_instance(mt, kernel, perm), solver)
+    ladders = inst.ladders
+    del inst.bundle, inst.sectors
+    perm = np.random.default_rng(report.metadata["seed"]).permutation(inst.mt.n_modes)
+    moved = Instance(*permuted_instance(inst.mt, inst.kernel, perm), inst.solver)
     moved.bundle = PairOperators(moved.mt, ladders)
-    dev = float(np.max(np.abs(_physical_scalars(inst) - _physical_scalars(moved))))
+    dev = float(np.max(np.abs(scalars - _physical_scalars(moved))))
     report.add(_deviation("ordering_invariance", dev, TOL_IDENTITY))
 
-    report.solutions = {"classic": sol, "new": new_sol}
-    report.metadata = {
-        "n_modes": m,
-        "modes": [list(n) for n in mt.nvecs],
-        "xi": mt.xi.tolist(),
-        "kernel": kernel.u.tolist(),
-        "solver": {**solver, "tol": tol},
-        "seed": seed,
-        **{equation: _solution_metadata(solution) for equation, solution in report.solutions.items()},
-    }
+
+# each stage with the rows it adds, in report order; the kernel_constraints
+# row precedes them all and reads the kernel alone
+_STAGES = (
+    (_operator_algebra, ("car_relations", "charge_commutes_with_h", "number_phase_covariance_c",
+                         "number_phase_covariance_h")),
+    (_classic_state, ("gap_solution_classic", "bcs_product_vs_exponential", "pair_expectation_half_sin2theta",
+                      "ssb_witness_commutator", "pairing_commutators", "meanfield_conjugation", "gamma_car",
+                      "gamma_annihilates_bcs", "gamma_closed_form_vs_conjugation")),
+    (_meanfield_splitting, ("hm_splitting", "hprime_definition")),
+    (_energies, ("ebcs_formula_vs_dense_hm", "ebcs_formula_vs_dense_h", "fermi_vacuum_energy", "hm_spectrum_multiset",
+                 "hm_ground_equals_ebcs", "condensation_energy")),
+    (_corrected_state, ("bcs_phi_orthogonal", "phi_overlap_equals_half_dsum", "hprime_on_bcs_vanishes",
+                        "hprime_bcs_expansion", "phi_hprime_bcs_formula", "psi_hm_expectation_formula",
+                        "delta_e_formula_vs_dense", "energy_ordering_chain", "corrected_pair_expectation")),
+    (_corrected_equation, ("gap_solution_new", "new_gap_reduction", "gamma_tilde_car", "gamma_tilde_annihilates_bcs",
+                           "new_overlap_identity", "corollary_new_selfconsistency", "new_spectrum_multiset",
+                           "ssb_witness_corrected_state")),
+    (_ordering, ("ordering_invariance",)),
+)
+
+
+def run_verification(
+    mt: ModeTable,
+    kernel: Kernel,
+    init: float = 1.0,
+    damping: float = 0.5,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+    seed: int = 0,
+    checks="all",
+) -> VerificationReport:
+    """Run the identity checks for one instance, in a fixed documented order.
+
+    `checks` is "all" (or None), a list of check names or one name.  A list
+    runs only the stages that own its rows and keeps only those rows; both
+    gap equations are still solved, for the metadata and `solutions`.
+    Check failures are recorded in the report, never raised; infrastructure
+    errors (bad kernel, seed or check name, dimension cap) abort with context.
+    """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    # the solves below run at min(tol, 1e-12), so `tol` itself is checked here
+    check_solver(init, damping, tol, max_iter)
+    known = {"kernel_constraints"}.union(*(names for _, names in _STAGES))
+    wanted = known if checks in ("all", None) else {checks} if isinstance(checks, str) else set(checks)
+    if wanted - known:
+        raise ValidationError(f"unknown check names: {sorted(wanted - known)}")
+    # several identities hold exactly only at a gap-equation solution, with
+    # deviations proportional to the solver residual; solving tighter than the
+    # certified tolerance keeps that amplification far below the check bars
+    solver = {"init": init, "damping": damping, "tol": min(tol, 1e-12), "max_iter": max_iter}
+    # the stages read the certified tol and the seed from here
+    report = VerificationReport(metadata={
+        "n_modes": mt.n_modes, "modes": [list(n) for n in mt.nvecs], "xi": mt.xi.tolist(),
+        "kernel": kernel.u.tolist(), "solver": {**solver, "tol": tol}, "seed": seed,
+    })
+
+    violations = validate_kernel(kernel, mt)
+    report.add(_deviation("kernel_constraints", float(len(violations)), 0.0))
+    if violations:
+        raise ValidationError("kernel violates structural constraints: " + "; ".join(violations))
+    inst = Instance(mt, kernel, solver)
+    for stage, names in _STAGES:
+        if not wanted.isdisjoint(names):
+            stage(report, inst)
+
+    report.solutions = {"classic": inst.sol, "new": inst.new_sol}
+    report.metadata.update((equation, _solution_metadata(sol)) for equation, sol in report.solutions.items())
+    report.checks = [c for c in report.checks if c.name in wanted]
     return report

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -293,11 +293,13 @@ def _print_check_table(report: VerificationReport) -> None:
 
 def _cmd_lattice(args) -> int:
     if args.config:
+        if flags := [f"--{name}" for name in ("L", "kmax", "mu") if getattr(args, name) is not None]:
+            raise ValidationError(f"lattice takes --config or --L/--kmax/--mu, not both; got {' '.join(flags)}")
         mt = load_config(args.config).mt
     else:
         if args.L is None or args.kmax is None:
             raise ValidationError("lattice needs either --config or both --L and --kmax")
-        mt = build_lambda(args.L, args.kmax, mu=args.mu)
+        mt = build_lambda(args.L, args.kmax, mu=0.0 if args.mu is None else args.mu)
     print(f"M = {mt.n_modes} modes, dimension 2^{2 * mt.n_modes} = {mt.dim}")
     print(f"{'idx':>4} {'n':>12} {'|k|':>10} {'xi':>12} {'pair':>4}")
     for i, n in enumerate(mt.nvecs):
@@ -380,20 +382,9 @@ def _cmd_energy(args) -> int:
     return EXIT_OK if worst <= TOL_LOOSE else EXIT_CHECK_FAILURES
 
 
-def _filter_checks(report: VerificationReport, wanted) -> VerificationReport:
-    if wanted == "all" or wanted is None:
-        return report
-    names = set(wanted)
-    unknown = names - {c.name for c in report.checks}
-    if unknown:
-        raise ValidationError(f"unknown check names: {sorted(unknown)}")
-    return replace(report, checks=[c for c in report.checks if c.name in names])
-
-
 def _cmd_verify(args, include_solutions: bool = False) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = run_verification(cfg.mt, cfg.kernel, **cfg.solver, seed=cfg.seed)
-    report = _filter_checks(report, cfg.checks)
+    report = run_verification(cfg.mt, cfg.kernel, **cfg.solver, seed=cfg.seed, checks=cfg.checks)
     if include_solutions:
         for equation, sol in report.solutions.items():
             print(f"--- {equation} gap equation ---")
@@ -425,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("--config")
     p_lat.add_argument("--L", type=float)
     p_lat.add_argument("--kmax", type=float)
-    p_lat.add_argument("--mu", type=float, default=0.0)
+    p_lat.add_argument("--mu", type=float)
 
     def common(p, out=False):
         p.add_argument("--config", required=True)

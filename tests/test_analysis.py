@@ -598,6 +598,8 @@ def test_run_verification_pair_instance(two_mode):
     mt, kernel = two_mode
     report = run_verification(mt, kernel, seed=3)
     assert [c.name for c in report.checks] == EXPECTED_CHECKS
+    # the stage table, which a checks list is resolved against, names the same rows in the same order
+    assert ["kernel_constraints", *(name for _, names in analysis._STAGES for name in names)] == EXPECTED_CHECKS
     assert report.all_passed
     assert report.failures() == []
     assert not report.metadata["classic"]["trivial"]
@@ -961,7 +963,7 @@ def test_gamma_dag_views_equal_adjoint_copies_on_the_goldens(name):
         assert np.array_equal(a, b)
 
 
-# ROADMAP item 2: AngleTable.from_delta takes cos_t from (1 + cos2t)/2, which
+# ROADMAP item 2: GapTable.from_delta takes cos_t from (1 + cos2t)/2, which
 # rounds to exactly 0 for xi < 0 at a near-trivial gap, while sin2t does not.
 # With the default solver settings the driver stops at Delta_0 = 1.8e-11 and
 # the three rows read 78%, 61% and 61% of their bars; from init 0.5 with

@@ -115,6 +115,16 @@ def test_lattice_non_finite_scale_is_config_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--L", "3", "--kmax", "9"], ["--mu", "0.5"], ["--kmax", "1"]])
+def test_lattice_flags_conflict_with_config(flags, capsys):
+    """--L, --kmax or --mu given with --config is a conflict (exit 2), not silently ignored."""
+    assert main(["lattice", "--config", str(GOLDEN / "pair" / "config.json"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not both" in err and flags[0] in err
+    assert main(["lattice", "--config", str(GOLDEN / "pair" / "config.json")]) == 0
+    assert "M = 2 modes" in capsys.readouterr().out
+
+
 def test_lattice_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["lattice", "--bogus"])
@@ -218,7 +228,7 @@ def test_empty_mode_list_is_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_verify_checks_filter(tmp_path, capsys):
+def test_verify_checks_filter(tmp_path, capsys, monkeypatch):
     payload = dict(PAIR_CONFIG)
     payload["checks"] = ["car_relations", "gap_solution_classic"]
     cfg = write_config(tmp_path, "filtered.json", payload)
@@ -226,9 +236,24 @@ def test_verify_checks_filter(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "car_relations" in out
     assert "hm_spectrum_multiset" not in out
-    payload["checks"] = ["no_such_check"]
+    # a list runs only the stages that own its rows: kernel_constraints alone builds only the two
+    # gap solutions that the metadata reads, and an unknown name exits 2 before anything is built
+    built = []
+
+    def counting(name, build):
+        return lambda inst: built.append(name) or build(inst)
+
+    for name, build in list(bcslab.analysis._BUILD.items()):
+        monkeypatch.setitem(bcslab.analysis._BUILD, name, counting(name, build))
+    payload["checks"] = ["kernel_constraints"]
+    assert main(["verify", "--config", write_config(tmp_path, "kernel.json", payload)]) == 0
+    assert sorted(built) == ["new_sol", "sol"]
+    built.clear()
+    payload["checks"] = ["car_relations", "no_such_check"]
     cfg = write_config(tmp_path, "unknown.json", payload)
     assert main(["verify", "--config", cfg]) == 2
+    assert built == []
+    assert capsys.readouterr().err == "config error: unknown check names: ['no_such_check']\n"
 
 
 @pytest.mark.parametrize(
@@ -427,13 +452,40 @@ def test_repelling_corrected_solution_exits_as_unconverged(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# each stage's rows alone, and rows of four stages that skip every reader of the pair sectors
+FILTERED_CHECKS = [
+    *(list(names) for _, names in bcslab.analysis._STAGES),
+    ["car_relations", "hm_splitting", "delta_e_formula_vs_dense", "ordering_invariance"],
+]
+
+
 @pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
 def test_verify_matches_golden_report(instance, tmp_path, capsys):
-    """Reports stay byte-identical to the committed ones for existing configs."""
+    """Reports stay byte-identical to the committed ones for existing configs.
+
+    A checks list writes the committed rows of the checks it names, bit for bit, and exits as the
+    full pass does.
+    """
     golden = GOLDEN / instance
-    assert main(["verify", "--config", str(golden / "config.json"), "--out", str(tmp_path)]) == 0
+    code = json.loads((golden / "exit_codes.json").read_text())["verify"]
+    assert main(["verify", "--config", str(golden / "config.json"), "--out", str(tmp_path)]) == code
     for name in ("report.json", "report.csv"):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    full = json.loads((golden / "report.json").read_text())
+    csv_rows = (golden / "report.csv").read_bytes().splitlines(keepends=True)
+    config = json.loads((golden / "config.json").read_text())
+    capsys.readouterr()
+    for i, checks in enumerate(FILTERED_CHECKS):
+        cfg = write_config(tmp_path, f"filtered{i}.json", {**config, "checks": checks})
+        out = tmp_path / f"filtered{i}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err == ""
+        rows = [c for c in full["checks"] if c["name"] in checks]
+        assert {c["name"] for c in rows} == set(checks)
+        payload = json.dumps({"metadata": full["metadata"], "checks": rows}, indent=2, sort_keys=True) + "\n"
+        assert (out / "report.json").read_bytes() == payload.encode(), checks
+        expected_csv = [csv_rows[0], *(r for r in csv_rows[1:] if r.split(b",", 1)[0].decode() in checks)]
+        assert (out / "report.csv").read_bytes() == b"".join(expected_csv), checks
 
 
 # the stdout of each command on each golden, in <stem>.out, and its exit code, in exit_codes.json;
