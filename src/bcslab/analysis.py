@@ -9,11 +9,12 @@ Every closed form reads Delta_k, E_k and the pairing angles from the one
 The ladder-built number operator G is diagonal in the occupation basis,
 and every row that reads it reads its diagonal g: `charge_commutes_with_h`
 and both number-phase covariance rows scale each entry A_rc by a function
-of g_r - g_c (`diagonal_commutator_norm`, which ends in `op_norm_inf`, so
-every infinity norm of a pass is the one row sum of `fock._block_norms`),
-and the two SSB rows form [G, B_k] state on vectors from the same g.  All
-five also count the largest entry of G - diag(Re g), so a G that is not a
-real diagonal fails them.
+of g_r - g_c (`diagonal_commutator_norm`, which ends in `op_norm_inf`, the
+row sum of every sparse infinity norm of a pass; the CAR rows sum the moduli
+of XOR-diagonal forms in `fock.car_deviation`), and the two SSB rows form
+[G, B_k] state on vectors from the same g.  All five also count the
+largest entry of G - diag(Re g), so a G that is not a real diagonal fails
+them.
 The rotation exp(i G_B) = exp(K) is exact as well: K conserves every pair
 difference d_k, so `PairSectors` exponentiates it block by block over the
 3^M pair sectors, and the rows that read exp(K) rotate one sector block,

@@ -14,13 +14,15 @@ Every sparse index is int32: `ladder_matrix` (and `PairSectors`, through
 the same `check_index_width`) raises ResourceLimitError above dimension
 2^31 - 1, so M <= 15, and every product, sum and transpose built from the
 ladders keeps that width.  There is no int64 route: at M = 16 one state
-vector alone takes 32 GiB.  Every infinity norm is the row sum of
-`_block_norms`, whose one-block case is `op_norm_inf`, and the CAR check of
-the bare ladders reads the ladders it is given.
+vector alone takes 32 GiB.  Every infinity norm of a sparse operator is the
+row sum of `op_norm_inf`.  The CAR check reads the operators it is given
+into exact XOR-diagonal forms, vectors indexed like the basis, and sums
+their moduli; it forms no sparse product (see `car_deviation`).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 
@@ -115,124 +117,120 @@ def commutator(a, b) -> csr_array:
 
 
 def op_norm_inf(a) -> float:
-    """Operator infinity-norm (max absolute row sum) of a sparse array, by `_block_norms`."""
-    return float(_block_norms(a.tocsr(), 1)[0])
+    """Operator infinity-norm (max absolute row sum) of a sparse array.
 
-
-# ---------------------------------------------------------------------------
-# row stacks: n square operators of dimension d as one (n*d, d) CSR array
-#
-# Below a few thousand rows scipy spends more per sparse result on Python
-# set-up (index dtypes, format checks) than on arithmetic, so the CAR check,
-# the one reader of the stacks, runs a stack of operators through each
-# product: X @ B holds every A_i @ B, and kron(I, B) @ X every B @ A_i.
-# Each row of a product sums in the stored order of its own block, so a
-# block reads exactly what the single product gives, and `_block_norms`
-# sums the rows of each block as `op_norm_inf`, which is its one-block
-# case, sums a whole operator.
-#
-# A stack holds at most STACK_ROWS rows, so the dimension decides: M <= 6
-# (d <= 4096) shares products, eight operators per stack at M = 5 and two
-# at M = 6, and from M = 7 (d = 16384) every stack is one operator.  There
-# the arithmetic outweighs the set-up, so a wider stack saves little, while
-# every stacked intermediate grows with the stack.
-STACK_ROWS = 8192
-
-
-def _stack(ops) -> csr_array:
-    """vstack(ops) from their own arrays, so every row keeps its stored order; one operator is itself."""
-    if len(ops) == 1:
-        return ops[0]
-    offsets = np.cumsum([0] + [a.nnz for a in ops])
-    indptr = np.concatenate([[0]] + [a.indptr[1:] + off for a, off in zip(ops, offsets)], dtype=np.int32)
-    indices = np.concatenate([a.indices for a in ops], dtype=np.int32)
-    data = np.concatenate([a.data for a in ops])
-    return csr_array((data, indices, indptr), shape=(len(ops) * ops[0].shape[0], ops[0].shape[1]))
-
-
-def _block_diag(b, n: int) -> csr_array:
-    """kron(I_n, B), each block's rows in the stored order of B's."""
-    if n == 1:
-        return b
-    dim = b.shape[0]
-    shift = np.arange(n, dtype=np.int32)[:, None]
-    indices = (shift * dim + b.indices).ravel()
-    indptr = np.concatenate(([0], (shift * b.nnz + b.indptr[1:]).ravel()), dtype=np.int32)
-    return csr_array((np.tile(b.data, n), indices, indptr), shape=(n * dim, n * dim))
-
-
-def _block_starts(x, n: int) -> np.ndarray:
-    """Offsets into x.data of the n row blocks, and the end."""
-    return x.indptr[:: x.shape[0] // n]
-
-
-def _block_norms(x, n: int) -> np.ndarray:
-    """Max absolute row sum of each of the n row blocks of the CSR array x.
-
-    The one row-sum routine of the package: `op_norm_inf` is its n = 1 case,
-    and the CAR stacks read it per block.  It sorts the rows of x in place
-    first and adds each row with np.add.reduceat in that order, so a block
-    of a stack reads the value of its operator alone bit for bit.  Its
+    The one row-sum routine for sparse operators.  It sorts the rows of a CSR
+    `a` in place first and adds each row with np.add.reduceat in column
+    order, so the value does not depend on the stored order of a product.  Its
     operands are scipy products, sums and transposes, and the entry-wise
     moduli of `diagonal_commutator_norm`, which store no duplicate entries.
     """
-    if x.nnz == 0:  # most anticommutators of a CAR check vanish
-        return np.zeros(n)
+    x = a.tocsr()
+    if x.nnz == 0:
+        return 0.0
     x.sort_indices()
     sums = np.zeros(x.shape[0])
     nonempty = np.flatnonzero(np.diff(x.indptr))
     sums[nonempty] = np.add.reduceat(np.abs(x.data), x.indptr[nonempty])
-    return sums.reshape(n, -1).max(axis=1)
+    return float(sums.max())
 
 
-def _block_column_norms(x, n: int) -> np.ndarray:
-    """op_norm_inf of the adjoint of each of the n row blocks of x, whose rows are sorted.
+# ---------------------------------------------------------------------------
+# XOR-diagonal form: the CAR check
+#
+# Every operator A on C^(2^n) is sum_m diag(a_m) P_m, where P_m maps basis
+# index s to s ^ m and a_m[r] = A[r, r ^ m].  A product is exact in this
+# form, (AB)_{m ^ k} = sum a_m * b_k[r ^ m], and r -> r ^ m is a reversed
+# strided view of a vector of shape (2,)*n along the axes of m's bits, so
+# no index array is built.  The row sums of A are sum_m |a_m| and its
+# column sums sum_m |a_m|[r ^ m].  A pair costs O(masks(a) * masks(b) * 2^n):
+# a ladder has one mask and a gamma two, so an anticommutator is a few
+# element-wise products of length 2^n, where scipy spends more on the
+# set-up of each sparse result than on its arithmetic.
 
-    np.bincount adds each column in row order, as the CSC matvec behind
-    op_norm_inf(block.T) does.
+
+@functools.lru_cache(maxsize=4096)  # a CAR check takes thousands of flips over a few dozen masks
+def _flip_index(m: int, n: int) -> tuple:
+    """The slices that reverse a (2,)*n array along the axes of the bits of m; bit b is axis n - 1 - b."""
+    return tuple(slice(None, None, -1) if m >> (n - 1 - ax) & 1 else slice(None) for ax in range(n))
+
+
+def _flip(v: np.ndarray, m: int) -> np.ndarray:
+    """v[r ^ m] for every index r of a vector of shape (2,)*n, as a strided view."""
+    return v[_flip_index(m, v.ndim)]
+
+
+def _xor_form(a) -> dict:
+    """{m: a_m} with a_m[r] = A[r, r ^ m], from every stored entry of the sparse A, duplicates summed.
+
+    Each a_m has shape (2,)*n for dimension 2^n, so bit b of an index is axis n - 1 - b.
     """
-    if x.nnz == 0:
-        return np.zeros(n)
-    weights = np.abs(x.data)
-    starts = _block_starts(x, n)
-    return np.array([
-        np.bincount(x.indices[lo:hi], weights=weights[lo:hi], minlength=x.shape[1]).max()
-        for lo, hi in zip(starts[:-1], starts[1:])
-    ])
+    coo = a.tocoo()
+    rows, data = coo.row, coo.data
+    masks = rows ^ coo.col
+    shape = (2,) * (a.shape[0].bit_length() - 1)
+    form = {}
+    for m in np.unique(masks).tolist():
+        sel = masks == m
+        am = np.zeros(a.shape[0], dtype=data.dtype)
+        np.add.at(am, rows[sel], data[sel])
+        form[m] = am.reshape(shape)
+    return form
+
+
+def _anticommutator(a: dict, b: dict) -> dict:
+    """XOR form of AB + BA from the forms of A and B."""
+    out = {}
+    for m, am in a.items():
+        for k, bk in b.items():
+            term = am * _flip(bk, m)
+            term += bk * _flip(am, k)
+            if m ^ k in out:
+                out[m ^ k] += term
+            else:
+                out[m ^ k] = term
+    return out
+
+
+def _max_sums(c: dict, columns: bool) -> float:
+    """Largest absolute row sum of the operator of XOR form `c`, and of its column sums if `columns`.
+
+    A vector of zeros adds nothing and is skipped: most anticommutators of a CAR check vanish.
+    """
+    moduli = [(m, np.abs(cm)) for m, cm in c.items() if cm.any()]
+    if not moduli:
+        return 0.0
+    worst = sum(v for _, v in moduli).max()
+    if columns:
+        worst = np.maximum(worst, sum(_flip(v, m) for m, v in moduli).max())
+    return float(worst)
 
 
 def car_deviation(ann: list) -> float:
     """Max deviation of the canonical anticommutation relations of annihilators `ann`.
 
-    Both families are built for j <= j' only: {a_j, a_j'} is symmetric, and
+    Both families are formed for j <= j' only: {a_j, a_j'} is symmetric, and
     the row sums of {a_j', a*_j} are the column sums of its adjoint
     {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
-    The outer loop runs over j' and forms one creator a*_j' at a time; the
-    a_j with j <= j' run as stacks (see STACK_ROWS), X @ a*_j' + kron(I, a*_j') @ X
-    and X @ a_j' + kron(I, a_j') @ X for the stack X, so each block sums
-    a_j a*_j' + a*_j' a_j from its own operands in stored order, as the
-    single pair does.
+    Every operator is read once into its XOR form, from its stored entries,
+    and a*_j' is the form conj(a_m[r ^ m]) of a_j'.  The operators must share
+    one square shape whose dimension is a power of two; ValueError otherwise.
     """
-    dim = ann[0].shape[0]
-    ident, zero = identity_op(dim), csr_array((dim, dim))
-    width = max(1, STACK_ROWS // dim)  # operators per stack, at least one
+    shapes = list(dict.fromkeys(a.shape for a in ann))
+    dim = shapes[0][0] if shapes else 1
+    if shapes and (len(shapes) > 1 or shapes[0] != (dim, dim) or dim < 1 or dim & (dim - 1)):
+        raise ValueError(f"CAR operators need one square shape of dimension 2^n, got shapes {shapes}")
+    forms = [_xor_form(a) for a in ann]
+    ident = np.ones((2,) * (dim.bit_length() - 1))
     worst = 0.0
-    for jp, a in enumerate(ann):
-        cre = adjoint(a)
-        for lo in range(0, jp + 1, width):
-            hi = min(lo + width, jp + 1)
-            n = hi - lo
-            x = _stack(ann[lo:hi])
-            mixed = x @ cre + _block_diag(cre, n) @ x
-            if hi == jp + 1:
-                # the identity of {a_j', a*_j'} in the last block only
-                mixed = mixed - _stack([zero] * (n - 1) + [ident])
-            worst = max(worst, _block_norms(mixed, n).max(), _block_column_norms(mixed, n).max())
-            # released before the same-family products are formed: at M = 5 the two
-            # together would set the tracemalloc peak of a verification pass
-            del mixed
-            worst = max(worst, _block_norms(x @ a + _block_diag(a, n) @ x, n).max())
-        del cre
+    for jp, b in enumerate(forms):
+        cre = {m: np.conj(_flip(bm, m)) for m, bm in b.items()}
+        for j in range(jp + 1):
+            mixed = _anticommutator(forms[j], cre)
+            if j == jp:
+                mixed[0] = mixed.get(0, 0.0) - ident
+            # np.max, not max: a NaN deviation must not lose to a finite one
+            worst = np.max([worst, _max_sums(mixed, True), _max_sums(_anticommutator(forms[j], b), False)])
     return float(worst)
 
 

@@ -678,7 +678,9 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     a mean-field series stack released before the next, and only the pair
     operators for the permuted instance. The sector-block exp(K) in place of
     the commutator series, and the SSB rows read on vectors in place of the
-    [G, B_k] table, bring it to 13.84 MiB.
+    [G, B_k] table, bring it to 13.84 MiB. The XOR-diagonal CAR check moves
+    the peak into the gamma CAR rows, whose 28 mask vectors hold 3.5 MiB:
+    15.53 MiB.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "seven_mode" / "config.json"))
     tracemalloc.start()
@@ -694,10 +696,11 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
 def test_run_verification_peak_memory_on_the_six_mode_golden():
     """The M = 6 golden pass allocates at most 5.5 MiB at its peak.
 
-    Its CAR stacks hold two operators of dim 4096 (8192 rows). While the
-    commutator series ran in such stacks too, it peaked near 5.26 MiB (5.03
-    MiB with one operator per stack), and 4.62 MiB once each operator lived
-    only while a stage read it; the sector-block exp(K) brings it to 3.52 MiB.
+    While the commutator series ran in row stacks of two operators of dim
+    4096, it peaked near 5.26 MiB (5.03 MiB with one operator per stack), and
+    4.62 MiB once each operator lived only while a stage read it; the
+    sector-block exp(K) brings it to 3.44 MiB, and the XOR-diagonal CAR check,
+    whose gamma forms hold 24 vectors of dim 4096, to 3.62 MiB.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "six_mode" / "config.json"))
     tracemalloc.start()
@@ -717,7 +720,8 @@ def test_run_verification_peak_memory_on_the_ac10_instance():
     the CAR check (four operators at dim 1024) brought it near 1.6 MiB, the
     8192-row stacks (eight operators) near 1.85 MiB, and 16384-row stacks
     near 2.1 MiB.  With the sector-block exp(K) in place of the series, and
-    8192-row CAR stacks, it peaks near 1.36 MiB.
+    8192-row CAR stacks, it peaks near 1.22 MiB; the XOR-diagonal CAR check,
+    which stacks nothing, brings it to 0.84 MiB.
     """
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5)
     kernel = separable_kernel(mt, 1.5)
@@ -814,13 +818,14 @@ def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch)
 
 
 def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
-    """No gamma* copy outside `car_deviation`: Phi and H' Psi_B read transposed views.
+    """No gamma is adjointed in a pass: Phi and H' Psi_B read transposed views.
 
-    `car_deviation` forms one creator per gamma inside the two gamma CAR
-    checks, so the classic and corrected gammas are adjointed once and the
-    permuted instance's never.  Each was adjointed once more while the
-    quartets read `adjoint` copies, and the classic ones three times when Phi
-    and the expansion each formed their own gamma*.
+    `car_deviation` reads each gamma* from the XOR form of its gamma, so no
+    gamma of the classic, corrected or permuted instance goes through
+    `adjoint`.  With the CAR row stacks each classic and corrected gamma was
+    adjointed once there, once more while the quartets read `adjoint`
+    copies, and the classic ones three times when Phi and the expansion each
+    formed their own gamma*.
     """
     mt, kernel = three_mode
     gammas, adjointed = [], []  # held, so no id is reused during the pass
@@ -845,7 +850,7 @@ def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
     n = mt.n_orbitals
     assert len(gammas) == 3 * n
     times = [sum(a is g for a in adjointed) for g in gammas]
-    assert times == [1] * (2 * n) + [0] * n
+    assert times == [0] * (3 * n)
 
 
 def test_run_verification_releases_g_and_h_and_builds_pair_operators_for_the_permutation(three_mode, monkeypatch):

@@ -1,9 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array, diags_array, vstack
+from scipy.sparse import coo_array, csr_array, diags_array, vstack
 
 from bcslab import fock
 from bcslab.errors import ResourceLimitError
@@ -254,52 +255,19 @@ def test_car_deviation_reads_the_mixed_pair_it_does_not_build():
     assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14)
 
 
-def _car_deviation_pair_loop(ann):
-    """The pairs j <= j' that `car_deviation` builds, one at a time, each read by op_norm_inf."""
-    ident = identity_op(ann[0].shape[0])
-    worst = 0.0
-    for jp, b in enumerate(ann):
-        b_dag = adjoint(b)
-        for j in range(jp + 1):
-            a = ann[j]
-            mixed = a @ b_dag + b_dag @ a
-            if j == jp:
-                mixed = mixed - ident
-            worst = max(worst, op_norm_inf(mixed), op_norm_inf(mixed.T), op_norm_inf(a @ b + b @ a))
-    return worst
-
-
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("dim", [16, 64])
-def test_car_deviation_across_stacks_matches_full_loop(dim, real, monkeypatch):
-    # one to five operators per stack: at two, the last j' runs three stacks of
-    # a_j, and at three the last stack of j' = 3 holds one block; every stacked
-    # row and column sum adds in the order of the single pair's, so the
-    # deviation equals the pair loop's bit for bit, and each operator is
-    # adjointed once per call, as the one creator its j' reads
+def test_car_deviation_across_stacks_matches_full_loop(dim, real):
+    # five dense operators with many masks each, so every pair j <= j' sums
+    # rows and columns over dozens of XOR-diagonal vectors
     rng = np.random.default_rng(dim + real + 10)
     ann = [random_sparse(dim, rng, density=0.3, real=real) for _ in range(5)]
-    expected = _car_deviation_pair_loop(ann)
-    assert expected == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14, abs=0.0)
-    adjointed = []
-
-    def counted(a):
-        adjointed.append(a)
-        return adjoint(a)
-
-    monkeypatch.setattr(fock, "adjoint", counted)
-    for width in (1, 2, 3, 5):
-        monkeypatch.setattr(fock, "STACK_ROWS", width * dim)
-        adjointed.clear()
-        assert car_deviation(ann) == expected, width
-        assert [sum(a is b for b in adjointed) for a in ann] == [1] * len(ann), width
-        assert len(adjointed) == len(ann), width
+    assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("j", range(6))
-def test_car_deviation_detects_a_flipped_sign_in_any_stack(j, monkeypatch):
-    # two of the six M = 3 ladders per stack, so for j' = 5 the ladders 4 and 5 run in the third stack
-    monkeypatch.setattr(fock, "STACK_ROWS", 128)
+def test_car_deviation_detects_a_flipped_sign_in_any_stack(j):
+    # the six M = 3 ladders, one sign flipped in the last stored entry of ladder j
     ann = [ladder_matrix(i, 3) for i in range(6)]
     assert car_deviation(ann) == 0.0
     broken = ann[j].copy()
@@ -308,13 +276,10 @@ def test_car_deviation_detects_a_flipped_sign_in_any_stack(j, monkeypatch):
     assert car_deviation(ann) > 0.0
 
 
-@pytest.mark.parametrize("stack_rows", [fock.STACK_ROWS, 128])
-def test_car_deviation_reads_a_column_defect_inside_a_stack(stack_rows, monkeypatch):
+def test_car_deviation_reads_a_column_defect_of_a_pair_it_builds():
     # the construction of the test above on M = 3, with P = Y (x) 1 on orbitals 3..5;
     # C_4 and C_5 carry the parity string over orbitals 0..2, so they anticommute with
-    # P and P*, and the defect {a_0, a*_3} is the first block of the j' = 3 stack of
-    # four blocks (or of two, at two operators per stack): only its column sums reach 2 eps
-    monkeypatch.setattr(fock, "STACK_ROWS", stack_rows)
+    # P and P*, and only the column sums of the defect {a_0, a*_3} reach 2 eps
     eps = 1e-3
     rows = [2 + 8 * s for s in range(8) for _ in range(2)]
     cols = [c + 8 * s for s in range(8) for c in (3, 5)]
@@ -324,6 +289,71 @@ def test_car_deviation_reads_a_column_defect_inside_a_stack(stack_rows, monkeypa
     assert op_norm_inf(ann[0] @ cre_3 + cre_3 @ ann[0]) == pytest.approx(eps)
     assert car_deviation(ann) == pytest.approx(2 * eps, rel=1e-14)
     assert car_deviation(ann) == pytest.approx(_car_deviation_full_loop(ann), rel=1e-14)
+
+
+def test_car_deviation_is_blind_to_phases_and_reads_imaginary_defects():
+    # a_j -> i a_j keeps every relation, {i a, (i b)*} = {a, b*} and {i a, i b} = -{a, b},
+    # so a flipped sign behind the phase reads as the real one, from two
+    # anticommutators whose forms are purely imaginary
+    ann = [ladder_matrix(j, 2) for j in range(4)]
+    assert car_deviation([csr_array(1j * a) for a in ann]) == 0.0
+    broken = ann[1].copy()
+    broken.data[0] = -broken.data[0]
+    assert car_deviation([csr_array(1j * ann[0]), broken]) == car_deviation([ann[0], broken]) > 0.0
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_car_deviation_of_an_operator_with_a_nan_entry_is_nan(j):
+    # a NaN must not lose to the finite deviations of the other pairs
+    ann = [ladder_matrix(i, 2) for i in range(4)]
+    ann[j] = ann[j].copy()
+    ann[j].data[0] = np.nan
+    assert math.isnan(car_deviation(ann))
+
+
+def _dense_from_xor_form(form, dim):
+    out = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    for m, am in form.items():
+        out[rows, rows ^ m] = am.ravel()
+    return out
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_xor_form_rebuilds_the_matrix_exactly(real):
+    rng = np.random.default_rng(7 + real)
+    a = random_sparse(32, rng, density=0.4, real=real)
+    form = fock._xor_form(a)
+    assert all(v.shape == (2,) * 5 for v in form.values())
+    assert np.array_equal(_dense_from_xor_form(form, 32), a.toarray())
+    assert list(fock._xor_form(ladder_matrix(2, 2))) == [1 << 2]
+
+
+def test_xor_form_sums_duplicate_coo_entries():
+    rows = np.array([0, 0, 3, 5, 5, 5, 7])
+    cols = np.array([1, 1, 3, 2, 2, 6, 0])
+    data = np.array([0.5, 0.25, -1.0, 1.0, 2.0, 3.0, 1e-3])
+    a = coo_array((data, (rows, cols)), shape=(8, 8))
+    assert np.array_equal(_dense_from_xor_form(fock._xor_form(a), 8), a.toarray())
+    assert fock._xor_form(a)[1][0, 0, 0] == 0.75
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(4, 8)], [(4, 4), (8, 8)], [(8, 8), (8, 8), (8, 4)], [(6, 6)], [(0, 0)]],
+    ids=["non-square", "mixed", "mixed-last", "dim-6", "dim-0"],
+)
+def test_car_deviation_rejects_shapes_it_cannot_read(shapes):
+    ann = [csr_array(shape) for shape in shapes]
+    with pytest.raises(ValueError, match=re.escape(str(shapes[-1]))):
+        car_deviation(ann)
+
+
+def test_car_deviation_of_a_zero_annihilator_is_one():
+    # {0, 0*} - I = -I: the identity alone sets the deviation
+    assert car_deviation([csr_array((4, 4))]) == 1.0
+    assert car_deviation([csr_array((1, 1))]) == 1.0
+    assert car_deviation([]) == 0.0
 
 
 def test_vacuum_annihilation_and_top_state():
