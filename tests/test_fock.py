@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_array, csr_array, diags_array, vstack
+from scipy.sparse import coo_array, csr_array, diags_array, identity, kron, vstack
 
 from bcslab import fock
 from bcslab.errors import ResourceLimitError
@@ -276,15 +276,20 @@ def test_car_deviation_detects_a_flipped_sign_in_any_stack(j):
     assert car_deviation(ann) > 0.0
 
 
-def test_car_deviation_reads_a_column_defect_of_a_pair_it_builds():
+@pytest.mark.parametrize("stack_rows", [128, 8192])
+def test_car_deviation_reads_a_column_defect_inside_a_stack(stack_rows):
     # the construction of the test above on M = 3, with P = Y (x) 1 on orbitals 3..5;
     # C_4 and C_5 carry the parity string over orbitals 0..2, so they anticommute with
-    # P and P*, and only the column sums of the defect {a_0, a*_3} reach 2 eps
+    # P and P*, and only the column sums of the defect {a_0, a*_3} reach 2 eps; each
+    # operator is stacked as stack_rows / 64 diagonal copies, 1 (x) a, which keeps
+    # every anticommutator a diagonal stack of the single one and so every deviation
     eps = 1e-3
     rows = [2 + 8 * s for s in range(8) for _ in range(2)]
     cols = [c + 8 * s for s in range(8) for c in (3, 5)]
     planted = csr_array((np.full(16, eps), (rows, cols)), shape=(64, 64))
-    ann = [ladder_matrix(0, 3), ladder_matrix(4, 3), ladder_matrix(5, 3), csr_array(ladder_matrix(3, 3) + planted)]
+    single = [ladder_matrix(0, 3), ladder_matrix(4, 3), ladder_matrix(5, 3), ladder_matrix(3, 3) + planted]
+    ann = [csr_array(kron(identity(stack_rows // 64), a)) for a in single]
+    assert ann[0].shape == (stack_rows, stack_rows)
     cre_3 = adjoint(ann[3])
     assert op_norm_inf(ann[0] @ cre_3 + cre_3 @ ann[0]) == pytest.approx(eps)
     assert car_deviation(ann) == pytest.approx(2 * eps, rel=1e-14)
