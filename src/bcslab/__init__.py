@@ -19,7 +19,7 @@ from .gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from .hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
+from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from .model import (
     Kernel,
     ModeTable,

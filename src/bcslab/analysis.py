@@ -19,41 +19,41 @@ The rotation exp(i G_B) = exp(K) is exact as well: K conserves every pair
 difference d_k, so `PairSectors` exponentiates it block by block over the
 3^M pair sectors, and the rows that read exp(K) rotate one sector block,
 or one block pair for a ladder, at a time.
-An `Instance` holds the operators, states and scalars of one instance at
-one solver setting, each built from its one `_BUILD` entry the first time a
-row or a printer reads it: `bundle` (the `OperatorBundle` of the ladders,
-B_k, B*_k, h_k, v_k, G, T, H and the identity) and its `ladders`, the
-diagonal `g` of G and its leak term `g_leak`, `sol` and `new_sol`, their gap
-tables `gap` and `gap_t`, `sectors` (the `PairSectors` map), the states
-`psi_b`, `psi`, `psi_f`, `psi_bt` and `psi_t`, the gammas `quasi` and
-`quasi_t`, the corrections `corr` and `corr_t`, the H' Psi_B `expansion`,
-the pair tables w_k = (state, B_k state) `w` (of Psi_B) and `w_t` (of
-Psi~), H_M as `hm` and `hm_t`, H' as `hprime`, E_BCS as `ebcs` and
-`ebcs_t`, and the dense energies `e_f`, `e_b` and `e_psi`.  A name ending
-in _t belongs to the corrected gap equation.  `energy` and `spectrum` print
-from an `Instance` at the config's solver settings, and so build only what
-they print.
+An `Instance` is the `OperatorBundle` of one instance at one solver
+setting: one on-demand table, in which each quantity is built from its one
+`_BUILD` entry the first time a row or a printer reads it.  Beyond the
+operators of the bundle (the ladders C, B_k, B*_k, h_k, v_k, G, T, H and the
+identity I) it holds the diagonal `g` of G and its leak term `g_leak`, `sol`
+and `new_sol`, their gap tables `gap` and `gap_t`, `sectors` (the
+`PairSectors` map), the states `psi_b`, `psi`, `psi_f`, `psi_bt` and
+`psi_t`, the gammas `quasi` and `quasi_t`, the corrections `corr` and
+`corr_t`, the H' Psi_B `expansion`, the pair tables w_k = (state, B_k state)
+`w` (of Psi_B) and `w_t` (of Psi~), H_M as `hm` and `hm_t`, H' as `hprime`,
+E_BCS as `ebcs` and `ebcs_t`, and the dense energies `e_f`, `e_b` and
+`e_psi`.  A name ending in _t belongs to the corrected gap equation.
+`energy` and `spectrum` print from an `Instance` at the config's solver
+settings, and so build only what they print.
 `run_verification` bundles the checks of one instance into a deterministic
 report, read from one `Instance` solved at min(tol, 1e-12).  After the
-kernel_constraints row it runs seven private stages in report order, and
-`_STAGES` names the rows that each one adds.  A `checks` list is checked
-against that table before any operator is built, runs only the stages that
-own its rows and keeps only those rows; both gap equations are still solved,
-for the metadata and the exit code.  A stage reads what it needs from the
-`Instance`, so it never needs the stages before it.  Each Fock operator
-lives only while a stage reads it, since every one costs an array of
-dimension 2^(2M); a full pass releases them as follows:
-  operator algebra      builds the bundle; reads G once, for g and g_leak,
-                        and deletes it from the bundle before
-                        charge_commutes_with_h, which reads g, as the
+kernel_constraints row it solves both gap equations, so a solve that cannot
+finish stops the pass before any stage, and then runs seven private stages
+in report order; `_STAGES` names the rows that each one adds.  A `checks`
+list is checked against that table before anything is built, runs only the
+stages that own its rows and keeps only those rows.  A stage reads what it
+needs from the `Instance`, so it never needs the stages before it.  Each
+Fock operator lives only while a stage reads it, since every one costs an
+array of dimension 2^(2M); a full pass releases them as follows:
+  operator algebra      reads the ladders; reads G once, for g and g_leak
+                        (the build of G keeps h_k and T), and releases it
+                        before charge_commutes_with_h, which reads g, as the
                         covariance checks and both SSB rows do;
   classic state         forms K = i G_B, read by exp(K) and the pairing
                         commutators and deleted after them, and exp(K), 6^M
                         numbers (2.2 MiB at M = 7), whose last reader is the
                         closed-form conjugation, formed before the gamma rows
                         (the mean-field conjugation when that row is
-                        skipped); deletes the h_k from the bundle after the
-                        mean-field conjugation; `quasi` lives through its CAR
+                        skipped); releases the h_k after the mean-field
+                        conjugation; `quasi` lives through its CAR
                         and annihilation rows, `corr` and the `expansion`
                         (both built here, as vectors, by `quartet_sum`, which
                         reads each gamma* as the view gamma.T) and the
@@ -66,15 +66,13 @@ dimension 2^(2M); a full pass releases them as follows:
   corrected equation    `quasi_t` lives through its CAR and annihilation
                         rows and `corr_t`; `hm_t` is read by
                         new_spectrum_multiset only;
-  ordering              releases the bundle and `sectors`; the permuted
-                        instance is a second `Instance` whose `bundle` is
-                        assigned: only B_k and B*_k (`PairOperators`) on this
-                        instance's `ladders`, which do not depend on the mode
-                        table.
+  ordering              releases every operator and `sectors`; the permuted
+                        instance is a second `Instance`, given this
+                        instance's ladders, which do not depend on the mode
+                        table, and builds only B_k and B*_k from them.
 A filtered run makes the releases of the stages it runs; releasing a
-quantity that the run never built does nothing.  A deleted bundle member
-raises on a later read; nothing rebuilds it.  A released instance quantity
-is built again by a later read, so a pass builds each one at most once only
+quantity that the run never built does nothing.  A released quantity is
+built again by a later read, so a pass builds each one at most once only
 because every release follows its last reader;
 `test_run_verification_builds_each_instance_quantity_at_most_once` pins it.
 The dense checks are skipped above `DENSE_MODE_CAP`, and the
@@ -111,7 +109,7 @@ from .gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from .hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
+from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from .model import Kernel, ModeTable, permuted_instance, validate_kernel
 from .sectors import PairSectors
 from .states import (
@@ -295,16 +293,15 @@ def _certificate(name, residual, tol, sol) -> CheckResult:
     return CheckResult(name, 0.0, cert, cert, tol, bool(cert <= tol), reason=reason)
 
 
-def _ssb_deviation(ops, g, state, pairs) -> float:
-    """max_k |(state, [G, B_k] state) + 2 (state, B_k state)| for G = diag(g), given the pair table.
+def _ssb_deviation(inst, state, pairs) -> float:
+    """max_k |(state, [G, B_k] state) + 2 (state, B_k state)| for G = diag(g), given the pair table, plus g_leak.
 
     [G, B_k] state is formed on vectors, as g * (B_k state) - B_k (g * state).
     """
+    g = inst.g
     charged = g * state
-    return max(
-        (abs(np.vdot(state, g * (b @ state) - b @ charged) + 2.0 * p) for b, p in zip(ops.B, pairs)),
-        default=0.0,
-    )
+    terms = (abs(np.vdot(state, g * (b @ state) - b @ charged) + 2.0 * p) for b, p in zip(inst.B, pairs))
+    return max(terms, default=0.0) + inst.g_leak
 
 
 def _gamma_checks(report, prefix, quasi, psi_ref) -> None:
@@ -342,63 +339,56 @@ def _solution_metadata(sol) -> dict:
     return block
 
 
-# one builder per `Instance` quantity, each reading the quantities it needs from the instance
+# one builder per `Instance` quantity, each reading the quantities it needs
+# from the instance; the operator entries of `OperatorBundle` come first
 _BUILD = {
-    "bundle": lambda s: OperatorBundle(s.mt, s.kernel),
-    "ladders": lambda s: s.bundle.C,
+    **OperatorBundle._BUILD,
     # G commutes, conjugates and forms [G, B_k] on vectors only as its real
     # diagonal g; any other entry of it counts in all five charge rows, as the
     # leak term of `hm_spectrum_check` does
-    "g": lambda s: s.bundle.G.diagonal().real,
-    "g_leak": lambda s: float(abs(s.bundle.G - diags_array(s.g)).max()),
+    "g": lambda s: s.G.diagonal().real,
+    "g_leak": lambda s: float(abs(s.G - diags_array(s.g)).max()),
     "sol": lambda s: solve_gap(s.mt, s.kernel, **s.solver),
     "new_sol": lambda s: solve_new_gap(s.mt, s.kernel, **s.solver),
     "gap": lambda s: s.sol.delta,
     "gap_t": lambda s: s.new_sol.delta,
     "sectors": lambda s: PairSectors(s.mt),
-    "psi_b": lambda s: bcs_state(s.bundle, s.gap),
-    "psi_bt": lambda s: bcs_state(s.bundle, s.gap_t),
-    "w": lambda s: pair_table(s.bundle, s.psi_b),
-    "w_t": lambda s: pair_table(s.bundle, s.psi_t),
-    "quasi": lambda s: quasi_ops(s.bundle, s.gap),
-    "quasi_t": lambda s: quasi_ops(s.bundle, s.gap_t),
+    "psi_b": lambda s: bcs_state(s, s.gap),
+    "psi_bt": lambda s: bcs_state(s, s.gap_t),
+    "w": lambda s: pair_table(s, s.psi_b),
+    "w_t": lambda s: pair_table(s, s.psi_t),
+    "quasi": lambda s: quasi_ops(s, s.gap),
+    "quasi_t": lambda s: quasi_ops(s, s.gap_t),
     "corr": lambda s: correction_state(s.mt, s.kernel, s.gap, s.quasi, s.psi_b),
     "corr_t": lambda s: correction_state(s.mt, s.kernel, s.gap_t, s.quasi_t, s.psi_bt),
     "expansion": lambda s: hprime_bcs_expansion(s.mt, s.kernel, s.gap, s.quasi, s.psi_b),
     "psi": lambda s: normalized_psi(s.psi_b, s.corr),
     "psi_t": lambda s: normalized_psi(s.psi_bt, s.corr_t),
-    "psi_f": lambda s: fermi_vacuum(s.bundle),
-    "hm": lambda s: build_HM(s.bundle, s.gap, s.w),
-    "hm_t": lambda s: build_HM(s.bundle, s.gap_t, s.w_t),
-    "hprime": lambda s: build_Hprime(s.bundle, s.kernel, s.gap),
+    "psi_f": fermi_vacuum,
+    "hm": lambda s: build_HM(s, s.gap, s.w),
+    "hm_t": lambda s: build_HM(s, s.gap_t, s.w_t),
+    "hprime": lambda s: build_Hprime(s, s.kernel, s.gap),
     "ebcs": lambda s: ebcs_formula(s.mt, s.gap, s.w),
     "ebcs_t": lambda s: ebcs_formula(s.mt, s.gap_t, s.w_t),
-    "e_f": lambda s: expectation(s.psi_f, s.bundle.H, s.psi_f),
-    "e_b": lambda s: expectation(s.psi_b, s.bundle.H, s.psi_b),
-    "e_psi": lambda s: expectation(s.psi, s.bundle.H, s.psi),
+    "e_f": lambda s: expectation(s.psi_f, s.H, s.psi_f),
+    "e_b": lambda s: expectation(s.psi_b, s.H, s.psi_b),
+    "e_psi": lambda s: expectation(s.psi, s.H, s.psi),
 }
 
 
-class Instance:
+class Instance(OperatorBundle):
     """The operators, states and scalars of one instance at one solver setting.
 
-    Each name of `_BUILD` is built the first time it is read and kept;
-    `del inst.name` releases it, and a later read builds it again.  Releasing
-    a quantity that was never built does nothing.  `solver` holds the keyword
-    arguments of both gap solvers.
+    An `OperatorBundle` whose table also holds the states and scalars of
+    `_BUILD`, under the same rule: built on first read, released by `del`.
+    `solver` holds the keyword arguments of both gap solvers.
     """
 
-    def __init__(self, mt: ModeTable, kernel: Kernel, solver: dict):
-        self.mt, self.kernel, self.solver = mt, kernel, solver
+    _BUILD = _BUILD
 
-    def __getattr__(self, name):
-        if name not in _BUILD:
-            raise AttributeError(f"{type(self).__name__} has no quantity {name!r}")
-        value = self.__dict__[name] = _BUILD[name](self)
-        return value
-
-    def __delattr__(self, name):
-        self.__dict__.pop(name, None)
+    def __init__(self, mt: ModeTable, kernel: Kernel, solver: dict, ladders: list | None = None):
+        super().__init__(mt, kernel, ladders)
+        self.solver = solver
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +403,16 @@ def _dense_skip(mt: ModeTable) -> str:
 
 def _operator_algebra(report, inst) -> None:
     """CAR of the ladders; H and the ladders against the number operator G."""
-    bundle = inst.bundle
-    report.add(_deviation("car_relations", anticommutator_check(bundle.C), 0.0))
+    report.add(_deviation("car_relations", anticommutator_check(inst.C), 0.0))
     g, g_leak = inst.g, inst.g_leak
-    del bundle.G
-    report.add(_deviation("charge_commutes_with_h", max(g_leak, diagonal_commutator_norm(bundle.H, g)), TOL_TIGHT))
+    del inst.G
+    report.add(_deviation("charge_commutes_with_h", max(g_leak, diagonal_commutator_norm(inst.H, g)), TOL_TIGHT))
     dev_c = dev_h = g_leak
     for alpha in (0.3, 1.0, math.pi):
         phase = np.exp(1j * alpha)
-        for c in bundle.C:
+        for c in inst.C:
             dev_c = max(dev_c, diagonal_commutator_norm(c, g, lambda q: np.exp(-1j * alpha * q) - phase))
-        dev_h = max(dev_h, diagonal_commutator_norm(bundle.H, g, lambda q: np.exp(-1j * alpha * q) - 1.0))
+        dev_h = max(dev_h, diagonal_commutator_norm(inst.H, g, lambda q: np.exp(-1j * alpha * q) - 1.0))
     report.add(_deviation("number_phase_covariance_c", dev_c, TOL_LOOSE))
     report.add(_deviation("number_phase_covariance_h", dev_h, TOL_LOOSE))
 
@@ -435,8 +424,8 @@ def _classic_state(report, inst) -> None:
 
     # exp(K) lives from here to its last reader, the closed-form conjugation;
     # every row that reads it also counts the entries of K that couple two sectors
-    bundle, sectors = inst.bundle, inst.sectors
-    gb = build_GB(bundle, gap)
+    sectors = inst.sectors
+    gb = build_GB(inst, gap)
     expk, k_leak = sectors.exponential(gb)
     psi_b = inst.psi_b
     dev = float(np.linalg.norm(psi_b - sectors.column(expk, 0))) + k_leak
@@ -446,13 +435,13 @@ def _classic_state(report, inst) -> None:
     dev = max((abs(p - 0.5 * s) for p, s in zip(w_dense, gap.sin2t)), default=0.0)
     report.add(_deviation("pair_expectation_half_sin2theta", dev, TOL_EXPECT))
 
-    dev = _ssb_deviation(bundle, inst.g, psi_b, w_dense) + inst.g_leak
+    dev = _ssb_deviation(inst, psi_b, w_dense)
     report.add(_deviation("ssb_witness_commutator", dev, TOL_EXPECT))
 
     dev = 0.0
     for i in range(mt.n_modes):
-        dev = max(dev, op_norm_inf(commutator(bundle.h[i], gb) - 2.0 * gap.theta[i] * bundle.v[i]))
-        dev = max(dev, op_norm_inf(commutator(bundle.v[i], gb) + 2.0 * gap.theta[i] * (bundle.h[i] - bundle.I)))
+        dev = max(dev, op_norm_inf(commutator(inst.h[i], gb) - 2.0 * gap.theta[i] * inst.v[i]))
+        dev = max(dev, op_norm_inf(commutator(inst.v[i], gb) + 2.0 * gap.theta[i] * (inst.h[i] - inst.I)))
     report.add(_deviation("pairing_commutators", dev, TOL_TIGHT))
     del gb
 
@@ -461,12 +450,12 @@ def _classic_state(report, inst) -> None:
     for i in range(mt.n_modes):
         xi_i, d_i = mt.xi[i], gap.delta[i]
         rhs = (
-            (xi_i * gap.cos2t[i] + d_i * gap.sin2t[i]) * bundle.h[i]
-            + (xi_i * gap.sin2t[i] - d_i * gap.cos2t[i]) * bundle.v[i]
-            + (2.0 * xi_i * gap.sin_t[i] ** 2 - d_i * gap.sin2t[i]) * bundle.I
+            (xi_i * gap.cos2t[i] + d_i * gap.sin2t[i]) * inst.h[i]
+            + (xi_i * gap.sin2t[i] - d_i * gap.cos2t[i]) * inst.v[i]
+            + (2.0 * xi_i * gap.sin_t[i] ** 2 - d_i * gap.sin2t[i]) * inst.I
         )
-        dev = max(dev, sectors.conjugation_deviation(expk, xi_i * bundle.h[i] - d_i * bundle.v[i], rhs))
-    del bundle.h, rhs
+        dev = max(dev, sectors.conjugation_deviation(expk, xi_i * inst.h[i] - d_i * inst.v[i], rhs))
+    del inst.h, rhs
     report.add(_deviation("meanfield_conjugation", dev + k_leak, TOL_LOOSE))
 
     # exp(K) C_j exp(-K) = E C_j E^T against gamma_j; formed before the gamma
@@ -474,7 +463,7 @@ def _classic_state(report, inst) -> None:
     if dense_skip := _dense_skip(mt):
         closed_form = _skip("gamma_closed_form_vs_conjugation", dense_skip)
     else:
-        dev = max(sectors.conjugation_deviation(expk, c, gamma, inverse=True) for c, gamma in zip(bundle.C, inst.quasi))
+        dev = max(sectors.conjugation_deviation(expk, c, gamma, inverse=True) for c, gamma in zip(inst.C, inst.quasi))
         closed_form = _deviation("gamma_closed_form_vs_conjugation", dev + k_leak, TOL_LOOSE)
     del expk
     _gamma_checks(report, "gamma", inst.quasi, psi_b)
@@ -487,17 +476,17 @@ def _classic_state(report, inst) -> None:
 
 def _meanfield_splitting(report, inst) -> None:
     """H - H_M as the pair-fluctuation sum, and as H' in its expanded form."""
-    bundle, kernel, w_dense, m = inst.bundle, inst.kernel, inst.w, inst.mt.n_modes
-    fluct = 0.0 * bundle.I
+    kernel, w_dense, m = inst.kernel, inst.w, inst.mt.n_modes
+    fluct = 0.0 * inst.I
     for kp in range(m):
-        bdag = bundle.Bd[kp] - w_dense[kp] * bundle.I
+        bdag = inst.Bd[kp] - w_dense[kp] * inst.I
         for k in range(m):
             u = kernel.u[k, kp]
             if u == 0.0:
                 continue
-            fluct = fluct + u * (bdag @ (bundle.B[k] - w_dense[k] * bundle.I))
+            fluct = fluct + u * (bdag @ (inst.B[k] - w_dense[k] * inst.I))
     # H - H_M, read by both splitting rows
-    split = bundle.H - inst.hm
+    split = inst.H - inst.hm
     report.add(_deviation("hm_splitting", op_norm_inf(split - fluct), TOL_IDENTITY))
     # each large operator is released after its last reader, so the ones a
     # later stage builds do not stack on it
@@ -573,7 +562,7 @@ def _corrected_state(report, inst) -> None:
 
     shrink = correction_factor(dk, dsum)
     expected = 0.5 * gap.sin2t * shrink
-    dev = max((abs(p - e) for p, e in zip(pair_table(inst.bundle, inst.psi), expected)), default=0.0)
+    dev = max((abs(p - e) for p, e in zip(pair_table(inst, inst.psi), expected)), default=0.0)
     report.add(_deviation("corrected_pair_expectation", dev, TOL_IDENTITY))
 
 
@@ -604,7 +593,7 @@ def _corrected_equation(report, inst) -> None:
         del inst.hm_t
         report.add(_deviation("new_spectrum_multiset", dev, TOL_LOOSE))
 
-    dev = _ssb_deviation(inst.bundle, inst.g, inst.psi_t, inst.w_t) + inst.g_leak
+    dev = _ssb_deviation(inst, inst.psi_t, inst.w_t)
     report.add(_deviation("ssb_witness_corrected_state", dev, TOL_EXPECT))
 
 
@@ -613,11 +602,11 @@ def _ordering(report, inst) -> None:
     scalars = _physical_scalars(inst)
     # the relabelled instance reads only ladders, B_k and B*_k, and its
     # ladders are this instance's: ladder_matrix(j, M) ignores the mode table
-    ladders = inst.ladders
-    del inst.bundle, inst.sectors
+    ladders = inst.C
+    for name in (*OperatorBundle._BUILD, "sectors"):
+        delattr(inst, name)
     perm = np.random.default_rng(report.metadata["seed"]).permutation(inst.mt.n_modes)
-    moved = Instance(*permuted_instance(inst.mt, inst.kernel, perm), inst.solver)
-    moved.bundle = PairOperators(moved.mt, ladders)
+    moved = Instance(*permuted_instance(inst.mt, inst.kernel, perm), inst.solver, ladders=ladders)
     dev = float(np.max(np.abs(scalars - _physical_scalars(moved))))
     report.add(_deviation("ordering_invariance", dev, TOL_IDENTITY))
 
@@ -684,11 +673,13 @@ def run_verification(
     if violations:
         raise ValidationError("kernel violates structural constraints: " + "; ".join(violations))
     inst = Instance(mt, kernel, solver)
+    # both gap equations are solved before any stage, so a solve that cannot
+    # finish stops the pass before a stage reads its gap
+    report.solutions = {"classic": inst.sol, "new": inst.new_sol}
     for stage, names in _STAGES:
         if not wanted.isdisjoint(names):
             stage(report, inst)
 
-    report.solutions = {"classic": inst.sol, "new": inst.new_sol}
     report.metadata.update((equation, _solution_metadata(sol)) for equation, sol in report.solutions.items())
     report.checks = [c for c in report.checks if c.name in wanted]
     return report

@@ -1,7 +1,7 @@
 """Operators of the pairing model: H, G, K = i G_B, H_M, H' and the per-mode algebra.
 
-`OperatorBundle` turns the 2M ladders C_j of one instance into its
-angle-independent operators, each built once:
+`OperatorBundle` is an on-demand table of the angle-independent operators
+of one instance, all built from its 2M ladders C_j:
 
   B_k = C_{-k,dn} C_{k,up}                    (pair annihilator)
   B*_k                                        (pair creator)
@@ -12,10 +12,10 @@ angle-independent operators, each built once:
   H   = T + sum_{k,k'} U_{k,k'} B*_{k'} B_k
   I                                           (identity)
 
-Its base `PairOperators` holds the ladders, B_k and B*_k alone: what the
-states and the gammas read.  The ladders depend on the pair count only, so
-a relabelled mode table of the same M (the ordering check) builds its
-`PairOperators` from the ladders of the instance it relabels.
+Each is built from its `_BUILD` entry the first time it is read and kept;
+`del` releases it, and a later read builds it again.  The ladders depend
+on the pair count only, so a relabelled mode table of the same M (the
+ordering check) may be given the ladders of the instance it relabels.
 `build_GB`, `build_HM` and `build_Hprime` read their B_k, B*_k, v_k, T
 and I from a bundle.  All constant energy offsets are carried explicitly
 as multiples of the identity; nothing is folded into implicit zero points.
@@ -32,64 +32,67 @@ from .gapsolve import GapTable
 from .model import Kernel, ModeTable, validate_kernel
 
 
-class PairOperators:
-    """The ladders of one mode table and the pair operators built from them.
+def _number_terms(ops, name: str):
+    """h_k, G and T from the transient number operators C*_j C_j; keeps those not held yet, returns `name`."""
+    mt, numbers = ops.mt, [adjoint(c) @ c for c in ops.C]
+    orbitals = [(i, j) for i in range(mt.n_modes) for j in (mt.orb_up(i), mt.orb_dn(i))]
+    terms = {
+        "h": [numbers[mt.orb_up(i)] + numbers[mt.orb_dn(mt.pair[i])] for i in range(mt.n_modes)],
+        "G": sum(numbers[1:], numbers[0]),
+        "T": sum((mt.xi[i] * numbers[j] for i, j in orbitals), csr_array((mt.dim, mt.dim))),
+    }
+    for key, value in terms.items():
+        ops.__dict__.setdefault(key, value)
+    return terms[name]
 
-    C[j] is the annihilator of spin-orbital j, and B and Bd hold B_k and
-    B*_k by mode index.  `ladders` are the 2M matrices `ladder_matrix(j, M)`
-    in orbital order; they do not depend on the mode table, so any table
-    with the same pair count reads the same set.
+
+def _hamiltonian(ops) -> csr_array:
+    """H = T + sum_{k,k'} U_{k,k'} B*_{k'} B_k over the nonzero U_{k,k'}."""
+    u, m = ops.kernel.u, ops.mt.n_modes
+    return sum((u[k, kp] * (ops.Bd[kp] @ ops.B[k]) for kp in range(m) for k in range(m) if u[k, kp] != 0.0), ops.T)
+
+
+class OperatorBundle:
+    """The Fock operators of one instance, each built on first read from its ladders.
+
+    C[j] is the annihilator of spin-orbital j, and B, Bd, h and v hold B_k,
+    B*_k, h_k and v_k by mode index.  The kernel is validated first; the
+    `ladders`, when given, must be the 2M matrices `ladder_matrix(j, M)` in
+    orbital order.  `del ops.name` releases a name of `_BUILD`, and releasing
+    one that was never built does nothing.
     """
 
-    def __init__(self, mt: ModeTable, ladders: list):
-        if len(ladders) != mt.n_orbitals or any(c.shape != (mt.dim, mt.dim) for c in ladders):
-            raise ValidationError(f"need {mt.n_orbitals} ladders of dimension {mt.dim}")
-        self.mt = mt
-        self.C = list(ladders)
-        m = mt.n_modes
-        self.B = [self.C[mt.orb_dn(mt.pair[i])] @ self.C[mt.orb_up(i)] for i in range(m)]
-        self.Bd = [adjoint(b) for b in self.B]
+    _BUILD = {
+        "C": lambda s: [ladder_matrix(j, s.mt.n_modes) for j in range(s.mt.n_orbitals)],
+        "B": lambda s: [s.C[s.mt.orb_dn(s.mt.pair[i])] @ s.C[s.mt.orb_up(i)] for i in range(s.mt.n_modes)],
+        "Bd": lambda s: [adjoint(b) for b in s.B],
+        "v": lambda s: [b + bd for b, bd in zip(s.B, s.Bd)],
+        "I": lambda s: identity_op(s.mt.dim),
+        # h_k, G and T share the number operators, which are not held
+        "h": lambda s: _number_terms(s, "h"),
+        "G": lambda s: _number_terms(s, "G"),
+        "T": lambda s: _number_terms(s, "T"),
+        "H": _hamiltonian,
+    }
 
-
-class OperatorBundle(PairOperators):
-    """The Fock operators of one instance, each built once from its ladders.
-
-    Beyond the ladders, B and Bd of `PairOperators`: h and v hold h_k and
-    v_k by mode index; G is the number operator, T the kinetic term, H the
-    pairing Hamiltonian of `kernel`, which is validated first, and I the
-    identity.  A reader that is done with an operator may `del` it from
-    the bundle; a later read then raises AttributeError, nothing rebuilds it.
-    """
-
-    def __init__(self, mt: ModeTable, kernel: Kernel):
+    def __init__(self, mt: ModeTable, kernel: Kernel, ladders: list | None = None):
         violations = validate_kernel(kernel, mt)
         if violations:
             raise ValidationError("; ".join(violations))
-        m = mt.n_modes
-        super().__init__(mt, [ladder_matrix(j, m) for j in range(mt.n_orbitals)])
-        numbers = [adjoint(c) @ c for c in self.C]
-        self.h = [numbers[mt.orb_up(i)] + numbers[mt.orb_dn(mt.pair[i])] for i in range(m)]
-        self.v = [b + bd for b, bd in zip(self.B, self.Bd)]
-        self.I = identity_op(mt.dim)
+        if ladders is not None:
+            if len(ladders) != mt.n_orbitals or any(c.shape != (mt.dim, mt.dim) for c in ladders):
+                raise ValidationError(f"need {mt.n_orbitals} ladders of dimension {mt.dim}")
+            self.C = list(ladders)
+        self.mt, self.kernel = mt, kernel
 
-        total = numbers[0]
-        for n_j in numbers[1:]:
-            total = total + n_j
-        self.G = total
+    def __getattr__(self, name):
+        if name not in self._BUILD:
+            raise AttributeError(f"{type(self).__name__} has no quantity {name!r}")
+        value = self.__dict__[name] = self._BUILD[name](self)
+        return value
 
-        t = csr_array((mt.dim, mt.dim))
-        for i in range(m):
-            for j in (mt.orb_up(i), mt.orb_dn(i)):
-                t = t + mt.xi[i] * numbers[j]
-        self.T = t
-
-        h = t
-        for kp in range(m):
-            for k in range(m):
-                u = kernel.u[k, kp]
-                if u != 0.0:
-                    h = h + u * (self.Bd[kp] @ self.B[k])
-        self.H = h
+    def __delattr__(self, name):
+        self.__dict__.pop(name, None)
 
 
 def build_GB(ops: OperatorBundle, gap: GapTable) -> csr_array:

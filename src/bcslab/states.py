@@ -12,8 +12,8 @@ transposed view gamma.T, which the real gammas allow.  `pair_table` gives
 the pair expectations (state, B_k state) that the mean-field Hamiltonian
 and the self-consistency checks read.
 
-The states and the gammas read their ladders and pair operators from a
-`PairOperators`, which every `OperatorBundle` is, and their angles from a
+The states and the gammas read their ladders and pair operators from an
+`OperatorBundle`, which builds only the ones read, and their angles from a
 `GapTable`.  The same constructions serve the classic and corrected gap
 equations: feed them whichever gap table is in play.
 """
@@ -27,11 +27,11 @@ import numpy as np
 from .errors import ValidationError
 from .fock import adjoint, expectation, vacuum_state
 from .gapsolve import EPS_GUARD, GapTable
-from .hamiltonian import PairOperators
+from .hamiltonian import OperatorBundle
 from .model import Kernel, ModeTable
 
 
-def bcs_state(ops: PairOperators, gap: GapTable) -> np.ndarray:
+def bcs_state(ops: OperatorBundle, gap: GapTable) -> np.ndarray:
     """Paired product state prod_k (cos theta_k + sin theta_k C*_{k,up} C*_{-k,dn}) |0>."""
     mt = ops.mt
     gap.validate(mt)
@@ -45,7 +45,7 @@ def bcs_state(ops: PairOperators, gap: GapTable) -> np.ndarray:
     return v
 
 
-def fermi_vacuum(ops: PairOperators) -> np.ndarray:
+def fermi_vacuum(ops: OperatorBundle) -> np.ndarray:
     """Normal state: the paired product state at Delta = 0.
 
     A mode with xi_k <= 0 gets cos theta = 0 and sin theta = 1 exactly
@@ -56,12 +56,12 @@ def fermi_vacuum(ops: PairOperators) -> np.ndarray:
     return bcs_state(ops, GapTable.from_delta(mt, np.zeros(mt.n_modes)))
 
 
-def pair_table(ops: PairOperators, state: np.ndarray) -> np.ndarray:
+def pair_table(ops: OperatorBundle, state: np.ndarray) -> np.ndarray:
     """Pair expectations w_k = (state, B_k state) by mode index."""
     return np.array([expectation(state, b, state) for b in ops.B])
 
 
-def quasi_ops(ops: PairOperators, gap: GapTable) -> list:
+def quasi_ops(ops: OperatorBundle, gap: GapTable) -> list:
     """Quasiparticle annihilators in spin-orbital order: quasi[j] is the rotated C_j,
 
         gamma_{k,up} = cos theta_k C_{k,up} - sin theta_k C*_{-k,dn}

@@ -23,7 +23,7 @@ from bcslab.cli import load_config
 from bcslab.errors import ValidationError
 from bcslab.fock import adjoint, commutator, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import GapTable, solve_gap, solve_new_gap
-from bcslab.hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
+from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
 from bcslab.sectors import PairSectors
 from bcslab.states import (
@@ -147,13 +147,12 @@ def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
     eps = 1e-6
     # vacuum <-> orbital 0 filled, kept selfadjoint; or a complex number on one diagonal entry
     rows, cols, vals = ([0, 1], [1, 0], [eps, eps]) if planted == "off_diagonal" else ([1], [1], [1j * eps])
-    init = OperatorBundle.__init__
+    build = analysis._BUILD["G"]
 
-    def planted_init(self, mt, kernel):
-        init(self, mt, kernel)
-        self.G = csr_array(self.G + csr_array((vals, (rows, cols)), shape=(mt.dim, mt.dim)))
+    def planted(inst):
+        return csr_array(build(inst) + csr_array((vals, (rows, cols)), shape=(mt.dim, mt.dim)))
 
-    monkeypatch.setattr(OperatorBundle, "__init__", planted_init)
+    monkeypatch.setitem(analysis._BUILD, "G", planted)
     report = run_verification(mt, kernel, seed=3)
     by_name = {c.name: c for c in report.checks}
     for name in (
@@ -736,7 +735,7 @@ def test_run_verification_peak_memory_on_the_ac10_instance():
 
 
 def test_run_verification_builds_each_ladder_once(monkeypatch):
-    """One set of 2M ladders per pass: the bundle's, which the CAR check and the permuted instance read.
+    """One set of 2M ladders per pass: the instance's, which the CAR check and the permuted instance read.
 
     14 `ladder_matrix` calls on the seven_mode golden; a CAR check with a
     set of its own would make 28, and a bundle for the permuted instance 42.
@@ -762,11 +761,13 @@ def test_run_verification_builds_each_instance_quantity_at_most_once(instance, m
     """A pass reads every quantity of its two `Instance`s through one build each.
 
     A release point placed before a later reader would rebuild the quantity
-    silently; this counts every `_BUILD` call per instance.  The M = 3 pass
-    builds all names on its own instance, and the M = 7 pass all but the
-    corrected H_M and E_BCS, which only its skipped dense row reads.  The
-    permuted instance solves, builds Psi_B, its gammas and Phi, and reads its
-    assigned pair operators instead of building a bundle.
+    silently; this counts every `_BUILD` call per instance, operators
+    included.  The M = 3 pass builds all names on its own instance, and the
+    M = 7 pass all but the corrected H_M and E_BCS, which only its skipped
+    dense row reads; the h_k and T are kept by the build of G, which the
+    pass reads first, and go through no entry of their own.  The permuted instance
+    solves, builds B_k and B*_k on the ladders it is given, Psi_B, its
+    gammas and Phi.
     """
     cfg = load_config(str(GOLDEN / instance / "config.json"))
     built = []  # (instance, name); holding the instances keeps their ids apart
@@ -788,9 +789,9 @@ def test_run_verification_builds_each_instance_quantity_at_most_once(instance, m
     assert own is not moved and {inst for inst, _ in built} == {own, moved}
     names = {name for inst, name in built if inst is own}
     skipped = {"hm_t", "ebcs_t"} if cfg.mt.n_modes > analysis.DENSE_MODE_CAP else set()
-    assert names == set(analysis._BUILD) - skipped
+    assert names == set(analysis._BUILD) - skipped - {"h", "T"}
     permuted = {name for inst, name in built if inst is moved}
-    assert permuted == {"sol", "new_sol", "gap", "gap_t", "quasi", "psi_b", "corr"}
+    assert permuted == {"B", "Bd", "sol", "new_sol", "gap", "gap_t", "quasi", "psi_b", "corr"}
 
 
 def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch):
@@ -813,7 +814,7 @@ def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch)
     report = run_verification(mt, kernel, seed=3)
     assert report.all_passed
     assert calls["build_GB"] == 1
-    # 116 calls when each reader formed its own B*_k (32 of them); the two bundles form one per mode
+    # 116 calls when each reader formed its own B*_k (32 of them); the two instances form one per mode
     assert 0 < calls["adjoint"] <= 116 - 32 + 2 * mt.n_modes
 
 
@@ -854,57 +855,59 @@ def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
 
 
 def test_run_verification_releases_g_and_h_and_builds_pair_operators_for_the_permutation(three_mode, monkeypatch):
-    """One bundle per pass; G and the h_k are gone before the gammas, and the permuted instance has pair operators only.
+    """G and the h_k are gone before the gammas and never rebuilt; the permuted instance builds pair operators only.
 
-    The bundle's G and h_k are deleted after their last readers (the
+    The own instance's G and h_k are released after their last readers (the
     covariance rows and the mean-field conjugation), so every later stage
-    sees neither and a read raises instead of rebuilding them.  The permuted instance is a
-    `PairOperators` on the bundle's own ladders: no h, v, G, T, H or I.
+    sees neither and no later read builds them again.  The permuted
+    instance reads the own instance's ladders and builds B_k and B*_k from
+    them: no h, v, G, T, H or I.  Presence is read from `vars()`, since
+    `hasattr` would build the entry.
     """
     mt, kernel = three_mode
-    bundles, pairs, seen = [], [], []
-    bundle_init, pairs_init = OperatorBundle.__init__, PairOperators.__init__
+    built, ladders, seen = [], [], []  # (instance, name) per build; the built ladder lists; (reader, G held, h held)
 
-    def bundle_counted(self, *args):
-        bundles.append(self)
-        bundle_init(self, *args)
+    def counting(name, build):
+        def counted(inst):
+            built.append((inst, name))
+            value = build(inst)
+            if name == "C":
+                ladders.append(value)
+            return value
 
-    def pairs_counted(self, *args):
-        pairs.append(self)
-        pairs_init(self, *args)
+        return counted
 
     def watching(fn):
         def watched(ops, *args):
-            if ops is bundles[0]:
-                seen.append((fn.__name__, hasattr(ops, "G"), hasattr(ops, "h")))
+            if ops is built[0][0]:
+                seen.append((fn.__name__, "G" in vars(ops), "h" in vars(ops)))
             return fn(ops, *args)
 
         return watched
 
-    monkeypatch.setattr(OperatorBundle, "__init__", bundle_counted)
-    monkeypatch.setattr(PairOperators, "__init__", pairs_counted)
+    for name, build in list(analysis._BUILD.items()):
+        monkeypatch.setitem(analysis._BUILD, name, counting(name, build))
     for name in ("quasi_ops", "build_HM", "build_Hprime", "pair_table"):
         monkeypatch.setattr(analysis, name, watching(getattr(analysis, name)))
     report = run_verification(mt, kernel, seed=3)
     assert report.all_passed
-    assert len(bundles) == 1
-    bundle = bundles[0]
-    assert len(pairs) == 2 and pairs[0] is bundle
-    permuted = pairs[1]
-    assert type(permuted) is PairOperators and permuted.mt is not bundle.mt
-    for name in ("h", "v", "G", "T", "H", "I"):
-        assert not hasattr(permuted, name), name
-    assert len(permuted.C) == mt.n_orbitals
-    assert all(a is b for a, b in zip(permuted.C, bundle.C))
-    # every bundle reader from the classic gammas on: both gamma lists, both H_M, H' and two pair tables
+    own, moved = built[0][0], built[-1][0]
+    assert own is not moved and {inst for inst, _ in built} == {own, moved}
+    # G is built once, and keeps the h_k with it
+    own_built = [name for inst, name in built if inst is own]
+    assert own_built.count("G") == 1 and "h" not in own_built
+    assert len(ladders) == 1
+    # every reader from the classic gammas on: both gamma lists, both H_M, H' and two pair tables
     names = [name for name, _, _ in seen]
     assert names.count("quasi_ops") == 2 and names.count("build_HM") == 2 and names.count("build_Hprime") == 1
     late = seen[names.index("quasi_ops"):]
     assert [name for name, _, _ in late].count("pair_table") == 2
     assert not any(has_g or has_h for _, has_g, has_h in late)
-    for name in ("G", "h"):
-        with pytest.raises(AttributeError):
-            getattr(bundle, name)
+    operators = {"h", "v", "G", "T", "H", "I"}
+    assert not operators & {name for inst, name in built if inst is moved}
+    assert not operators & set(vars(moved))
+    assert moved.mt is not own.mt and len(vars(moved)["C"]) == mt.n_orbitals
+    assert all(a is b for a, b in zip(vars(moved)["C"], ladders[0]))
 
 
 def _gamma_dag_routes(mt, kernel, angles, quasi, psi):

@@ -402,6 +402,20 @@ def test_verify_overflowing_dk_exits_without_warning(tmp_path, capsys):
     assert err.startswith("resource/convergence error:") and "non-finite" in err
 
 
+def test_verify_solves_both_gap_equations_before_any_stage(tmp_path, capsys):
+    # the classic solve succeeds at Delta ~ 1e200 and the corrected one turns non-finite; a stage
+    # that read the classic gap first would overflow in numpy before the pass stopped
+    payload = {
+        "lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "xi": [1.6, 1.6]},
+        "kernel": {"matrix": [[0, -1e200], [-1e200, 0]]},
+    }
+    cfg = write_config(tmp_path, "overflow_u.json", payload)
+    assert main(["verify", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource/convergence error:") and err.count("\n") == 1
+
+
 def test_unconverged_gap_solve_exits_as_convergence_error(tmp_path, capsys):
     # the correction factor is <= 0 on both modes: the corrected iteration never settles
     payload = {

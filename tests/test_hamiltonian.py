@@ -15,7 +15,7 @@ from bcslab.fock import (
 )
 from bcslab.gapsolve import GapTable
 from bcslab.cli import load_config
-from bcslab.hamiltonian import OperatorBundle, PairOperators, build_GB, build_HM, build_Hprime
+from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, permuted_instance
 from bcslab.states import bcs_state, fermi_vacuum
 
@@ -249,22 +249,38 @@ def test_v_k_is_the_pair_sum_array_for_array(name):
 
 @pytest.mark.parametrize("name", ["three_mode", "ac10"])
 def test_pair_operators_on_the_ladders_of_another_table_equal_its_own_bundles(name):
-    # ladder_matrix(j, M) ignores the mode table, so a relabelled table reads
-    # the original bundle's ladders and builds the B_k and B*_k of its own bundle
+    # ladder_matrix(j, M) ignores the mode table, so a relabelled table given
+    # the original bundle's ladders builds the B_k and B*_k of its own bundle
     cfg = load_config(str(GOLDEN / name / "config.json"))
     mt_p, kernel_p = permuted_instance(cfg.mt, cfg.kernel, np.random.default_rng(3).permutation(cfg.mt.n_modes))
     ladders = OperatorBundle(cfg.mt, cfg.kernel).C
-    pairs = PairOperators(mt_p, ladders)
+    pairs = OperatorBundle(mt_p, kernel_p, ladders)
     own = OperatorBundle(mt_p, kernel_p)
     assert pairs.mt is mt_p and all(a is b for a, b in zip(pairs.C, ladders))
     for key in ("B", "Bd"):
         for a, b in zip(getattr(pairs, key), getattr(own, key), strict=True):
             for field in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
-    with pytest.raises(ValidationError):
-        PairOperators(mt_p, ladders[:-1])
-    with pytest.raises(ValidationError):
-        PairOperators(explicit_modes([(1, 0, 0), (-1, 0, 0)]), ladders[:4])
+    with pytest.raises(ValidationError, match="ladders"):
+        OperatorBundle(mt_p, kernel_p, ladders[:-1])
+    two = explicit_modes([(1, 0, 0), (-1, 0, 0)])
+    with pytest.raises(ValidationError, match="ladders"):
+        OperatorBundle(two, Kernel(u=np.array([[0.0, -4.0], [-4.0, 0.0]])), ladders[:4])
+
+
+def test_bundle_builds_on_first_read_and_again_after_a_release(two_mode):
+    mt, kernel = two_mode
+    ops = OperatorBundle(mt, kernel)
+    assert set(vars(ops)) == {"mt", "kernel"}
+    g = ops.G
+    # the build of G keeps the h_k and T, which read the same number operators
+    assert set(vars(ops)) == {"mt", "kernel", "C", "h", "G", "T"}
+    h = ops.h
+    del ops.G, ops.H  # H was never built: releasing it does nothing
+    assert "G" not in vars(ops)
+    assert (ops.G != g).nnz == 0 and ops.h is h
+    with pytest.raises(AttributeError, match="no quantity 'K'"):
+        ops.K
 
 
 @pytest.mark.parametrize("name", ["pair", "three_mode", "seven_mode"])
