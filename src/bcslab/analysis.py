@@ -43,10 +43,10 @@ stages that own its rows and keeps only those rows.  A stage reads what it
 needs from the `Instance`, so it never needs the stages before it.  Each
 Fock operator lives only while a stage reads it, since every one costs an
 array of dimension 2^(2M); a full pass releases them as follows:
-  operator algebra      reads the ladders; reads G once, for g and g_leak
-                        (the build of G keeps h_k and T), and releases it
-                        before charge_commutes_with_h, which reads g, as the
-                        covariance checks and both SSB rows do;
+  operator algebra      reads the ladders; reads G once, for g and g_leak,
+                        and releases it before charge_commutes_with_h, which
+                        reads g, as the covariance checks and both SSB rows
+                        do;
   classic state         forms K = i G_B, read by exp(K) and the pairing
                         commutators and deleted after them, and exp(K), 6^M
                         numbers (2.2 MiB at M = 7), whose last reader is the
@@ -109,7 +109,7 @@ from .gapsolve import (
     solve_gap,
     solve_new_gap,
 )
-from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
+from .hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime, couplings
 from .model import Kernel, ModeTable, permuted_instance, validate_kernel
 from .sectors import PairSectors
 from .states import (
@@ -367,7 +367,7 @@ _BUILD = {
     "psi_f": fermi_vacuum,
     "hm": lambda s: build_HM(s, s.gap, s.w),
     "hm_t": lambda s: build_HM(s, s.gap_t, s.w_t),
-    "hprime": lambda s: build_Hprime(s, s.kernel, s.gap),
+    "hprime": lambda s: build_Hprime(s, s.gap),
     "ebcs": lambda s: ebcs_formula(s.mt, s.gap, s.w),
     "ebcs_t": lambda s: ebcs_formula(s.mt, s.gap_t, s.w_t),
     "e_f": lambda s: expectation(s.psi_f, s.H, s.psi_f),
@@ -476,15 +476,14 @@ def _classic_state(report, inst) -> None:
 
 def _meanfield_splitting(report, inst) -> None:
     """H - H_M as the pair-fluctuation sum, and as H' in its expanded form."""
-    kernel, w_dense, m = inst.kernel, inst.w, inst.mt.n_modes
-    fluct = 0.0 * inst.I
-    for kp in range(m):
-        bdag = inst.Bd[kp] - w_dense[kp] * inst.I
-        for k in range(m):
-            u = kernel.u[k, kp]
-            if u == 0.0:
-                continue
-            fluct = fluct + u * (bdag @ (inst.B[k] - w_dense[k] * inst.I))
+    w, ident = inst.w, inst.I
+    # one B_k - w_k I and one B*_k - w_k I per mode, each read by every coupling of that mode
+    b_w = [b - wk * ident for b, wk in zip(inst.B, w)]
+    bd_w = [bd - wk * ident for bd, wk in zip(inst.Bd, w)]
+    fluct = 0.0 * ident
+    for k, kp, u in couplings(inst.kernel):
+        fluct = fluct + u * (bd_w[kp] @ b_w[k])
+    del b_w, bd_w
     # H - H_M, read by both splitting rows
     split = inst.H - inst.hm
     report.add(_deviation("hm_splitting", op_norm_inf(split - fluct), TOL_IDENTITY))

@@ -7,17 +7,20 @@ of one instance, all built from its 2M ladders C_j:
   B*_k                                        (pair creator)
   h_k = C*_{k,up} C_{k,up} + C*_{-k,dn} C_{-k,dn}
   v_k = B_k + B*_k
-  G   = sum_j C*_j C_j                        (number operator)
-  T   = sum_{k,s} xi_k C*_{ks} C_{ks}         (kinetic term)
+  G   = sum_k h_k                             (number operator)
+  T   = sum_k xi_k h_k                        (kinetic term)
   H   = T + sum_{k,k'} U_{k,k'} B*_{k'} B_k
   I                                           (identity)
 
-Each is built from its `_BUILD` entry the first time it is read and kept;
+G = sum_j C*_j C_j and T = sum_{k,s} xi_k C*_{ks} C_{ks} are these sums
+because every orbital lies in exactly one pair (k, up), (-k, dn) and
+xi_{-k} = xi_k; the C*_j C_j live only inside the build of the h_k.
+Each operator is built from its `_BUILD` entry on first read and kept;
 `del` releases it, and a later read builds it again.  The ladders depend
 on the pair count only, so a relabelled mode table of the same M (the
 ordering check) may be given the ladders of the instance it relabels.
-`build_GB`, `build_HM` and `build_Hprime` read their B_k, B*_k, v_k, T
-and I from a bundle.  All constant energy offsets are carried explicitly
+`build_GB`, `build_HM` and `build_Hprime` read their operators and the
+kernel from a bundle.  All constant energy offsets are carried explicitly
 as multiples of the identity; nothing is folded into implicit zero points.
 """
 
@@ -32,34 +35,33 @@ from .gapsolve import GapTable
 from .model import Kernel, ModeTable, validate_kernel
 
 
-def _number_terms(ops, name: str):
-    """h_k, G and T from the transient number operators C*_j C_j; keeps those not held yet, returns `name`."""
-    mt, numbers = ops.mt, [adjoint(c) @ c for c in ops.C]
-    orbitals = [(i, j) for i in range(mt.n_modes) for j in (mt.orb_up(i), mt.orb_dn(i))]
-    terms = {
-        "h": [numbers[mt.orb_up(i)] + numbers[mt.orb_dn(mt.pair[i])] for i in range(mt.n_modes)],
-        "G": sum(numbers[1:], numbers[0]),
-        "T": sum((mt.xi[i] * numbers[j] for i, j in orbitals), csr_array((mt.dim, mt.dim))),
-    }
-    for key, value in terms.items():
-        ops.__dict__.setdefault(key, value)
-    return terms[name]
+def couplings(kernel: Kernel) -> list:
+    """(k, k', U_{k,k'}) over the nonzero entries of the kernel, k' outer and k inner."""
+    u = kernel.u
+    return [(k, kp, u[k, kp]) for kp in range(len(u)) for k in range(len(u)) if u[k, kp] != 0.0]
+
+
+def _pair_numbers(ops) -> list:
+    """h_k = C*_{k,up} C_{k,up} + C*_{-k,dn} C_{-k,dn} from the ladders; the number operators are not held."""
+    mt, c = ops.mt, ops.C
+    orbitals = ((mt.orb_up(i), mt.orb_dn(mt.pair[i])) for i in range(mt.n_modes))
+    return [adjoint(c[up]) @ c[up] + adjoint(c[dn]) @ c[dn] for up, dn in orbitals]
 
 
 def _hamiltonian(ops) -> csr_array:
     """H = T + sum_{k,k'} U_{k,k'} B*_{k'} B_k over the nonzero U_{k,k'}."""
-    u, m = ops.kernel.u, ops.mt.n_modes
-    return sum((u[k, kp] * (ops.Bd[kp] @ ops.B[k]) for kp in range(m) for k in range(m) if u[k, kp] != 0.0), ops.T)
+    return sum((u * (ops.Bd[kp] @ ops.B[k]) for k, kp, u in couplings(ops.kernel)), ops.T)
 
 
 class OperatorBundle:
     """The Fock operators of one instance, each built on first read from its ladders.
 
     C[j] is the annihilator of spin-orbital j, and B, Bd, h and v hold B_k,
-    B*_k, h_k and v_k by mode index.  The kernel is validated first; the
-    `ladders`, when given, must be the 2M matrices `ladder_matrix(j, M)` in
-    orbital order.  `del ops.name` releases a name of `_BUILD`, and releasing
-    one that was never built does nothing.
+    B*_k, h_k and v_k by mode index.  The kernel is validated first and a
+    xi whose T overflows is refused; the `ladders`, when given, must be the
+    2M matrices `ladder_matrix(j, M)` in orbital order.  `del ops.name`
+    releases a name of `_BUILD`, and releasing one that was never built
+    does nothing.
     """
 
     _BUILD = {
@@ -68,10 +70,9 @@ class OperatorBundle:
         "Bd": lambda s: [adjoint(b) for b in s.B],
         "v": lambda s: [b + bd for b, bd in zip(s.B, s.Bd)],
         "I": lambda s: identity_op(s.mt.dim),
-        # h_k, G and T share the number operators, which are not held
-        "h": lambda s: _number_terms(s, "h"),
-        "G": lambda s: _number_terms(s, "G"),
-        "T": lambda s: _number_terms(s, "T"),
+        "h": _pair_numbers,
+        "G": lambda s: sum(s.h[1:], s.h[0]),
+        "T": lambda s: sum((xi * h for xi, h in zip(s.mt.xi, s.h)), csr_array((s.mt.dim, s.mt.dim))),
         "H": _hamiltonian,
     }
 
@@ -79,6 +80,9 @@ class OperatorBundle:
         violations = validate_kernel(kernel, mt)
         if violations:
             raise ValidationError("; ".join(violations))
+        # 2 sum_k |xi_k| bounds every entry of T; a Python float sum overflows to inf without a warning
+        if not np.isfinite(2.0 * sum(map(abs, mt.xi.tolist()))):
+            raise ValidationError("kinetic term overflows: 2 sum_k |xi_k| is not finite")
         if ladders is not None:
             if len(ladders) != mt.n_orbitals or any(c.shape != (mt.dim, mt.dim) for c in ladders):
                 raise ValidationError(f"need {mt.n_orbitals} ladders of dimension {mt.dim}")
@@ -129,8 +133,8 @@ def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> csr_array:
     return csr_array(hm)
 
 
-def build_Hprime(ops: OperatorBundle, kernel: Kernel, gap: GapTable) -> csr_array:
-    """Residual interaction H' = H - H_M in its expanded form.
+def build_Hprime(ops: OperatorBundle, gap: GapTable) -> csr_array:
+    """Residual interaction H' = H - H_M in its expanded form, over the bundle's kernel.
 
     H' = sum_{k,k'} U_{k,k'} { B*_{k'} B_k - C_{k'} S_{k'} v_k
                                + C_k S_k C_{k'} S_{k'} I }
@@ -138,18 +142,13 @@ def build_Hprime(ops: OperatorBundle, kernel: Kernel, gap: GapTable) -> csr_arra
     """
     mt = ops.mt
     gap.validate(mt)
-    m = mt.n_modes
     cs = gap.cos_t * gap.sin_t
     hp = csr_array((mt.dim, mt.dim))
     const = 0.0
-    for kp in range(m):
-        for k in range(m):
-            u = kernel.u[k, kp]
-            if u == 0.0:
-                continue
-            hp = hp + u * (ops.Bd[kp] @ ops.B[k])
-            hp = hp - (u * cs[kp]) * ops.v[k]
-            const += u * cs[k] * cs[kp]
+    for k, kp, u in couplings(ops.kernel):
+        hp = hp + u * (ops.Bd[kp] @ ops.B[k])
+        hp = hp - (u * cs[kp]) * ops.v[k]
+        const += u * cs[k] * cs[kp]
     if const != 0.0:
         hp = hp + const * ops.I
     return hp

@@ -224,7 +224,7 @@ def test_ac8_correction_lemma_suite():
     psi_b = bcs_state(ops, angles)
     corr = correction_state(mt, kernel, angles, quasi_ops(ops, angles), psi_b)
     psi = normalized_psi(psi_b, corr)
-    hp = build_Hprime(ops, kernel, angles)
+    hp = build_Hprime(ops, angles)
     w = 0.5 * angles.sin2t
     hm = build_HM(ops, sol.delta, w)
 

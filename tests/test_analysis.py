@@ -442,7 +442,7 @@ def test_hm_expectation_formula(solved_pair):
 def test_hprime_checks_pair_instance(solved_pair):
     ops, kernel, angles, psi_b, quasi, corr, psi = solved_pair
     mt = ops.mt
-    hp = build_Hprime(ops, kernel, angles)
+    hp = build_Hprime(ops, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-12
     coupling = np.vdot(corr.phi, hp @ psi_b).real
     assert coupling == pytest.approx(-0.1296, abs=1e-12)
@@ -459,7 +459,7 @@ def test_hprime_checks_random_instance(three_mode):
     psi_b = bcs_state(ops, angles)
     quasi = quasi_ops(ops, angles)
     corr = correction_state(mt, kernel, angles, quasi, psi_b)
-    hp = build_Hprime(ops, kernel, angles)
+    hp = build_Hprime(ops, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-10
     assert np.vdot(corr.phi, hp @ psi_b).real == pytest.approx(
         phi_hprime_coupling_formula(mt, kernel, angles), abs=1e-9
@@ -764,10 +764,8 @@ def test_run_verification_builds_each_instance_quantity_at_most_once(instance, m
     silently; this counts every `_BUILD` call per instance, operators
     included.  The M = 3 pass builds all names on its own instance, and the
     M = 7 pass all but the corrected H_M and E_BCS, which only its skipped
-    dense row reads; the h_k and T are kept by the build of G, which the
-    pass reads first, and go through no entry of their own.  The permuted instance
-    solves, builds B_k and B*_k on the ladders it is given, Psi_B, its
-    gammas and Phi.
+    dense row reads.  The permuted instance solves, builds B_k and B*_k on
+    the ladders it is given, Psi_B, its gammas and Phi.
     """
     cfg = load_config(str(GOLDEN / instance / "config.json"))
     built = []  # (instance, name); holding the instances keeps their ids apart
@@ -789,7 +787,7 @@ def test_run_verification_builds_each_instance_quantity_at_most_once(instance, m
     assert own is not moved and {inst for inst, _ in built} == {own, moved}
     names = {name for inst, name in built if inst is own}
     skipped = {"hm_t", "ebcs_t"} if cfg.mt.n_modes > analysis.DENSE_MODE_CAP else set()
-    assert names == set(analysis._BUILD) - skipped - {"h", "T"}
+    assert names == set(analysis._BUILD) - skipped
     permuted = {name for inst, name in built if inst is moved}
     assert permuted == {"B", "Bd", "sol", "new_sol", "gap", "gap_t", "quasi", "psi_b", "corr"}
 
@@ -893,9 +891,9 @@ def test_run_verification_releases_g_and_h_and_builds_pair_operators_for_the_per
     assert report.all_passed
     own, moved = built[0][0], built[-1][0]
     assert own is not moved and {inst for inst, _ in built} == {own, moved}
-    # G is built once, and keeps the h_k with it
+    # G, the h_k and T are each built once, by their own entries, and the h_k never after their release
     own_built = [name for inst, name in built if inst is own]
-    assert own_built.count("G") == 1 and "h" not in own_built
+    assert own_built.count("G") == own_built.count("h") == own_built.count("T") == 1
     assert len(ladders) == 1
     # every reader from the classic gammas on: both gamma lists, both H_M, H' and two pair tables
     names = [name for name, _, _ in seen]

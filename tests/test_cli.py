@@ -416,6 +416,20 @@ def test_verify_solves_both_gap_equations_before_any_stage(tmp_path, capsys):
     assert err.startswith("resource/convergence error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "report", "spectrum", "energy"])
+def test_overflowing_kinetic_term_is_config_error(tmp_path, capsys, command):
+    # xi = 1e308 is finite, but T's entries 2 xi are not; a Fock command exits 2 before any output
+    payload = {
+        "lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "xi": [1e308, 1e308]},
+        "kernel": {"matrix": [[0, -1], [-1, 0]]},
+    }
+    cfg = write_config(tmp_path, "overflow_t.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: kinetic term overflows") and err.count("\n") == 1
+
+
 def test_unconverged_gap_solve_exits_as_convergence_error(tmp_path, capsys):
     # the correction factor is <= 0 on both modes: the corrected iteration never settles
     payload = {

@@ -15,7 +15,7 @@ from bcslab.fock import (
 )
 from bcslab.gapsolve import GapTable
 from bcslab.cli import load_config
-from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
+from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime, couplings
 from bcslab.model import Kernel, explicit_modes, permuted_instance
 from bcslab.states import bcs_state, fermi_vacuum
 
@@ -146,7 +146,7 @@ def test_mean_field_split_identity(two_mode):
 def test_hprime_zero_interaction(two_mode):
     mt, _ = two_mode
     angles = GapTable.from_delta(mt, [1.2, 1.2])
-    hp = build_Hprime(bundle_of(mt), Kernel(u=np.zeros((2, 2))), angles)
+    hp = build_Hprime(bundle_of(mt), angles)
     assert op_norm_inf(hp) == 0.0
 
 
@@ -156,7 +156,7 @@ def test_hprime_equals_h_minus_hm(two_mode):
     w = 0.5 * angles.sin2t
     ops = OperatorBundle(mt, kernel)
     hm = build_HM(ops, angles, w)
-    hp = build_Hprime(ops, kernel, angles)
+    hp = build_Hprime(ops, angles)
     assert op_norm_inf(hp - (ops.H - hm)) <= 1e-10
 
 
@@ -165,7 +165,7 @@ def test_hprime_annihilates_bcs_in_expectation(two_mode):
     angles = GapTable.from_delta(mt, [1.2, 1.2])
     ops = OperatorBundle(mt, kernel)
     psi_b = bcs_state(ops, angles)
-    hp = build_Hprime(ops, kernel, angles)
+    hp = build_Hprime(ops, angles)
     assert abs(expectation(psi_b, hp, psi_b)) <= 1e-12
 
 
@@ -273,8 +273,8 @@ def test_bundle_builds_on_first_read_and_again_after_a_release(two_mode):
     ops = OperatorBundle(mt, kernel)
     assert set(vars(ops)) == {"mt", "kernel"}
     g = ops.G
-    # the build of G keeps the h_k and T, which read the same number operators
-    assert set(vars(ops)) == {"mt", "kernel", "C", "h", "G", "T"}
+    # G = sum_k h_k reads the h_k, which read the ladders; nothing else is built
+    assert set(vars(ops)) == {"mt", "kernel", "C", "h", "G"}
     h = ops.h
     del ops.G, ops.H  # H was never built: releasing it does nothing
     assert "G" not in vars(ops)
@@ -296,3 +296,39 @@ def test_bundle_matches_literal_operators(name):
             assert (a != b).nnz == 0, key
     for key in ("G", "T", "H", "I"):
         assert (getattr(ops, key) != oracle[key]).nnz == 0, key
+
+
+# modes in +/- pairs (the origin pairs with itself), and the index of the xi draw each mode takes
+PAIR_TABLES = [
+    ([(1, 0, 0), (-1, 0, 0)], [0, 0]),
+    ([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], [0, 1, 1]),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], [0, 0, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("ks, slots", PAIR_TABLES)
+def test_pair_sums_of_h_match_the_orbital_order_oracle(ks, slots):
+    # T = sum_k xi_k h_k adds in pair order, the oracle in orbital order: a few ulps of 2 sum|xi| apart
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        mt = explicit_modes(ks, xi_override=rng.uniform(-2.0, 2.0, max(slots) + 1)[slots])
+        ops = bundle_of(mt)
+        oracle = literal_operators(mt, ops.kernel)
+        assert (ops.G != oracle["G"]).nnz == 0
+        bound = 4 * np.finfo(float).eps * 2 * np.sum(np.abs(mt.xi))
+        assert abs(ops.T - oracle["T"]).max() <= bound
+
+
+def test_couplings_list_the_nonzero_kernel_entries_k_prime_outer():
+    u = np.array([[0.0, -1.0, -2.0], [-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+    assert couplings(Kernel(u=u)) == [(1, 0, -1.0), (2, 0, -2.0), (0, 1, -1.0), (0, 2, -2.0)]
+    assert couplings(Kernel(u=np.zeros((2, 2)))) == []
+
+
+def test_kinetic_term_overflow_is_refused_and_the_float_range_still_builds():
+    kernel = Kernel(u=np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    # 2 sum|xi| = 1.76e308 is finite: the fully occupied state has energy 4 xi, exactly
+    t = OperatorBundle(explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[4.4e307] * 2), kernel).T
+    assert np.all(np.isfinite(t.data)) and t.max() == 4 * 4.4e307
+    with pytest.raises(ValidationError, match="kinetic term overflows"):
+        OperatorBundle(explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1e308] * 2), kernel)

@@ -315,7 +315,7 @@ def test_fock_algebra_stays_real(instance, request):
     quasi = quasi_ops(bundle, angles)
     ops = [bundle.H, bundle.G, bundle.T, *bundle.C, *bundle.B, *bundle.h, *bundle.v, *quasi]
     gb = build_GB(bundle, angles)
-    ops += [gb, build_HM(bundle, sol.delta, 0.5 * angles.sin2t), build_Hprime(bundle, kernel, angles)]
+    ops += [gb, build_HM(bundle, sol.delta, 0.5 * angles.sin2t), build_Hprime(bundle, angles)]
     sectors = PairSectors(mt)
     expk, _ = sectors.exponential(gb)
     states = [psi_b, sectors.column(expk, 0), *expk]
