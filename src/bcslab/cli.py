@@ -7,6 +7,10 @@ report also a gap solve that did not converge).
 
 Configs are JSON; see README for the schema.  Human-readable tables go to
 stdout, diagnostics to stderr, machine-readable reports to --out.
+
+Each subcommand is one `set_defaults` entry on its subparser: its handler
+`run` and any setting it fixes.  A flag given overrides the config field
+(`RunConfig`) of its dest name.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +118,8 @@ def _section(raw: dict, key: str, name: str) -> dict:
 def _formats(names) -> tuple:
     if not isinstance(names, (list, tuple)):
         raise ValidationError(f"output formats must be a list, got {names!r}")
+    if not names:
+        raise ValidationError("output.formats must name at least one format, got []")
     for fmt in names:
         if fmt not in FORMATS:
             raise ValidationError(f"unknown output format {fmt!r}")
@@ -209,19 +215,13 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
-    if getattr(args, "equation", None) is not None:
-        cfg.equation = args.equation
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "format", None) is not None:
-        cfg.formats = _formats(args.format.split(","))
+def _config(args) -> RunConfig:
+    """The config at --config, each flag given set on the field of its name, solver settings checked."""
+    cfg = load_config(args.config)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            setattr(cfg, field.name, _formats(value.split(",")) if field.name == "formats" else value)
     check_solver(**cfg.solver)
     return cfg
 
@@ -295,7 +295,7 @@ def _cmd_lattice(args) -> int:
     if args.config:
         if flags := [f"--{name}" for name in ("L", "kmax", "mu") if getattr(args, name) is not None]:
             raise ValidationError(f"lattice takes --config or --L/--kmax/--mu, not both; got {' '.join(flags)}")
-        mt = load_config(args.config).mt
+        mt = _config(args).mt
     else:
         if args.L is None or args.kmax is None:
             raise ValidationError("lattice needs either --config or both --L and --kmax")
@@ -336,15 +336,15 @@ def _print_solution(mt: ModeTable, sol: GapSolution) -> None:
         print(f"note: degenerate modes (xi = Delta = 0) at indices {list(sol.degenerate_modes)}")
 
 
-def _cmd_solve(args, equation: str) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    sol = (solve_new_gap if equation == "new" else solve_gap)(cfg.mt, cfg.kernel, **cfg.solver)
+def _cmd_solve(args) -> int:
+    cfg = _config(args)
+    sol = (solve_new_gap if cfg.equation == "new" else solve_gap)(cfg.mt, cfg.kernel, **cfg.solver)
     _print_solution(cfg.mt, sol)
     return EXIT_OK if sol.converged else EXIT_RESOURCE
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     inst = Instance(cfg.mt, cfg.kernel, cfg.solver)
     # H_M reads the pair table of the state its equation pairs: Psi_B or Psi~
     new = cfg.equation == "new"
@@ -360,7 +360,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     inst = Instance(cfg.mt, cfg.kernel, cfg.solver)
     if not inst.sol.converged:
         print("gap equation did not converge; no energy table", file=sys.stderr)
@@ -382,10 +382,10 @@ def _cmd_energy(args) -> int:
     return EXIT_OK if worst <= TOL_LOOSE else EXIT_CHECK_FAILURES
 
 
-def _cmd_verify(args, include_solutions: bool = False) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def _cmd_verify(args) -> int:
+    cfg = _config(args)
     report = run_verification(cfg.mt, cfg.kernel, **cfg.solver, seed=cfg.seed, checks=cfg.checks)
-    if include_solutions:
+    if args.solutions:
         for equation, sol in report.solutions.items():
             print(f"--- {equation} gap equation ---")
             _print_solution(cfg.mt, sol)
@@ -413,60 +413,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lat = sub.add_parser("lattice", help="print the mode table")
+    p_lat.set_defaults(run=_cmd_lattice)
     p_lat.add_argument("--config")
     p_lat.add_argument("--L", type=float)
     p_lat.add_argument("--kmax", type=float)
     p_lat.add_argument("--mu", type=float)
 
-    def common(p, out=False):
+    def command(name, summary, run, out=False, **settings):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run, **settings)
         p.add_argument("--config", required=True)
         p.add_argument("--tol", type=float)
         p.add_argument("--max-iter", dest="max_iter", type=int)
         if out:
             p.add_argument("--seed", type=int)
-            p.add_argument("--out")
-            p.add_argument("--format")
+            # each dest names the RunConfig field the flag sets; metavar keeps the usage text
+            p.add_argument("--out", dest="out_dir", metavar="OUT")
+            p.add_argument("--format", dest="formats", metavar="FORMAT")
+        return p
 
-    common(sub.add_parser("solve-gap", help="solve the classic gap equation"))
-    common(sub.add_parser("solve-new-gap", help="solve the corrected gap equation"))
-    p_spec = sub.add_parser("spectrum", help="mean-field spectrum vs the quasiparticle formula")
-    common(p_spec)
+    command("solve-gap", "solve the classic gap equation", _cmd_solve, equation="classic")
+    command("solve-new-gap", "solve the corrected gap equation", _cmd_solve, equation="new")
+    p_spec = command("spectrum", "mean-field spectrum vs the quasiparticle formula", _cmd_spectrum)
     p_spec.add_argument("--equation", choices=("classic", "new"))
-    p_en = sub.add_parser("energy", help="energy table: formulas vs dense expectations")
-    common(p_en)
-    p_ver = sub.add_parser("verify", help="run the full verification report")
-    common(p_ver, out=True)
-    p_rep = sub.add_parser("report", help="verification report plus solution tables")
-    common(p_rep, out=True)
+    command("energy", "energy table: formulas vs dense expectations", _cmd_energy)
+    command("verify", "run the full verification report", _cmd_verify, out=True, solutions=False)
+    command("report", "verification report plus solution tables", _cmd_verify, out=True, solutions=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "lattice":
-            return _cmd_lattice(args)
-        if args.command == "solve-gap":
-            return _cmd_solve(args, "classic")
-        if args.command == "solve-new-gap":
-            return _cmd_solve(args, "new")
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "energy":
-            return _cmd_energy(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "report":
-            return _cmd_verify(args, include_solutions=True)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ResourceLimitError, ConvergenceError) as exc:
         print(f"resource/convergence error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -288,6 +288,7 @@ def test_verify_checks_filter(tmp_path, capsys, monkeypatch):
         ({}, {"BCSLAB_DIM_CAP": "0"}, "BCSLAB_DIM_CAP must be at least 1, got '0'"),
         ({}, {"BCSLAB_DIM_CAP": "-1"}, "BCSLAB_DIM_CAP must be at least 1, got '-1'"),
         ({"checks": []}, {}, "checks"),
+        ({"output": {"formats": [], "dir": "out"}}, {}, "output.formats"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
@@ -297,6 +298,65 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, 
     assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+def _solver(equation):
+    return {"solver": {**PAIR_CONFIG["solver"], "equation": equation}}
+
+
+@pytest.mark.parametrize(
+    "argv, fields, code, printed, written",
+    [
+        pytest.param(["solve-gap", "--tol", "1e-3"], {}, 0, "residual_inf=1.467e-04", {}, id="tol"),
+        pytest.param(["solve-gap"], {}, 0, "residual_inf=2.458e-13", {}, id="config-tol"),
+        *(
+            pytest.param(
+                [cmd, "--out", "o", "--format", "csv"], {}, 0, "wrote", {"o": ["report.csv"]}, id=f"{cmd}-csv"
+            )
+            for cmd in ("verify", "report")
+        ),
+        pytest.param(
+            ["verify", "--out", "o"],
+            {"output": {"dir": "config"}},
+            0,
+            "wrote",
+            {"o": ["report.csv", "report.json"]},
+            id="out",
+        ),
+        pytest.param(["spectrum"], _solver("new"), 0, "equation=new", {}, id="config-equation"),
+        pytest.param(
+            ["spectrum", "--equation", "classic"], _solver("new"), 0, "equation=classic", {}, id="equation"
+        ),
+        pytest.param(["solve-gap"], _solver("new"), 0, "equation=classic", {}, id="solve-gap-equation"),
+        pytest.param(
+            ["solve-new-gap"], _solver("classic"), 0, "equation=new", {}, id="solve-new-gap-equation"
+        ),
+        *(
+            pytest.param([cmd, flag, "0"], {}, 2, f"solver.{field}", {}, id=f"{cmd}{flag}")
+            for cmd in ("solve-gap", "solve-new-gap", "spectrum", "energy", "verify", "report")
+            for flag, field in (("--tol", "tol"), ("--max-iter", "max_iter"))
+        ),
+        *(
+            pytest.param([cmd, "--format", "yaml"], {}, 2, "unknown output format 'yaml'", {}, id=f"{cmd}-yaml")
+            for cmd in ("verify", "report")
+        ),
+    ],
+)
+def test_flags_override_the_config_field_of_their_name(
+    tmp_path, monkeypatch, capsys, argv, fields, code, printed, written
+):
+    """A flag given beats its config field; the solve commands fix their own equation.
+
+    `printed` is in stdout on success and in the `config error:` line on exit 2; `written` maps each
+    directory made under the working directory to the report files in it.
+    """
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "override.json", {**PAIR_CONFIG, **fields})
+    assert main([*argv, "--config", cfg]) == code
+    out, err = capsys.readouterr()
+    assert printed in (out if code == 0 else err)
+    assert code == 0 or err.startswith("config error:")
+    assert {d.name: sorted(f.name for f in d.iterdir()) for d in tmp_path.iterdir() if d.is_dir()} == written
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -526,6 +586,7 @@ GOLDEN_COMMANDS = {
     "solve-new-gap": ["solve-new-gap"],
     "verify": ["verify"],
     "report": ["report"],
+    "lattice": ["lattice"],
 }
 
 
@@ -546,10 +607,13 @@ def test_energy_and_spectrum_match_golden_stdout(instance, stem, capsys):
     _matches_golden_stdout(instance, stem, capsys)
 
 
-@pytest.mark.parametrize("stem", ["solve-gap", "solve-new-gap", "verify", "report"])
+@pytest.mark.parametrize("stem", ["solve-gap", "solve-new-gap", "verify", "report", "lattice"])
 @pytest.mark.parametrize("instance", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
 def test_solve_verify_and_report_match_golden_stdout(instance, stem, capsys):
-    """Both solve commands, and verify and report without --out, print the committed stdout and exit code."""
+    """Both solve commands, verify and report without --out, and lattice print the committed stdout.
+
+    Each also exits with the committed code.
+    """
     _matches_golden_stdout(instance, stem, capsys)
 
 
