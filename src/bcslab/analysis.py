@@ -2,16 +2,16 @@
 
 Every scalar produced by a formula here is paired with an independent
 matrix-side evaluation (eigendecomposition of H_M block by block over its
-pair sectors, explicit state vectors, sparse operator application); no
+pair sectors, explicit state vectors, `XorOp` operator application); no
 check compares a formula to itself.
 Every closed form reads Delta_k, E_k and the pairing angles from the one
 `GapTable` of the gap it is evaluated at, and forms none of them again.
 The ladder-built number operator G is diagonal in the occupation basis,
 and every row that reads it reads its diagonal g: `charge_commutes_with_h`
 and both number-phase covariance rows scale each entry A_rc by a function
-of g_r - g_c (`diagonal_commutator_norm`, which ends in `op_norm_inf`, the
-row sum of every sparse infinity norm of a pass; the CAR rows sum the moduli
-of XOR-diagonal forms in `fock.car_deviation`), and the two SSB rows form
+of g_r - g_c (`diagonal_commutator_norm`, which ends in the one row sum of
+every infinity norm of a pass, as `op_norm_inf` does; the CAR rows sum the
+moduli of dense mask forms in `fock.car_deviation`), and the two SSB rows form
 [G, B_k] state on vectors from the same g.  All five also count the
 largest entry of G - diag(Re g), so a G that is not a real diagonal fails
 them.
@@ -56,7 +56,7 @@ array of dimension 2^(2M); a full pass releases them as follows:
                         conjugation; `quasi` lives through its CAR
                         and annihilation rows, `corr` and the `expansion`
                         (both built here, as vectors, by `quartet_sum`, which
-                        reads each gamma* as the view gamma.T) and the
+                        applies each gamma* as psi @ gamma) and the
                         closed-form row, and is released before hm_splitting;
   mean-field splitting  builds `hm` and `hprime`; H - H_M, read by both
                         splitting rows, lives in this stage only;
@@ -87,11 +87,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import diags_array
 
 from .errors import ValidationError
 from .fock import (
-    adjoint,
     anticommutator_check,
     car_deviation,
     commutator,
@@ -224,7 +222,7 @@ def hm_spectrum_check(hm, sectors: PairSectors, gap: GapTable, ebcs: float) -> t
         formula += orb_energy[j] * ((idx >> j) & 1)
     blocks, leak = sectors.blocks(hm)
     spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
-    dev = max(float(np.max(np.abs(np.sort(formula) - spectrum))), leak, op_norm_inf(hm - adjoint(hm)))
+    dev = max(float(np.max(np.abs(np.sort(formula) - spectrum))), leak, op_norm_inf(hm - hm.adjoint()))
     return dev, spectrum
 
 
@@ -330,6 +328,12 @@ def _physical_scalars(inst) -> np.ndarray:
     return np.concatenate((scalars, np.sort(inst.gap.delta), np.sort(inst.gap_t.delta)))
 
 
+def _diagonal_leak(op, g) -> float:
+    """Largest |entry| of op - diag(g); 0.0 when op stores nothing else."""
+    rows, cols, vals = op.entries()
+    return float(np.max(np.abs(vals - np.where(rows == cols, g[rows], 0.0)), initial=0.0))
+
+
 def _solution_metadata(sol) -> dict:
     """The metadata block of one verified gap solution; a corrected one adds its D table."""
     block = {"delta": sol.delta.delta.tolist()}
@@ -347,7 +351,7 @@ _BUILD = {
     # diagonal g; any other entry of it counts in all five charge rows, as the
     # leak term of `hm_spectrum_check` does
     "g": lambda s: s.G.diagonal().real,
-    "g_leak": lambda s: float(abs(s.G - diags_array(s.g)).max()),
+    "g_leak": lambda s: _diagonal_leak(s.G, s.g),
     "sol": lambda s: solve_gap(s.mt, s.kernel, **s.solver),
     "new_sol": lambda s: solve_new_gap(s.mt, s.kernel, **s.solver),
     "gap": lambda s: s.sol.delta,

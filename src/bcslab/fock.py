@@ -7,34 +7,34 @@ its bit pattern (vacuum = index 0, fully filled = index 2^(2M)-1).
 
 Fermionic signs are (-1)^(number of occupied orbitals below j) and are
 computed in exact integer arithmetic; floating point only enters through
-amplitudes.  Operators are scipy CSR arrays and states 1-d numpy arrays,
-both real (float64), and no complex operator is formed: the number-phase
-rotation enters through `diagonal_commutator_norm` as entry-wise factors.
-Every sparse index is int32: `ladder_matrix` (and `PairSectors`, through
-the same `check_index_width`) raises ResourceLimitError above dimension
-2^31 - 1, so M <= 15, and every product, sum and transpose built from the
-ladders keeps that width.  There is no int64 route: at M = 16 one state
-vector alone takes 32 GiB.  Every infinity norm of a sparse operator is the
-row sum of `op_norm_inf`.  The CAR check reads the operators it is given
-into exact XOR-diagonal forms, vectors indexed like the basis, and sums
-their moduli; it forms no sparse product (see `car_deviation`).
+amplitudes.  Operators are `XorOp`s, sums of XOR-mask diagonals stored as
+the rows and values of each mask, and states 1-d numpy arrays, both real
+(float64); no complex operator is formed: the number-phase rotation enters
+through `diagonal_commutator_norm` as entry-wise factors.  Every row index
+is int32: `ladder_matrix` (and `PairSectors`, through the same
+`check_index_width`) raises ResourceLimitError above dimension 2^31 - 1, so
+M <= 15, and every product, sum and adjoint built from the ladders keeps
+that width.  There is no int64 route: at M = 16 one state vector alone
+takes 32 GiB.  Every infinity norm of an operator is one row sum,
+`_max_row_sum`, read by `op_norm_inf` and by `diagonal_commutator_norm`.
+The CAR check reads the operators it is given into dense mask vectors,
+indexed like the basis, and sums their moduli (see `car_deviation`).  No
+scipy module is imported.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import os
 
 import numpy as np
-from scipy.sparse import csr_array, eye_array
 
 from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_MODE_CAP = 7
 
 SELFADJOINT_TOL = 1e-12
-# largest dimension whose sparse indices fit int32; every M <= 15
+# largest dimension whose row indices fit int32; every M <= 15
 INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -70,18 +70,269 @@ def check_index_width(dim: int) -> None:
     """Raise ResourceLimitError unless int32 indices reach every row of dimension `dim`."""
     if dim > INT32_MAX:
         raise ResourceLimitError(
-            f"dimension {dim} is beyond the int32 sparse indices (at most {INT32_MAX}, M <= 15)"
+            f"dimension {dim} is beyond the int32 row indices (at most {INT32_MAX}, M <= 15)"
         )
 
 
 # ---------------------------------------------------------------------------
-# matrix realizations
+# the operator type
+#
+# Every operator A on C^(2^n) is sum_m diag(a_m) P_m, where P_m maps basis
+# index s to s ^ m and a_m[r] = A[r, r ^ m].  A ladder, B_k, B*_k and v_k
+# have one mask each, h_k, G and T one (mask 0), a gamma two and H a few
+# dozen at most, so an `XorOp` keeps, for each mask, the rows where a_m is
+# nonzero and the values there.  Shifting by a mask is an index gather with
+# rows ^ m.  Sums and products are exact in this form, and each result adds
+# its terms as a compressed sparse row (CSR) matrix with sorted columns adds
+# them: a product entry over ascending inner index and a matvec row over
+# ascending column, one by one from 0.0, and a norm row over ascending
+# column through np.add.reduceat.  IEEE addition is commutative, so the
+# order matters only where three or more terms meet.
 
 
-def ladder_matrix(j: int, n_modes: int) -> csr_array:
+def _compress(rows: np.ndarray, vals: np.ndarray) -> tuple:
+    """(rows, vals) without the zero values; a NaN is kept."""
+    keep = vals != 0
+    return (rows, vals) if keep.all() else (rows[keep], vals[keep])
+
+
+def _from_dense(dense: np.ndarray) -> tuple:
+    """(rows, vals) of the nonzero entries of a mask vector, rows as int32; a NaN is kept."""
+    rows = np.flatnonzero(dense != 0).astype(np.int32)
+    return rows, dense.take(rows)
+
+
+def _accumulate(rows: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
+    """The vector whose entry r adds the vals at r one by one, in the order given, from 0.0."""
+    if not np.iscomplexobj(vals):
+        return np.bincount(rows, weights=vals, minlength=dim)
+    # complex addition adds the real and the imaginary parts apart
+    out = np.empty(dim, dtype=vals.dtype)
+    out.real = np.bincount(rows, weights=vals.real, minlength=dim)
+    out.imag = np.bincount(rows, weights=vals.imag, minlength=dim)
+    return out
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entry by entry; a complex product as (ac - bd) + (ad + bc)i, each part rounded on its own.
+
+    numpy's complex loops may fuse a multiply and an add, which rounds once
+    where the CSR product rounds twice; the parts formed apart round alike.
+    """
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b, np.complex64))
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sorted_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_bits: int) -> tuple:
+    """The entries listed row by row, each row by ascending column."""
+    order = np.argsort((rows.astype(np.int64) << n_bits) | cols, kind="stable")
+    return rows.take(order), cols.take(order), vals.take(order)
+
+
+def _max_row_sum(rows: np.ndarray, moduli: np.ndarray) -> float:
+    """Largest row sum of the nonnegative `moduli`, listed row by row; 0.0 for none.
+
+    Each row is added by np.add.reduceat in the order listed, as the CSR row
+    sum did before; rows that store nothing add 0.0.
+    """
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return float(np.max(np.add.reduceat(moduli, starts), initial=0.0)) if rows.size else 0.0
+
+
+class XorOp:
+    """A square operator on C^dim, dim = 2^n, stored as its nonzero XOR-mask entries.
+
+    `terms` maps each mask m, in ascending order, to (rows, vals): the int32
+    rows r, ascending, where a_m[r] = A[r, r ^ m] is nonzero, and those
+    values.  An `XorOp` is never changed after it is made: its arrays are
+    read-only, and results may share them.  It offers `A @ x` and `x @ A`
+    (= A^T x) with a vector, `A @ B`, `+`, `-` and a scalar multiple,
+    `adjoint`, `op_norm_inf`, `diagonal`, `entries` and `shape`.
+    """
+
+    __array_ufunc__ = None  # a numpy scalar or array leaves `*` and `@` to this type
+
+    def __init__(self, dim: int, terms: dict | None = None, dtype=np.float64):
+        self.dim = dim
+        self.terms = dict(sorted(terms.items())) if terms else {}
+        for rows, vals in self.terms.values():
+            rows.flags.writeable = vals.flags.writeable = False
+        self.dtype = np.result_type(dtype, *(v for _, v in self.terms.values()))
+        self._by_row = None  # the entries in row order, kept once formed for two or more masks
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> XorOp:
+        """The operator of the entries (rows[i], cols[i], vals[i]), duplicates summed in the order given.
+
+        `shape` must be square with dimension a power of two; ValueError otherwise.
+        """
+        shape = tuple(shape)
+        dim = shape[0] if shape else 0
+        if len(shape) != 2 or shape[1] != dim or dim < 1 or dim & (dim - 1):
+            raise ValueError(f"an XOR-mask operator needs a square shape of dimension 2^n, got shape {shape}")
+        check_index_width(dim)
+        rows, cols, vals = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64), np.asarray(vals)
+        if rows.size and not (0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < dim):
+            raise ValueError(f"entry index out of range for shape {shape}")
+        dtype = np.result_type(vals.dtype, np.float64)
+        masks = rows ^ cols
+        terms = {}
+        for m in np.flatnonzero(np.bincount(masks, minlength=1)).tolist():
+            sel = masks == m
+            terms[m] = _from_dense(_accumulate(rows[sel], vals[sel].astype(dtype), dim))
+        return cls(dim, terms, dtype)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.dim, self.dim)
+
+    def _dense(self, m: int) -> np.ndarray:
+        """a_m as a vector of length dim, zero where no entry is stored."""
+        out = np.zeros(self.dim, dtype=self.dtype)
+        if m in self.terms:
+            rows, vals = self.terms[m]
+            out[rows] = vals
+        return out
+
+    def entries(self) -> tuple:
+        """(rows, cols, vals) of every stored entry, mask by ascending mask, each mask by ascending row.
+
+        The arrays may be the operator's own, which are read-only.
+        """
+        parts = [(r, r ^ np.int32(m), v) for m, (r, v) in self.terms.items()]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, self.dtype)
+        rows, cols, vals = zip(*parts)
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, dtype=self.dtype)
+
+    def _row_entries(self) -> tuple:
+        """(rows, cols, vals) row by row, each row by ascending column: the CSR order."""
+        if len(self.terms) < 2:
+            return self.entries()
+        if self._by_row is None:
+            self._by_row = _sorted_entries(*self.entries(), self.dim.bit_length() - 1)
+        return self._by_row
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal A[r, r] as a vector."""
+        return self._dense(0)
+
+    def adjoint(self) -> XorOp:
+        """A*: a*_m[r] = conj(a_m[r ^ m])."""
+        out = {}
+        for m, (rows, vals) in self.terms.items():
+            dense = np.zeros(self.dim, dtype=vals.dtype)
+            dense[rows ^ np.int32(m)] = vals.conj()
+            out[m] = _from_dense(dense)
+        return XorOp(self.dim, out, self.dtype)
+
+    def op_norm_inf(self) -> float:
+        """Infinity norm: the largest absolute row sum, each row added over ascending column."""
+        rows, _, vals = self._row_entries()
+        return _max_row_sum(rows, np.abs(vals))
+
+    def _combine(self, other, sign: float) -> XorOp:
+        """self + other (sign 1) or self - other (sign -1), entry by entry; zero sums are dropped."""
+        if not isinstance(other, XorOp):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.shape} and {other.shape}")
+        dtype = np.result_type(self.dtype, other.dtype)
+        out = {}
+        for m in self.terms.keys() | other.terms.keys():
+            if m not in other.terms:
+                out[m] = self.terms[m]
+            elif m not in self.terms and sign > 0:
+                out[m] = other.terms[m]
+            else:
+                # a + b, or a + (-b), which is a - b in IEEE arithmetic, and 0 + (-b) where only `other` stores one
+                ra, va = self.terms.get(m, (np.zeros(0, np.int32), np.zeros(0, dtype)))
+                rb, vb = other.terms[m]
+                dense = _accumulate(np.concatenate((ra, rb)), np.concatenate((va, vb if sign > 0 else -vb)), self.dim)
+                out[m] = _from_dense(dense)
+        return XorOp(self.dim, {m: t for m, t in out.items() if t[0].size}, dtype)
+
+    def __add__(self, other):
+        return self._combine(other, 1.0)
+
+    def __sub__(self, other):
+        return self._combine(other, -1.0)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, XorOp) or np.ndim(scalar) != 0:
+            return NotImplemented
+        out = {m: _compress(rows, vals * scalar) for m, (rows, vals) in self.terms.items()}
+        return XorOp(self.dim, {m: t for m, t in out.items() if t[0].size}, np.result_type(self.dtype, scalar))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if isinstance(other, XorOp):
+            return self._product(other)
+        if isinstance(other, np.ndarray):
+            return self._apply(other, transpose=False)
+        return NotImplemented
+
+    def __rmatmul__(self, other):
+        if isinstance(other, np.ndarray):
+            return self._apply(other, transpose=True)
+        return NotImplemented
+
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """A x, or A^T x; each output entry adds its terms over ascending column (row for A^T) from 0.0."""
+        if x.shape != (self.dim,):
+            raise ValueError(f"dimension mismatch: operator {self.shape}, vector {x.shape}")
+        if transpose:
+            cols, rows, vals = self.entries()
+            if len(self.terms) > 2:
+                rows, cols, vals = _sorted_entries(rows, cols, vals, self.dim.bit_length() - 1)
+        else:
+            # up to two entries per row add alike in either order
+            rows, cols, vals = self._row_entries() if len(self.terms) > 2 else self.entries()
+        return _accumulate(rows, _times(vals, x.take(cols)), self.dim)
+
+    def _product(self, other: XorOp) -> XorOp:
+        """A B, mask by mask: (AB)[r, r ^ m ^ k] gains a_m[r] b_k[r ^ m] over inner index r ^ m."""
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.shape} and {other.shape}")
+        dtype = np.result_type(self.dtype, other.dtype)
+        groups = {}
+        for k in other.terms:
+            b = other._dense(k)
+            stored = b != 0
+            for m, (rows, vals) in self.terms.items():
+                inner = rows ^ np.int32(m)
+                hit = stored.take(inner)
+                if not hit.all():
+                    rows, vals, inner = rows[hit], vals[hit], inner[hit]
+                groups.setdefault(m ^ k, []).append((m, rows, _times(vals, b.take(inner))))
+        out = {}
+        for x, group in groups.items():
+            if len(group) == 1:
+                out[x] = _compress(*group[0][1:])
+                continue
+            # the terms of an entry from several masks add over ascending inner index r ^ m
+            terms = np.zeros((len(group), self.dim), dtype=dtype)
+            for p, (_, rows, vals) in enumerate(group):
+                terms[p, rows] = vals
+            inner = np.arange(self.dim) ^ np.array([m for m, _, _ in group])[:, None]
+            acc = np.zeros(self.dim, dtype=dtype)
+            for row in np.take_along_axis(terms, np.argsort(inner, axis=0), axis=0):
+                acc += row
+            out[x] = _from_dense(acc)
+        return XorOp(self.dim, {m: t for m, t in out.items() if t[0].size}, dtype)
+
+
+def ladder_matrix(j: int, n_modes: int) -> XorOp:
     """Matrix of the annihilator C_j on the full 2^(2M)-dim space.
 
-    Exactly 2^(2M-1) nonzeros, each +-1.  The creator is its adjoint.
+    Exactly 2^(2M-1) nonzeros, each +-1, all on the mask 2^j.  The creator is its adjoint.
     """
     check_mode_count(n_modes)
     # a Python int, so a numpy integer cannot widen the shifts below to int64
@@ -93,98 +344,47 @@ def ladder_matrix(j: int, n_modes: int) -> csr_array:
     dim = space_dim(n_modes)
     check_index_width(dim)
     src = np.arange(dim, dtype=np.int32)
-    occupied = (src >> j) & 1 == 1
-    cols = src[occupied]
-    rows = cols ^ (1 << j)
+    cols = src[(src >> j) & 1 == 1]
     below = np.bitwise_count(cols & ((1 << j) - 1))
-    signs = np.where(below & 1, -1.0, 1.0)
-    return csr_array((signs, (rows, cols)), shape=(dim, dim))
+    return XorOp.from_entries(cols ^ (1 << j), cols, np.where(below & 1, -1.0, 1.0), (dim, dim))
 
 
-def identity_op(dim: int) -> csr_array:
-    return eye_array(dim, dtype=np.float64, format="csr")
+def identity_op(dim: int) -> XorOp:
+    idx = np.arange(dim)
+    return XorOp.from_entries(idx, idx, np.ones(dim), (dim, dim))
 
 
-def adjoint(a: csr_array) -> csr_array:
-    """a* as CSR: the arrays of a.tocsc() are the CSR of the transpose, conjugated only for complex input."""
-    t = a.tocsc()
-    data = t.data.conj() if np.iscomplexobj(t.data) else t.data
-    return csr_array((data, t.indices, t.indptr), shape=(a.shape[1], a.shape[0]))
-
-
-def commutator(a, b) -> csr_array:
+def commutator(a, b) -> XorOp:
     return a @ b - b @ a
 
 
-def op_norm_inf(a) -> float:
-    """Operator infinity-norm (max absolute row sum) of a sparse array.
-
-    The one row-sum routine for sparse operators.  It sorts the rows of a CSR
-    `a` in place first and adds each row with np.add.reduceat in column
-    order, so the value does not depend on the stored order of a product.  Its
-    operands are scipy products, sums and transposes, and the entry-wise
-    moduli of `diagonal_commutator_norm`, which store no duplicate entries.
-    """
-    x = a.tocsr()
-    if x.nnz == 0:
-        return 0.0
-    x.sort_indices()
-    sums = np.zeros(x.shape[0])
-    nonempty = np.flatnonzero(np.diff(x.indptr))
-    sums[nonempty] = np.add.reduceat(np.abs(x.data), x.indptr[nonempty])
-    return float(sums.max())
+def op_norm_inf(a: XorOp) -> float:
+    """Operator infinity-norm (max absolute row sum) of an `XorOp`; each row adds over ascending column."""
+    return a.op_norm_inf()
 
 
 # ---------------------------------------------------------------------------
-# XOR-diagonal form: the CAR check
+# the CAR check
 #
-# Every operator A on C^(2^n) is sum_m diag(a_m) P_m, where P_m maps basis
-# index s to s ^ m and a_m[r] = A[r, r ^ m].  A product is exact in this
-# form, (AB)_{m ^ k} = sum a_m * b_k[r ^ m], and r -> r ^ m is a reversed
-# strided view of a vector of shape (2,)*n along the axes of m's bits, so
-# no index array is built.  The row sums of A are sum_m |a_m| and its
-# column sums sum_m |a_m|[r ^ m].  A pair costs O(masks(a) * masks(b) * 2^n):
-# a ladder has one mask and a gamma two, so an anticommutator is a few
-# element-wise products of length 2^n, where scipy spends more on the
-# set-up of each sparse result than on its arithmetic.
+# The forms here are the dense mask vectors a_m of each operator, zero where
+# it stores nothing.  A product is exact in this form,
+# (AB)_{m ^ k} = sum a_m * b_k[r ^ m], the row sums of A are sum_m |a_m| and
+# its column sums sum_m |a_m|[r ^ m].  A pair costs
+# O(masks(a) * masks(b) * 2^n): a ladder has one mask and a gamma two, so an
+# anticommutator is a few element-wise products of length 2^n.
 
 
-@functools.lru_cache(maxsize=4096)  # a CAR check takes thousands of flips over a few dozen masks
-def _flip_index(m: int, n: int) -> tuple:
-    """The slices that reverse a (2,)*n array along the axes of the bits of m; bit b is axis n - 1 - b."""
-    return tuple(slice(None, None, -1) if m >> (n - 1 - ax) & 1 else slice(None) for ax in range(n))
+def _anticommutator(a: dict, b: dict, shift: dict, moved: dict) -> dict:
+    """Dense mask form of AB + BA from the forms of A and B.
 
-
-def _flip(v: np.ndarray, m: int) -> np.ndarray:
-    """v[r ^ m] for every index r of a vector of shape (2,)*n, as a strided view."""
-    return v[_flip_index(m, v.ndim)]
-
-
-def _xor_form(a) -> dict:
-    """{m: a_m} with a_m[r] = A[r, r ^ m], from every stored entry of the sparse A, duplicates summed.
-
-    Each a_m has shape (2,)*n for dimension 2^n, so bit b of an index is axis n - 1 - b.
+    `shift[m]` is the gather index r ^ m of every mask m of A, and `moved[m, k]`
+    is a_m[r ^ k] for every mask k of B.
     """
-    coo = a.tocoo()
-    rows, data = coo.row, coo.data
-    masks = rows ^ coo.col
-    shape = (2,) * (a.shape[0].bit_length() - 1)
-    form = {}
-    for m in np.unique(masks).tolist():
-        sel = masks == m
-        am = np.zeros(a.shape[0], dtype=data.dtype)
-        np.add.at(am, rows[sel], data[sel])
-        form[m] = am.reshape(shape)
-    return form
-
-
-def _anticommutator(a: dict, b: dict) -> dict:
-    """XOR form of AB + BA from the forms of A and B."""
     out = {}
     for m, am in a.items():
         for k, bk in b.items():
-            term = am * _flip(bk, m)
-            term += bk * _flip(am, k)
+            term = am * bk.take(shift[m])
+            term += bk * moved[m, k]
             if m ^ k in out:
                 out[m ^ k] += term
             else:
@@ -192,8 +392,8 @@ def _anticommutator(a: dict, b: dict) -> dict:
     return out
 
 
-def _max_sums(c: dict, columns: bool) -> float:
-    """Largest absolute row sum of the operator of XOR form `c`, and of its column sums if `columns`.
+def _max_sums(c: dict, idx: np.ndarray | None = None) -> float:
+    """Largest absolute row sum of the operator of dense mask form `c`, and of its column sums if `idx` = arange(2^n).
 
     A vector of zeros adds nothing and is skipped: most anticommutators of a CAR check vanish.
     """
@@ -201,36 +401,41 @@ def _max_sums(c: dict, columns: bool) -> float:
     if not moduli:
         return 0.0
     worst = sum(v for _, v in moduli).max()
-    if columns:
-        worst = np.maximum(worst, sum(_flip(v, m) for m, v in moduli).max())
+    if idx is not None:
+        worst = np.maximum(worst, sum(v.take(idx ^ m) for m, v in moduli).max())
     return float(worst)
 
 
 def car_deviation(ann: list) -> float:
-    """Max deviation of the canonical anticommutation relations of annihilators `ann`.
+    """Max deviation of the canonical anticommutation relations of the `XorOp` annihilators `ann`.
 
     Both families are formed for j <= j' only: {a_j, a_j'} is symmetric, and
     the row sums of {a_j', a*_j} are the column sums of its adjoint
     {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
-    Every operator is read once into its XOR form, from its stored entries,
-    and a*_j' is the form conj(a_m[r ^ m]) of a_j'.  The operators must share
-    one square shape whose dimension is a power of two; ValueError otherwise.
+    Every operator is read once into its dense mask form, a*_j' is the form
+    conj(a_m[r ^ m]) of a_j', and both anticommutators of a pair read one
+    shifted copy a_m[r ^ k] of a_j.  The operators must share one dimension;
+    ValueError otherwise.
     """
     shapes = list(dict.fromkeys(a.shape for a in ann))
-    dim = shapes[0][0] if shapes else 1
-    if shapes and (len(shapes) > 1 or shapes[0] != (dim, dim) or dim < 1 or dim & (dim - 1)):
-        raise ValueError(f"CAR operators need one square shape of dimension 2^n, got shapes {shapes}")
-    forms = [_xor_form(a) for a in ann]
-    ident = np.ones((2,) * (dim.bit_length() - 1))
+    if len(shapes) > 1:
+        raise ValueError(f"CAR operators need one shape, got shapes {shapes}")
+    idx = np.arange(shapes[0][0] if shapes else 1)
+    forms = [{m: a._dense(m) for m in a.terms} for a in ann]
+    ident = np.ones(idx.size)
     worst = 0.0
     for jp, b in enumerate(forms):
-        cre = {m: np.conj(_flip(bm, m)) for m, bm in b.items()}
+        b_shift = {k: idx ^ k for k in b}
+        cre = {k: np.conj(bk.take(b_shift[k])) for k, bk in b.items()}
         for j in range(jp + 1):
-            mixed = _anticommutator(forms[j], cre)
+            a_shift = {m: idx ^ m for m in forms[j]}
+            moved = {(m, k): am.take(b_shift[k]) for m, am in forms[j].items() for k in b}
+            mixed = _anticommutator(forms[j], cre, a_shift, moved)
             if j == jp:
                 mixed[0] = mixed.get(0, 0.0) - ident
+            same = _anticommutator(forms[j], b, a_shift, moved)
             # np.max, not max: a NaN deviation must not lose to a finite one
-            worst = np.max([worst, _max_sums(mixed, True), _max_sums(_anticommutator(forms[j], b), False)])
+            worst = np.max([worst, _max_sums(mixed, idx), _max_sums(same)])
     return float(worst)
 
 
@@ -243,24 +448,22 @@ def anticommutator_check(ladders: list) -> float:
 # diagonal generators: exact entry-wise factors
 
 
-def diagonal_commutator_norm(a, g, f=lambda q: q) -> float:
-    """op_norm_inf of the operator with entries f(g_r - g_c) A_rc, for the diagonal D = diag(g).
+def diagonal_commutator_norm(a: XorOp, g, f=lambda q: q) -> float:
+    """Infinity norm of the operator with entries f(g_r - g_c) A_rc, for the diagonal D = diag(g).
 
     `g` is the real diagonal of D.  The default f(q) = q gives ||[D, A]||;
     f(q) = exp(-i*alpha*q) - phase gives ||exp(-i*alpha*D) A exp(i*alpha*D) - phase A||
     exactly: no series is summed, nothing is truncated, and a complex factor
     meets the entries only as a vector, since the norm reads their moduli.
-    Whether a matrix really is diag(g) is the caller's to check.  Sorts the
-    indices of a CSR A in place, as `op_norm_inf` does, and the moduli share them.
+    On mask m the factor is f(g_r - g_{r ^ m}).  Whether a matrix really is
+    diag(g) is the caller's to check.  A modulus of zero still takes its place
+    in its row, as the CSR row sum kept it.
     """
-    a = a.tocsr()
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or a.shape != (g.size, g.size):
         raise ValueError(f"dimension mismatch: operator {a.shape}, diagonal {g.shape}")
-    a.sort_indices()
-    # g_r of each stored entry is g repeated by the row lengths
-    moduli = np.abs(a.data * f(g.repeat(np.diff(a.indptr)) - g[a.indices]))
-    return op_norm_inf(csr_array((moduli, a.indices, a.indptr), shape=a.shape))
+    rows, cols, vals = a._row_entries()
+    return _max_row_sum(rows, np.abs(vals * f(g.take(rows) - g.take(cols))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ as multiples of the identity; nothing is folded into implicit zero points.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .fock import adjoint, identity_op, ladder_matrix
+from .fock import XorOp, identity_op, ladder_matrix
 from .gapsolve import GapTable
 from .model import Kernel, ModeTable, validate_kernel
 
@@ -45,10 +44,10 @@ def _pair_numbers(ops) -> list:
     """h_k = C*_{k,up} C_{k,up} + C*_{-k,dn} C_{-k,dn} from the ladders; the number operators are not held."""
     mt, c = ops.mt, ops.C
     orbitals = ((mt.orb_up(i), mt.orb_dn(mt.pair[i])) for i in range(mt.n_modes))
-    return [adjoint(c[up]) @ c[up] + adjoint(c[dn]) @ c[dn] for up, dn in orbitals]
+    return [c[up].adjoint() @ c[up] + c[dn].adjoint() @ c[dn] for up, dn in orbitals]
 
 
-def _hamiltonian(ops) -> csr_array:
+def _hamiltonian(ops) -> XorOp:
     """H = T + sum_{k,k'} U_{k,k'} B*_{k'} B_k over the nonzero U_{k,k'}."""
     return sum((u * (ops.Bd[kp] @ ops.B[k]) for k, kp, u in couplings(ops.kernel)), ops.T)
 
@@ -67,12 +66,12 @@ class OperatorBundle:
     _BUILD = {
         "C": lambda s: [ladder_matrix(j, s.mt.n_modes) for j in range(s.mt.n_orbitals)],
         "B": lambda s: [s.C[s.mt.orb_dn(s.mt.pair[i])] @ s.C[s.mt.orb_up(i)] for i in range(s.mt.n_modes)],
-        "Bd": lambda s: [adjoint(b) for b in s.B],
+        "Bd": lambda s: [b.adjoint() for b in s.B],
         "v": lambda s: [b + bd for b, bd in zip(s.B, s.Bd)],
         "I": lambda s: identity_op(s.mt.dim),
         "h": _pair_numbers,
         "G": lambda s: sum(s.h[1:], s.h[0]),
-        "T": lambda s: sum((xi * h for xi, h in zip(s.mt.xi, s.h)), csr_array((s.mt.dim, s.mt.dim))),
+        "T": lambda s: sum((xi * h for xi, h in zip(s.mt.xi, s.h)), XorOp(s.mt.dim)),
         "H": _hamiltonian,
     }
 
@@ -99,11 +98,11 @@ class OperatorBundle:
         self.__dict__.pop(name, None)
 
 
-def build_GB(ops: OperatorBundle, gap: GapTable) -> csr_array:
+def build_GB(ops: OperatorBundle, gap: GapTable) -> XorOp:
     """Real antisymmetric K = i G_B = sum_k theta_k (B*_k - B_k); the rotation exp(i G_B) is exp(K)."""
     mt = ops.mt
     gap.validate(mt)
-    k = csr_array((mt.dim, mt.dim))
+    k = XorOp(mt.dim)
     for i in range(mt.n_modes):
         t = gap.theta[i]
         if t != 0.0:
@@ -111,7 +110,7 @@ def build_GB(ops: OperatorBundle, gap: GapTable) -> csr_array:
     return k
 
 
-def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> csr_array:
+def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> XorOp:
     """Mean-field Hamiltonian for gap table Delta and pairing expectations w.
 
     H_M = sum xi C*C - sum_k Delta_k v_k + (sum_k Delta_k w_k) I.  The same
@@ -130,10 +129,10 @@ def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> csr_array:
     offset = float(np.dot(gap.delta, w))
     if offset != 0.0:
         hm = hm + offset * ops.I
-    return csr_array(hm)
+    return hm
 
 
-def build_Hprime(ops: OperatorBundle, gap: GapTable) -> csr_array:
+def build_Hprime(ops: OperatorBundle, gap: GapTable) -> XorOp:
     """Residual interaction H' = H - H_M in its expanded form, over the bundle's kernel.
 
     H' = sum_{k,k'} U_{k,k'} { B*_{k'} B_k - C_{k'} S_{k'} v_k
@@ -143,7 +142,7 @@ def build_Hprime(ops: OperatorBundle, gap: GapTable) -> csr_array:
     mt = ops.mt
     gap.validate(mt)
     cs = gap.cos_t * gap.sin_t
-    hp = csr_array((mt.dim, mt.dim))
+    hp = XorOp(mt.dim)
     const = 0.0
     for k, kp, u in couplings(ops.kernel):
         hp = hp + u * (ops.Bd[kp] @ ops.B[k])

@@ -5,31 +5,25 @@ K = i G_B, so both, and exp(K), are block diagonal over the 3^M sectors
 labelled by the d-vector (Anderson's pseudospin picture, Phys. Rev. 112,
 1900, 1958), and a ladder maps each sector to exactly one other.
 `PairSectors` labels the sectors of one mode table from the occupation bits
-alone and runs the dense routes over their blocks: the diagonal blocks of a
-sparse operator (the H_M spectra), exp(K) block by block from one batched
-`np.linalg.eigh` per block size, a column of exp(K), and the infinity norm
-of E^T A E - Y or E A E^T - Y over every sector pair where A or Y stores an
-entry.  No `scipy.linalg` is imported.
+alone and runs the dense routes over their blocks, reading each `XorOp`
+from its `entries`: the diagonal blocks of an operator (the H_M spectra),
+exp(K) block by block from one batched `np.linalg.eigh` per block size, a
+column of exp(K), and the infinity norm of E^T A E - Y or E A E^T - Y over
+every sector pair where A or Y stores an entry.  No scipy module is
+imported.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import SELFADJOINT_TOL, adjoint, check_index_width, op_norm_inf
+from .fock import SELFADJOINT_TOL, check_index_width, op_norm_inf
 from .model import ModeTable
 
 # a run of blocks through one batched eigendecomposition or product holds at
 # most this many entries per array, so the transients of a sector route stay
 # near 1 MiB at any M instead of growing with a whole size class
 SECTOR_CHUNK = 1 << 14
-
-
-def _entries(op) -> tuple:
-    """(row, column, value) of the stored entries of `op`, duplicates summed."""
-    coo = op.tocoo()
-    coo.sum_duplicates()
-    return coo.row, coo.col, coo.data
 
 
 class PairSectors:
@@ -80,7 +74,7 @@ class PairSectors:
         The blocks come as one (sectors, 2^z, 2^z) array per size class z, each
         a view of one flat array that holds them class by class: 6^M entries.
         """
-        row, col, val = _entries(op)
+        row, col, val = op.entries()
         s = self.sector[row]
         inside = s == self.sector[col]
         leak = float(np.max(np.abs(val[~inside]), initial=0.0))
@@ -102,7 +96,7 @@ class PairSectors:
         Entries of K that couple two sectors have no place in a block; the
         caller counts the leak in every deviation that reads the blocks.
         """
-        if np.iscomplexobj(k) or op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
+        if np.iscomplexobj(k) or op_norm_inf(k + k.adjoint()) > SELFADJOINT_TOL:
             raise ValueError("K must be real and anti-selfadjoint for exp(K)")
         out, leak = self.blocks(k)
         for a in out:
@@ -137,7 +131,7 @@ class PairSectors:
         n_sec = len(self.z)
         parts = []
         for x in (op, closed):
-            row, col, val = _entries(x)
+            row, col, val = x.entries()
             s, t = self.sector[row], self.sector[col]
             # grouped by the class of t, then by s, whose numbering follows its class
             key = (self.z[t] * n_sec + s) * n_sec + t

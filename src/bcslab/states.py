@@ -7,8 +7,8 @@ sea as its Delta = 0 case, the closed-form rotated quasiparticle operators
 gamma, the four-quasiparticle correction vector Phi, and the normalized
 corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.
 `quartet_sum` applies the gamma* four-strings for Phi and the H' Psi_B
-expansion; it takes the gamma list and reads each gamma* as the
-transposed view gamma.T, which the real gammas allow.  `pair_table` gives
+expansion; it takes the gamma list and applies each gamma* as the
+transposed product psi @ gamma, which the real gammas allow.  `pair_table` gives
 the pair expectations (state, B_k state) that the mean-field Hamiltonian
 and the self-consistency checks read.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fock import adjoint, expectation, vacuum_state
+from .fock import expectation, vacuum_state
 from .gapsolve import EPS_GUARD, GapTable
 from .hamiltonian import OperatorBundle
 from .model import Kernel, ModeTable
@@ -73,10 +73,10 @@ def quasi_ops(ops: OperatorBundle, gap: GapTable) -> list:
     for i in range(mt.n_modes):
         c, s = gap.cos_t[i], gap.sin_t[i]
         ann_up = ladders[mt.orb_up(i)]
-        cre_dn_partner = adjoint(ladders[mt.orb_dn(mt.pair[i])])
+        cre_dn_partner = ladders[mt.orb_dn(mt.pair[i])].adjoint()
         quasi.append(c * ann_up - s * cre_dn_partner)
         ann_dn = ladders[mt.orb_dn(i)]
-        cre_up_partner = adjoint(ladders[mt.orb_up(mt.pair[i])])
+        cre_up_partner = ladders[mt.orb_up(mt.pair[i])].adjoint()
         quasi.append(s * cre_up_partner + c * ann_dn)
     return quasi
 
@@ -85,22 +85,23 @@ def quartet_sum(mt: ModeTable, quasi: list, terms, psi: np.ndarray) -> np.ndarra
     """sum over (p, p', c) in `terms` of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
 
     `quasi` holds the real gammas of `quasi_ops` in spin-orbital order.
-    Each gamma* is applied to vectors only, as the view quasi[j].T, which
-    copies nothing; the CSC product of the view adds each output entry's
-    terms in the row order of adjoint(quasi[j]), so both give the same
-    vector bit for bit.  Terms with c = 0 are skipped; the rest accumulate
-    in the order given.
+    Each gamma* is applied to vectors only, as the transposed product
+    psi @ quasi[j], which forms no adjoint; it adds each output entry's terms
+    over ascending row of quasi[j], as quasi[j].adjoint() @ psi would, so
+    both give the same vector bit for bit.  Terms with c = 0 are skipped;
+    the rest accumulate in the order given.
     """
-    cre_up = [quasi[mt.orb_up(i)].T for i in range(mt.n_modes)]
-    cre_dn_neg = [quasi[mt.orb_dn(mt.pair[i])].T for i in range(mt.n_modes)]
+    up = [quasi[mt.orb_up(i)] for i in range(mt.n_modes)]
+    dn_neg = [quasi[mt.orb_dn(mt.pair[i])] for i in range(mt.n_modes)]
     out = np.zeros_like(psi)
     for p, pp, c in terms:
         if c == 0.0:
             continue
-        w = cre_dn_neg[pp] @ psi
-        w = cre_up[pp] @ w
-        w = cre_dn_neg[p] @ w
-        w = cre_up[p] @ w
+        # w @ gamma is gamma^T w, which is gamma* w for a real gamma
+        w = psi @ dn_neg[pp]
+        w = w @ up[pp]
+        w = w @ dn_neg[p]
+        w = w @ up[p]
         out += c * w
     return out
 

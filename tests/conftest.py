@@ -5,7 +5,10 @@ dense-matrix conjugation and evolution, the dense commutator with a
 diagonal, the nested-commutator series and the scaled Taylor evolution
 (the sparse routes that the verification pass ran before its sector-block
 exponential), the literal operators, the literal gamma* four-strings over
-adjoint copies, the literal double sum for Phi and a literal gap loop.
+transposed copies, the literal double sum for Phi and a literal gap loop.
+The operator oracles are scipy CSR arrays: the package forms no scipy
+object, so scipy is an independent algebra for them.  `to_csr`, `xor_of`
+and `dense` convert between an `XorOp` and scipy or numpy.
 `angles_from_theta` gives the raw-angle gap tables that only the
 angle-reading routes take.
 
@@ -20,9 +23,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import csr_array, issparse
 
 from bcslab.errors import ConvergenceError
-from bcslab.fock import SELFADJOINT_TOL, adjoint, ladder_matrix, op_norm_inf
+from bcslab.fock import SELFADJOINT_TOL, XorOp, ladder_matrix
 from bcslab.gapsolve import GapTable
 from bcslab.hamiltonian import OperatorBundle
 from bcslab.model import Kernel, explicit_modes
@@ -66,6 +70,75 @@ def angles_from_theta(mt, theta):
     )
     angles.validate(mt)
     return angles
+
+
+def to_csr(op):
+    """An `XorOp` as a scipy CSR array with sorted indices; a scipy array is returned as CSR."""
+    if issparse(op):
+        return csr_array(op)
+    rows, cols, vals = op.entries()
+    return csr_array((vals, (rows, cols)), shape=op.shape)
+
+
+def xor_of(a):
+    """A scipy sparse array, or a dense numpy matrix, as an `XorOp`; an `XorOp` is returned unchanged."""
+    if isinstance(a, XorOp):
+        return a
+    coo = csr_array(a).tocoo()
+    return XorOp.from_entries(coo.row, coo.col, coo.data, coo.shape)
+
+
+def dense(op):
+    """An `XorOp` or a scipy array as a dense numpy matrix."""
+    return to_csr(op).toarray()
+
+
+def assert_same_entries(op, ref):
+    """The stored entries of `op` equal those of the scipy array `ref` (explicit zeros aside), value for value.
+
+    Both are read in CSR order; NaN equals NaN, and the value dtypes must agree.
+    """
+
+    def arrays(a):
+        a = csr_array(to_csr(a), copy=True)
+        a.eliminate_zeros()
+        a.sort_indices()
+        coo = a.tocoo()
+        return coo.row, coo.col, coo.data
+
+    for got, want in zip(arrays(op), arrays(ref)):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def same_terms(a, b) -> bool:
+    """Two `XorOp`s store the same masks, rows and values, array for array with their dtypes."""
+    return list(a.terms) == list(b.terms) and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for m in a.terms
+        for x, y in zip(a.terms[m], b.terms[m])
+    )
+
+
+def csr_norm(a) -> float:
+    """Oracle: the infinity norm (max absolute row sum) of a scipy array.
+
+    The row sum of the CSR route the package used before its own operator
+    type: each row's stored moduli, sorted by column, through np.add.reduceat.
+    `XorOp.op_norm_inf` must give the same value bit for bit.
+    """
+    x = csr_array(a, copy=True)
+    if x.nnz == 0:
+        return 0.0
+    x.sort_indices()
+    sums = np.zeros(x.shape[0])
+    nonempty = np.flatnonzero(np.diff(x.indptr))
+    sums[nonempty] = np.add.reduceat(np.abs(x.data), x.indptr[nonempty])
+    return float(sums.max())
+
+
+def csr_adjoint(a):
+    """Oracle: the conjugate transpose of a scipy array, as CSR."""
+    return csr_array(csr_array(a).conj().T)
 
 
 def ladders_of(n_modes):
@@ -112,11 +185,11 @@ def apply_create(j, bits, n_orbitals):
 def quartet_literal(mt, quasi, terms, psi):
     """Oracle: sum over (p, p', c) of c gamma*_{p,up} gamma*_{-p,dn} gamma*_{p',up} gamma*_{-p',dn} psi.
 
-    Each gamma* is the copy adjoint(quasi[j]), not a view.  Terms with c = 0
-    are skipped and the rest accumulate in the order given, as in
+    Each gamma* is the scipy CSR copy of the transpose of quasi[j].  Terms
+    with c = 0 are skipped and the rest accumulate in the order given, as in
     `quartet_sum`, so on real gammas both routes agree bit for bit.
     """
-    dag = [adjoint(g) for g in quasi]
+    dag = [csr_adjoint(to_csr(g)) for g in quasi]
     out = np.zeros_like(psi)
     for p, pp, c in terms:
         if c == 0.0:
@@ -146,22 +219,26 @@ def bundle_of(mt, kernel=None):
 def literal_operators(mt, kernel):
     """Oracle: B_k, B*_k, h_k, v_k, G, T, H and I straight from `ladder_matrix` by the paper's formulas.
 
-    Every ladder is built afresh where a formula uses it and the creator is
-    its transpose (the ladders are real), so B*_k is C*_{k,up} C*_{-k,dn}.
-    Sums run in the order the formulas are written: modes in index order,
-    spin up before spin down, k' outer and k inner in H.
+    They are scipy CSR arrays.  Every ladder is built afresh where a formula
+    uses it, as the CSR copy of `ladder_matrix`, and the creator is its
+    transpose (the ladders are real), so B*_k is C*_{k,up} C*_{-k,dn}.  Sums
+    run in the order the formulas are written: modes in index order, spin up
+    before spin down, k' outer and k inner in H.
     """
-    from scipy.sparse import csr_array, eye_array
+    from scipy.sparse import eye_array
 
     m = mt.n_modes
 
+    def ladder(j):
+        return to_csr(ladder_matrix(j, m))
+
     def creator(j):
-        return csr_array(ladder_matrix(j, m).T)
+        return csr_array(ladder(j).T)
 
     def number(j):
-        return creator(j) @ ladder_matrix(j, m)
+        return creator(j) @ ladder(j)
 
-    pairs = [ladder_matrix(mt.orb_dn(mt.pair[i]), m) @ ladder_matrix(mt.orb_up(i), m) for i in range(m)]
+    pairs = [ladder(mt.orb_dn(mt.pair[i])) @ ladder(mt.orb_up(i)) for i in range(m)]
     ops = {
         "B": pairs,
         "Bd": [creator(mt.orb_up(i)) @ creator(mt.orb_dn(mt.pair[i])) for i in range(m)],
@@ -191,19 +268,19 @@ def anticommutator(a, b):
 
 def dense_conjugation(a, k, alpha):
     """Oracle: exp(-alpha K) A exp(alpha K) by dense matrix exponentials."""
-    kd = k.toarray()
-    return expm(-alpha * kd) @ a.toarray() @ expm(alpha * kd)
+    kd = dense(k)
+    return expm(-alpha * kd) @ dense(a) @ expm(alpha * kd)
 
 
 def dense_diagonal_commutator(a, g):
     """Oracle: [diag(g), A] = diag(g) A - A diag(g) by dense matrix products."""
-    d, ad = np.diag(g), a.toarray()
+    d, ad = np.diag(g), dense(a)
     return d @ ad - ad @ d
 
 
 def dense_evolution(k, v):
     """Oracle: exp(K) v by dense matrix exponential."""
-    return expm(k.toarray()) @ v
+    return expm(dense(k)) @ v
 
 
 SERIES_MAX_TERMS = 200
@@ -213,22 +290,21 @@ TAYLOR_DEGREE = 18
 
 
 def conjugate_series(a, k, alpha, tol=1e-12):
-    """Oracle: exp(-alpha K) A exp(alpha K) by the nested-commutator series, one sparse operator.
+    """Oracle: exp(-alpha K) A exp(alpha K) by the nested-commutator series, one scipy CSR operator.
 
     Sums alpha^n / n! [..[A,K],..,K] and stops once two consecutive terms
     fall below `tol` in infinity-norm; the result then matches the exact
-    conjugation within 10*tol.  K must be anti-selfadjoint (K* = -K).
+    conjugation within 10*tol.  K must be anti-selfadjoint (K* = -K).  A and
+    K may be `XorOp`s or scipy arrays.
     """
-    from scipy.sparse import csr_array
-
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k = csr_array(k)
-    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
+    k = to_csr(k)
+    if csr_norm(k + csr_adjoint(k)) > SELFADJOINT_TOL:
         raise ValueError("K must be anti-selfadjoint for conjugation by exp(alpha*K)")
     if a.shape != k.shape:
         raise ValueError(f"dimension mismatch: operator {a.shape}, K {k.shape}")
-    total = term = csr_array(a, copy=True)
+    total = term = csr_array(to_csr(a), copy=True)
     if alpha == 0.0:
         return total
     coeff, small = 1.0, 0
@@ -237,7 +313,7 @@ def conjugate_series(a, k, alpha, tol=1e-12):
         coeff *= alpha / n
         scaled = term * coeff
         total = total + scaled
-        small = small + 1 if op_norm_inf(scaled) <= tol else 0
+        small = small + 1 if csr_norm(scaled) <= tol else 0
         if small == 2:
             return total
     raise ConvergenceError(f"commutator series did not reach tol={tol} within {SERIES_MAX_TERMS} terms")
@@ -249,13 +325,15 @@ def evolve_state(k, v):
     Each step's argument has norm at most 1, so each step is accurate to
     double precision at any ||K|| (the scaling of Al-Mohy and Higham, SIAM
     J. Sci. Comput. 33, 488, 2011, at a fixed degree).  K must be
-    anti-selfadjoint, so the result keeps the norm of v.
+    anti-selfadjoint, so the result keeps the norm of v.  K may be an
+    `XorOp` or a scipy array.
     """
-    if op_norm_inf(k + adjoint(k)) > SELFADJOINT_TOL:
+    k = to_csr(k)
+    if csr_norm(k + csr_adjoint(k)) > SELFADJOINT_TOL:
         raise ValueError("K must be anti-selfadjoint for exp(K)")
     if k.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: operator {k.shape}, state {v.shape}")
-    steps = max(1, math.ceil(op_norm_inf(k)))
+    steps = max(1, math.ceil(csr_norm(k)))
     out = np.asarray(v)
     for _ in range(steps):
         term = out
@@ -267,21 +345,17 @@ def evolve_state(k, v):
 
 def random_selfadjoint(dim, rng, scale=1.0):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    from scipy.sparse import csr_array
-
     return csr_array(scale * 0.5 * (raw + raw.conj().T))
 
 
 def random_antisymmetric(dim, rng, scale=1.0):
     """Real K with K^T = -K, the real generator of an orthogonal exp(K)."""
-    from scipy.sparse import csr_array
-
     raw = rng.standard_normal((dim, dim))
     return csr_array(scale * 0.5 * (raw - raw.T))
 
 
 def random_sparse(dim, rng, density=0.2, real=False):
-    from scipy.sparse import csr_array, random_array
+    from scipy.sparse import random_array
 
     mat = random_array((dim, dim), density=density, rng=rng, dtype=np.float64).toarray()
     if not real:

@@ -4,8 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
-
 from bcslab.analysis import (
     TOL_LOOSE,
     condensation_energy,
@@ -21,7 +19,7 @@ from bcslab.analysis import (
 from bcslab import analysis, fock, hamiltonian, sectors as sector_module, states
 from bcslab.cli import load_config
 from bcslab.errors import ValidationError
-from bcslab.fock import adjoint, commutator, expectation, ladder_matrix, vacuum_state
+from bcslab.fock import XorOp, commutator, expectation, ladder_matrix, vacuum_state
 from bcslab.gapsolve import GapTable, solve_gap, solve_new_gap
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes, separable_kernel
@@ -36,7 +34,7 @@ from bcslab.states import (
     quasi_ops,
 )
 
-from conftest import bundle_of, conjugate_series, evolve_state, quartet_literal, random_sparse
+from conftest import bundle_of, conjugate_series, dense, evolve_state, quartet_literal, random_sparse, xor_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,7 +119,7 @@ def test_hm_sector_spectrum_matches_dense_oracle(name, variant):
     for _ in range(3):
         mt, gap, hm, ebcs = random_hm(SECTOR_INSTANCES[name], rng, variant)
         dev, spectrum = hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)
-        oracle = np.linalg.eigvalsh(hm.toarray())
+        oracle = np.linalg.eigvalsh(dense(hm))
         assert spectrum.shape == (mt.dim,)
         assert np.max(np.abs(spectrum - oracle)) <= 1e-12
         assert dev <= 1e-9
@@ -134,7 +132,7 @@ def test_hm_spectrum_detects_sector_leak():
     a = ladder_matrix(mt.orb_up(0), mt.n_modes)
     b = ladder_matrix(mt.orb_up(1), mt.n_modes)
     eps = 1e-6
-    leaky = csr_array(hm + eps * (adjoint(a) @ b + adjoint(b) @ a))
+    leaky = hm + eps * (a.adjoint() @ b + b.adjoint() @ a)
     assert hm_spectrum_check(hm, PairSectors(mt), gap, ebcs)[0] <= 1e-12
     dev, _ = hm_spectrum_check(leaky, PairSectors(mt), gap, ebcs)
     assert dev >= eps > TOL_LOOSE  # the spectrum check fails
@@ -150,7 +148,7 @@ def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
     build = analysis._BUILD["G"]
 
     def planted(inst):
-        return csr_array(build(inst) + csr_array((vals, (rows, cols)), shape=(mt.dim, mt.dim)))
+        return build(inst) + XorOp.from_entries(rows, cols, vals, (mt.dim, mt.dim))
 
     monkeypatch.setitem(analysis._BUILD, "G", planted)
     report = run_verification(mt, kernel, seed=3)
@@ -169,7 +167,7 @@ def test_number_phase_covariance_detects_g_leak(two_mode, monkeypatch, planted):
 GAP_READERS = {
     "ebcs_formula": lambda mt, kernel, gap: ebcs_formula(mt, gap, np.zeros(mt.n_modes)),
     "condensation_energy": lambda mt, kernel, gap: condensation_energy(mt, gap),
-    "hm_spectrum_check": lambda mt, kernel, gap: hm_spectrum_check(csr_array((mt.dim, mt.dim)), PairSectors(mt), gap, 0.0),
+    "hm_spectrum_check": lambda mt, kernel, gap: hm_spectrum_check(XorOp(mt.dim), PairSectors(mt), gap, 0.0),
     "pair_coefficients": pair_coefficients,
     "delta_E_formula": lambda mt, kernel, gap: delta_E_formula(mt, kernel, gap, 0.0),
     "lemma_hm_expectation_formula": lambda mt, kernel, gap: lemma_hm_expectation_formula(mt, kernel, gap, 0.0, 0.0),
@@ -194,8 +192,8 @@ def test_hm_spectrum_reads_both_triangles():
     # the vacuum and the filled state share the sector d = (0, 0); H_M moves one pair, so
     # their entry is zero and an entry placed above the diagonal only is not selfadjoint
     eps = 1e-6
-    upper = csr_array(([eps], ([0], [mt.dim - 1])), shape=hm.shape)
-    dev, _ = hm_spectrum_check(csr_array(hm + upper), PairSectors(mt), gap, ebcs)
+    upper = XorOp.from_entries([0], [mt.dim - 1], [eps], hm.shape)
+    dev, _ = hm_spectrum_check(hm + upper, PairSectors(mt), gap, ebcs)
     assert dev >= eps > TOL_LOOSE
 
 
@@ -247,7 +245,8 @@ def test_sector_exponential_blocks_match_expm(name):
     states = sector_states(sectors)
     assert len(blocks) == len(states) == 3**bundle.mt.n_modes
     assert sorted(np.concatenate(states).tolist()) == list(range(bundle.mt.dim))
-    worst = max(float(np.max(np.abs(e - expm(k[s][:, s].toarray())))) for e, s in zip(blocks, states))
+    kd = dense(k)
+    worst = max(float(np.max(np.abs(e - expm(kd[np.ix_(s, s)])))) for e, s in zip(blocks, states))
     assert worst <= 1e-14
 
 
@@ -272,9 +271,9 @@ def test_sector_conjugations_match_the_series_oracle(name):
     expk, _ = sectors.exponential(k)
     for i in range(mt.n_modes):
         a = mt.xi[i] * bundle.h[i] - angles.delta[i] * bundle.v[i]
-        assert sectors.conjugation_deviation(expk, a, conjugate_series(a, k, 1.0)) <= 1e-11
+        assert sectors.conjugation_deviation(expk, a, xor_of(conjugate_series(a, k, 1.0))) <= 1e-11
     for c in bundle.C:
-        assert sectors.conjugation_deviation(expk, c, conjugate_series(c, k, -1.0), inverse=True) <= 1e-11
+        assert sectors.conjugation_deviation(expk, c, xor_of(conjugate_series(c, k, -1.0)), inverse=True) <= 1e-11
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -288,13 +287,13 @@ def test_conjugation_deviation_is_the_norm_of_the_whole_difference(three_mode, i
     k = build_GB(bundle, GapTable.from_delta(mt, [0.7, 0.4, 0.4]))
     sectors = PairSectors(mt)
     expk, _ = sectors.exponential(k)
-    e = expm(k.toarray())
+    e = expm(dense(k))
     rng = np.random.default_rng(21 + inverse)
-    for a in (bundle.C[1], random_sparse(mt.dim, rng, density=0.05, real=True)):
-        y = random_sparse(mt.dim, rng, density=0.05, real=True)
-        rotated = e @ a.toarray() @ e.T if inverse else e.T @ a.toarray() @ e
-        dense = float(np.max(np.abs(rotated - y.toarray()).sum(axis=1)))
-        assert sectors.conjugation_deviation(expk, a, y, inverse=inverse) == pytest.approx(dense, rel=1e-13)
+    for a in (bundle.C[1], xor_of(random_sparse(mt.dim, rng, density=0.05, real=True))):
+        y = xor_of(random_sparse(mt.dim, rng, density=0.05, real=True))
+        rotated = e @ dense(a) @ e.T if inverse else e.T @ dense(a) @ e
+        norm = float(np.max(np.abs(rotated - dense(y)).sum(axis=1)))
+        assert sectors.conjugation_deviation(expk, a, y, inverse=inverse) == pytest.approx(norm, rel=1e-13)
 
 
 def test_sector_exponential_runs_are_exact_at_any_chunk(monkeypatch):
@@ -314,7 +313,7 @@ def test_sector_exponential_rejects_a_k_that_is_not_real_antisymmetric(two_mode)
     bundle = OperatorBundle(mt, kernel)
     k = build_GB(bundle, GapTable.from_delta(mt, [1.2, 1.2]))
     sectors = PairSectors(mt)
-    skew = csr_array(k + csr_array(([1e-9], ([0], [mt.dim - 1])), shape=k.shape))
+    skew = k + XorOp.from_entries([0], [mt.dim - 1], [1e-9], k.shape)
     for bad in (bundle.H, skew, 1j * bundle.G):
         with pytest.raises(ValueError, match="anti-selfadjoint"):
             sectors.exponential(bad)
@@ -323,7 +322,7 @@ def test_sector_exponential_rejects_a_k_that_is_not_real_antisymmetric(two_mode)
 def test_run_verification_raises_on_a_k_that_is_not_antisymmetric(three_mode, monkeypatch):
     mt, kernel = three_mode
     build = analysis.build_GB
-    monkeypatch.setattr(analysis, "build_GB", lambda ops, angles: csr_array(build(ops, angles) + 1e-9 * ops.I))
+    monkeypatch.setattr(analysis, "build_GB", lambda ops, angles: build(ops, angles) + 1e-9 * ops.I)
     with pytest.raises(ValueError, match="anti-selfadjoint"):
         run_verification(mt, kernel, seed=3)
 
@@ -336,7 +335,7 @@ def test_an_inter_sector_entry_in_k_fails_every_row_that_reads_exp_k(three_mode,
     def planted(ops, angles):
         # the vacuum and one filled orbital differ in d, so the entry couples two sectors; K stays antisymmetric
         k = build(ops, angles)
-        return csr_array(k + csr_array(([eps, -eps], ([0, 1], [1, 0])), shape=k.shape))
+        return k + XorOp.from_entries([0, 1], [1, 0], [eps, -eps], k.shape)
 
     monkeypatch.setattr(analysis, "build_GB", planted)
     by_name = {c.name: c for c in run_verification(mt, kernel, seed=3).checks}
@@ -354,7 +353,7 @@ def test_an_inter_sector_entry_in_a_closed_form_fails_its_row(three_mode, monkey
 
     def planted(ops, angles):
         out = quasi(ops, angles)
-        out[0] = csr_array(out[0] + csr_array(([eps], ([1], [0])), shape=out[0].shape))
+        out[0] = out[0] + XorOp.from_entries([1], [0], [eps], out[0].shape)
         return out
 
     monkeypatch.setattr(analysis, "quasi_ops", planted)
@@ -679,7 +678,9 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     the commutator series, and the SSB rows read on vectors in place of the
     [G, B_k] table, bring it to 13.84 MiB. The XOR-diagonal CAR check moves
     the peak into the gamma CAR rows, whose 28 mask vectors hold 3.5 MiB:
-    15.53 MiB.
+    15.53 MiB. With every operator an `XorOp`, no sum keeps spare room for
+    its addends (H - H_M and T did as scipy CSR arrays), and the peak, still
+    in the gamma CAR rows, is 14.58 MiB.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "seven_mode" / "config.json"))
     tracemalloc.start()
@@ -699,7 +700,8 @@ def test_run_verification_peak_memory_on_the_six_mode_golden():
     4096, it peaked near 5.26 MiB (5.03 MiB with one operator per stack), and
     4.62 MiB once each operator lived only while a stage read it; the
     sector-block exp(K) brings it to 3.44 MiB, and the XOR-diagonal CAR check,
-    whose gamma forms hold 24 vectors of dim 4096, to 3.62 MiB.
+    whose gamma forms hold 24 vectors of dim 4096, to 3.62 MiB; with every
+    operator an `XorOp` it peaks at 3.28 MiB.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "six_mode" / "config.json"))
     tracemalloc.start()
@@ -720,7 +722,8 @@ def test_run_verification_peak_memory_on_the_ac10_instance():
     8192-row stacks (eight operators) near 1.85 MiB, and 16384-row stacks
     near 2.1 MiB.  With the sector-block exp(K) in place of the series, and
     8192-row CAR stacks, it peaks near 1.22 MiB; the XOR-diagonal CAR check,
-    which stacks nothing, brings it to 0.84 MiB.
+    which stacks nothing, brings it to 0.84 MiB, and every operator an
+    `XorOp` to 0.77 MiB.
     """
     mt = explicit_modes([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], mu=0.5)
     kernel = separable_kernel(mt, 1.5)
@@ -795,7 +798,7 @@ def test_run_verification_builds_each_instance_quantity_at_most_once(instance, m
 def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch):
     """One K = i G_B per pass, and each B*_k formed once, by the bundle, instead of at every reader."""
     mt, kernel = three_mode
-    originals = {"build_GB": hamiltonian.build_GB, "adjoint": fock.adjoint}
+    originals = {"build_GB": hamiltonian.build_GB, "adjoint": XorOp.adjoint}
     calls = dict.fromkeys(originals, 0)
 
     def counting(fn):
@@ -806,9 +809,9 @@ def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch)
         return counted
 
     for name, module in list(sys.modules.items()):
-        for fn, original in originals.items():
-            if name.startswith("bcslab") and getattr(module, fn, None) is original:
-                monkeypatch.setattr(module, fn, counting(fn))
+        if name.startswith("bcslab") and getattr(module, "build_GB", None) is originals["build_GB"]:
+            monkeypatch.setattr(module, "build_GB", counting("build_GB"))
+    monkeypatch.setattr(XorOp, "adjoint", counting("adjoint"))
     report = run_verification(mt, kernel, seed=3)
     assert report.all_passed
     assert calls["build_GB"] == 1
@@ -817,10 +820,10 @@ def test_run_verification_forms_each_pair_operator_once(three_mode, monkeypatch)
 
 
 def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
-    """No gamma is adjointed in a pass: Phi and H' Psi_B read transposed views.
+    """No gamma is adjointed in a pass: Phi and H' Psi_B apply each gamma* as the transposed product psi @ gamma.
 
-    `car_deviation` reads each gamma* from the XOR form of its gamma, so no
-    gamma of the classic, corrected or permuted instance goes through
+    `car_deviation` reads each gamma* from the dense mask form of its gamma,
+    so no gamma of the classic, corrected or permuted instance goes through
     `adjoint`.  With the CAR row stacks each classic and corrected gamma was
     adjointed once there, once more while the quartets read `adjoint`
     copies, and the classic ones three times when Phi and the expansion each
@@ -828,7 +831,7 @@ def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
     """
     mt, kernel = three_mode
     gammas, adjointed = [], []  # held, so no id is reused during the pass
-    originals = {"quasi_ops": states.quasi_ops, "adjoint": fock.adjoint}
+    originals = {"quasi_ops": states.quasi_ops, "adjoint": XorOp.adjoint}
 
     def quasi_ops(*args):
         out = originals["quasi_ops"](*args)
@@ -840,9 +843,9 @@ def test_run_verification_forms_each_gamma_dag_once(three_mode, monkeypatch):
         return originals["adjoint"](a)
 
     for name, module in list(sys.modules.items()):
-        for fn, wrapper in (("quasi_ops", quasi_ops), ("adjoint", adjoint)):
-            if name.startswith("bcslab") and getattr(module, fn, None) is originals[fn]:
-                monkeypatch.setattr(module, fn, wrapper)
+        if name.startswith("bcslab") and getattr(module, "quasi_ops", None) is originals["quasi_ops"]:
+            monkeypatch.setattr(module, "quasi_ops", quasi_ops)
+    monkeypatch.setattr(XorOp, "adjoint", adjoint)
     report = run_verification(mt, kernel, seed=3)
     assert report.all_passed
     # classic, corrected and permuted angle tables, in that order
@@ -909,7 +912,7 @@ def test_run_verification_releases_g_and_h_and_builds_pair_operators_for_the_per
 
 
 def _gamma_dag_routes(mt, kernel, angles, quasi, psi):
-    """quartet_sum, correction_state and hprime_bcs_expansion, and the literal quartet over adjoint copies."""
+    """quartet_sum, correction_state and hprime_bcs_expansion, and the literal quartet over scipy transposes."""
     m = mt.n_modes
     rng = np.random.default_rng(m)
     terms = [(p, pp, rng.standard_normal()) for p in range(m) for pp in range(m)]
@@ -936,18 +939,16 @@ def _gamma_dag_routes(mt, kernel, angles, quasi, psi):
 
 @pytest.mark.parametrize("unsorted", [False, True])
 def test_gamma_dag_views_equal_adjoint_copies_on_random_operators(three_mode, unsorted):
-    # the CSC product of g.T adds each output entry in the row order of adjoint(g),
-    # also when g stores its rows unsorted, so both routes give the same bits
+    # psi @ g adds each output entry over ascending row of g, as the CSR copy of g.T adds it,
+    # also when g is made from entries listed in reverse order, so both routes give the same bits
     mt, kernel = three_mode
     rng = np.random.default_rng(11 + unsorted)
-    quasi = [random_sparse(mt.dim, rng, density=0.2, real=True) for _ in range(mt.n_orbitals)]
-    if unsorted:
-        for g in quasi:
-            for lo, hi in zip(g.indptr[:-1], g.indptr[1:]):
-                g.indices[lo:hi] = g.indices[lo:hi][::-1].copy()
-                g.data[lo:hi] = g.data[lo:hi][::-1].copy()
-            g.has_sorted_indices = False
-        assert not all(g.has_sorted_indices for g in quasi)
+    quasi = []
+    for _ in range(mt.n_orbitals):
+        coo = random_sparse(mt.dim, rng, density=0.2, real=True).tocoo()
+        flip = slice(None, None, -1) if unsorted else slice(None)
+        quasi.append(XorOp.from_entries(coo.row[flip], coo.col[flip], coo.data[flip], coo.shape))
+    assert all(len(g.terms) > 2 for g in quasi)  # three or more masks meet in the columns
     psi = rng.standard_normal(mt.dim)
     angles = GapTable.from_delta(mt, [0.7, 0.4, 0.4])
     package, literal = _gamma_dag_routes(mt, kernel, angles, quasi, psi)

@@ -6,27 +6,35 @@ import pytest
 
 from bcslab.errors import ValidationError
 from bcslab.fock import (
-    adjoint,
     commutator,
     expectation,
     identity_op,
     op_norm_inf,
     vacuum_state,
 )
-from bcslab.gapsolve import GapTable
+from bcslab.gapsolve import GapTable, solve_gap
 from bcslab.cli import load_config
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime, couplings
 from bcslab.model import Kernel, explicit_modes, permuted_instance
 from bcslab.states import bcs_state, fermi_vacuum
 
-from conftest import bundle_of, conjugate_series, literal_operators
+from conftest import (
+    assert_same_entries,
+    bundle_of,
+    conjugate_series,
+    csr_norm,
+    dense,
+    literal_operators,
+    same_terms,
+    to_csr,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_free_hamiltonian_is_diagonal_occupation_sum():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[0.7, 0.7])
-    h = bundle_of(mt).H.toarray()
+    h = dense(bundle_of(mt).H)
     assert np.all(h == np.diag(np.diagonal(h)))
     for bits in range(mt.dim):
         occ = sum(0.7 for j in range(4) if (bits >> j) & 1)
@@ -44,7 +52,7 @@ def test_self_paired_origin_ground_energy():
     # single k=0 mode with mu > 0: pair filled, ground energy 2 xi = -2 mu
     mu = 0.8
     mt = explicit_modes([(0, 0, 0)], mu=mu)
-    h = bundle_of(mt).H.toarray()
+    h = dense(bundle_of(mt).H)
     eigs = np.linalg.eigvalsh(h)
     assert eigs[0] == pytest.approx(-2.0 * mu, abs=1e-14)
 
@@ -58,8 +66,8 @@ def test_build_h_rejects_bad_kernel(two_mode):
 def test_h_selfadjoint_and_commutes_with_g(two_mode):
     mt, kernel = two_mode
     bundle = OperatorBundle(mt, kernel)
-    assert op_norm_inf(bundle.H - adjoint(bundle.H)) == 0.0
-    assert op_norm_inf(bundle.G - adjoint(bundle.G)) == 0.0
+    assert op_norm_inf(bundle.H - bundle.H.adjoint()) == 0.0
+    assert op_norm_inf(bundle.G - bundle.G.adjoint()) == 0.0
     assert op_norm_inf(commutator(bundle.G, bundle.H)) <= 1e-12
 
 
@@ -92,7 +100,7 @@ def test_gb_selfadjoint(two_mode):
     mt, kernel = two_mode
     gb = build_GB(OperatorBundle(mt, kernel), GapTable.from_delta(mt, [1.2, 1.2]))
     assert gb.dtype == np.float64
-    assert op_norm_inf(gb + adjoint(gb)) <= 1e-12
+    assert op_norm_inf(gb + gb.adjoint()) <= 1e-12
     assert op_norm_inf(gb) > 0
 
 
@@ -133,7 +141,7 @@ def test_mean_field_split_identity(two_mode):
     ident = identity_op(mt.dim)
     fluct = None
     for kp in range(mt.n_modes):
-        bdag = adjoint(ops.B[kp]) - w[kp] * ident
+        bdag = ops.B[kp].adjoint() - w[kp] * ident
         for k in range(mt.n_modes):
             u = kernel.u[k, kp]
             if u == 0.0:
@@ -203,7 +211,7 @@ def test_meanfield_conjugation_identity(two_mode):
             + (xi_i * angles.sin2t[i] - d_i * angles.cos2t[i]) * ops.v[i]
             + (2.0 * xi_i * angles.sin_t[i] ** 2 - d_i * angles.sin2t[i]) * ident
         )
-        assert op_norm_inf(lhs - rhs) <= 1e-9
+        assert csr_norm(lhs - to_csr(rhs)) <= 1e-9
 
 
 def test_phase_covariance(two_mode):
@@ -217,10 +225,10 @@ def test_phase_covariance(two_mode):
         for j in range(mt.n_orbitals):
             c = ladder_matrix(j, mt.n_modes)
             rotated = conjugate_series(c, igen, alpha, tol=1e-12)
-            assert op_norm_inf(rotated - np.exp(1j * alpha) * c) <= 1e-9
-            rotated_dag = conjugate_series(adjoint(c), igen, alpha, tol=1e-12)
-            assert op_norm_inf(rotated_dag - np.exp(-1j * alpha) * adjoint(c)) <= 1e-9
-        assert op_norm_inf(conjugate_series(bundle.H, igen, alpha, tol=1e-12) - bundle.H) <= 1e-9
+            assert csr_norm(rotated - to_csr(np.exp(1j * alpha) * c)) <= 1e-9
+            rotated_dag = conjugate_series(c.adjoint(), igen, alpha, tol=1e-12)
+            assert csr_norm(rotated_dag - to_csr(np.exp(-1j * alpha) * c.adjoint())) <= 1e-9
+        assert csr_norm(conjugate_series(bundle.H, igen, alpha, tol=1e-12) - to_csr(bundle.H)) <= 1e-9
 
 
 def test_pair_number_by_hand(two_mode):
@@ -228,7 +236,7 @@ def test_pair_number_by_hand(two_mode):
     mt, kernel = two_mode
     ops = OperatorBundle(mt, kernel)
     for i in range(mt.n_modes):
-        h_i = ops.h[i].toarray()
+        h_i = dense(ops.h[i])
         assert np.all(h_i == np.diag(np.diagonal(h_i)))
         for bits in range(mt.dim):
             occ = ((bits >> mt.orb_up(i)) & 1) + ((bits >> mt.orb_dn(mt.pair[i])) & 1)
@@ -237,14 +245,11 @@ def test_pair_number_by_hand(two_mode):
 
 @pytest.mark.parametrize("name", ["pair", "three_mode", "six_mode", "seven_mode", "ac10"])
 def test_v_k_is_the_pair_sum_array_for_array(name):
-    # build_Hprime reads v_k for B*_k + B_k, so on the goldens the two are one sparse array
+    # build_Hprime reads v_k for B*_k + B_k, so on the goldens the two are one operator, array for array
     cfg = load_config(str(GOLDEN / name / "config.json"))
     ops = OperatorBundle(cfg.mt, cfg.kernel)
     for v, bd, b in zip(ops.v, ops.Bd, ops.B):
-        pair_sum = bd + b
-        for field in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(v, field), getattr(pair_sum, field)), field
-            assert getattr(v, field).dtype == getattr(pair_sum, field).dtype, field
+        assert same_terms(v, bd + b)
 
 
 @pytest.mark.parametrize("name", ["three_mode", "ac10"])
@@ -259,8 +264,7 @@ def test_pair_operators_on_the_ladders_of_another_table_equal_its_own_bundles(na
     assert pairs.mt is mt_p and all(a is b for a, b in zip(pairs.C, ladders))
     for key in ("B", "Bd"):
         for a, b in zip(getattr(pairs, key), getattr(own, key), strict=True):
-            for field in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
+            assert same_terms(a, b), key
     with pytest.raises(ValidationError, match="ladders"):
         OperatorBundle(mt_p, kernel_p, ladders[:-1])
     two = explicit_modes([(1, 0, 0), (-1, 0, 0)])
@@ -278,7 +282,7 @@ def test_bundle_builds_on_first_read_and_again_after_a_release(two_mode):
     h = ops.h
     del ops.G, ops.H  # H was never built: releasing it does nothing
     assert "G" not in vars(ops)
-    assert (ops.G != g).nnz == 0 and ops.h is h
+    assert same_terms(ops.G, g) and ops.G is not g and ops.h is h
     with pytest.raises(AttributeError, match="no quantity 'K'"):
         ops.K
 
@@ -293,9 +297,43 @@ def test_bundle_matches_literal_operators(name):
     for key in ("B", "Bd", "h", "v"):
         assert len(getattr(ops, key)) == cfg.mt.n_modes
         for a, b in zip(getattr(ops, key), oracle[key]):
-            assert (a != b).nnz == 0, key
+            assert_same_entries(a, b)
     for key in ("G", "T", "H", "I"):
-        assert (getattr(ops, key) != oracle[key]).nnz == 0, key
+        assert_same_entries(getattr(ops, key), oracle[key])
+
+
+@pytest.mark.parametrize("name", ["pair", "three_mode", "ac10"])
+def test_builders_match_literal_operator_sums(name):
+    # K = i G_B, H_M and H' by their formulas over the literal scipy operators, summed in the builders' order
+    from scipy.sparse import csr_array
+
+    cfg = load_config(str(GOLDEN / name / "config.json"))
+    mt, kernel = cfg.mt, cfg.kernel
+    ops = OperatorBundle(mt, kernel)
+    lit = literal_operators(mt, kernel)
+    gap = solve_gap(mt, kernel, tol=1e-12).delta
+    w = 0.5 * gap.sin2t
+    zero = csr_array((mt.dim, mt.dim))
+    k = zero
+    for i in range(mt.n_modes):
+        if gap.theta[i] != 0.0:
+            k = k + gap.theta[i] * (lit["Bd"][i] - lit["B"][i])
+    hm = lit["T"]
+    for i in range(mt.n_modes):
+        if gap.delta[i] != 0.0:
+            hm = hm - gap.delta[i] * lit["v"][i]
+    hm = hm + float(np.dot(gap.delta, w)) * lit["I"]
+    cs = gap.cos_t * gap.sin_t
+    hp, const = zero, 0.0
+    for kk, kp, u in couplings(kernel):
+        hp = hp + u * (lit["Bd"][kp] @ lit["B"][kk])
+        hp = hp - (u * cs[kp]) * lit["v"][kk]
+        const += u * cs[kk] * cs[kp]
+    hp = hp + const * lit["I"]
+    assert np.dot(gap.delta, w) != 0.0 and const != 0.0
+    assert_same_entries(build_GB(ops, gap), k)
+    assert_same_entries(build_HM(ops, gap, w), hm)
+    assert_same_entries(build_Hprime(ops, gap), hp)
 
 
 # modes in +/- pairs (the origin pairs with itself), and the index of the xi draw each mode takes
@@ -314,9 +352,9 @@ def test_pair_sums_of_h_match_the_orbital_order_oracle(ks, slots):
         mt = explicit_modes(ks, xi_override=rng.uniform(-2.0, 2.0, max(slots) + 1)[slots])
         ops = bundle_of(mt)
         oracle = literal_operators(mt, ops.kernel)
-        assert (ops.G != oracle["G"]).nnz == 0
+        assert_same_entries(ops.G, oracle["G"])
         bound = 4 * np.finfo(float).eps * 2 * np.sum(np.abs(mt.xi))
-        assert abs(ops.T - oracle["T"]).max() <= bound
+        assert abs(to_csr(ops.T) - oracle["T"]).max() <= bound
 
 
 def test_couplings_list_the_nonzero_kernel_entries_k_prime_outer():
@@ -329,6 +367,7 @@ def test_kinetic_term_overflow_is_refused_and_the_float_range_still_builds():
     kernel = Kernel(u=np.array([[0.0, -1.0], [-1.0, 0.0]]))
     # 2 sum|xi| = 1.76e308 is finite: the fully occupied state has energy 4 xi, exactly
     t = OperatorBundle(explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[4.4e307] * 2), kernel).T
-    assert np.all(np.isfinite(t.data)) and t.max() == 4 * 4.4e307
+    vals = t.entries()[2]
+    assert np.all(np.isfinite(vals)) and vals.max() == 4 * 4.4e307
     with pytest.raises(ValidationError, match="kinetic term overflows"):
         OperatorBundle(explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[1e308] * 2), kernel)

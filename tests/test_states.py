@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bcslab.errors import ValidationError
-from bcslab.fock import adjoint, expectation, ladder_matrix, op_norm_inf, vacuum_state
+from bcslab.fock import expectation, ladder_matrix, op_norm_inf, vacuum_state
 from bcslab.gapsolve import GapTable, correction_factor, dk_weights, solve_gap
 from bcslab.hamiltonian import OperatorBundle, build_GB, build_HM, build_Hprime
 from bcslab.model import Kernel, explicit_modes
@@ -87,7 +87,7 @@ def test_bcs_pair_expectation(two_mode):
     for b in ops.B:
         val = expectation(psi_b, b, psi_b)
         assert val == pytest.approx(0.3, abs=1e-14)  # half sin 2theta
-        assert expectation(psi_b, adjoint(b), psi_b) == pytest.approx(0.3, abs=1e-14)
+        assert expectation(psi_b, b.adjoint(), psi_b) == pytest.approx(0.3, abs=1e-14)
 
 
 def test_product_matches_exponential_pair_instance(two_mode):
@@ -125,7 +125,7 @@ def test_quasi_ops_half_pi_is_particle_hole():
     mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[-1.0, -1.0])
     q = quasi_ops(bundle_of(mt), GapTable.from_delta(mt, [0.0, 0.0]))  # theta = pi/2 from xi < 0
     for i in range(2):
-        cre_dn_partner = adjoint(ladder_matrix(mt.orb_dn(mt.pair[i]), 2))
+        cre_dn_partner = ladder_matrix(mt.orb_dn(mt.pair[i]), 2).adjoint()
         assert op_norm_inf(q[mt.orb_up(i)] + cre_dn_partner) == 0.0
 
 
@@ -146,7 +146,7 @@ def test_quasi_ops_car(two_mode):
     ident = identity_op(mt.dim)
     for a in range(4):
         for b in range(4):
-            mixed = anticommutator(gammas[a], adjoint(gammas[b]))
+            mixed = anticommutator(gammas[a], gammas[b].adjoint())
             if a == b:
                 mixed = mixed - ident
             assert op_norm_inf(mixed) <= 1e-12
@@ -165,9 +165,9 @@ def test_quasi_inverse_relations(two_mode):
         bare_dn_partner = ladder_matrix(mt.orb_dn(mt.pair[i]), 2)
         gamma_up = q[mt.orb_up(i)]
         gamma_dn_partner = q[mt.orb_dn(mt.pair[i])]
-        assert op_norm_inf(bare_up - (c * gamma_up + s * adjoint(gamma_dn_partner))) <= 1e-14
+        assert op_norm_inf(bare_up - (c * gamma_up + s * gamma_dn_partner.adjoint())) <= 1e-14
         assert op_norm_inf(
-            bare_dn_partner - (-s * adjoint(gamma_up) + c * gamma_dn_partner)
+            bare_dn_partner - (-s * gamma_up.adjoint() + c * gamma_dn_partner)
         ) <= 1e-14
 
 
@@ -319,12 +319,12 @@ def test_fock_algebra_stays_real(instance, request):
     sectors = PairSectors(mt)
     expk, _ = sectors.exponential(gb)
     states = [psi_b, sectors.column(expk, 0), *expk]
-    ops += [adjoint(g) for g in quasi]
+    ops += [g.adjoint() for g in quasi]
     states.append(correction_state(mt, kernel, angles, quasi, psi_b).phi)
     assert [op.dtype for op in ops] == [np.float64] * len(ops)
     assert [v.dtype for v in states] == [np.float64] * len(states)
-    # and int32 sparse indices: an int64 ladder index would widen every operator built from it
+    # and int32 row indices: an int64 ladder index would widen every operator built from it
     ops.append(ladder_matrix(np.int64(1), mt.n_modes))
-    assert [(op.indices.dtype, op.indptr.dtype) for op in ops] == [(np.int32, np.int32)] * len(ops)
+    assert [{rows.dtype for rows, _ in op.terms.values()} for op in ops] == [{np.dtype(np.int32)}] * len(ops)
     with pytest.raises(TypeError):
         ladder_matrix(1.5, mt.n_modes)
