@@ -82,18 +82,17 @@ def check_index_width(dim: int) -> None:
 # have one mask each, h_k, G and T one (mask 0), a gamma two and H a few
 # dozen at most, so an `XorOp` keeps, for each mask, the rows where a_m is
 # nonzero and the values there.  Shifting by a mask is an index gather with
-# rows ^ m.  Sums and products are exact in this form, and each result adds
-# its terms as a compressed sparse row (CSR) matrix with sorted columns adds
-# them: a product entry over ascending inner index and a matvec row over
-# ascending column, one by one from 0.0, and a norm row over ascending
-# column through np.add.reduceat.  IEEE addition is commutative, so the
-# order matters only where three or more terms meet.
+# rows ^ m.  Sums and products are exact in this form.  Where three or more
+# terms meet in one entry, IEEE addition depends on their order, so the
+# order is fixed: a matvec row or a norm row adds over ascending column, a
+# product entry over ascending inner index, each from 0.0.  That keeps the
+# reports byte-identical.
 
 
-def _compress(rows: np.ndarray, vals: np.ndarray) -> tuple:
-    """(rows, vals) without the zero values; a NaN is kept."""
-    keep = vals != 0
-    return (rows, vals) if keep.all() else (rows[keep], vals[keep])
+def _compress(*entries: np.ndarray) -> tuple:
+    """`entries`, arrays of one length whose last holds the values, without the zero values; a NaN is kept."""
+    keep = entries[-1] != 0
+    return entries if keep.all() else tuple(e[keep] for e in entries)
 
 
 def _from_dense(dense: np.ndarray) -> tuple:
@@ -117,7 +116,7 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b entry by entry; a complex product as (ac - bd) + (ad + bc)i, each part rounded on its own.
 
     numpy's complex loops may fuse a multiply and an add, which rounds once
-    where the CSR product rounds twice; the parts formed apart round alike.
+    instead of twice; formed apart, each part rounds twice wherever it runs.
     """
     if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
         return a * b
@@ -136,11 +135,24 @@ def _sorted_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_bits
 def _max_row_sum(rows: np.ndarray, moduli: np.ndarray) -> float:
     """Largest row sum of the nonnegative `moduli`, listed row by row; 0.0 for none.
 
-    Each row is added by np.add.reduceat in the order listed, as the CSR row
-    sum did before; rows that store nothing add 0.0.
+    Each row is added by np.add.reduceat in the order listed; rows that store nothing add 0.0.
     """
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     return float(np.max(np.add.reduceat(moduli, starts), initial=0.0)) if rows.size else 0.0
+
+
+def _add_parts(parts: list, dim: int) -> tuple:
+    """(rows, vals) of one mask from its parts, each (rows, vals) or, in a product, (rows, inner, vals).
+
+    A lone part is kept as it is.  Several add entry by entry from 0.0: a
+    sum's parts in the order listed, a product's over ascending inner index.
+    """
+    if len(parts) == 1:
+        return parts[0][0], parts[0][-1]
+    entries = [np.concatenate(field) for field in zip(*parts)]
+    if len(entries) == 3:
+        entries = _sorted_entries(*entries, dim.bit_length() - 1)
+    return _from_dense(_accumulate(entries[0], entries[-1], dim))
 
 
 class XorOp:
@@ -148,17 +160,18 @@ class XorOp:
 
     `terms` maps each mask m, in ascending order, to (rows, vals): the int32
     rows r, ascending, where a_m[r] = A[r, r ^ m] is nonzero, and those
-    values.  An `XorOp` is never changed after it is made: its arrays are
-    read-only, and results may share them.  It offers `A @ x` and `x @ A`
-    (= A^T x) with a vector, `A @ B`, `+`, `-` and a scalar multiple,
-    `adjoint`, `op_norm_inf`, `diagonal`, `entries` and `shape`.
+    values; a mask that stores nothing is dropped.  An `XorOp` is never
+    changed after it is made: its arrays are read-only, and results may share
+    them.  It offers `A @ x` and `x @ A` (= A^T x) with a vector, `A @ B`,
+    `+`, `-` and a scalar multiple, `adjoint`, `diagonal`, `entries` and
+    `shape`; `op_norm_inf` gives its infinity norm.
     """
 
     __array_ufunc__ = None  # a numpy scalar or array leaves `*` and `@` to this type
 
     def __init__(self, dim: int, terms: dict | None = None, dtype=np.float64):
         self.dim = dim
-        self.terms = dict(sorted(terms.items())) if terms else {}
+        self.terms = {m: t for m, t in sorted(terms.items()) if t[0].size} if terms else {}
         for rows, vals in self.terms.values():
             rows.flags.writeable = vals.flags.writeable = False
         self.dtype = np.result_type(dtype, *(v for _, v in self.terms.values()))
@@ -212,7 +225,7 @@ class XorOp:
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, dtype=self.dtype)
 
     def _row_entries(self) -> tuple:
-        """(rows, cols, vals) row by row, each row by ascending column: the CSR order."""
+        """(rows, cols, vals) row by row, each row by ascending column."""
         if len(self.terms) < 2:
             return self.entries()
         if self._by_row is None:
@@ -232,31 +245,18 @@ class XorOp:
             out[m] = _from_dense(dense)
         return XorOp(self.dim, out, self.dtype)
 
-    def op_norm_inf(self) -> float:
-        """Infinity norm: the largest absolute row sum, each row added over ascending column."""
-        rows, _, vals = self._row_entries()
-        return _max_row_sum(rows, np.abs(vals))
-
     def _combine(self, other, sign: float) -> XorOp:
         """self + other (sign 1) or self - other (sign -1), entry by entry; zero sums are dropped."""
         if not isinstance(other, XorOp):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.shape} and {other.shape}")
-        dtype = np.result_type(self.dtype, other.dtype)
-        out = {}
-        for m in self.terms.keys() | other.terms.keys():
-            if m not in other.terms:
-                out[m] = self.terms[m]
-            elif m not in self.terms and sign > 0:
-                out[m] = other.terms[m]
-            else:
-                # a + b, or a + (-b), which is a - b in IEEE arithmetic, and 0 + (-b) where only `other` stores one
-                ra, va = self.terms.get(m, (np.zeros(0, np.int32), np.zeros(0, dtype)))
-                rb, vb = other.terms[m]
-                dense = _accumulate(np.concatenate((ra, rb)), np.concatenate((va, vb if sign > 0 else -vb)), self.dim)
-                out[m] = _from_dense(dense)
-        return XorOp(self.dim, {m: t for m, t in out.items() if t[0].size}, dtype)
+        # a + (-b) is a - b in IEEE arithmetic
+        groups = {m: [part] for m, part in self.terms.items()}
+        for m, (rows, vals) in other.terms.items():
+            groups.setdefault(m, []).append((rows, vals if sign > 0 else -vals))
+        terms = {m: _add_parts(parts, self.dim) for m, parts in groups.items()}
+        return XorOp(self.dim, terms, np.result_type(self.dtype, other.dtype))
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -267,8 +267,8 @@ class XorOp:
     def __mul__(self, scalar):
         if isinstance(scalar, XorOp) or np.ndim(scalar) != 0:
             return NotImplemented
-        out = {m: _compress(rows, vals * scalar) for m, (rows, vals) in self.terms.items()}
-        return XorOp(self.dim, {m: t for m, t in out.items() if t[0].size}, np.result_type(self.dtype, scalar))
+        terms = {m: _compress(rows, vals * scalar) for m, (rows, vals) in self.terms.items()}
+        return XorOp(self.dim, terms, np.result_type(self.dtype, scalar))
 
     __rmul__ = __mul__
 
@@ -301,7 +301,6 @@ class XorOp:
         """A B, mask by mask: (AB)[r, r ^ m ^ k] gains a_m[r] b_k[r ^ m] over inner index r ^ m."""
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.shape} and {other.shape}")
-        dtype = np.result_type(self.dtype, other.dtype)
         groups = {}
         for k in other.terms:
             b = other._dense(k)
@@ -311,22 +310,9 @@ class XorOp:
                 hit = stored.take(inner)
                 if not hit.all():
                     rows, vals, inner = rows[hit], vals[hit], inner[hit]
-                groups.setdefault(m ^ k, []).append((m, rows, _times(vals, b.take(inner))))
-        out = {}
-        for x, group in groups.items():
-            if len(group) == 1:
-                out[x] = _compress(*group[0][1:])
-                continue
-            # the terms of an entry from several masks add over ascending inner index r ^ m
-            terms = np.zeros((len(group), self.dim), dtype=dtype)
-            for p, (_, rows, vals) in enumerate(group):
-                terms[p, rows] = vals
-            inner = np.arange(self.dim) ^ np.array([m for m, _, _ in group])[:, None]
-            acc = np.zeros(self.dim, dtype=dtype)
-            for row in np.take_along_axis(terms, np.argsort(inner, axis=0), axis=0):
-                acc += row
-            out[x] = _from_dense(acc)
-        return XorOp(self.dim, {m: t for m, t in out.items() if t[0].size}, dtype)
+                groups.setdefault(m ^ k, []).append(_compress(rows, inner, _times(vals, b.take(inner))))
+        terms = {x: _add_parts(parts, self.dim) for x, parts in groups.items()}
+        return XorOp(self.dim, terms, np.result_type(self.dtype, other.dtype))
 
 
 def ladder_matrix(j: int, n_modes: int) -> XorOp:
@@ -360,7 +346,8 @@ def commutator(a, b) -> XorOp:
 
 def op_norm_inf(a: XorOp) -> float:
     """Operator infinity-norm (max absolute row sum) of an `XorOp`; each row adds over ascending column."""
-    return a.op_norm_inf()
+    rows, _, vals = a._row_entries()
+    return _max_row_sum(rows, np.abs(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +444,7 @@ def diagonal_commutator_norm(a: XorOp, g, f=lambda q: q) -> float:
     meets the entries only as a vector, since the norm reads their moduli.
     On mask m the factor is f(g_r - g_{r ^ m}).  Whether a matrix really is
     diag(g) is the caller's to check.  A modulus of zero still takes its place
-    in its row, as the CSR row sum kept it.
+    in its row, so every row adds in the same order as in `op_norm_inf`.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or a.shape != (g.size, g.size):

@@ -124,7 +124,7 @@ def csr_norm(a) -> float:
 
     The row sum of the CSR route the package used before its own operator
     type: each row's stored moduli, sorted by column, through np.add.reduceat.
-    `XorOp.op_norm_inf` must give the same value bit for bit.
+    `fock.op_norm_inf` must give the same value bit for bit.
     """
     x = csr_array(a, copy=True)
     if x.nnz == 0:

@@ -197,7 +197,7 @@ def test_xor_op_matvec_and_norm_are_bit_identical_to_csr(dim, real, nan):
     for x in (rng.standard_normal(dim), rng.standard_normal(dim) + 1j * rng.standard_normal(dim)):
         np.testing.assert_array_equal(op @ x, a @ x, strict=True)
         np.testing.assert_array_equal(x @ op, csr_array(a.T) @ x, strict=True)
-    np.testing.assert_array_equal(op.op_norm_inf(), csr_norm(a), strict=True)
+    np.testing.assert_array_equal(op_norm_inf(op.adjoint()), csr_norm(csr_adjoint(a)), strict=True)
     np.testing.assert_array_equal(op_norm_inf(op), csr_norm(a), strict=True)
 
 
@@ -414,6 +414,14 @@ def test_xor_form_sums_duplicate_coo_entries():
     op = XorOp.from_entries(rows, cols, data, (8, 8))
     assert np.array_equal(_dense_from_entries(op), a.toarray())
     assert op.terms[1][0][0] == 0 and op.terms[1][1][0] == 0.75
+
+
+def test_xor_form_drops_a_mask_whose_entries_cancel():
+    # the duplicates 1.0 and -1.0 at (0, 1) cancel, so mask 1 stores no row and is not kept
+    op = XorOp.from_entries([0, 0, 1], [1, 1, 1], [1.0, -1.0, 2.0], (4, 4))
+    assert list(op.terms) == [0]
+    assert np.array_equal(op.diagonal(), [0.0, 2.0, 0.0, 0.0])
+    assert not XorOp(4, {3: (np.zeros(0, np.int32), np.zeros(0))}).terms
 
 
 @pytest.mark.parametrize(
