@@ -288,13 +288,11 @@ class XorOp:
         """A x, or A^T x; each output entry adds its terms over ascending column (row for A^T) from 0.0."""
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: operator {self.shape}, vector {x.shape}")
+        # up to two entries per row add alike in either order; in row order each
+        # column's entries come by ascending row, which A^T x adds over
+        rows, cols, vals = self._row_entries() if len(self.terms) > 2 else self.entries()
         if transpose:
-            cols, rows, vals = self.entries()
-            if len(self.terms) > 2:
-                rows, cols, vals = _sorted_entries(rows, cols, vals, self.dim.bit_length() - 1)
-        else:
-            # up to two entries per row add alike in either order
-            rows, cols, vals = self._row_entries() if len(self.terms) > 2 else self.entries()
+            rows, cols = cols, rows
         return _accumulate(rows, _times(vals, x.take(cols)), self.dim)
 
     def _product(self, other: XorOp) -> XorOp:

@@ -17,11 +17,17 @@ theta_k with sin 2theta = Delta/E, cos 2theta = xi/E, and its half angles.
 reader of Delta, E or theta in the package takes the table, and
 `validate` checks it against the reader's mode table.
 
-`_weights` is the one place each w is written; the iteration, the residuals
-`gap_residual` / `new_gap_residual` and `dk_weights` share it.  It reads a
-`_GapMap`, the values fixed for one solve (xi, -U/2 and, for the
-corrected equation, the entrywise U^2), and computes E once per iterate for
-both Delta/E and the D_k table.
+The D table takes cos 2theta_k = xi_k/E_k exactly, and 0 at a degenerate
+mode (E_k = xi_k = Delta_k = 0), where `GapTable` takes -1 with theta = pi/2;
+EPS_GUARD bounds only the E that divide, each E in (E_k + E_p)^2 read as
+max(E, EPS_GUARD).
+
+`_weights` is the one place each w is written; it takes xi, the entrywise
+U^2 of the corrected equation (None for the classic one) and Delta, and
+computes E once per iterate for both Delta/E and the D_k table.  The
+residuals `gap_residual` / `new_gap_residual` and `dk_weights` read one
+evaluation, `_residual`, which checks the gap table against the mode table
+once.
 
 `_solve` is the one fixed-point driver behind `solve_gap` and
 `solve_new_gap`, and `check_solver` the one check of its settings.  It takes
@@ -35,12 +41,15 @@ the start value may reach.  The history is cleared whenever the residual is
 above the switch, and an accelerated step with a negative entry or a
 singular least-squares problem is replaced by the damped step.
 
-Once per solve the driver builds the `_GapMap`, reads the pair map and
-enters one `np.errstate`; a loop pass does only the work that depends on the
-iterate.  It keeps Delta >= 0 (the start is >= 0, an accelerated step with a
-negative entry is discarded, a damped step's negative entry is clamped to 0,
-and the {k,-k} average of nonnegative entries is nonnegative), so max Delta
-is max |Delta| in the trivial-stop test.  It keeps Delta constant on {k,-k}
+Once per solve the driver forms -U/2 and, for the corrected equation, U^2,
+reads the pair map and enters one `np.errstate`; a loop pass does only the
+work that depends on the iterate.  -U/2 is the one matrix of both the step
+-U w / 2 and the residual Delta - (-U/2) w, which equals Delta + (U/2) w bit
+for bit because negation is exact.  The driver keeps Delta >= 0 (the start
+is >= 0, an accelerated step with a negative entry is discarded, a damped
+step's negative entry is clamped to 0, and the {k,-k} average of
+nonnegative entries is nonnegative), so max Delta is max |Delta| in the
+trivial-stop test.  It keeps Delta constant on {k,-k}
 orbits and raises ConvergenceError on a non-finite iterate.  Every returned
 solution carries its `GapTable` as `delta`, built once after the residual
 re-evaluated at the returned gap, and a corrected solution reports the D_k
@@ -141,71 +150,52 @@ class GapSolution:
     degenerate_modes: tuple = ()
 
 
-@dataclass(frozen=True, eq=False)
-class _GapMap:
-    """What the gap maps read that one solve never changes.
-
-    `neg_half_u` is -U/2, the one matrix of both the right-hand side -U w / 2
-    and the residual Delta - (-U/2) w; negation is exact, so the residual
-    equals Delta + (U/2) w bit for bit.  `u2` is the entrywise U^2 of the
-    D_k table, None for the classic equation.
-    """
-
-    xi: np.ndarray
-    neg_half_u: np.ndarray
-    u2: np.ndarray | None
-
-    @classmethod
-    def of(cls, mt: ModeTable, kernel: Kernel, corrected: bool) -> "_GapMap":
-        return cls(mt.xi, -0.5 * kernel.u, kernel.u**2 if corrected else None)
-
-
 def _dk_table(xi: np.ndarray, u2: np.ndarray, energy: np.ndarray) -> tuple:
+    cos2 = xi / (energy + np.logical_not(energy))  # xi/E exactly, and 0 where E = xi = 0
     guarded = np.maximum(energy, EPS_GUARD)
-    cos2 = xi / guarded
     shape = (1.0 - np.multiply.outer(cos2, cos2)) ** 2
     denom = (guarded[:, None] + guarded[None, :]) ** 2
     dk = 0.25 * (u2 * shape / denom).sum(axis=1)
     return dk, float(dk.sum())
 
 
-def _weights(gm: _GapMap, delta: np.ndarray) -> tuple:
+def _weights(xi: np.ndarray, u2: np.ndarray | None, delta: np.ndarray) -> tuple:
     """(w, dk, dsum): the weights w of Delta = -1/2 U w and the D table they used.
 
-    w is Delta/E, times 1 - 4 D_k/(D+2) for the corrected equation; dk and
-    dsum are None for the classic one.
+    w is Delta/E, times 1 - 4 D_k/(D+2) for the corrected equation, whose
+    entrywise U^2 is `u2`; for the classic one `u2`, dk and dsum are None.
     """
-    energy = np.hypot(gm.xi, delta)
+    energy = np.hypot(xi, delta)
     weighted = _ratio(delta, energy)
-    if gm.u2 is None:
+    if u2 is None:
         return weighted, None, None
-    dk, dsum = _dk_table(gm.xi, gm.u2, energy)
+    dk, dsum = _dk_table(xi, u2, energy)
     return weighted * correction_factor(dk, dsum), dk, dsum
 
 
-def _residual(gm: _GapMap, delta: np.ndarray) -> tuple:
+def _residual(mt: ModeTable, kernel: Kernel, gap: GapTable, corrected: bool) -> tuple:
     """(r, dk, dsum): r_k = Delta_k + 1/2 sum_k' U_{k,k'} w_k' and the D table of w."""
-    weighted, dk, dsum = _weights(gm, delta)
-    return delta - gm.neg_half_u @ weighted, dk, dsum
+    gap.validate(mt)
+    neg_half_u = -0.5 * kernel.u
+    weighted, dk, dsum = _weights(mt.xi, kernel.u**2 if corrected else None, gap.delta)
+    return gap.delta - neg_half_u @ weighted, dk, dsum
 
 
 def gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """r_k = Delta_k + 1/2 sum_k' U_{k,k'} Delta_k'/E_k'; zero at a solution."""
-    gap.validate(mt)
-    return _residual(_GapMap.of(mt, kernel, False), gap.delta)[0]
+    return _residual(mt, kernel, gap, False)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite D is returned, not raised
 def dk_weights(mt: ModeTable, kernel: Kernel, gap: GapTable) -> tuple:
     """Correction weights (D_k table, D) for the corrected gap equation.
 
-    Degenerate modes (E = 0) keep the formula with E replaced by a machine
-    epsilon guard; their numerators vanish exactly, so each guarded summand
-    is the limit value unless the kernel couples the mode.
+    A degenerate mode k (E = 0) takes cos 2theta = 0 and EPS_GUARD for its E,
+    so its summand with a mode p is
+    U_{k,p}^2 / (4 (EPS_GUARD + max(E_p, EPS_GUARD))^2): zero unless the
+    kernel couples the two, and at most U_{k,p}^2 / (16 EPS_GUARD^2).
     """
-    gap.validate(mt)
-    _, dk, dsum = _weights(_GapMap.of(mt, kernel, True), gap.delta)
-    return dk, dsum
+    return _residual(mt, kernel, gap, True)[1:]
 
 
 def correction_factor(dk: np.ndarray, dsum: float) -> np.ndarray:
@@ -216,8 +206,7 @@ def correction_factor(dk: np.ndarray, dsum: float) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite D shows in the residual
 def new_gap_residual(mt: ModeTable, kernel: Kernel, gap: GapTable) -> np.ndarray:
     """Residual of the corrected gap equation, with D recomputed from `gap`."""
-    gap.validate(mt)
-    return _residual(_GapMap.of(mt, kernel, True), gap.delta)[0]
+    return _residual(mt, kernel, gap, True)[0]
 
 
 def check_solver(init, damping, tol, max_iter) -> None:
@@ -271,8 +260,8 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
     step clamped to Delta >= 0.
     """
     check_solver(init, damping, tol, max_iter)
-    gm = _GapMap.of(mt, kernel, corrected)
-    neg_half_u, pair = gm.neg_half_u, mt.pair
+    xi, neg_half_u, pair = mt.xi, -0.5 * kernel.u, mt.pair
+    u2 = kernel.u**2 if corrected else None
     row_mag = np.abs(kernel.u).sum(axis=1)
     delta = np.where(row_mag > 0, float(init), 0.0)
     clamped = False
@@ -282,7 +271,7 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
     trivial_stop = False
     history = []  # Anderson rows [f, d], oldest first; see _anderson_step
     for iterations in range(max_iter + 1):
-        proposal = neg_half_u @ _weights(gm, delta)[0]
+        proposal = neg_half_u @ _weights(xi, u2, delta)[0]
         f = proposal - delta
         residual = float(np.abs(f).max())
         if not math.isfinite(residual):
@@ -316,8 +305,8 @@ def _solve(mt, kernel, corrected, init, damping, tol, max_iter) -> GapSolution:
                 clamped = True
                 step = np.maximum(step, 0.0)
         delta = 0.5 * (step + step[pair])
-    residual, dk, dsum = _residual(gm, delta)
-    residual_inf = float(np.abs(residual).max())
+    weighted, dk, dsum = _weights(xi, u2, delta)
+    residual_inf = float(np.abs(delta - neg_half_u @ weighted).max())
     if not math.isfinite(residual_inf):
         raise ConvergenceError("gap iterate became non-finite in the last update")
     gap = GapTable.from_delta(mt, delta)

@@ -380,8 +380,9 @@ def solve_literal(mt, kernel, corrected, init=1.0, damping=0.5, tol=1e-10, max_i
     def dk_table(delta):
         with np.errstate(over="ignore", invalid="ignore"):
             energy = np.hypot(xi, delta)
+            # cos 2theta = xi/E unguarded, 0 at E = 0; the guard bounds only the denominator
+            cos2 = np.divide(xi, energy, out=np.zeros_like(xi), where=energy > 0)
             guarded = np.maximum(energy, np.finfo(np.float64).eps)
-            cos2 = xi / guarded
             shape = (1.0 - np.outer(cos2, cos2)) ** 2
             denom = (guarded[:, None] + guarded[None, :]) ** 2
             dk = 0.25 * (u**2 * shape / denom).sum(axis=1)

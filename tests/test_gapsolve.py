@@ -1,11 +1,14 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bcslab.cli import main
 from bcslab.errors import ConvergenceError, ValidationError
 from bcslab.gapsolve import (
+    EPS_GUARD,
     GapTable,
     correction_factor,
     dk_weights,
@@ -269,6 +272,28 @@ def test_degenerate_mode_is_flagged_not_fatal():
     assert np.all(np.isfinite(dk)) and np.isfinite(dsum)
 
 
+TINY_KERNEL = Kernel(u=[[0.0, -1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("xi", [1e-300, -1e-200, 1e-17])
+def test_d_table_reads_cos2theta_below_the_guard(xi, tmp_path, capsys):
+    # the corrected solve collapses to Delta = 0 with 0 < E = |xi| < EPS_GUARD: cos 2theta = +-1
+    # makes every D_k summand vanish, where xi / EPS_GUARD would read cos 2theta ~ 0
+    mt = explicit_modes([(1, 0, 0), (-1, 0, 0)], xi_override=[xi, xi])
+    sol = solve_new_gap(mt, TINY_KERNEL)
+    assert sol.dsum == 0.0
+    dk, dsum = dk_weights(mt, TINY_KERNEL, sol.delta)
+    assert np.all(dk == 0.0) and dsum == 0.0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "xi": [xi, xi]},
+        "kernel": {"matrix": TINY_KERNEL.u.tolist()},
+    }))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert {c["name"]: c["deviation"] for c in checks}["new_overlap_identity"] <= 1e-10
+
+
 def _sweep_table(name):
     """(mode table, shell) of the benchmark's gap-sweep tables."""
     if name == "ac10":
@@ -298,6 +323,8 @@ def _literal_cases():
         # xi = 0 at the origin, which the all-mode kernel couples
         ("coupled xi=0", zero, separable_kernel(zero, 4.0), {}),
         ("max_iter", pair, Kernel(u=[[0.0, -4.0], [-4.0, 0.0]]), {"max_iter": 3}),
+        # the corrected iterate collapses to 0 < E < EPS_GUARD: cos 2theta = xi/E, not xi/EPS_GUARD
+        ("tiny xi", explicit_modes(pair.nvecs, xi_override=[1e-300, 1e-300]), TINY_KERNEL, {}),
     ]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
@@ -325,6 +352,8 @@ def test_solve_matches_literal_loop_bit_for_bit(label, mt, kernel, settings):
             assert ref["clamped"]
         elif label == "max_iter":
             assert ref["iterations"] == 3 and not ref["converged"]
+        elif label == "tiny xi" and corrected:
+            assert np.all((0.0 < ref["energy"]) & (ref["energy"] < EPS_GUARD))
 
 
 @pytest.mark.parametrize("label, mt, kernel, settings", _literal_cases())
