@@ -13,8 +13,8 @@ of g_r - g_c (`diagonal_commutator_norm`, which ends in the one row sum of
 every infinity norm of a pass, as `op_norm_inf` does; the CAR rows sum the
 moduli of dense mask forms in `fock.car_deviation`), and the two SSB rows form
 [G, B_k] state on vectors from the same g.  All five also count the
-largest entry of G - diag(Re g), so a G that is not a real diagonal fails
-them.
+largest entry of G - diag(g), so a G that is not diagonal fails them; G
+is real, as every `XorOp` is.
 The rotation exp(i G_B) = exp(K) is exact as well: K conserves every pair
 difference d_k, so `PairSectors` exponentiates it block by block over the
 3^M pair sectors, and the rows that read exp(K) rotate one sector block,
@@ -347,10 +347,10 @@ def _solution_metadata(sol) -> dict:
 # from the instance; the operator entries of `OperatorBundle` come first
 _BUILD = {
     **OperatorBundle._BUILD,
-    # G commutes, conjugates and forms [G, B_k] on vectors only as its real
+    # G commutes, conjugates and forms [G, B_k] on vectors only as its
     # diagonal g; any other entry of it counts in all five charge rows, as the
     # leak term of `hm_spectrum_check` does
-    "g": lambda s: s.G.diagonal().real,
+    "g": lambda s: s.G.diagonal(),
     "g_leak": lambda s: _diagonal_leak(s.G, s.g),
     "sol": lambda s: solve_gap(s.mt, s.kernel, **s.solver),
     "new_sol": lambda s: solve_new_gap(s.mt, s.kernel, **s.solver),

@@ -1,4 +1,4 @@
-"""Occupation-number basis and fermionic operator algebra on C^(2^(2M)).
+"""Occupation-number basis and fermionic operator algebra on C^(2^(2M)), all of it real.
 
 Basis encoding: a basis state is an unsigned integer of 2M bits, bit j
 holding the occupation of spin-orbital j.  Bit 0 is the first spin-orbital
@@ -9,8 +9,10 @@ Fermionic signs are (-1)^(number of occupied orbitals below j) and are
 computed in exact integer arithmetic; floating point only enters through
 amplitudes.  Operators are `XorOp`s, sums of XOR-mask diagonals stored as
 the rows and values of each mask, and states 1-d numpy arrays, both real
-(float64); no complex operator is formed: the number-phase rotation enters
-through `diagonal_commutator_norm` as entry-wise factors.  Every row index
+(float64).  An `XorOp` holds float64 entries and nothing else: complex
+entries, a complex scalar multiple or a complex vector raise TypeError
+instead of being cast.  The number-phase rotation enters through
+`diagonal_commutator_norm` as entry-wise factors.  Every row index
 is int32: `ladder_matrix` (and `PairSectors`, through the same
 `check_index_width`) raises ResourceLimitError above dimension 2^31 - 1, so
 M <= 15, and every product, sum and adjoint built from the ladders keeps
@@ -77,7 +79,7 @@ def check_index_width(dim: int) -> None:
 # ---------------------------------------------------------------------------
 # the operator type
 #
-# Every operator A on C^(2^n) is sum_m diag(a_m) P_m, where P_m maps basis
+# Every operator A on R^(2^n) is sum_m diag(a_m) P_m, where P_m maps basis
 # index s to s ^ m and a_m[r] = A[r, r ^ m].  A ladder, B_k, B*_k and v_k
 # have one mask each, h_k, G and T one (mask 0), a gamma two and H a few
 # dozen at most, so an `XorOp` keeps, for each mask, the rows where a_m is
@@ -103,27 +105,14 @@ def _from_dense(dense: np.ndarray) -> tuple:
 
 def _accumulate(rows: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
     """The vector whose entry r adds the vals at r one by one, in the order given, from 0.0."""
-    if not np.iscomplexobj(vals):
-        return np.bincount(rows, weights=vals, minlength=dim)
-    # complex addition adds the real and the imaginary parts apart
-    out = np.empty(dim, dtype=vals.dtype)
-    out.real = np.bincount(rows, weights=vals.real, minlength=dim)
-    out.imag = np.bincount(rows, weights=vals.imag, minlength=dim)
-    return out
+    return np.bincount(rows, weights=vals, minlength=dim)
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b entry by entry; a complex product as (ac - bd) + (ad + bc)i, each part rounded on its own.
-
-    numpy's complex loops may fuse a multiply and an add, which rounds once
-    instead of twice; formed apart, each part rounds twice wherever it runs.
-    """
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        return a * b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b, np.complex64))
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _real(x, what: str):
+    """`x`, unless it holds complex data, which an `XorOp` never takes: TypeError then."""
+    if np.iscomplexobj(x):
+        raise TypeError(f"an XorOp is real, got {what} of dtype {np.asarray(x).dtype}")
+    return x
 
 
 def _sorted_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_bits: int) -> tuple:
@@ -156,25 +145,26 @@ def _add_parts(parts: list, dim: int) -> tuple:
 
 
 class XorOp:
-    """A square operator on C^dim, dim = 2^n, stored as its nonzero XOR-mask entries.
+    """A real square operator on R^dim, dim = 2^n, stored as its nonzero XOR-mask entries.
 
     `terms` maps each mask m, in ascending order, to (rows, vals): the int32
     rows r, ascending, where a_m[r] = A[r, r ^ m] is nonzero, and those
-    values; a mask that stores nothing is dropped.  An `XorOp` is never
-    changed after it is made: its arrays are read-only, and results may share
-    them.  It offers `A @ x` and `x @ A` (= A^T x) with a vector, `A @ B`,
-    `+`, `-` and a scalar multiple, `adjoint`, `diagonal`, `entries` and
-    `shape`; `op_norm_inf` gives its infinity norm.
+    float64 values; a mask that stores nothing is dropped.  An `XorOp` is
+    never changed after it is made: its arrays are read-only, and results may
+    share them.  It offers `A @ x` and `x @ A` (= A^T x) with a vector,
+    `A @ B`, `+`, `-` and a scalar multiple, `adjoint`, `diagonal`, `entries`
+    and `shape`; `op_norm_inf` gives its infinity norm.  Complex entries, a
+    complex scalar multiple and a complex vector raise TypeError.
     """
 
     __array_ufunc__ = None  # a numpy scalar or array leaves `*` and `@` to this type
+    dtype = np.dtype(np.float64)
 
-    def __init__(self, dim: int, terms: dict | None = None, dtype=np.float64):
+    def __init__(self, dim: int, terms: dict | None = None):
         self.dim = dim
         self.terms = {m: t for m, t in sorted(terms.items()) if t[0].size} if terms else {}
         for rows, vals in self.terms.values():
             rows.flags.writeable = vals.flags.writeable = False
-        self.dtype = np.result_type(dtype, *(v for _, v in self.terms.values()))
         self._by_row = None  # the entries in row order, kept once formed for two or more masks
 
     @classmethod
@@ -182,22 +172,23 @@ class XorOp:
         """The operator of the entries (rows[i], cols[i], vals[i]), duplicates summed in the order given.
 
         `shape` must be square with dimension a power of two; ValueError otherwise.
+        Complex values raise TypeError.
         """
         shape = tuple(shape)
         dim = shape[0] if shape else 0
         if len(shape) != 2 or shape[1] != dim or dim < 1 or dim & (dim - 1):
             raise ValueError(f"an XOR-mask operator needs a square shape of dimension 2^n, got shape {shape}")
         check_index_width(dim)
-        rows, cols, vals = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64), np.asarray(vals)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(_real(vals, "entries"), dtype=np.float64)
         if rows.size and not (0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < dim):
             raise ValueError(f"entry index out of range for shape {shape}")
-        dtype = np.result_type(vals.dtype, np.float64)
         masks = rows ^ cols
         terms = {}
         for m in np.flatnonzero(np.bincount(masks, minlength=1)).tolist():
             sel = masks == m
-            terms[m] = _from_dense(_accumulate(rows[sel], vals[sel].astype(dtype), dim))
-        return cls(dim, terms, dtype)
+            terms[m] = _from_dense(_accumulate(rows[sel], vals[sel], dim))
+        return cls(dim, terms)
 
     @property
     def shape(self) -> tuple:
@@ -205,7 +196,7 @@ class XorOp:
 
     def _dense(self, m: int) -> np.ndarray:
         """a_m as a vector of length dim, zero where no entry is stored."""
-        out = np.zeros(self.dim, dtype=self.dtype)
+        out = np.zeros(self.dim)
         if m in self.terms:
             rows, vals = self.terms[m]
             out[rows] = vals
@@ -220,9 +211,9 @@ class XorOp:
         if len(parts) == 1:
             return parts[0]
         if not parts:
-            return np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, self.dtype)
+            return np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0)
         rows, cols, vals = zip(*parts)
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, dtype=self.dtype)
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
     def _row_entries(self) -> tuple:
         """(rows, cols, vals) row by row, each row by ascending column."""
@@ -237,13 +228,13 @@ class XorOp:
         return self._dense(0)
 
     def adjoint(self) -> XorOp:
-        """A*: a*_m[r] = conj(a_m[r ^ m])."""
+        """A* = A^T: a*_m[r] = a_m[r ^ m]."""
         out = {}
         for m, (rows, vals) in self.terms.items():
-            dense = np.zeros(self.dim, dtype=vals.dtype)
-            dense[rows ^ np.int32(m)] = vals.conj()
+            dense = np.zeros(self.dim)
+            dense[rows ^ np.int32(m)] = vals
             out[m] = _from_dense(dense)
-        return XorOp(self.dim, out, self.dtype)
+        return XorOp(self.dim, out)
 
     def _combine(self, other, sign: float) -> XorOp:
         """self + other (sign 1) or self - other (sign -1), entry by entry; zero sums are dropped."""
@@ -255,8 +246,7 @@ class XorOp:
         groups = {m: [part] for m, part in self.terms.items()}
         for m, (rows, vals) in other.terms.items():
             groups.setdefault(m, []).append((rows, vals if sign > 0 else -vals))
-        terms = {m: _add_parts(parts, self.dim) for m, parts in groups.items()}
-        return XorOp(self.dim, terms, np.result_type(self.dtype, other.dtype))
+        return XorOp(self.dim, {m: _add_parts(parts, self.dim) for m, parts in groups.items()})
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -267,8 +257,8 @@ class XorOp:
     def __mul__(self, scalar):
         if isinstance(scalar, XorOp) or np.ndim(scalar) != 0:
             return NotImplemented
-        terms = {m: _compress(rows, vals * scalar) for m, (rows, vals) in self.terms.items()}
-        return XorOp(self.dim, terms, np.result_type(self.dtype, scalar))
+        scalar = _real(scalar, "a scalar")
+        return XorOp(self.dim, {m: _compress(rows, vals * scalar) for m, (rows, vals) in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -293,7 +283,7 @@ class XorOp:
         rows, cols, vals = self._row_entries() if len(self.terms) > 2 else self.entries()
         if transpose:
             rows, cols = cols, rows
-        return _accumulate(rows, _times(vals, x.take(cols)), self.dim)
+        return _accumulate(rows, vals * _real(x, "a vector").take(cols), self.dim)
 
     def _product(self, other: XorOp) -> XorOp:
         """A B, mask by mask: (AB)[r, r ^ m ^ k] gains a_m[r] b_k[r ^ m] over inner index r ^ m."""
@@ -308,9 +298,8 @@ class XorOp:
                 hit = stored.take(inner)
                 if not hit.all():
                     rows, vals, inner = rows[hit], vals[hit], inner[hit]
-                groups.setdefault(m ^ k, []).append(_compress(rows, inner, _times(vals, b.take(inner))))
-        terms = {x: _add_parts(parts, self.dim) for x, parts in groups.items()}
-        return XorOp(self.dim, terms, np.result_type(self.dtype, other.dtype))
+                groups.setdefault(m ^ k, []).append(_compress(rows, inner, vals * b.take(inner)))
+        return XorOp(self.dim, {x: _add_parts(parts, self.dim) for x, parts in groups.items()})
 
 
 def ladder_matrix(j: int, n_modes: int) -> XorOp:
@@ -398,7 +387,7 @@ def car_deviation(ann: list) -> float:
     the row sums of {a_j', a*_j} are the column sums of its adjoint
     {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
     Every operator is read once into its dense mask form, a*_j' is the form
-    conj(a_m[r ^ m]) of a_j', and both anticommutators of a pair read one
+    a_m[r ^ m] of the real a_j', and both anticommutators of a pair read one
     shifted copy a_m[r ^ k] of a_j.  The operators must share one dimension;
     ValueError otherwise.
     """
@@ -411,7 +400,7 @@ def car_deviation(ann: list) -> float:
     worst = 0.0
     for jp, b in enumerate(forms):
         b_shift = {k: idx ^ k for k in b}
-        cre = {k: np.conj(bk.take(b_shift[k])) for k, bk in b.items()}
+        cre = {k: bk.take(b_shift[k]) for k, bk in b.items()}
         for j in range(jp + 1):
             a_shift = {m: idx ^ m for m in forms[j]}
             moved = {(m, k): am.take(b_shift[k]) for m, am in forms[j].items() for k in b}
@@ -469,10 +458,10 @@ def vacuum_state(n_modes: int) -> np.ndarray:
     return basis_state(0, n_modes)
 
 
-def expectation(phi: np.ndarray, a, psi: np.ndarray) -> float | complex:
-    """Inner product (phi, A psi), antilinear in the first argument; real for real arguments."""
+def expectation(phi: np.ndarray, a, psi: np.ndarray) -> float:
+    """Inner product (phi, A psi) of real vectors; TypeError for a complex one."""
     if a.shape[1] != psi.shape[0] or a.shape[0] != phi.shape[0]:
         raise ValueError(
             f"dimension mismatch: operator {a.shape}, bra {phi.shape}, ket {psi.shape}"
         )
-    return np.vdot(phi, a @ psi)
+    return float(np.vdot(_real(phi, "a bra"), a @ psi))

@@ -104,9 +104,7 @@ def build_GB(ops: OperatorBundle, gap: GapTable) -> XorOp:
     gap.validate(mt)
     k = XorOp(mt.dim)
     for i in range(mt.n_modes):
-        t = gap.theta[i]
-        if t != 0.0:
-            k = k + t * (ops.Bd[i] - ops.B[i])
+        k = k + gap.theta[i] * (ops.Bd[i] - ops.B[i])
     return k
 
 
@@ -124,12 +122,8 @@ def build_HM(ops: OperatorBundle, gap: GapTable, w: np.ndarray) -> XorOp:
         raise ValidationError(f"expectation table has {w.size} entries for {mt.n_modes} modes")
     hm = ops.T
     for i in range(mt.n_modes):
-        if gap.delta[i] != 0.0:
-            hm = hm - gap.delta[i] * ops.v[i]
-    offset = float(np.dot(gap.delta, w))
-    if offset != 0.0:
-        hm = hm + offset * ops.I
-    return hm
+        hm = hm - gap.delta[i] * ops.v[i]
+    return hm + float(np.dot(gap.delta, w)) * ops.I
 
 
 def build_Hprime(ops: OperatorBundle, gap: GapTable) -> XorOp:
@@ -148,6 +142,4 @@ def build_Hprime(ops: OperatorBundle, gap: GapTable) -> XorOp:
         hp = hp + u * (ops.Bd[kp] @ ops.B[k])
         hp = hp - (u * cs[kp]) * ops.v[k]
         const += u * cs[k] * cs[kp]
-    if const != 0.0:
-        hp = hp + const * ops.I
-    return hp
+    return hp + const * ops.I

@@ -107,7 +107,7 @@ def _xi_formula(nvecs, L: float, mu: float, hbar: float, mass: float) -> list:
     rejects it.
     """
     s = TWO_PI / L
-    return [hbar * hbar * (sum(c * c for c in n) * s * s) / (2.0 * mass) - mu for n in nvecs]
+    return [hbar * hbar * (sum(float(c) * float(c) for c in n) * s * s) / (2.0 * mass) - mu for n in nvecs]
 
 
 def _pair_map(nvecs) -> np.ndarray:

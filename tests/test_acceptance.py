@@ -83,14 +83,14 @@ def test_ac2_number_symmetry_covariance():
     mt, kernel = three_mode_instance()
     bundle = OperatorBundle(mt, kernel)
     # exp(-iaG) A exp(iaG) is the series conjugation by the anti-selfadjoint K = iG
-    igen = 1j * bundle.G
+    igen = 1j * to_csr(bundle.G)
     worst_c = 0.0
     worst_h = 0.0
     for alpha in (0.3, 1.0, math.pi):
         for j in range(mt.n_orbitals):
             c = ladder_matrix(j, mt.n_modes)
             rotated = conjugate_series(c, igen, alpha, tol=1e-12)
-            worst_c = max(worst_c, csr_norm(rotated - to_csr(np.exp(1j * alpha) * c)))
+            worst_c = max(worst_c, csr_norm(rotated - np.exp(1j * alpha) * to_csr(c)))
         worst_h = max(
             worst_h, csr_norm(conjugate_series(bundle.H, igen, alpha, tol=1e-12) - to_csr(bundle.H))
         )

@@ -375,17 +375,18 @@ def test_seed_option_only_on_the_commands_that_read_it(pair_config, capsys, comm
     assert "--seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify", "solve-gap"])
+@pytest.mark.parametrize("command", ["verify", "solve-gap", "lattice"])
 @pytest.mark.parametrize(
     "fields",
     [
         {"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]], "L": 1e-300}},
         {"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]]}, "physics": {"hbar": 1e200}},
         {"lattice": {"modes": [[1, 0, 0], [-1, 0, 0]]}, "physics": {"m": 1e-320}},
+        {"lattice": {"modes": [[1e300, 0, 0], [-1e300, 0, 0]]}},
     ],
 )
 def test_overflowing_xi_is_config_error(tmp_path, capsys, command, fields):
-    """Finite L, m or hbar whose xi = hbar^2 |k|^2/(2m) - mu overflows exits 2 before any solve."""
+    """Finite L, m, hbar or wave vector whose xi = hbar^2 |k|^2/(2m) - mu overflows exits 2 before any solve."""
     cfg = write_config(tmp_path, "overflow.json", {**PAIR_CONFIG, **fields})
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
