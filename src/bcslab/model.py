@@ -12,6 +12,7 @@ hbar = 1 and 2m = 1, i.e. xi = |k|^2 - mu in desk units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,7 @@ class ModeTable:
         for i, j in enumerate(pair):
             if not (math.isfinite(xi[i]) and xi[i] == xi[j]):
                 raise ValidationError(
-                    f"xi must be finite and even in k: xi(k)={xi[i]}, xi(-k)={xi[j]} at k={nvecs[i]}"
+                    f"xi must be finite and even in k: xi(k)={xi[i]}, xi(-k)={xi[j]} at k={_kstr(nvecs[i])}"
                 )
         object.__setattr__(self, "nvecs", nvecs)
         object.__setattr__(self, "xi", xi)
@@ -100,6 +101,15 @@ class Kernel:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
 
 
+def _kstr(n) -> str:
+    """Wave vector n for a message, each component as %.6g, so 1e300 prints as 1e+300."""
+    if any(abs(c) > sys.float_info.max for c in n):
+        from decimal import Decimal  # a component past the float range (Python API only) has no float
+
+        n = [Decimal(c) for c in n]
+    return "(" + ", ".join(f"{c:.6g}" for c in n) + ")"
+
+
 def _xi_formula(nvecs, L: float, mu: float, hbar: float, mass: float) -> list:
     """hbar^2 |k|^2/(2m) - mu per triple, in Python floats.
 
@@ -117,7 +127,7 @@ def _pair_map(nvecs) -> np.ndarray:
         neg = (-n[0], -n[1], -n[2])
         j = index.get(neg)
         if j is None:
-            raise ValidationError(f"mode list not closed under negation: missing -k for k={n}")
+            raise ValidationError(f"mode list not closed under negation: missing -k for k={_kstr(n)}")
         pair[i] = j
     return pair
 
@@ -203,26 +213,19 @@ def validate_kernel(kernel: Kernel, mt: ModeTable) -> list:
         return [f"kernel shape {u.shape} does not match mode count {m}"]
     if not np.all(np.isfinite(u)):
         return ["kernel entries must be finite"]
+    ks = [_kstr(n) for n in mt.nvecs]
     for i in range(m):
         if u[i, i] != 0.0:
-            violations.append(f"nonzero diagonal at k={mt.nvecs[i]}: {u[i, i]}")
+            violations.append(f"nonzero diagonal at k={ks[i]}: {u[i, i]}")
     for i in range(m):
         for j in range(m):
             if u[i, j] > 0.0:
-                violations.append(
-                    f"positive entry at (k={mt.nvecs[i]}, k'={mt.nvecs[j]}): {u[i, j]}"
-                )
+                violations.append(f"positive entry at (k={ks[i]}, k'={ks[j]}): {u[i, j]}")
             if u[i, j] != u[j, i]:
-                violations.append(
-                    f"symmetry broken at (k={mt.nvecs[i]}, k'={mt.nvecs[j]}): "
-                    f"{u[i, j]} vs {u[j, i]}"
-                )
+                violations.append(f"symmetry broken at (k={ks[i]}, k'={ks[j]}): {u[i, j]} vs {u[j, i]}")
             pi, pj = mt.pair[i], mt.pair[j]
             if u[i, j] != u[pi, pj]:
-                violations.append(
-                    f"parity broken at (k={mt.nvecs[i]}, k'={mt.nvecs[j]}): "
-                    f"{u[i, j]} vs U(-k,-k')={u[pi, pj]}"
-                )
+                violations.append(f"parity broken at (k={ks[i]}, k'={ks[j]}): {u[i, j]} vs U(-k,-k')={u[pi, pj]}")
     return violations
 
 

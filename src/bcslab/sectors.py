@@ -29,12 +29,13 @@ SECTOR_CHUNK = 1 << 14
 class PairSectors:
     """The 3^M pair sectors of one mode table, and the dense routes over their blocks.
 
-    A sector with z modes at d_i = 0 holds 2^z states.  Sectors are numbered
-    by size class z, then by label, and the states of a sector are ordered
-    by index: `sector` and `pos` give each state's sector and its place
-    there, `order` lists the states sector by sector, and sector s starts at
-    order[offset[s]].  `z`, `first` and `count` give each sector's class and
-    each class's first sector and number of sectors.
+    A sector with z modes at d_i = 0 holds 2^z states.  One rule numbers
+    them: sector s is the rank of (z, label), where the label reads
+    d_0 + 1, ..., d_{M-1} + 1 as base-3 digits, and a sector's states follow
+    ascending index.  `sector` and `pos` give each state's sector and its
+    place there, `order` lists the states sector by sector, and sector s
+    starts at order[offset[s]].  `z`, `first` and `count` give each sector's
+    class and each class's first sector and number of sectors.
     """
 
     def __init__(self, mt: ModeTable):
@@ -48,25 +49,20 @@ class PairSectors:
             label = 3 * label + d + 1
             zeros += d == 0
         self.mt = mt
-        order = np.lexsort((label, zeros))
-        n_class = np.bincount(zeros, minlength=m + 1)
-        start = np.cumsum(n_class) - n_class  # first place in `order` of each class
-        self.count = n_class >> np.arange(m + 1)  # sectors per class
-        self.first = np.cumsum(self.count) - self.count  # first sector of each class
-        self.z = np.repeat(np.arange(m + 1), self.count)  # class of each sector
-        rank = np.empty_like(idx)
-        rank[order] = idx
-        within = rank - start[zeros]
+        # numbered by class z, then by label: each state's sector, and each sector's size 2^z
+        key, sector, size = np.unique(zeros * 3**m + label, return_inverse=True, return_counts=True)
+        order = np.argsort(sector, kind="stable")
+        self.offset = np.cumsum(size) - size
         # held per state for the whole pass, so at the width of the ladders' indices
         self.order = order.astype(np.int32)
-        self.sector = (self.first[zeros] + (within >> zeros)).astype(np.int32)
-        self.pos = (within & ((1 << zeros) - 1)).astype(np.int32)
-        local = np.arange(len(self.z)) - self.first[self.z]  # place of each sector in its class
-        self.offset = start[self.z] + (local << self.z)
-        # the blocks of every sector, class by class, as one flat array: class z
-        # fills [bounds[z], bounds[z + 1]) and sector s starts at base[s]
-        self.bounds = np.concatenate(([0], np.cumsum(self.count << 2 * np.arange(m + 1))))
-        self.base = self.bounds[self.z] + (local << 2 * self.z)
+        self.sector = sector.astype(np.int32)
+        self.pos = np.empty(mt.dim, dtype=np.int32)
+        self.pos[order] = idx - np.repeat(self.offset, size)
+        self.z = key // 3**m  # class of each sector
+        self.count = np.bincount(self.z, minlength=m + 1)  # sectors per class
+        self.first = np.cumsum(self.count) - self.count  # first sector of each class
+        # the blocks of every sector as one flat array: sector s fills [base[s], base[s + 1])
+        self.base = np.concatenate(([0], np.cumsum(size * size)))
 
     def blocks(self, op) -> tuple:
         """(diagonal sector blocks of `op`, largest |entry| of `op` coupling two sectors).
@@ -79,10 +75,11 @@ class PairSectors:
         inside = s == self.sector[col]
         leak = float(np.max(np.abs(val[~inside]), initial=0.0))
         # an entry coupling two sectors lands in one spare slot past the blocks
-        flat = np.where(inside, self.base[s] + (self.pos[row] << self.z[s]) + self.pos[col], self.bounds[-1])
-        buf = np.zeros(self.bounds[-1] + 1, dtype=val.dtype)
+        flat = np.where(inside, self.base[s] + (self.pos[row] << self.z[s]) + self.pos[col], self.base[-1])
+        buf = np.zeros(self.base[-1] + 1, dtype=val.dtype)
         buf[flat] = val
-        classes = enumerate(zip(self.bounds[:-1], self.bounds[1:]))
+        bounds = self.base[np.append(self.first, len(self.z))]  # class z fills [bounds[z], bounds[z + 1])
+        classes = enumerate(zip(bounds[:-1], bounds[1:]))
         return [buf[lo:hi].reshape(-1, 1 << z, 1 << z) for z, (lo, hi) in classes], leak
 
     def exponential(self, k) -> tuple:
@@ -129,15 +126,14 @@ class PairSectors:
         products, SECTOR_CHUNK entries at a time.
         """
         n_sec = len(self.z)
-        parts = []
-        for x in (op, closed):
-            row, col, val = x.entries()
-            s, t = self.sector[row], self.sector[col]
-            # grouped by the class of t, then by s, whose numbering follows its class
-            key = (self.z[t] * n_sec + s) * n_sec + t
-            ranked = np.argsort(key, kind="stable")
-            parts.append((key[ranked], self.pos[row[ranked]], self.pos[col[ranked]], val[ranked]))
-        pairs = np.union1d(parts[0][0], parts[1][0])
+        parts = [x.entries() for x in (op, closed)]
+        row, col, val = (np.concatenate(a) for a in zip(*parts))
+        tag = np.repeat([0, 1], [len(p[0]) for p in parts])  # 0 for an entry of A, 1 for one of Y
+        s, t = self.sector[row], self.sector[col]
+        # grouped by the class of t, then by s, whose numbering follows its class
+        pairs, which = np.unique((self.z[t] * n_sec + s) * n_sec + t, return_inverse=True)
+        ranked = np.argsort(which, kind="stable")
+        which, tag, r, c, val = which[ranked], tag[ranked], self.pos[row[ranked]], self.pos[col[ranked]], val[ranked]
         s, t = pairs // n_sec % n_sec, pairs % n_sec
         shape = self.z[s] * len(self.count) + self.z[t]
         sums = np.zeros(self.mt.dim)
@@ -153,12 +149,9 @@ class PairSectors:
                     right = right.transpose(0, 2, 1)
                 else:
                     left = left.transpose(0, 2, 1)
-                blocks = []
-                for key, r, c, v in parts:
-                    i, j = np.searchsorted(key, pairs[a]), np.searchsorted(key, pairs[b - 1], side="right")
-                    x = np.zeros((b - a, 1 << zs, 1 << zt), dtype=v.dtype)
-                    x[np.searchsorted(pairs[a:b], key[i:j]), r[i:j], c[i:j]] = v[i:j]
-                    blocks.append(x)
-                diff = np.abs(left @ blocks[0] @ right - blocks[1]).sum(axis=2)
+                i, j = np.searchsorted(which, (a, b))
+                x = np.zeros((2, b - a, 1 << zs, 1 << zt))  # the blocks of A and of Y
+                x[tag[i:j], which[i:j] - a, r[i:j], c[i:j]] = val[i:j]
+                diff = np.abs(left @ x[0] @ right - x[1]).sum(axis=2)
                 np.add.at(sums, self.offset[s[a:b]][:, None] + np.arange(1 << zs), diff)
         return float(sums.max(initial=0.0))

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -300,10 +301,34 @@ def test_sector_exponential_runs_are_exact_at_any_chunk(monkeypatch):
     expk, _ = sectors.exponential(k)
     a = bundle.mt.xi[0] * bundle.h[0] - angles.delta[0] * bundle.v[0]
     dev = sectors.conjugation_deviation(expk, a, bundle.h[0])
+    # each ladder maps a sector to another, so its block pairs lie off the diagonal
+    gammas = quasi_ops(bundle, angles)
+    ladder = [sectors.conjugation_deviation(expk, c, g, inverse=True) for c, g in zip(bundle.C, gammas)]
     monkeypatch.setattr(sector_module, "SECTOR_CHUNK", 1)  # one block per batched call
     for one, chunked in zip(sectors.exponential(k)[0], expk):
         assert np.array_equal(one, chunked)
     assert sectors.conjugation_deviation(expk, a, bundle.h[0]) == dev
+    assert [sectors.conjugation_deviation(expk, c, g, inverse=True) for c, g in zip(bundle.C, gammas)] == ladder
+
+
+@pytest.mark.parametrize("name", ["three_mode", "ac10", "six_mode"])
+def test_sector_numbering_follows_the_occupation_bits(name):
+    # sector s is the rank of (number of d_i = 0, base-3 label of d + 1), states in a sector count up by
+    # index, and z is log2 of the sector's size, each read literally from the bits of every state
+    mt = load_config(str(GOLDEN / name / "config.json")).mt
+    sectors = PairSectors(mt)
+    keys = []
+    for j in range(mt.dim):
+        d = [(j >> 2 * i & 1) - (j >> 2 * mt.pair[i] + 1 & 1) for i in range(mt.n_modes)]
+        keys.append((d.count(0), int("".join(str(x + 1) for x in d), 3)))
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    assert sectors.sector.tolist() == [rank[key] for key in keys]
+    size, pos = dict.fromkeys(rank, 0), []
+    for key in keys:
+        pos.append(size[key])
+        size[key] += 1
+    assert sectors.pos.tolist() == pos
+    assert sectors.z.tolist() == [math.log2(size[key]) for key in sorted(rank)]
 
 
 def test_sector_exponential_rejects_a_k_that_is_not_real_antisymmetric(two_mode):

@@ -289,6 +289,13 @@ def test_verify_checks_filter(tmp_path, capsys, monkeypatch):
         ({}, {"BCSLAB_DIM_CAP": "-1"}, "BCSLAB_DIM_CAP must be at least 1, got '-1'"),
         ({"checks": []}, {}, "checks"),
         ({"output": {"formats": [], "dir": "out"}}, {}, "output.formats"),
+        # a huge wave vector prints each component as %.6g, not as its exact integer of up to 309 digits
+        ({"lattice": {"modes": [[10**159, 0, 0]]}, "kernel": {"matrix": [[0]]}}, {}, "missing -k for k=(1e+159, 0, 0)"),
+        (
+            {"lattice": {"modes": [[1e300, 0, 0], [-1e300, 0, 0]], "xi": [1, 1]}, "kernel": {"matrix": [[0, 1], [1, 0]]}},
+            {},
+            "positive entry at (k=(1e+300, 0, 0), k'=(-1e+300, 0, 0))",
+        ),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
@@ -298,6 +305,7 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, 
     assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+    assert err.count("\n") == 1 and len(err) <= 201  # one line of at most 200 characters
 
 
 def _solver(equation):
@@ -391,6 +399,7 @@ def test_overflowing_xi_is_config_error(tmp_path, capsys, command, fields):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "xi must be finite" in err
+    assert err.count("\n") == 1 and len(err) <= 201  # one line of at most 200 characters
 
 
 # every numeric field and section of the pair config, present or optional

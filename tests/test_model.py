@@ -112,6 +112,12 @@ def test_explicit_missing_negation_rejected():
         explicit_modes([(1, 0, 0)])
 
 
+def test_a_component_past_the_float_range_prints_short_in_a_mode_table_error():
+    # the Python API takes any int, and the message prints it to 6 digits, not in all 401
+    with pytest.raises(ValidationError, match=r"k=\(1\.00000e\+400, 0, 0\)$"):
+        ModeTable(nvecs=((10**400, 0, 0),), xi=[0.0], L=1.0)
+
+
 def test_explicit_duplicate_rejected():
     with pytest.raises(ValidationError):
         explicit_modes([(0, 0, 0), (0, 0, 0)])

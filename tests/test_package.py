@@ -68,7 +68,10 @@ def test_verify_writes_the_golden_reports_where_scipy_cannot_be_imported(tmp_pat
     code = (
         "import sys; sys.modules['scipy'] = None\n"
         "import bcslab.cli\n"
-        f"sys.exit(bcslab.cli.main(['verify', '--config', {str(golden / 'config.json')!r}, '--out', {str(out)!r}]))"
+        f"code = bcslab.cli.main(['verify', '--config', {str(golden / 'config.json')!r}, '--out', {str(out)!r}])\n"
+        # numpy.ma costs about 8 ms to import, and nothing in a pass needs it
+        "assert 'numpy.ma' not in sys.modules, 'a verify pass imported numpy.ma'\n"
+        "sys.exit(code)"
     )
     run = subprocess.run(
         [sys.executable, "-c", code],
