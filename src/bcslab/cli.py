@@ -42,6 +42,7 @@ from .model import (
     ModeTable,
     build_lambda,
     explicit_modes,
+    number_text,
     separable_kernel,
     validate_kernel,
 )
@@ -77,6 +78,7 @@ def _number(value, name: str, kind=float):
     """`value` as `kind` if it is a finite JSON number, else a config error naming the field.
 
     Booleans, strings, NaN and infinities are rejected; an int field takes integral values only.
+    A rejected integer, one past the float range, is shown through `number_text`.
     """
     try:
         ok = (
@@ -89,7 +91,8 @@ def _number(value, name: str, kind=float):
         ok = False
     if not ok:
         noun = "an integer" if kind is int else "a finite number"
-        raise ValidationError(f"{name} must be {noun}, got {value!r}")
+        shown = number_text(value) if isinstance(value, int) and not isinstance(value, bool) else repr(value)
+        raise ValidationError(f"{name} must be {noun}, got {shown}")
     return kind(value)
 
 

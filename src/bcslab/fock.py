@@ -19,9 +19,12 @@ M <= 15, and every product, sum and adjoint built from the ladders keeps
 that width.  There is no int64 route: at M = 16 one state vector alone
 takes 32 GiB.  Every infinity norm of an operator is one row sum,
 `_max_row_sum`, read by `op_norm_inf` and by `diagonal_commutator_norm`.
-The CAR check reads the operators it is given into dense mask vectors,
-indexed like the basis, and sums their moduli (see `car_deviation`).  No
-scipy module is imported.
+Above ROW_BLOCK rows it reads an operator of two or more masks in aligned
+blocks of ROW_BLOCK rows, each sorted on its own, and so does a matvec of
+more than two masks: no row-ordered copy of a whole operator is formed.  The CAR
+check reads the operators it is given into dense mask vectors indexed like
+the basis, above ROW_BLOCK rows one pair at a time, and sums their moduli
+(see `car_deviation`).  No scipy module is imported.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ DEFAULT_MODE_CAP = 7
 SELFADJOINT_TOL = 1e-12
 # largest dimension whose row indices fit int32; every M <= 15
 INT32_MAX = np.iinfo(np.int32).max
+# rows read at a time in row order (`XorOp._row_blocks`); a power of two, so an
+# aligned block of rows or of columns is one slice of every mask's rows
+ROW_BLOCK = 1 << 12
 
 
 def mode_cap() -> int:
@@ -121,15 +127,6 @@ def _sorted_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_bits
     return rows.take(order), cols.take(order), vals.take(order)
 
 
-def _max_row_sum(rows: np.ndarray, moduli: np.ndarray) -> float:
-    """Largest row sum of the nonnegative `moduli`, listed row by row; 0.0 for none.
-
-    Each row is added by np.add.reduceat in the order listed; rows that store nothing add 0.0.
-    """
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return float(np.max(np.add.reduceat(moduli, starts), initial=0.0)) if rows.size else 0.0
-
-
 def _add_parts(parts: list, dim: int) -> tuple:
     """(rows, vals) of one mask from its parts, each (rows, vals) or, in a product, (rows, inner, vals).
 
@@ -165,7 +162,7 @@ class XorOp:
         self.terms = {m: t for m, t in sorted(terms.items()) if t[0].size} if terms else {}
         for rows, vals in self.terms.values():
             rows.flags.writeable = vals.flags.writeable = False
-        self._by_row = None  # the entries in row order, kept once formed for two or more masks
+        self._by_row = None  # the entries in row order, kept once formed for one block of two or more masks
 
     @classmethod
     def from_entries(cls, rows, cols, vals, shape) -> XorOp:
@@ -196,11 +193,10 @@ class XorOp:
 
     def _dense(self, m: int) -> np.ndarray:
         """a_m as a vector of length dim, zero where no entry is stored."""
-        out = np.zeros(self.dim)
-        if m in self.terms:
-            rows, vals = self.terms[m]
-            out[rows] = vals
-        return out
+        if m not in self.terms:
+            return np.zeros(self.dim)
+        # each row is stored once, and never with a zero value, so 0.0 + v is v
+        return _accumulate(*self.terms[m], self.dim)
 
     def entries(self) -> tuple:
         """(rows, cols, vals) of every stored entry, mask by ascending mask, each mask by ascending row.
@@ -215,13 +211,43 @@ class XorOp:
         rows, cols, vals = zip(*parts)
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
-    def _row_entries(self) -> tuple:
-        """(rows, cols, vals) row by row, each row by ascending column."""
-        if len(self.terms) < 2:
-            return self.entries()
-        if self._by_row is None:
-            self._by_row = _sorted_entries(*self.entries(), self.dim.bit_length() - 1)
-        return self._by_row
+    def _row_blocks(self, transpose: bool = False):
+        """The entries, an aligned block of rows (of columns if `transpose`) at a time.
+
+        Yields (block, keys, others, vals) for each block: `block` is the slice
+        of rows (columns) it covers, `keys` the rows (columns) of its entries
+        and `others` their columns (rows), each key's entries by ascending
+        other, and without `transpose` row by row.  An operator of more than
+        ROW_BLOCK rows and two or more masks is read in blocks of ROW_BLOCK
+        keys, each sorted by key and then by other, so no row-ordered copy of
+        the whole operator is formed.  Any other is one block: as stored with
+        fewer than two masks, else row by row, kept once formed (it is no
+        larger than a block, and reading it again costs no sort).
+        """
+        n_bits = self.dim.bit_length() - 1
+        if len(self.terms) < 2 or self.dim <= ROW_BLOCK:
+            if len(self.terms) > 1 and self._by_row is None:
+                self._by_row = _sorted_entries(*self.entries(), n_bits)
+            rows, cols, vals = self.entries() if self._by_row is None else self._by_row
+            yield slice(0, self.dim), *((cols, rows, vals) if transpose else (rows, cols, vals))
+            return
+        # where each block of rows starts in each mask's rows; block b of
+        # columns is block b ^ (m // ROW_BLOCK) of rows, as ROW_BLOCK is a power of two
+        cuts = np.arange(0, self.dim + 1, ROW_BLOCK)
+        starts = [(m, rows, vals, rows.searchsorted(cuts).tolist()) for m, (rows, vals) in self.terms.items()]
+        for b in range(self.dim // ROW_BLOCK):
+            parts = []
+            for m, rows, vals, at in starts:
+                i = b ^ m // ROW_BLOCK if transpose else b
+                lo, hi = at[i], at[i + 1]
+                if lo < hi:
+                    r, v = rows[lo:hi], vals[lo:hi]
+                    parts.append((r ^ np.int32(m), r, v) if transpose else (r, r ^ np.int32(m), v))
+            if len(parts) > 1:
+                entries = _sorted_entries(*(np.concatenate(field) for field in zip(*parts)), n_bits)
+            else:
+                entries = parts[0] if parts else (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))
+            yield slice(b * ROW_BLOCK, (b + 1) * ROW_BLOCK), *entries
 
     def diagonal(self) -> np.ndarray:
         """The diagonal A[r, r] as a vector."""
@@ -278,12 +304,18 @@ class XorOp:
         """A x, or A^T x; each output entry adds its terms over ascending column (row for A^T) from 0.0."""
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: operator {self.shape}, vector {x.shape}")
-        # up to two entries per row add alike in either order; in row order each
-        # column's entries come by ascending row, which A^T x adds over
-        rows, cols, vals = self._row_entries() if len(self.terms) > 2 else self.entries()
-        if transpose:
-            rows, cols = cols, rows
-        return _accumulate(rows, vals * _real(x, "a vector").take(cols), self.dim)
+        x = _real(x, "a vector")
+        # up to two entries per row add alike in either order; a wider operator
+        # is read in row blocks, whose columns' entries also come by ascending row
+        if len(self.terms) <= 2:
+            rows, cols, vals = self.entries()
+            if transpose:
+                rows, cols = cols, rows
+            return _accumulate(rows, vals * x.take(cols), self.dim)
+        out = np.empty(self.dim)
+        for block, keys, others, vals in self._row_blocks(transpose):
+            out[block] = _accumulate(keys - block.start, vals * x.take(others), block.stop - block.start)
+        return out
 
     def _product(self, other: XorOp) -> XorOp:
         """A B, mask by mask: (AB)[r, r ^ m ^ k] gains a_m[r] b_k[r ^ m] over inner index r ^ m."""
@@ -331,10 +363,24 @@ def commutator(a, b) -> XorOp:
     return a @ b - b @ a
 
 
+def _max_row_sum(a: XorOp, moduli) -> float:
+    """Largest row sum of `a` over the nonnegative moduli(rows, cols, vals) of its entries; 0.0 for none.
+
+    Read a row block at a time; each row is added by np.add.reduceat over
+    ascending column, and rows that store nothing add 0.0.
+    """
+    worst = [0.0]
+    for _, rows, cols, vals in a._row_blocks():
+        if rows.size:
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            worst.append(np.max(np.add.reduceat(moduli(rows, cols, vals), starts)))
+    # np.max, not max: a NaN row sum must not lose to a finite one
+    return float(np.max(worst))
+
+
 def op_norm_inf(a: XorOp) -> float:
     """Operator infinity-norm (max absolute row sum) of an `XorOp`; each row adds over ascending column."""
-    rows, _, vals = a._row_entries()
-    return _max_row_sum(rows, np.abs(vals))
+    return _max_row_sum(a, lambda rows, cols, vals: np.abs(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -345,39 +391,77 @@ def op_norm_inf(a: XorOp) -> float:
 # (AB)_{m ^ k} = sum a_m * b_k[r ^ m], the row sums of A are sum_m |a_m| and
 # its column sums sum_m |a_m|[r ^ m].  A pair costs
 # O(masks(a) * masks(b) * 2^n): a ladder has one mask and a gamma two, so an
-# anticommutator is a few element-wise products of length 2^n.
+# anticommutator is a few element-wise products of length 2^n.  Above one
+# row block only the forms of the pair at hand are held, so the check's
+# memory does not grow with the number of operators.  Every other vector is
+# one of a few work vectors made once per check: a pair that made and freed
+# its own would let the allocator hand their pages back, only to fault them
+# in again for the next pair.  A gather into a work vector uses mode="clip",
+# which never clips here (every index is in range) but, unlike the default,
+# writes to `out` directly instead of through a staging copy.
 
 
-def _anticommutator(a: dict, b: dict, shift: dict, moved: dict) -> dict:
-    """Dense mask form of AB + BA from the forms of A and B.
+def _add_moduli(c: np.ndarray, x: int, sums: list, idx: np.ndarray, work: tuple) -> None:
+    """Add |c|, an operator's mask-x vector, to its row sums sums[0] and, gathered by r ^ x, its column sums sums[1].
 
-    `shift[m]` is the gather index r ^ m of every mask m of A, and `moved[m, k]`
-    is a_m[r ^ k] for every mask k of B.
+    A sum that is still None is set to the moduli instead, in a vector of
+    `work`.  A vector of zeros adds nothing: most anticommutators of a CAR
+    check vanish.
     """
-    out = {}
-    for m, am in a.items():
-        for k, bk in b.items():
-            term = am * bk.take(shift[m])
-            term += bk * moved[m, k]
-            if m ^ k in out:
-                out[m ^ k] += term
-            else:
-                out[m ^ k] = term
-    return out
+    if not c.any():
+        return
+    shift, moduli, moved, *totals = work
+    parts = [np.abs(c, moduli)]
+    if len(sums) > 1:
+        parts.append(moduli.take(np.bitwise_xor(idx, x, shift), out=moved, mode="clip"))
+    for i, part in enumerate(parts):
+        if sums[i] is None:
+            sums[i] = totals[i]
+            np.copyto(sums[i], part)
+        else:
+            sums[i] += part
 
 
-def _max_sums(c: dict, idx: np.ndarray | None = None) -> float:
-    """Largest absolute row sum of the operator of dense mask form `c`, and of its column sums if `idx` = arange(2^n).
+def _pair_sums(a: dict, b: dict, cre: dict, b_shift: dict, idx: np.ndarray, work: tuple, identity: bool) -> list:
+    """Row and column sums of |AB* + B*A - I| (I only with `identity`) and row sums of |AB + BA|.
 
-    A vector of zeros adds nothing and is skipped: most anticommutators of a CAR check vanish.
+    `a`, `b` and `cre` are the dense mask forms of A, B and B*, each mask k of
+    B* that of B, and `b_shift[k]` is the gather index r ^ k; a sum is None
+    where its operator is zero.  Each mask x of the two anticommutators is
+    formed in full, adding its mask pairs (m, k) with m ^ k = x in the order
+    of the loops over A and B, and then its moduli add to the sums, the masks
+    in the order they first appear.  A mask pair reads one shifted copy
+    a_m[r ^ k] of A, shared by both.  Every vector of length 2^n is one of
+    the vectors in `work`.
     """
-    moduli = [(m, np.abs(cm)) for m, cm in c.items() if cm.any()]
-    if not moduli:
-        return 0.0
-    worst = sum(v for _, v in moduli).max()
-    if idx is not None:
-        worst = np.maximum(worst, sum(v.take(idx ^ m) for m, v in moduli).max())
-    return float(worst)
+    shift, moved, term, tmp, mixed, same, *totals = work
+    groups = {}
+    for m in a:
+        for k in b:
+            groups.setdefault(m ^ k, []).append((m, k))
+    if identity:
+        groups.setdefault(0, [])
+    mixed_sums, same_sums = [None, None], [None]
+    for x, pairs in groups.items():
+        if not pairs:  # the identity's own mask
+            mixed.fill(0.0)
+            same.fill(0.0)
+        for i, (m, k) in enumerate(pairs):
+            am = a[m]
+            np.bitwise_xor(idx, m, shift)
+            am.take(b_shift[k], out=moved, mode="clip")
+            for out, ck in ((mixed, cre[k]), (same, b[k])):
+                # the first pair forms the mask in place, a later one adds to it
+                dest = term if i else out
+                np.multiply(am, ck.take(shift, out=dest, mode="clip"), dest)
+                dest += np.multiply(ck, moved, tmp)
+                if i:
+                    out += term
+        if identity and x == 0:
+            mixed -= 1.0
+        _add_moduli(mixed, x, mixed_sums, idx, (shift, term, tmp, *totals[:2]))
+        _add_moduli(same, x, same_sums, idx, (shift, term, tmp, totals[2]))
+    return mixed_sums + same_sums
 
 
 def car_deviation(ann: list) -> float:
@@ -386,30 +470,38 @@ def car_deviation(ann: list) -> float:
     Both families are formed for j <= j' only: {a_j, a_j'} is symmetric, and
     the row sums of {a_j', a*_j} are the column sums of its adjoint
     {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
-    Every operator is read once into its dense mask form, a*_j' is the form
-    a_m[r ^ m] of the real a_j', and both anticommutators of a pair read one
-    shifted copy a_m[r ^ k] of a_j.  The operators must share one dimension;
-    ValueError otherwise.
+    Above ROW_BLOCK rows only the pair (j, j') is held in dense mask form at
+    a time, and a*_j' is the form a_m[r ^ m] of the real a_j'.  Every other vector is formed in
+    work vectors made once, so a pair allocates only the forms of a_j.  The
+    operators must share one dimension; ValueError otherwise.
     """
     shapes = list(dict.fromkeys(a.shape for a in ann))
     if len(shapes) > 1:
         raise ValueError(f"CAR operators need one shape, got shapes {shapes}")
     idx = np.arange(shapes[0][0] if shapes else 1)
-    forms = [{m: a._dense(m) for m in a.terms} for a in ann]
-    ident = np.ones(idx.size)
+    work = (np.empty_like(idx), *(np.empty(idx.size) for _ in range(8)))
+    # below one row block every operator's forms are kept: there, making them
+    # again for each pair costs more than holding them
+    kept = {}
+
+    def forms(j: int) -> dict:
+        if j in kept:
+            return kept[j]
+        form = {m: ann[j]._dense(m) for m in ann[j].terms}
+        if idx.size <= ROW_BLOCK:
+            kept[j] = form
+        return form
+
     worst = 0.0
-    for jp, b in enumerate(forms):
+    for jp in range(len(ann)):
+        b = forms(jp)
         b_shift = {k: idx ^ k for k in b}
         cre = {k: bk.take(b_shift[k]) for k, bk in b.items()}
         for j in range(jp + 1):
-            a_shift = {m: idx ^ m for m in forms[j]}
-            moved = {(m, k): am.take(b_shift[k]) for m, am in forms[j].items() for k in b}
-            mixed = _anticommutator(forms[j], cre, a_shift, moved)
-            if j == jp:
-                mixed[0] = mixed.get(0, 0.0) - ident
-            same = _anticommutator(forms[j], b, a_shift, moved)
-            # np.max, not max: a NaN deviation must not lose to a finite one
-            worst = np.max([worst, _max_sums(mixed, idx), _max_sums(same)])
+            a = b if j == jp else forms(j)
+            sums = _pair_sums(a, b, cre, b_shift, idx, work, j == jp)
+            # np.max, not max: a NaN sum must not lose to a finite one
+            worst = np.max([worst, *(s.max() for s in sums if s is not None)])
     return float(worst)
 
 
@@ -436,8 +528,7 @@ def diagonal_commutator_norm(a: XorOp, g, f=lambda q: q) -> float:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or a.shape != (g.size, g.size):
         raise ValueError(f"dimension mismatch: operator {a.shape}, diagonal {g.shape}")
-    rows, cols, vals = a._row_entries()
-    return _max_row_sum(rows, np.abs(vals * f(g.take(rows) - g.take(cols))))
+    return _max_row_sum(a, lambda rows, cols, vals: np.abs(vals * f(g.take(rows) - g.take(cols))))
 
 
 # ---------------------------------------------------------------------------

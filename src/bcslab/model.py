@@ -101,13 +101,18 @@ class Kernel:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
 
 
-def _kstr(n) -> str:
-    """Wave vector n for a message, each component as %.6g, so 1e300 prints as 1e+300."""
-    if any(abs(c) > sys.float_info.max for c in n):
-        from decimal import Decimal  # a component past the float range (Python API only) has no float
+def number_text(x) -> str:
+    """A number for a message as %.6g, so 1e300 prints as 1e+300 and 10**400 as 1e+400."""
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        from decimal import Decimal  # an integer past the float range has no float
 
-        n = [Decimal(c) for c in n]
-    return "(" + ", ".join(f"{c:.6g}" for c in n) + ")"
+        x = Decimal(x)
+    return f"{x:.6g}"
+
+
+def _kstr(n) -> str:
+    """Wave vector n for a message, each component through `number_text`."""
+    return "(" + ", ".join(number_text(c) for c in n) + ")"
 
 
 def _xi_formula(nvecs, L: float, mu: float, hbar: float, mass: float) -> list:
@@ -166,7 +171,7 @@ def build_lambda(
     at_least = (2 * math.floor(nmax / math.sqrt(3)) + 1) ** 3
     if at_least > cap:
         raise ResourceLimitError(
-            f"L={L} and kmax={kmax} give M>={at_least} modes, beyond the cap M<={cap} "
+            f"L={L} and kmax={kmax} give M>={number_text(at_least)} modes, beyond the cap M<={cap} "
             "(set BCSLAB_DIM_CAP to override)"
         )
     scale = TWO_PI / L

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -688,7 +689,7 @@ def test_run_verification_skips_d_checks_when_d_undefined():
 
 
 def test_run_verification_peak_memory_on_the_seven_mode_lattice():
-    """The M = 7 golden pass allocates at most 17 MiB at its peak.
+    """The M = 7 golden pass allocates at most 12 MiB at its peak.
 
     With int64 sparse indices it peaks near 37.5 MiB. int32 indices bring it
     near 26 MiB, and releasing each large operator after its last reader near
@@ -703,7 +704,11 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     the peak into the gamma CAR rows, whose 28 mask vectors hold 3.5 MiB:
     15.53 MiB. With every operator an `XorOp`, no sum keeps spare room for
     its addends (H - H_M and T did as scipy CSR arrays), and the peak, still
-    in the gamma CAR rows, is 14.58 MiB.
+    in the gamma CAR rows, is 14.58 MiB (13.60 MiB once every row-ordered read
+    of an operator kept its sorted copy). A CAR check that holds the dense
+    forms of one operator pair at a time, and row-ordered reads of aligned
+    row blocks in place of a sorted copy of the whole operator, bring it to
+    9.34 MiB, now in `PairSectors.conjugation_deviation` for the meanfield_conjugation row.
     """
     cfg = load_config(str(Path(__file__).parent / "golden" / "seven_mode" / "config.json"))
     tracemalloc.start()
@@ -713,7 +718,28 @@ def test_run_verification_peak_memory_on_the_seven_mode_lattice():
     finally:
         tracemalloc.stop()
     assert report.all_passed
-    assert peak < 17 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_gamma_car_on_the_seven_mode_golden_holds_one_operator_pair():
+    """The gamma CAR row of the M = 7 golden, bit for bit, allocating at most 3 MiB.
+
+    Its 14 gammas hold 28 mask vectors of 128 KiB; with every dense form made
+    up front the check allocated 6.38 MiB, and with the forms of one pair
+    (j, j') at a time and its other vectors in work vectors made once, 2.63 MiB.
+    """
+    cfg = load_config(str(GOLDEN / "seven_mode" / "config.json"))
+    quasi = analysis.Instance(cfg.mt, cfg.kernel, {**cfg.solver, "tol": min(cfg.tol, 1e-12)}).quasi
+    rows = json.loads((GOLDEN / "seven_mode" / "report.json").read_text())["checks"]
+    golden = next(row["brute_value"] for row in rows if row["name"] == "gamma_car")
+    tracemalloc.start()
+    try:
+        dev = fock.car_deviation(quasi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dev == golden
+    assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_run_verification_peak_memory_on_the_six_mode_golden():

@@ -296,6 +296,12 @@ def test_verify_checks_filter(tmp_path, capsys, monkeypatch):
             {},
             "positive entry at (k=(1e+300, 0, 0), k'=(-1e+300, 0, 0))",
         ),
+        # an integer past the float range prints as %.6g, not in all its 401 digits
+        (
+            {"lattice": {"modes": [[10**400, 0, 0], [-10**400, 0, 0]]}},
+            {},
+            "lattice.modes must be an integer, got 1.00000e+400",
+        ),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, fields, env, named):
@@ -704,6 +710,14 @@ def test_report_prints_the_iterations_of_its_report(tmp_path, capsys):
     printed = re.findall(r"^equation=(\w+) .* iterations=(\d+) ", capsys.readouterr().out, re.M)
     metadata = json.loads((tmp_path / "report.json").read_text())["metadata"]
     assert printed == [(eq, str(metadata[eq]["iterations"])) for eq in ("classic", "new")]
+
+
+def test_lattice_bound_past_the_float_range_prints_short(capsys):
+    """At L = 1e300 the lower bound on M has 898 digits: the exit-3 line prints it as %.6g."""
+    assert main(["lattice", "--L", "1e300", "--kmax", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource/convergence error:") and "M>=6.20681e+897 modes" in err
+    assert err.count("\n") == 1 and len(err) <= 201  # one line of at most 200 characters
 
 
 def test_lattice_too_large_for_the_cap_exits_promptly(tmp_path):

@@ -8,6 +8,7 @@ from scipy.sparse import coo_array, csr_array, diags_array, eye_array, identity,
 
 from bcslab.errors import ResourceLimitError
 from bcslab.fock import (
+    ROW_BLOCK,
     XorOp,
     anticommutator_check,
     basis_state,
@@ -193,6 +194,49 @@ def test_xor_op_matvec_and_norm_are_bit_identical_to_csr(dim, nan):
     np.testing.assert_array_equal(x @ op, csr_array(a.T) @ x, strict=True)
     np.testing.assert_array_equal(op_norm_inf(op.adjoint()), csr_norm(csr_adjoint(a)), strict=True)
     np.testing.assert_array_equal(op_norm_inf(op), csr_norm(a), strict=True)
+
+
+def _random_masks(dim, rng, nan):
+    """(scipy CSR, XorOp) of a random real operator on up to eight XOR masks, each at about 70% of its rows.
+
+    Built from its entries, never as a dense matrix, so it reaches dimensions
+    past ROW_BLOCK; with `nan`, one entry is NaN.
+    """
+    masks = rng.choice(dim, size=min(dim, 8), replace=False)
+    rows = []
+    for _ in masks:
+        keep = rng.random(dim) < 0.7
+        keep[rng.integers(dim)] = True
+        rows.append(np.flatnonzero(keep))
+    cols = np.concatenate([r ^ m for r, m in zip(rows, masks)])
+    rows = np.concatenate(rows)
+    vals = rng.standard_normal(rows.size)
+    if nan:
+        vals[rng.integers(vals.size)] = np.nan
+    op = XorOp.from_entries(rows, cols, vals, (dim, dim))
+    a = to_csr(op)
+    a.sort_indices()
+    assert len(op.terms) == min(dim, 8)
+    return a, op
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 64, ROW_BLOCK, 2 * ROW_BLOCK, 4 * ROW_BLOCK])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+def test_row_block_reads_are_bit_identical_to_csr(dim, nan):
+    """A x, x A, the infinity norm and the diagonal-commutator norms read operators of three or more masks
+    in aligned row blocks; below, at and above the block size each row and column adds in the CSR order."""
+    rng = np.random.default_rng(dim + nan)
+    a, op = _random_masks(dim, rng, nan)
+    x = rng.standard_normal(dim)
+    g = rng.integers(-3, 4, size=dim).astype(np.float64)
+    np.testing.assert_array_equal(op @ x, a @ x, strict=True)
+    np.testing.assert_array_equal(x @ op, csr_array(a.T) @ x, strict=True)
+    np.testing.assert_array_equal(op_norm_inf(op), csr_norm(a), strict=True)
+    coo = a.tocoo()
+    for f in (lambda q: q, covariance(1.0, np.exp(1j))):
+        moduli = np.abs(coo.data * f(g[coo.row] - g[coo.col]))
+        oracle = csr_norm(csr_array((moduli, (coo.row, coo.col)), shape=a.shape))
+        np.testing.assert_array_equal(diagonal_commutator_norm(op, g, f), oracle, strict=True)
 
 
 @pytest.mark.parametrize(("dim", "nan"), CASES, ids=CASE_IDS)
