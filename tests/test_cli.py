@@ -300,7 +300,7 @@ def test_verify_checks_filter(tmp_path, capsys, monkeypatch):
         (
             {"lattice": {"modes": [[10**400, 0, 0], [-10**400, 0, 0]]}},
             {},
-            "lattice.modes must be an integer, got 1.00000e+400",
+            "lattice.modes must be an integer, got 1e+400",
         ),
     ],
 )
