@@ -19,12 +19,14 @@ M <= 15, and every product, sum and adjoint built from the ladders keeps
 that width.  There is no int64 route: at M = 16 one state vector alone
 takes 32 GiB.  Every infinity norm of an operator is one row sum,
 `_max_row_sum`, read by `op_norm_inf` and by `diagonal_commutator_norm`.
-Above ROW_BLOCK rows it reads an operator of two or more masks in aligned
-blocks of ROW_BLOCK rows, each sorted on its own, and so does a matvec of
-more than two masks: no row-ordered copy of a whole operator is formed.  The CAR
-check reads the operators it is given into dense mask vectors indexed like
-the basis, above ROW_BLOCK rows one pair at a time, and sums their moduli
-(see `car_deviation`).  No scipy module is imported.
+It reads an operator through `XorOp._row_blocks`, the one row-order reader,
+in aligned blocks of min(dim, ROW_BLOCK) rows, each sorted on its own where
+two or more masks feed it.  So does A @ x of more than two masks, and x @ A
+of more than two reads the rows of A's adjoint: no row-ordered copy of a
+whole operator is formed.  The CAR check reads the operators it is given
+into dense mask vectors indexed like the basis, above ROW_BLOCK rows one
+pair at a time, and sums their moduli (see `car_deviation`).  No scipy
+module is imported.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ DEFAULT_MODE_CAP = 7
 SELFADJOINT_TOL = 1e-12
 # largest dimension whose row indices fit int32; every M <= 15
 INT32_MAX = np.iinfo(np.int32).max
-# rows read at a time in row order (`XorOp._row_blocks`); a power of two, so an
-# aligned block of rows or of columns is one slice of every mask's rows
+# rows read at a time in row order (`XorOp._row_blocks`); a power of two, so
+# blocks of min(dim, ROW_BLOCK) rows divide every dimension 2^n
 ROW_BLOCK = 1 << 12
 
 
@@ -95,7 +97,9 @@ def check_index_width(dim: int) -> None:
 # terms meet in one entry, IEEE addition depends on their order, so the
 # order is fixed: a matvec row or a norm row adds over ascending column, a
 # product entry over ascending inner index, each from 0.0.  That keeps the
-# reports byte-identical.
+# reports byte-identical.  Every read in row order goes through one reader,
+# `XorOp._row_blocks`, which sorts a block of rows only where two or more
+# masks feed it and keeps nothing: no read changes an `XorOp`.
 
 
 def _compress(*entries: np.ndarray) -> tuple:
@@ -163,7 +167,6 @@ class XorOp:
         self.terms = {m: t for m, t in sorted(terms.items()) if t[0].size} if terms else {}
         for rows, vals in self.terms.values():
             rows.flags.writeable = vals.flags.writeable = False
-        self._by_row = None  # the entries in row order, kept once formed for one block of two or more masks
 
     @classmethod
     def from_entries(cls, rows, cols, vals, shape) -> XorOp:
@@ -213,43 +216,32 @@ class XorOp:
         rows, cols, vals = zip(*parts)
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
-    def _row_blocks(self, transpose: bool = False):
-        """The entries, an aligned block of rows (of columns if `transpose`) at a time.
+    def _row_blocks(self):
+        """The entries, an aligned block of min(dim, ROW_BLOCK) rows at a time.
 
-        Yields (block, keys, others, vals) for each block: `block` is the slice
-        of rows (columns) it covers, `keys` the rows (columns) of its entries
-        and `others` their columns (rows), each key's entries by ascending
-        other, and without `transpose` row by row.  An operator of more than
-        ROW_BLOCK rows and two or more masks is read in blocks of ROW_BLOCK
-        keys, each sorted by key and then by other, so no row-ordered copy of
-        the whole operator is formed.  Any other is one block: as stored with
-        fewer than two masks, else row by row, kept once formed (it is no
-        larger than a block, and reading it again costs no sort).
+        Yields (block, rows, cols, vals) for each block: `block` is the slice
+        of rows it covers, and its entries come row by row, each row by
+        ascending column.  A block fed by one mask is that mask's slice as
+        stored; a block fed by two or more is sorted on its own, so no
+        row-ordered copy of the whole operator is formed.
         """
         n_bits = self.dim.bit_length() - 1
-        if len(self.terms) < 2 or self.dim <= ROW_BLOCK:
-            if len(self.terms) > 1 and self._by_row is None:
-                self._by_row = _sorted_entries(*self.entries(), n_bits)
-            rows, cols, vals = self.entries() if self._by_row is None else self._by_row
-            yield slice(0, self.dim), *((cols, rows, vals) if transpose else (rows, cols, vals))
-            return
-        # where each block of rows starts in each mask's rows; block b of
-        # columns is block b ^ (m // ROW_BLOCK) of rows, as ROW_BLOCK is a power of two
-        cuts = np.arange(0, self.dim + 1, ROW_BLOCK)
+        size = min(self.dim, ROW_BLOCK)
+        # where each block starts in each mask's rows
+        cuts = np.arange(0, self.dim + 1, size)
         starts = [(m, rows, vals, rows.searchsorted(cuts).tolist()) for m, (rows, vals) in self.terms.items()]
-        for b in range(self.dim // ROW_BLOCK):
+        for b in range(self.dim // size):
             parts = []
             for m, rows, vals, at in starts:
-                i = b ^ m // ROW_BLOCK if transpose else b
-                lo, hi = at[i], at[i + 1]
+                lo, hi = at[b], at[b + 1]
                 if lo < hi:
-                    r, v = rows[lo:hi], vals[lo:hi]
-                    parts.append((r ^ np.int32(m), r, v) if transpose else (r, r ^ np.int32(m), v))
+                    r = rows[lo:hi]
+                    parts.append((r, r ^ np.int32(m), vals[lo:hi]))
             if len(parts) > 1:
                 entries = _sorted_entries(*(np.concatenate(field) for field in zip(*parts)), n_bits)
             else:
                 entries = parts[0] if parts else (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))
-            yield slice(b * ROW_BLOCK, (b + 1) * ROW_BLOCK), *entries
+            yield slice(b * size, (b + 1) * size), *entries
 
     def diagonal(self) -> np.ndarray:
         """The diagonal A[r, r] as a vector."""
@@ -308,15 +300,15 @@ class XorOp:
             raise ValueError(f"dimension mismatch: operator {self.shape}, vector {x.shape}")
         x = _real(x, "a vector")
         # up to two entries per row add alike in either order; a wider operator
-        # is read in row blocks, whose columns' entries also come by ascending row
+        # is read in row blocks, A^T as the rows of its adjoint
         if len(self.terms) <= 2:
             rows, cols, vals = self.entries()
             if transpose:
                 rows, cols = cols, rows
             return _accumulate(rows, vals * x.take(cols), self.dim)
         out = np.empty(self.dim)
-        for block, keys, others, vals in self._row_blocks(transpose):
-            out[block] = _accumulate(keys - block.start, vals * x.take(others), block.stop - block.start)
+        for block, rows, cols, vals in (self.adjoint() if transpose else self)._row_blocks():
+            out[block] = _accumulate(rows - block.start, vals * x.take(cols), block.stop - block.start)
         return out
 
     def _product(self, other: XorOp) -> XorOp:

@@ -38,9 +38,6 @@ def bcs_state(ops: OperatorBundle, gap: GapTable) -> np.ndarray:
     v = vacuum_state(mt.n_modes)
     for i in reversed(range(mt.n_modes)):
         c, s = gap.cos_t[i], gap.sin_t[i]
-        if s == 0.0:
-            v = c * v
-            continue
         v = c * v + s * (ops.Bd[i] @ v)
     return v
 

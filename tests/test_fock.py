@@ -196,13 +196,13 @@ def test_xor_op_matvec_and_norm_are_bit_identical_to_csr(dim, nan):
     np.testing.assert_array_equal(op_norm_inf(op), csr_norm(a), strict=True)
 
 
-def _random_masks(dim, rng, nan):
-    """(scipy CSR, XorOp) of a random real operator on up to eight XOR masks, each at about 70% of its rows.
+def _random_masks(dim, rng, nan, n_masks=8):
+    """(scipy CSR, XorOp) of a random real operator on min(dim, n_masks) XOR masks, each at about 70% of its rows.
 
     Built from its entries, never as a dense matrix, so it reaches dimensions
     past ROW_BLOCK; with `nan`, one entry is NaN.
     """
-    masks = rng.choice(dim, size=min(dim, 8), replace=False)
+    masks = rng.choice(dim, size=min(dim, n_masks), replace=False)
     rows = []
     for _ in masks:
         keep = rng.random(dim) < 0.7
@@ -216,17 +216,27 @@ def _random_masks(dim, rng, nan):
     op = XorOp.from_entries(rows, cols, vals, (dim, dim))
     a = to_csr(op)
     a.sort_indices()
-    assert len(op.terms) == min(dim, 8)
+    assert len(op.terms) == min(dim, n_masks)
     return a, op
 
 
-@pytest.mark.parametrize("dim", [1, 2, 4, 64, ROW_BLOCK, 2 * ROW_BLOCK, 4 * ROW_BLOCK])
+# eight masks keep the bare dimension as id; one and two masks only where the dimension holds more
+ROW_BLOCK_CASES = [
+    pytest.param(dim, n_masks, id=str(dim) if n_masks == 8 else f"{dim}-{n_masks}mask")
+    for n_masks in (8, 1, 2)
+    for dim in (1, 2, 4, 64, ROW_BLOCK, 2 * ROW_BLOCK, 4 * ROW_BLOCK)
+    if n_masks == 8 or n_masks < dim
+]
+
+
+@pytest.mark.parametrize(("dim", "n_masks"), ROW_BLOCK_CASES)
 @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
-def test_row_block_reads_are_bit_identical_to_csr(dim, nan):
-    """A x, x A, the infinity norm and the diagonal-commutator norms read operators of three or more masks
-    in aligned row blocks; below, at and above the block size each row and column adds in the CSR order."""
-    rng = np.random.default_rng(dim + nan)
-    a, op = _random_masks(dim, rng, nan)
+def test_row_block_reads_are_bit_identical_to_csr(dim, n_masks, nan):
+    """A x, x A, the infinity norm and the diagonal-commutator norms read operators in aligned row blocks
+    (A x and x A of one or two masks read the stored entries whole); with one, two and eight masks,
+    below, at and above the block size each row and column adds in the CSR order."""
+    rng = np.random.default_rng((dim, nan, n_masks))
+    a, op = _random_masks(dim, rng, nan, n_masks)
     x = rng.standard_normal(dim)
     g = rng.integers(-3, 4, size=dim).astype(np.float64)
     np.testing.assert_array_equal(op @ x, a @ x, strict=True)
@@ -237,6 +247,34 @@ def test_row_block_reads_are_bit_identical_to_csr(dim, nan):
         moduli = np.abs(coo.data * f(g[coo.row] - g[coo.col]))
         oracle = csr_norm(csr_array((moduli, (coo.row, coo.col)), shape=a.shape))
         np.testing.assert_array_equal(diagonal_commutator_norm(op, g, f), oracle, strict=True)
+
+
+@pytest.mark.parametrize("dim", [64, 2 * ROW_BLOCK])
+def test_xor_op_is_unchanged_by_every_read(dim):
+    """No read of an `XorOp` sets an attribute, swaps a term or makes a stored array writable."""
+    rng = np.random.default_rng(dim)
+    _, op = _random_masks(dim, rng, False, 3)
+    x = rng.standard_normal(dim)
+    g = rng.integers(-3, 4, size=dim).astype(np.float64)
+    state, terms = dict(vars(op)), dict(op.terms)
+    copies = {m: (rows.copy(), vals.copy()) for m, (rows, vals) in terms.items()}
+    reads = {
+        "A @ x": lambda: op @ x,
+        "x @ A": lambda: x @ op,
+        "op_norm_inf": lambda: op_norm_inf(op),
+        "diagonal_commutator_norm": lambda: diagonal_commutator_norm(op, g),
+        "entries": op.entries,
+        "adjoint": op.adjoint,
+        "A @ A": lambda: op @ op,
+    }
+    for name, read in reads.items():
+        read()
+        assert vars(op).keys() == state.keys() and all(vars(op)[k] is v for k, v in state.items()), name
+        assert op.terms.keys() == terms.keys() and all(op.terms[m] is t for m, t in terms.items()), name
+        for m, (rows, vals) in op.terms.items():
+            assert not rows.flags.writeable and not vals.flags.writeable, name
+            np.testing.assert_array_equal(rows, copies[m][0], strict=True)
+            np.testing.assert_array_equal(vals, copies[m][1], strict=True)
 
 
 @pytest.mark.parametrize(("dim", "nan"), CASES, ids=CASE_IDS)
