@@ -12,21 +12,24 @@ the rows and values of each mask, and states 1-d numpy arrays, both real
 (float64).  An `XorOp` holds float64 entries and nothing else: complex
 entries, a complex scalar multiple or a complex vector raise TypeError
 instead of being cast.  The number-phase rotation enters through
-`diagonal_commutator_norm` as entry-wise factors.  Every row index
-is int32: `ladder_matrix` (and `PairSectors`, through the same
-`check_index_width`) raises ResourceLimitError above dimension 2^31 - 1, so
-M <= 15, and every product, sum and adjoint built from the ladders keeps
-that width.  There is no int64 route: at M = 16 one state vector alone
-takes 32 GiB.  Every infinity norm of an operator is one row sum,
-`_max_row_sum`, read by `op_norm_inf` and by `diagonal_commutator_norm`.
-It reads an operator through `XorOp._row_blocks`, the one row-order reader,
-in aligned blocks of min(dim, ROW_BLOCK) rows, each sorted on its own where
-two or more masks feed it.  So does A @ x of more than two masks, and x @ A
-of more than two reads the rows of A's adjoint: no row-ordered copy of a
-whole operator is formed.  The CAR check reads the operators it is given
-into dense mask vectors indexed like the basis, above ROW_BLOCK rows one
-pair at a time, and sums their moduli (see `car_deviation`).  No scipy
-module is imported.
+`diagonal_commutator_norm` as entry-wise factors, any number of them per
+read of the operator.  Every row index is int32: `ladder_matrix` (and
+`PairSectors`, through the same `check_index_width`) raises
+ResourceLimitError above dimension 2^31 - 1, so M <= 15, and every product,
+sum and adjoint built from the ladders keeps that width.  There is no int64
+route: at M = 16 one state vector alone takes 32 GiB.  Every infinity norm
+of an operator is one row sum, `_max_row_sum`, read by `op_norm_inf` and by
+`diagonal_commutator_norm`.  It reads an operator through
+`XorOp._row_blocks`, the one row-order reader, in aligned blocks of
+min(dim, ROW_BLOCK) rows, each sorted on its own where two or more masks
+feed it.  So does A @ x of more than two masks, and x @ A of more than two
+reads the rows of A's adjoint: no row-ordered copy of a whole operator is
+formed.  The CAR check reads the operators it is given
+into dense mask vectors, above ROW_BLOCK rows one pair at a time, and sums
+their moduli (see `car_deviation`).  It holds each vector in a row layout
+of CAR_ROW_WIDTH columns, in which the shift r -> r ^ m moves whole rows and
+permutes within each row, through index arrays of 2^n / 16 + 16 entries per
+mask instead of one of 2^n.  No scipy module is imported.
 """
 
 from __future__ import annotations
@@ -357,24 +360,27 @@ def commutator(a, b) -> XorOp:
     return a @ b - b @ a
 
 
-def _max_row_sum(a: XorOp, moduli) -> float:
-    """Largest row sum of `a` over the nonnegative moduli(rows, cols, vals) of its entries; 0.0 for none.
+def _max_row_sum(a: XorOp, moduli, count: int) -> list:
+    """Largest row sum of `a` under each of `count` moduli; 0.0 for an operator that stores nothing.
 
-    Read a row block at a time; each row is added by np.add.reduceat over
-    ascending column, and rows that store nothing add 0.0.
+    moduli(rows, cols, vals) gives, for a block of entries, `count` arrays of
+    their nonnegative moduli in turn.  Read a row block at a time; each row
+    is added by np.add.reduceat over ascending column, and rows that store
+    nothing add 0.0.
     """
-    worst = [0.0]
+    worst = [[0.0] for _ in range(count)]
     for _, rows, cols, vals in a._row_blocks():
         if rows.size:
             starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            worst.append(np.max(np.add.reduceat(moduli(rows, cols, vals), starts)))
+            for sums, mod in zip(worst, moduli(rows, cols, vals)):
+                sums.append(np.max(np.add.reduceat(mod, starts)))
     # np.max, not max: a NaN row sum must not lose to a finite one
-    return float(np.max(worst))
+    return [float(np.max(sums)) for sums in worst]
 
 
 def op_norm_inf(a: XorOp) -> float:
     """Operator infinity-norm (max absolute row sum) of an `XorOp`; each row adds over ascending column."""
-    return _max_row_sum(a, lambda rows, cols, vals: np.abs(vals))
+    return _max_row_sum(a, lambda rows, cols, vals: [np.abs(vals)], 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,31 +391,77 @@ def op_norm_inf(a: XorOp) -> float:
 # (AB)_{m ^ k} = sum a_m * b_k[r ^ m], the row sums of A are sum_m |a_m| and
 # its column sums sum_m |a_m|[r ^ m].  A pair costs
 # O(masks(a) * masks(b) * 2^n): a ladder has one mask and a gamma two, so an
-# anticommutator is a few element-wise products of length 2^n.  Above one
-# row block only the forms of the pair at hand are held, so the check's
-# memory does not grow with the number of operators.  Every other vector is
-# one of a few work vectors made once per check: a pair that made and freed
-# its own would let the allocator hand their pages back, only to fault them
-# in again for the next pair (at M = 7 the ladder check then takes about
-# twice as long, with 14 080 page faults against 292).  A gather into a work
-# vector uses mode="clip", which never clips here (every index is in range)
-# but, unlike the default, writes to `out` directly instead of through a
-# staging copy (at M = 7 the gamma check takes 41-44 ms against 51-54 ms).
+# anticommutator is a few element-wise products of length 2^n.
+#
+# Every vector of length 2^n is held in a row layout, a (2^n / w, w) array
+# with w = min(2^n, CAR_ROW_WIDTH), entry r at row r // w and column r % w.
+# Since w is a power of two, the shift r -> r ^ m moves whole rows by m // w
+# and permutes each row by m % w, so a shifted copy v[r ^ m] is a take along
+# axis 0, a take along axis 1, or both through one spare array, and m = 0
+# moves nothing.  Each mask's plan, its row and column index arrays, holds
+# 2^n / w + w entries and is made once per check; the layout changes where
+# entries sit in memory, not their values, so every sum and product is the
+# one a flat vector would give, bit for bit.  A row move copies w entries at
+# a time, and no index vector of length 2^n is formed or gathered through:
+# at M = 7 the ladder check takes 16-17 ms and the gamma check 53-55 ms,
+# against 19-21 ms and 56-58 ms through a flat gather by the vector r ^ m
+# (on 2 cores; the plans hold 1040 entries each where one such vector
+# holds 16384).
+#
+# Above one row block only the forms of the pair at hand are held, so the
+# check's memory does not grow with the number of operators.  Every other
+# vector is one of a few work arrays made once per check: a pair that made
+# and freed its own would let the allocator hand their pages back, only to
+# fault them in again for the next pair (at M = 7 the ladder check then
+# takes about twice as long, with 14 080 page faults against 292).  A take
+# into a work array uses mode="clip", which never clips here (every index is
+# in range) but, unlike the default, writes to `out` directly instead of
+# through a staging copy (at M = 7 the gamma check takes 41-44 ms against
+# 51-54 ms).
+
+# the row width w of the CAR check's row layout; a power of two, and with it
+# a mask's plan holds 2^n / w + w entries
+CAR_ROW_WIDTH = 16
 
 
-def _add_moduli(c: np.ndarray, x: int, sums: list, idx: np.ndarray, work: tuple) -> None:
-    """Add |c|, an operator's mask-x vector, to its row sums sums[0] and, gathered by r ^ x, its column sums sums[1].
+def _shift_plan(m: int, layout: tuple) -> tuple:
+    """(rows, cols), the plan of the shift r -> r ^ m in the row layout `layout` = (2^n / w, w).
 
-    A sum that is still None is set to the moduli instead, in a vector of
-    `work`.  A vector of zeros adds nothing: most anticommutators of a CAR
+    `rows` is the row index R ^ (m // w) and `cols` the column index
+    c ^ (m % w), either None where its part of m is zero.
+    """
+    n_rows, width = layout
+    high, low = divmod(m, width)
+    return (np.arange(n_rows) ^ high if high else None), (np.arange(width) ^ low if low else None)
+
+
+def _shift(v: np.ndarray, plan: tuple, out, spare: np.ndarray) -> np.ndarray:
+    """v[r ^ m] in the row layout, for the `_shift_plan` (rows, cols) of a mask m: `v` itself for m = 0, else in `out`.
+
+    `rows` moves whole rows and `cols` permutes each row; with both, the row
+    move goes through `spare`.  An `out` of None makes a new array.
+    """
+    rows, cols = plan
+    if rows is not None:
+        v = v.take(rows, axis=0, out=out if cols is None else spare, mode="clip")
+    if cols is not None:
+        v = v.take(cols, axis=1, out=out, mode="clip")
+    return v
+
+
+def _add_moduli(c: np.ndarray, x: int, sums: list, plan, work: tuple) -> None:
+    """Add |c|, an operator's mask-x form, to its row sums sums[0] and, shifted by x, its column sums sums[1].
+
+    A sum that is still None is set to the moduli instead, in an array of
+    `work`.  A form of zeros adds nothing: most anticommutators of a CAR
     check vanish.
     """
     if not c.any():
         return
-    shift, moduli, moved, *totals = work
+    spare, moduli, moved, *totals = work
     parts = [np.abs(c, moduli)]
     if len(sums) > 1:
-        parts.append(moduli.take(np.bitwise_xor(idx, x, shift), out=moved, mode="clip"))
+        parts.append(_shift(moduli, plan(x), moved, spare))
     for i, part in enumerate(parts):
         if sums[i] is None:
             sums[i] = totals[i]
@@ -418,19 +470,19 @@ def _add_moduli(c: np.ndarray, x: int, sums: list, idx: np.ndarray, work: tuple)
             sums[i] += part
 
 
-def _pair_sums(a: dict, b: dict, cre: dict, b_shift: dict, idx: np.ndarray, work: tuple, identity: bool) -> list:
+def _pair_sums(a: dict, b: dict, cre: dict, plan, work: tuple, identity: bool) -> list:
     """Row and column sums of |AB* + B*A - I| (I only with `identity`) and row sums of |AB + BA|.
 
-    `a`, `b` and `cre` are the dense mask forms of A, B and B*, each mask k of
-    B* that of B, and `b_shift[k]` is the gather index r ^ k; a sum is None
-    where its operator is zero.  Each mask x of the two anticommutators is
-    formed in full, adding its mask pairs (m, k) with m ^ k = x in the order
-    of the loops over A and B, and then its moduli add to the sums, the masks
-    in the order they first appear.  A mask pair reads one shifted copy
-    a_m[r ^ k] of A, shared by both.  Every vector of length 2^n is one of
-    the vectors in `work`.
+    `a`, `b` and `cre` are the mask forms of A, B and B*, each mask k of B*
+    that of B, and `plan(m)` is the shift plan of mask m; a sum is None where
+    its operator is zero.  Each mask x of the two anticommutators is formed
+    in full, adding its mask pairs (m, k) with m ^ k = x in the order of the
+    loops over A and B, and then its moduli add to the sums, the masks in the
+    order they first appear.  A mask pair reads one shifted copy a_m[r ^ k]
+    of A, shared by both.  Every array of 2^n entries is one of the arrays in
+    `work`.
     """
-    shift, moved, term, tmp, mixed, same, *totals = work
+    spare, moved, term, tmp, mixed, same, *totals = work
     groups = {}
     for m in a:
         for k in b:
@@ -444,19 +496,18 @@ def _pair_sums(a: dict, b: dict, cre: dict, b_shift: dict, idx: np.ndarray, work
             same.fill(0.0)
         for i, (m, k) in enumerate(pairs):
             am = a[m]
-            np.bitwise_xor(idx, m, shift)
-            am.take(b_shift[k], out=moved, mode="clip")
+            am_k = _shift(am, plan(k), moved, spare)
             for out, ck in ((mixed, cre[k]), (same, b[k])):
                 # the first pair forms the mask in place, a later one adds to it
                 dest = term if i else out
-                np.multiply(am, ck.take(shift, out=dest, mode="clip"), dest)
-                dest += np.multiply(ck, moved, tmp)
+                np.multiply(am, _shift(ck, plan(m), dest, spare), dest)
+                dest += np.multiply(ck, am_k, tmp)
                 if i:
                     out += term
         if identity and x == 0:
             mixed -= 1.0
-        _add_moduli(mixed, x, mixed_sums, idx, (shift, term, tmp, *totals[:2]))
-        _add_moduli(same, x, same_sums, idx, (shift, term, tmp, totals[2]))
+        _add_moduli(mixed, x, mixed_sums, plan, (spare, term, tmp, *totals[:2]))
+        _add_moduli(same, x, same_sums, plan, (spare, term, tmp, totals[2]))
     return mixed_sums + same_sums
 
 
@@ -466,34 +517,36 @@ def car_deviation(ann: list) -> float:
     Both families are formed for j <= j' only: {a_j, a_j'} is symmetric, and
     the row sums of {a_j', a*_j} are the column sums of its adjoint
     {a_j, a*_j'}; {a*_j, a*_j'} is the adjoint of {a_j', a_j} and adds nothing.
-    Above ROW_BLOCK rows only the pair (j, j') is held in dense mask form at
-    a time, so the check's memory does not grow with the number of
-    operators; below, every operator's forms are made once and kept.  a*_j'
-    is the form a_m[r ^ m] of the real a_j'.  Every other vector is formed in
-    work vectors made once, so a pair allocates only the forms of a_j.  The
+    Above ROW_BLOCK rows only the pair (j, j') is held in mask form at a
+    time, so the check's memory does not grow with the number of operators;
+    below, every operator's forms are made once and kept.  a*_j' is the form
+    a_m[r ^ m] of the real a_j'.  Every other array is one of the work
+    arrays made once, so a pair allocates only the forms of a_j.  The
     operators must share one dimension; ValueError otherwise.
     """
     shapes = list(dict.fromkeys(a.shape for a in ann))
     if len(shapes) > 1:
         raise ValueError(f"CAR operators need one shape, got shapes {shapes}")
-    idx = np.arange(shapes[0][0] if shapes else 1)
-    work = (np.empty_like(idx), *(np.empty(idx.size) for _ in range(8)))
+    dim = shapes[0][0] if shapes else 1
+    width = min(dim, CAR_ROW_WIDTH)
+    layout = (dim // width, width)
+    work = tuple(np.empty(layout) for _ in range(9))
+    plan = functools.cache(functools.partial(_shift_plan, layout=layout))
 
     def forms(j: int) -> dict:
-        return {m: ann[j]._dense(m) for m in ann[j].terms}
+        return {m: ann[j]._dense(m).reshape(layout) for m in ann[j].terms}
 
-    if idx.size <= ROW_BLOCK:
+    if dim <= ROW_BLOCK:
         # small forms are made once: remade for each pair, they slow the
         # benchmark's verify-m5 pass (dim 1024) from 43.3 to 44.3 ms, 10 of 10 pairs
         forms = functools.cache(forms)
     worst = 0.0
     for jp in range(len(ann)):
         b = forms(jp)
-        b_shift = {k: idx ^ k for k in b}
-        cre = {k: bk.take(b_shift[k]) for k, bk in b.items()}
+        cre = {k: _shift(bk, plan(k), None, work[0]) for k, bk in b.items()}
         for j in range(jp + 1):
             a = b if j == jp else forms(j)
-            sums = _pair_sums(a, b, cre, b_shift, idx, work, j == jp)
+            sums = _pair_sums(a, b, cre, plan, work, j == jp)
             # np.max, not max: a NaN sum must not lose to a finite one
             worst = np.max([worst, *(s.max() for s in sums if s is not None)])
     return float(worst)
@@ -508,21 +561,28 @@ def anticommutator_check(ladders: list) -> float:
 # diagonal generators: exact entry-wise factors
 
 
-def diagonal_commutator_norm(a: XorOp, g, f=lambda q: q) -> float:
-    """Infinity norm of the operator with entries f(g_r - g_c) A_rc, for the diagonal D = diag(g).
+def diagonal_commutator_norm(a: XorOp, g, factors: list) -> list:
+    """Infinity norms of the operators with entries f(g_r - g_c) A_rc, one per f in `factors`, for D = diag(g).
 
-    `g` is the real diagonal of D.  The default f(q) = q gives ||[D, A]||;
+    `g` is the real diagonal of D.  f(q) = q gives ||[D, A]||;
     f(q) = exp(-i*alpha*q) - phase gives ||exp(-i*alpha*D) A exp(i*alpha*D) - phase A||
     exactly: no series is summed, nothing is truncated, and a complex factor
     meets the entries only as a vector, since the norm reads their moduli.
-    On mask m the factor is f(g_r - g_{r ^ m}).  Whether a matrix really is
-    diag(g) is the caller's to check.  A modulus of zero still takes its place
-    in its row, so every row adds in the same order as in `op_norm_inf`.
+    On mask m the factor is f(g_r - g_{r ^ m}).  A is read once for all the
+    factors: each row block gathers g_r - g_c once and gives one moduli
+    array per factor.  Whether a matrix really is diag(g) is the caller's to
+    check.  A modulus of zero still takes its place in its row, so every row
+    adds in the same order as in `op_norm_inf`.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or a.shape != (g.size, g.size):
         raise ValueError(f"dimension mismatch: operator {a.shape}, diagonal {g.shape}")
-    return _max_row_sum(a, lambda rows, cols, vals: np.abs(vals * f(g.take(rows) - g.take(cols))))
+
+    def moduli(rows, cols, vals):
+        q = g.take(rows) - g.take(cols)
+        return (np.abs(vals * f(q)) for f in factors)
+
+    return _max_row_sum(a, moduli, len(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ gamma, the four-quasiparticle correction vector Phi, and the normalized
 corrected state (Psi_ref + Phi)/sqrt(1 + (Phi,Phi)), all real.
 `quartet_sum` applies the gamma* four-strings for Phi and the H' Psi_B
 expansion; it takes the gamma list and applies each gamma* as the
-transposed product psi @ gamma, which the real gammas allow.  `pair_table` gives
-the pair expectations (state, B_k state) that the mean-field Hamiltonian
-and the self-consistency checks read.
+transposed product psi @ gamma, which the real gammas allow, and forms the
+inner pair gamma*_{p',up} gamma*_{-p',dn} psi once per mode p'.
+`pair_table` gives the pair expectations (state, B_k state) that the
+mean-field Hamiltonian and the self-consistency checks read.
 
 The states and the gammas read their ladders and pair operators from an
 `OperatorBundle`, which builds only the ones read, and their angles from a
@@ -85,19 +86,23 @@ def quartet_sum(mt: ModeTable, quasi: list, terms, psi: np.ndarray) -> np.ndarra
     Each gamma* is applied to vectors only, as the transposed product
     psi @ quasi[j], which forms no adjoint; it adds each output entry's terms
     over ascending row of quasi[j], as quasi[j].adjoint() @ psi would, so
-    both give the same vector bit for bit.  Terms with c = 0 are skipped;
-    the rest accumulate in the order given.
+    both give the same vector bit for bit.  The inner pair
+    gamma*_{p',up} gamma*_{-p',dn} psi is formed once for each p' and kept
+    for every later term with that p', so P distinct p' and T terms take
+    2P + 2T products and hold at most M inner vectors.  Terms with c = 0 are
+    skipped; the rest accumulate in the order given.
     """
     up = [quasi[mt.orb_up(i)] for i in range(mt.n_modes)]
     dn_neg = [quasi[mt.orb_dn(mt.pair[i])] for i in range(mt.n_modes)]
+    inner = {}
     out = np.zeros_like(psi)
     for p, pp, c in terms:
         if c == 0.0:
             continue
         # w @ gamma is gamma^T w, which is gamma* w for a real gamma
-        w = psi @ dn_neg[pp]
-        w = w @ up[pp]
-        w = w @ dn_neg[p]
+        if pp not in inner:
+            inner[pp] = (psi @ dn_neg[pp]) @ up[pp]
+        w = inner[pp] @ dn_neg[p]
         w = w @ up[p]
         out += c * w
     return out

@@ -1019,6 +1019,59 @@ def test_gamma_dag_views_equal_adjoint_copies_on_the_goldens(name):
         assert np.array_equal(a, b)
 
 
+def test_quartet_sum_forms_one_inner_gamma_dag_pair_per_mode(monkeypatch):
+    """Phi, the H' Psi_B expansion and Phi~ of the M = 7 golden take 2P + 2T gamma* products each.
+
+    T counts the terms with c != 0 and P their distinct p'.  Each p' forms
+    its inner pair gamma*_{p',up} gamma*_{-p',dn} psi once, and every term
+    applies its outer pair to it; applying all four gamma* per term takes 4T.
+    """
+    cfg = load_config(str(GOLDEN / "seven_mode" / "config.json"))
+    inst = analysis.Instance(cfg.mt, cfg.kernel, {**cfg.solver, "tol": min(cfg.tol, 1e-12)})
+    products, calls = [0], []
+    original_rmatmul, original_sum = XorOp.__rmatmul__, states.quartet_sum
+
+    def counted_rmatmul(op, x):
+        products[0] += 1
+        return original_rmatmul(op, x)
+
+    def counted_sum(mt, quasi, terms, psi):
+        terms = list(terms)
+        live = [(p, pp) for p, pp, c in terms if c != 0.0]
+        before = products[0]
+        out = original_sum(mt, quasi, terms, psi)
+        calls.append((products[0] - before, len({pp for _, pp in live}), len(live)))
+        return out
+
+    monkeypatch.setattr(XorOp, "__rmatmul__", counted_rmatmul)
+    for module in (states, analysis):
+        monkeypatch.setattr(module, "quartet_sum", counted_sum)
+    for name in ("corr", "expansion", "corr_t"):
+        getattr(inst, name)
+    assert len(calls) == 3
+    for made, n_inner, n_terms in calls:
+        assert n_terms > n_inner > 0
+        assert made == 2 * n_inner + 2 * n_terms
+
+
+def test_operator_algebra_reads_h_and_each_ladder_once(three_mode, monkeypatch):
+    """The charge and covariance rows read H once and each ladder once: 1 + 2M row reads, 4 + 6M one factor at a time."""
+    mt, kernel = three_mode
+    reads = []
+    original = XorOp._row_blocks
+
+    def counted(op):
+        reads.append(op)
+        return original(op)
+
+    monkeypatch.setattr(XorOp, "_row_blocks", counted)
+    names = ["charge_commutes_with_h", "number_phase_covariance_c", "number_phase_covariance_h"]
+    report = run_verification(mt, kernel, seed=3, checks=names)
+    assert [c.name for c in report.checks] == names and report.all_passed
+    assert len(reads) == 1 + 2 * mt.n_modes
+    assert len({id(op) for op in reads}) == len(reads)
+
+
 # ROADMAP item 2: GapTable.from_delta takes cos_t from (1 + cos2t)/2, which
 # rounds to exactly 0 for xi < 0 at a near-trivial gap, while sin2t does not.
 # With the default solver settings the driver stops at Delta_0 = 1.8e-11 and

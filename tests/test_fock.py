@@ -8,8 +8,11 @@ from scipy.sparse import coo_array, csr_array, diags_array, eye_array, identity,
 
 from bcslab.errors import ResourceLimitError
 from bcslab.fock import (
+    CAR_ROW_WIDTH,
     ROW_BLOCK,
     XorOp,
+    _shift,
+    _shift_plan,
     anticommutator_check,
     basis_state,
     car_deviation,
@@ -234,7 +237,8 @@ ROW_BLOCK_CASES = [
 def test_row_block_reads_are_bit_identical_to_csr(dim, n_masks, nan):
     """A x, x A, the infinity norm and the diagonal-commutator norms read operators in aligned row blocks
     (A x and x A of one or two masks read the stored entries whole); with one, two and eight masks,
-    below, at and above the block size each row and column adds in the CSR order."""
+    below, at and above the block size each row and column adds in the CSR order.  Several factors
+    in one read give each factor's norm alone, bit for bit."""
     rng = np.random.default_rng((dim, nan, n_masks))
     a, op = _random_masks(dim, rng, nan, n_masks)
     x = rng.standard_normal(dim)
@@ -243,10 +247,14 @@ def test_row_block_reads_are_bit_identical_to_csr(dim, n_masks, nan):
     np.testing.assert_array_equal(x @ op, csr_array(a.T) @ x, strict=True)
     np.testing.assert_array_equal(op_norm_inf(op), csr_norm(a), strict=True)
     coo = a.tocoo()
-    for f in (lambda q: q, covariance(1.0, np.exp(1j))):
+    factors = [charge, covariance(1.0, np.exp(1j)), covariance(math.pi, 1.0)]
+    fused = diagonal_commutator_norm(op, g, factors)
+    assert len(fused) == len(factors)
+    for f, norm in zip(factors, fused):
         moduli = np.abs(coo.data * f(g[coo.row] - g[coo.col]))
         oracle = csr_norm(csr_array((moduli, (coo.row, coo.col)), shape=a.shape))
-        np.testing.assert_array_equal(diagonal_commutator_norm(op, g, f), oracle, strict=True)
+        np.testing.assert_array_equal(diagonal_commutator_norm(op, g, [f])[0], oracle, strict=True)
+        np.testing.assert_array_equal(norm, oracle, strict=True)
 
 
 @pytest.mark.parametrize("dim", [64, 2 * ROW_BLOCK])
@@ -262,7 +270,7 @@ def test_xor_op_is_unchanged_by_every_read(dim):
         "A @ x": lambda: op @ x,
         "x @ A": lambda: x @ op,
         "op_norm_inf": lambda: op_norm_inf(op),
-        "diagonal_commutator_norm": lambda: diagonal_commutator_norm(op, g),
+        "diagonal_commutator_norm": lambda: diagonal_commutator_norm(op, g, [charge, covariance(1.0, 1.0)]),
         "entries": op.entries,
         "adjoint": op.adjoint,
         "A @ A": lambda: op @ op,
@@ -357,6 +365,38 @@ def test_int32_index_limit_raises_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"peak {peak} bytes"
+
+
+# every mask below 2^n at these dimensions; at 16384 the four kinds of mask and seeded random ones
+SHIFT_CASES = [(dim, range(dim)) for dim in (1, 2, 4, 8, 16, 32, 1024)] + [
+    (16384, [0, 5, 16 * 37, 16 * 37 + 5, 16383, *np.random.default_rng(16384).integers(16384, size=64).tolist()])
+]
+
+
+@pytest.mark.parametrize(("dim", "masks"), SHIFT_CASES, ids=[str(dim) for dim, _ in SHIFT_CASES])
+def test_row_layout_shift_is_the_literal_xor_gather(dim, masks):
+    """The CAR check's shift of a (dim // w, w) form by a mask m is v[r ^ m]: zero, in-row, row-only and two-part masks."""
+    rng = np.random.default_rng(dim)
+    v = rng.standard_normal(dim)
+    width = min(dim, CAR_ROW_WIDTH)
+    layout = (dim // width, width)
+    spare = np.empty(layout)
+    kinds = set()
+    for m in masks:
+        plan = _shift_plan(m, layout)
+        kinds.add(tuple(part is not None for part in plan))
+        literal = v[np.arange(dim) ^ m]
+        for out in (np.empty(layout), None):
+            shifted = _shift(v.reshape(layout), plan, out, spare)
+            assert shifted.shape == layout
+            np.testing.assert_array_equal(shifted.ravel(), literal, strict=True)
+    # (row move, in-row permutation): one row has no row moves, and dim 1 the zero mask alone
+    expected = {(False, False)}
+    if dim > 1:
+        expected.add((False, True))
+    if dim > CAR_ROW_WIDTH:
+        expected |= {(True, False), (True, True)}
+    assert kinds == expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -622,6 +662,11 @@ def covariance(alpha, phase):
     return lambda q: np.exp(-1j * alpha * q) - phase
 
 
+def charge(q):
+    """f(q) = q, the factor of the commutator [D, A]."""
+    return q
+
+
 @pytest.mark.parametrize("instance", ["two_mode", "three_mode"])
 def test_diagonal_commutator_norm_matches_series_by_number_operator(instance, request):
     mt, kernel = request.getfixturevalue(instance)
@@ -629,12 +674,13 @@ def test_diagonal_commutator_norm_matches_series_by_number_operator(instance, re
     big_g = bundle.G
     g = big_g.diagonal()
     ops = [ladder_matrix(j, mt.n_modes) for j in range(mt.n_orbitals)] + [bundle.H]
-    assert diagonal_commutator_norm(bundle.H, g) == op_norm_inf(commutator(big_g, bundle.H)) == 0.0
-    for alpha in (0.3, 1.0, math.pi):
-        for a in ops:
+    assert diagonal_commutator_norm(bundle.H, g, [charge])[0] == op_norm_inf(commutator(big_g, bundle.H)) == 0.0
+    alphas = (0.3, 1.0, math.pi)
+    for a in ops:
+        # against the unrotated A, so a ladder deviates by |exp(i alpha) - 1| per row
+        devs = diagonal_commutator_norm(a, g, [covariance(alpha, 1.0) for alpha in alphas])
+        for alpha, dev in zip(alphas, devs):
             series = conjugate_series(a, 1j * to_csr(big_g), alpha, tol=1e-12)
-            # against the unrotated A, so a ladder deviates by |exp(i alpha) - 1| per row
-            dev = diagonal_commutator_norm(a, g, covariance(alpha, 1.0))
             assert abs(dev - csr_norm(series - to_csr(a))) <= 1e-12
 
 
@@ -646,25 +692,29 @@ def test_diagonal_commutator_norm_matches_dense_oracles():
         g = rng.integers(-3, 4, size=dim).astype(np.float64)
         expected = dense_norm(dense_diagonal_commutator(a, g))
         assert expected > 0.0
-        assert abs(diagonal_commutator_norm(op, g) - expected) <= 1e-12 * expected
+        [norm] = diagonal_commutator_norm(op, g, [charge])
+        assert abs(norm - expected) <= 1e-12 * expected
         # bit for bit the CSR row sum of the entry-wise moduli, zero moduli in their places
         rows, cols = a.nonzero()
         moduli = csr_array((np.abs(a.toarray()[rows, cols] * (g[rows] - g[cols])), (rows, cols)), shape=a.shape)
-        assert diagonal_commutator_norm(op, g) == csr_norm(moduli)
+        assert norm == csr_norm(moduli)
         for alpha in (0.3, 1.0, math.pi):
             phase = np.exp(1j * alpha)
             oracle = dense_conjugation(a, 1j * diags_array(g), alpha) - phase * a.toarray()
-            assert abs(diagonal_commutator_norm(op, g, covariance(alpha, phase)) - dense_norm(oracle)) <= 1e-12
+            [dev] = diagonal_commutator_norm(op, g, [covariance(alpha, phase)])
+            assert abs(dev - dense_norm(oracle)) <= 1e-12
 
 
 def test_diagonal_commutator_norm_alpha_zero_exact():
     rng = np.random.default_rng(5)
     a = xor_of(random_sparse(16, rng, real=True))
     g = rng.integers(0, 5, size=16).astype(np.float64)
-    assert diagonal_commutator_norm(a, g, covariance(0.0, 1.0)) == 0.0
-    assert diagonal_commutator_norm(a, np.full(16, 3.0)) == 0.0
+    assert diagonal_commutator_norm(a, g, [covariance(0.0, 1.0)]) == [0.0]
+    assert diagonal_commutator_norm(a, np.full(16, 3.0), [charge]) == [0.0]
+    assert diagonal_commutator_norm(a, g, []) == []
+    assert diagonal_commutator_norm(XorOp(16), g, [charge, covariance(1.0, 1.0)]) == [0.0, 0.0]
     with pytest.raises(ValueError, match="dimension mismatch"):
-        diagonal_commutator_norm(a, g[:-1])
+        diagonal_commutator_norm(a, g[:-1], [charge])
     with pytest.raises(ValueError, match=re.escape("(32, 16)")):  # a row stack is not an operator
         xor_of(vstack([to_csr(a), to_csr(a)], format="csr"))
 
@@ -679,8 +729,9 @@ def test_diagonal_commutator_norm_reads_unsorted_rows():
     rows = np.repeat(np.arange(16), np.diff(a.indptr))
     flipped = XorOp.from_entries(rows[order], a.indices[order], a.data[order], a.shape)
     assert np.array_equal(dense(flipped), a.toarray())
-    assert abs(diagonal_commutator_norm(flipped, g) - expected) <= 1e-12 * expected
-    assert diagonal_commutator_norm(flipped, g) == diagonal_commutator_norm(xor_of(a), g)
+    [norm] = diagonal_commutator_norm(flipped, g, [charge])
+    assert abs(norm - expected) <= 1e-12 * expected
+    assert diagonal_commutator_norm(xor_of(a), g, [charge]) == [norm]
 
 
 def test_evolve_state_identity_and_zero():
